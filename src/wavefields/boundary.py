@@ -282,6 +282,11 @@ def apply_boundary_transfer(
     post amplitude moves back through its adjoint.  Both directions are
     norm-preserving as long as post amplitude stays in the matrix's
     range, which free evolution shared by all branches guarantees.
+
+    The engine does not call this.  The map leaves pre + T†·post
+    unchanged, so a crossing keeps only those joined rows and
+    ``engine.branches`` cuts them at the boundary; this eager form is
+    the reference that view is tested against.
     """
     if np.any(post_side):
         post[:, post_side] += transfer @ pre[:, post_side]

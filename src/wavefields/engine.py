@@ -8,9 +8,11 @@ once the branch is fully formed.
 
 Interactions either complete instantly (the index spaces re-expand in
 place) or run as a crossing: the two fluids pass through a moving
-boundary and are re-indexed cell by cell through transfer matrices.
-Everything a system knows travels with it; a meet touches only the two
-participants.
+boundary whose transfer matrices re-index the crossed fluid.  A
+crossing in flight is the systems' freely evolving branch rows plus the
+boundary position; ``branches`` cuts the rows into their pre- and
+post-interaction parts when asked.  Everything a system knows travels
+with it; a meet touches only the two participants.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ class Packet:
 
     ``field`` is the raw amplitude: branch coefficient times the branch
     wavefunction.  ``coefficient`` tracks the algebraic value from the
-    transfer matrices; while a crossing is in flight the field holds
-    only the part that has crossed, and the two agree again once the
-    crossing completes.  ``region`` is None at rest, otherwise which
-    side of an active boundary the branch feeds.
+    transfer matrices.  Packets stored in a wave-field are whole
+    branches and carry no ``region``; only the packets ``branches``
+    builds for a crossing in flight are tagged, with the side of the
+    boundary they lie on, and hold just the fluid on that side.
     """
 
     index: IndexLabel
@@ -62,9 +64,6 @@ class WaveField:
     system: str
     packets: list[Packet]
     memory: InternalMemory
-
-    def at_rest(self) -> bool:
-        return all(p.region is None for p in self.packets)
 
 
 @dataclass
@@ -129,22 +128,16 @@ def add_system(state: ScenarioState, system: str, amplitudes, shape) -> WaveFiel
     return wf
 
 
-def _packet_lookup(wf: WaveField, region: str | None) -> dict[IndexLabel, Packet]:
-    out: dict[IndexLabel, Packet] = {}
-    for p in wf.packets:
-        if p.region == region:
-            if p.index in out:
-                raise RuntimeError(
-                    f"duplicate branch {p.index.text()!r} on system {wf.system!r}"
-                )
-            out[p.index] = p
-    return out
+def _active_link(state: ScenarioState, system: str) -> boundary_mod.BoundaryLink | None:
+    for ln in state.active_links():
+        if system in (ln.left_system, ln.right_system):
+            return ln
+    return None
 
 
 def _require_at_rest(state: ScenarioState, system: str) -> None:
-    for ln in state.active_links():
-        if system in (ln.left_system, ln.right_system):
-            raise ValueError(f"system {system!r} is mid-crossing")
+    if _active_link(state, system) is not None:
+        raise ValueError(f"system {system!r} is mid-crossing")
 
 
 def _centroid(wf: WaveField, grid: Grid) -> float:
@@ -155,42 +148,38 @@ def _centroid(wf: WaveField, grid: Grid) -> float:
     return float(np.dot(grid.x, rho) / total)
 
 
-def aggregate_density(wf: WaveField, region: str | None = "any") -> np.ndarray:
+def aggregate_density(wf: WaveField) -> np.ndarray:
     rho = None
     for p in wf.packets:
-        if region != "any" and p.region != region:
-            continue
         d = np.abs(p.field) ** 2
         rho = d if rho is None else rho + d
     if rho is None:
-        raise ValueError(f"system {wf.system!r} has no packets in region {region!r}")
+        raise ValueError(f"system {wf.system!r} has no packets")
     return rho
-
-
-def aggregate_current(wf: WaveField, grid: Grid) -> np.ndarray:
-    j = np.zeros(grid.n)
-    for p in wf.packets:
-        j += current(p.field, grid)
-    return j
 
 
 def total_mass(state: ScenarioState, system: str) -> float:
     return sum(p.mass(state.grid) for p in state.wavefields[system].packets)
 
 
-def _expand_instant(wf: WaveField, transfer: boundary_mod.TransferMatrix, grid: Grid):
-    packets = _packet_lookup(wf, None)
+def _in_rows(wf: WaveField, transfer: boundary_mod.TransferMatrix, grid: Grid):
+    """Fields and coefficients of the branches, one row per in-label."""
+    packets = {p.index: p for p in wf.packets}
     unknown = set(packets) - set(transfer.in_labels)
     if unknown:
         raise RuntimeError(f"branches {unknown} missing from the transfer matrix")
-    n = grid.n
-    raw = np.zeros((len(transfer.in_labels), n), dtype=np.complex128)
+    raw = np.zeros((len(transfer.in_labels), grid.n), dtype=np.complex128)
     coeff = np.zeros(len(transfer.in_labels), dtype=np.complex128)
     for row, label in enumerate(transfer.in_labels):
         p = packets.get(label)
         if p is not None:
             raw[row] = p.field
             coeff[row] = p.coefficient
+    return raw, coeff
+
+
+def _expand_instant(wf: WaveField, transfer: boundary_mod.TransferMatrix, grid: Grid):
+    raw, coeff = _in_rows(wf, transfer, grid)
     raw_out = transfer.matrix @ raw
     coeff_out = transfer.matrix @ coeff
     out = []
@@ -201,6 +190,16 @@ def _expand_instant(wf: WaveField, transfer: boundary_mod.TransferMatrix, grid: 
             continue
         out.append(Packet(label, c, raw_out[row]))
     wf.packets = out
+
+
+def _record_crossed(link, rho_left, rho_right, grid: Grid, t: float) -> None:
+    # Crossed fluid is the coherent mass past the boundary; the boundary
+    # law keeps the two integrals equal.
+    cum_l = boundary_mod._cumulative(rho_left, grid)
+    cum_r = boundary_mod._cumulative(rho_right, grid)
+    link.crossed_left = float(cum_l[-1] - np.interp(link.x12, grid.x, cum_l))
+    link.crossed_right = float(np.interp(link.x12, grid.x, cum_r))
+    link.record(t)
 
 
 def _open_crossing(
@@ -217,46 +216,15 @@ def _open_crossing(
         raise ValueError(
             f"crossing expects {left.system!r} to start left of {right.system!r}"
         )
+    _in_rows(left, t_left, grid)  # raises if a branch is unknown to a transfer
+    _in_rows(right, t_right, grid)
     rho_left = aggregate_density(left)
     rho_right = aggregate_density(right)
     x12 = boundary_mod.find_initial_boundary(rho_left, rho_right, grid)
-    for wf, transfer in ((left, t_left), (right, t_right)):
-        packets = _packet_lookup(wf, None)
-        unknown = set(packets) - set(transfer.in_labels)
-        if unknown:
-            raise RuntimeError(f"branches {unknown} missing from the transfer matrix")
-        coeff = np.array(
-            [
-                packets[l].coefficient if l in packets else 0.0
-                for l in transfer.in_labels
-            ],
-            dtype=np.complex128,
-        )
-        coeff_out = transfer.matrix @ coeff
-        for label in transfer.in_labels:
-            if label in packets:
-                packets[label].region = PRE
-            else:
-                wf.packets.append(
-                    Packet(label, 0.0, np.zeros(grid.n, np.complex128), PRE)
-                )
-        for row, label in enumerate(transfer.out_labels):
-            wf.packets.append(
-                Packet(
-                    label,
-                    complex(coeff_out[row]),
-                    np.zeros(grid.n, np.complex128),
-                    POST,
-                )
-            )
     link = boundary_mod.BoundaryLink(
         left.system, right.system, unitary, x12, t_left, t_right, op_id
     )
-    cum_l = boundary_mod._cumulative(rho_left, grid)
-    cum_r = boundary_mod._cumulative(rho_right, grid)
-    link.crossed_left = float(cum_l[-1] - np.interp(x12, grid.x, cum_l))
-    link.crossed_right = float(np.interp(x12, grid.x, cum_r))
-    link.record(state.time)
+    _record_crossed(link, rho_left, rho_right, grid, state.time)
     state.links.append(link)
     return link
 
@@ -274,8 +242,9 @@ def meet(
     ``instant`` re-expands the participants' branches in place, for
     interactions whose spatial development is not being studied.
     ``crossing`` opens a moving boundary between the two fluids; the
-    re-indexing then happens cell by cell as they pass through it
-    during subsequent steps.  Only the participants are touched.
+    branches keep evolving freely while the boundary moves through
+    them, and are re-expanded once the pre-interaction fluid has all
+    crossed.  Only the participants are touched.
     """
     if mode not in ("instant", "crossing"):
         raise ValueError(f"unknown meet mode {mode!r}")
@@ -313,87 +282,63 @@ def meet(
     return _open_crossing(state, fields[0], fields[1], unitary, op_id, *transfers)
 
 
-def _link_stacks(wf: WaveField, transfer: boundary_mod.TransferMatrix, grid: Grid):
-    pre = _packet_lookup(wf, PRE)
-    post = _packet_lookup(wf, POST)
-    pre_rows = [pre[l] for l in transfer.in_labels]
-    post_rows = [post[l] for l in transfer.out_labels]
-    pre_stack = np.stack([p.field for p in pre_rows])
-    post_stack = np.stack([p.field for p in post_rows])
-    return pre_rows, post_rows, pre_stack, post_stack
-
-
 def _step_link(state: ScenarioState, link: boundary_mod.BoundaryLink) -> None:
     grid = state.grid
     left = state.wavefields[link.left_system]
     right = state.wavefields[link.right_system]
-
-    # The boundary law needs each branch as one coherent wave.  The
-    # pre/post split is bookkeeping with a sharp cut, and spectral
-    # currents of the cut halves ring at the cut, so undo the split
-    # (post rows stay in the transfer's range) before measuring flux.
-    stacks = {}
-    rho = {}
-    flux = {}
-    for key, wf, transfer in (("L", left, link.t_left), ("R", right, link.t_right)):
-        rows_and_stacks = _link_stacks(wf, transfer, grid)
-        stacks[key] = rows_and_stacks
-        pre_stack, post_stack = rows_and_stacks[2], rows_and_stacks[3]
-        joined = pre_stack + transfer.matrix.conj().T @ post_stack
-        rho[key] = np.sum(np.abs(joined) ** 2, axis=0)
-        flux[key] = sum(current(row, grid) for row in joined)
+    # The stored packets are whole branches, each one coherent wave, so
+    # the boundary law reads density and current straight from them.
+    rho_left = aggregate_density(left)
+    rho_right = aggregate_density(right)
     link.x12 = boundary_mod.step_boundary_fields(
-        link.x12, rho["L"], flux["L"], rho["R"], flux["R"], grid
+        link.x12,
+        rho_left,
+        sum(current(p.field, grid) for p in left.packets),
+        rho_right,
+        sum(current(p.field, grid) for p in right.packets),
+        grid,
     )
+    _record_crossed(link, rho_left, rho_right, grid, state.time + grid.dt)
 
     post_side_left = grid.x > link.x12
-    for key, wf, transfer, post_side in (
-        ("L", left, link.t_left, post_side_left),
-        ("R", right, link.t_right, ~post_side_left),
-    ):
-        pre_rows, post_rows, pre_stack, post_stack = stacks[key]
-        boundary_mod.apply_boundary_transfer(
-            pre_stack, post_stack, transfer.matrix, post_side
-        )
-        for p, row in zip(pre_rows, pre_stack):
-            p.field = row
-        for p, row in zip(post_rows, post_stack):
-            p.field = row
-
-    # Crossed fluid is the coherent mass past the boundary, not the
-    # cell-granular packet split: the boundary law keeps these two
-    # integrals equal, while whole-cell bookkeeping is off by up to
-    # one cell of bulk density.
-    cum_l = boundary_mod._cumulative(rho["L"], grid)
-    cum_r = boundary_mod._cumulative(rho["R"], grid)
-    link.crossed_left = float(cum_l[-1] - np.interp(link.x12, grid.x, cum_l))
-    link.crossed_right = float(np.interp(link.x12, grid.x, cum_r))
-    link.record(state.time + grid.dt)
-
-    pre_left = sum(p.mass(grid) for p in left.packets if p.region == PRE)
-    pre_right = sum(p.mass(grid) for p in right.packets if p.region == PRE)
+    pre_left = float(np.sum(rho_left[~post_side_left]) * grid.dx)
+    pre_right = float(np.sum(rho_right[post_side_left]) * grid.dx)
     if pre_left < COMPLETION_THRESHOLD and pre_right < COMPLETION_THRESHOLD:
-        _complete_link(state, link)
+        _expand_instant(left, link.t_left, grid)
+        _expand_instant(right, link.t_right, grid)
+        link.active = False
 
 
-def _complete_link(state: ScenarioState, link: boundary_mod.BoundaryLink) -> None:
+def branches(state: ScenarioState, system: str) -> list[Packet]:
+    """The system's branches as they stand, split at an active boundary.
+
+    At rest these are the stored packets.  While a crossing is in
+    flight, the pre-interaction branches are the stored rows J on the
+    pre side of the boundary and the post-interaction ones are T·J on
+    the post side, tagged PRE and POST.  Re-indexing the crossed cells
+    through the transfer T (``boundary.apply_boundary_transfer``) would
+    leave pre + T†·post equal to J, because T is an isometry, so this
+    view is exactly the re-indexed state.
+    """
+    wf = state.wavefields[system]
+    link = _active_link(state, system)
+    if link is None:
+        return wf.packets
     grid = state.grid
-    for sys_id in (link.left_system, link.right_system):
-        wf = state.wavefields[sys_id]
-        kept = []
-        for p in wf.packets:
-            if p.region == PRE:
-                continue
-            if p.region == POST:
-                p.region = None
-                if (
-                    abs(p.coefficient) <= COEFFICIENT_THRESHOLD
-                    and p.mass(grid) <= DARK_MASS_THRESHOLD
-                ):
-                    continue
-            kept.append(p)
-        wf.packets = kept
-    link.active = False
+    post_side = grid.x > link.x12
+    transfer = link.t_left
+    if system == link.right_system:
+        post_side, transfer = ~post_side, link.t_right
+    raw, coeff = _in_rows(wf, transfer, grid)
+    pre = np.where(post_side, 0.0, raw)
+    post = np.where(post_side, transfer.matrix @ raw, 0.0)
+    return [
+        Packet(label, complex(c), row, PRE)
+        for label, c, row in zip(transfer.in_labels, coeff, pre)
+    ] + [
+        Packet(label, complex(c), row, POST)
+        for label, c, row in zip(transfer.out_labels, transfer.matrix @ coeff, post)
+    ]
 
 
 def advance(state: ScenarioState, steps: int = 1) -> ScenarioState:
@@ -420,10 +365,9 @@ def advance(state: ScenarioState, steps: int = 1) -> ScenarioState:
 
 def index_distribution(state: ScenarioState, system: str) -> dict[int, float]:
     """Probability of each own index, by fluid mass."""
-    wf = state.wavefields[system]
     out: dict[int, float] = {}
     total = 0.0
-    for p in wf.packets:
+    for p in branches(state, system):
         m = p.mass(state.grid)
         out[p.index.own] = out.get(p.index.own, 0.0) + m
         total += m
@@ -476,7 +420,7 @@ def validate_against_memory(
         wf.memory, system, bases=state.index_bases or None
     )
     expected: dict[IndexLabel, ExternalMemory] = {e.index: e for e in entries}
-    packets = _packet_lookup(wf, None)
+    packets = {p.index: p for p in wf.packets}
     worst = 0.0
     for label, entry in expected.items():
         p = packets.pop(label, None)

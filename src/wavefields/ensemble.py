@@ -5,13 +5,11 @@ proportions.  This module samples individual fluid particles from
 those proportions, pairs two ensembles the way branch labels match
 them up when the systems meet, and accumulates frequentist statistics
 over independent trials.  Everything is deterministic given the seed;
-trial chunks use counter-based generator keys so parallel runs merge
-to the same result.
+trial chunks use counter-based generator keys (seed, chunk).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +30,6 @@ class FluidParticle:
     system: str
     label: ExternalMemory
     position: float
-    rng_seed: int
 
 
 @dataclass
@@ -63,10 +60,9 @@ def largest_remainder(weights: np.ndarray, n: int) -> np.ndarray:
 
 
 def _branch_rows(wf: WaveField):
-    rows = [p for p in wf.packets if p.region is None]
-    if not rows:
-        raise ValueError(f"system {wf.system!r} has no settled branches")
-    return sorted(rows, key=lambda p: p.index.text())
+    if not wf.packets:
+        raise ValueError(f"system {wf.system!r} has no branches")
+    return sorted(wf.packets, key=lambda p: p.index.text())
 
 
 def _positions(field: np.ndarray, grid: Grid, count: int, rng) -> np.ndarray:
@@ -112,10 +108,7 @@ def sample_particles(
         pos_rng = np.random.default_rng((seed, 1, row_i))
         xs = _positions(packet.field, grid, count, pos_rng)
         label = ExternalMemory(packet.index, packet.coefficient)
-        for x in xs:
-            particles.append(
-                FluidParticle(wf.system, label, float(x), len(particles) + seed)
-            )
+        particles.extend(FluidParticle(wf.system, label, float(x)) for x in xs)
     return particles
 
 
@@ -180,29 +173,20 @@ def ensemble_statistics(
 
     ``outcomes`` is the scenario's final label distribution (or a
     callable producing it).  Trials are drawn in fixed chunks with
-    generators keyed (seed, chunk), so the result is byte-stable under
-    any worker count.
+    generators keyed (seed, chunk), so the result depends on the seed
+    alone.  ``jobs`` is accepted for callers that pass a worker count;
+    the chunks are drawn in one thread, which is faster at these sizes
+    than handing them to a pool.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     probs = outcomes() if callable(outcomes) else outcomes
     keys, p = _normalized(probs)
 
-    spans = [
-        (i, min(TRIAL_CHUNK, trials - start))
+    partials = [
+        np.random.default_rng((seed, i)).multinomial(min(TRIAL_CHUNK, trials - start), p)
         for i, start in enumerate(range(0, trials, TRIAL_CHUNK))
     ]
-
-    def draw(span):
-        chunk_i, size = span
-        rng = np.random.default_rng((seed, chunk_i))
-        return rng.multinomial(size, p)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(draw, spans))
-    else:
-        partials = [draw(s) for s in spans]
     totals = np.sum(partials, axis=0)
     return {k: int(c) / trials for k, c in zip(keys, totals)}
 

@@ -297,8 +297,7 @@ def memory_to_json(mem: InternalMemory) -> str:
                     "matrix": _encode_array(op.unitary.matrix),
                 },
             }
-            for op_id in sorted(mem.ops)
-            for op in [mem.ops[op_id]]
+            for op in (mem.ops[op_id] for op_id in linearize(mem))
         ],
     }
     return json.dumps(doc, sort_keys=True, indent=2)
@@ -318,6 +317,11 @@ def memory_from_json(text: str) -> InternalMemory:
     }
     ops = {}
     for entry in doc["ops"]:
+        late = sorted(set(entry["parents"]) - set(ops))
+        if late:
+            raise ValueError(
+                f"op {entry['op_id']!r} lists parents {late} that do not come before it"
+            )
         unitary = Operator(
             _decode_array(entry["unitary"]["matrix"]),
             tuple(entry["unitary"]["dims"]),

@@ -54,6 +54,24 @@ def test_failed_checks_exit_two_and_still_write(tmp_path, capsys):
     assert summary["passed"] is False
 
 
+def test_stalled_crossing_fails_a_named_check_and_writes(tmp_path, capsys):
+    # on 64 points the packets cannot resolve their momentum, so the
+    # crossing never completes before the step cap
+    cfg = tmp_path / "stall.cfg"
+    cfg.write_text("n_points = 64\n")
+    out = tmp_path / "run"
+    assert main(["run", "two_spin_crossing", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "FAIL  crossing completed" in capsys.readouterr().out
+    for name in ("snapshots.csv", "boundary.csv", "summary.json", "config.json"):
+        assert (out / name).exists()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["passed"] is False
+    assert summary["boundaries"][0]["completed"] is False
+    failed = {c["name"] for c in summary["checks"] if not c["passed"]}
+    assert "crossing completed" in failed
+    assert abs(sum(summary["index_distributions"]["1"].values()) - 1.0) < 1e-9
+
+
 def _coarse(tmp_path):
     path = tmp_path / "coarse.cfg"
     path.write_text("n_points = 256\n")

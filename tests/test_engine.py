@@ -5,11 +5,14 @@ import copy
 import numpy as np
 import pytest
 
-from wavefields import engine
+from wavefields import boundary, engine
 from wavefields.engine import (
+    POST,
+    PRE,
     ScenarioState,
     add_system,
     advance,
+    branches,
     correlation_table,
     index_distribution,
     meet,
@@ -22,6 +25,11 @@ from wavefields.memory import IndexLabel
 from wavefields.spatial import Grid, gaussian_packet
 
 CZ = Operator(np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex), (2, 2), ("1", "2"))
+CNOT = Operator(
+    np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+    (2, 2),
+    ("1", "2"),
+)
 
 
 def random_unitary(rng, d):
@@ -223,6 +231,63 @@ def test_crossing_preserves_own_marginals_midway():
     assert abs(dist[0] - 0.36) < 1e-6
     assert abs(dist[1] - 0.64) < 1e-6
     assert 0.05 < state.links[0].crossed_left < 0.95
+
+
+def test_crossing_view_matches_eager_reindexing():
+    # The reference keeps explicit pre and post stacks per system, evolves
+    # them freely and re-indexes them through the transfer at the engine's
+    # boundary on every step.  The engine evolves only the joined rows.
+    state, grid = crossing_state()
+    link = meet(state, "1", "2", CNOT, "cnot", mode="crossing")
+    eager = {}
+    for sys_id, transfer in (("1", link.t_left), ("2", link.t_right)):
+        fields = {p.index: p.field for p in state.wavefields[sys_id].packets}
+        zero = np.zeros(grid.n, dtype=complex)
+        pre = np.array([fields.get(label, zero) for label in transfer.in_labels])
+        post = np.zeros((len(transfer.out_labels), grid.n), dtype=complex)
+        eager[sys_id] = (transfer, pre, post)
+
+    steps = 0
+    while steps < 2000:
+        advance(state, 1)
+        steps += 1
+        if not link.active:
+            break
+        post_side_left = grid.x > link.x12
+        for sys_id, post_side in (("1", post_side_left), ("2", ~post_side_left)):
+            transfer, pre, post = eager[sys_id]
+            prop = state.propagator(sys_id)
+            pre[:] = prop.step(pre)
+            post[:] = prop.step(post)
+            boundary.apply_boundary_transfer(pre, post, transfer.matrix, post_side)
+            view = branches(state, sys_id)
+            view_pre = [p for p in view if p.region == PRE]
+            view_post = [p for p in view if p.region == POST]
+            assert [p.index for p in view_pre] == transfer.in_labels
+            assert [p.index for p in view_post] == transfer.out_labels
+            assert np.abs(np.array([p.field for p in view_pre]) - pre).max() <= 1e-12
+            assert np.abs(np.array([p.field for p in view_post]) - post).max() <= 1e-12
+        assert all(p.region is None for wf in state.wavefields.values() for p in wf.packets)
+    assert not link.active and steps > 100
+
+
+def test_completed_crossing_equals_instant_meet():
+    crossed, grid = crossing_state()
+    link = meet(crossed, "1", "2", CNOT, "cnot", mode="crossing")
+    while link.active and crossed.step_count < 2000:
+        advance(crossed, 1)
+    assert not link.active
+    advance(crossed, 7)
+    instant, _ = crossing_state()
+    meet(instant, "1", "2", CNOT, "cnot")
+    advance(instant, crossed.step_count)
+    for sys_id in "12":
+        got = crossed.wavefields[sys_id].packets
+        want = instant.wavefields[sys_id].packets
+        assert [p.index for p in got] == [p.index for p in want]
+        for p, q in zip(got, want):
+            assert abs(p.coefficient - q.coefficient) <= 1e-12
+            assert np.abs(p.field - q.field).max() <= 1e-12
 
 
 def test_crossing_rejects_wrong_orientation():

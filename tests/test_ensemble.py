@@ -32,7 +32,7 @@ def make_field(amps, centers=None, grid=None):
 
 def particle(own, n_partner=None):
     label = IndexLabel(own, () if n_partner is None else (("2", n_partner),))
-    return FluidParticle("1", ExternalMemory(label, 1.0), 0.0, 0)
+    return FluidParticle("1", ExternalMemory(label, 1.0), 0.0)
 
 
 def test_largest_remainder_exact_and_tied():

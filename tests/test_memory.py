@@ -1,5 +1,6 @@
 """Tests for interaction ledgers and their synchronization."""
 
+import json
 import math
 
 import numpy as np
@@ -282,3 +283,30 @@ def test_memory_json_round_trip():
 def test_memory_json_rejects_other_documents():
     with pytest.raises(ValueError):
         memory_from_json('{"format": "something-else", "version": 1}')
+
+
+def causal_memory_against_id_order():
+    """Two records whose ids sort opposite to their causal order."""
+    rng = np.random.default_rng(79)
+    m1 = fresh_memory("1", random_amps(rng))
+    m2 = fresh_memory("2", random_amps(rng))
+    first = record_interaction(m1, m2, pair_op(rng, "1", "2"), "pair-source")
+    return record_interaction(first, first, pair_op(rng, "1", "2"), "far-readout")
+
+
+def test_memory_json_lists_ops_in_causal_order():
+    mem = causal_memory_against_id_order()
+    assert sorted(mem.ops) == ["far-readout", "pair-source"]
+    ops = json.loads(memory_to_json(mem))["ops"]
+    assert [op["op_id"] for op in ops] == linearize(mem) == ["pair-source", "far-readout"]
+    seen = set()
+    for op in ops:
+        assert set(op["parents"]) <= seen
+        seen.add(op["op_id"])
+
+
+def test_memory_json_rejects_parent_after_child():
+    doc = json.loads(memory_to_json(causal_memory_against_id_order()))
+    doc["ops"].reverse()
+    with pytest.raises(ValueError, match="far-readout"):
+        memory_from_json(json.dumps(doc))

@@ -111,6 +111,14 @@ def test_snapshot_cadence_adds_frames():
         seen[key] = True
 
 
+def test_tunneling_snapshot_cadence_is_not_tied_to_the_sampling_stride():
+    res = run_scenario(ScenarioConfig(scenario="tunneling", snapshot_every=7))
+    # first and last frame plus one every 7 of the 1400 steps
+    assert len({row[0] for row in res.snapshot_rows}) == 201
+    assert res.summary["steps"] == 1400
+    assert res.passed
+
+
 def test_boundary_rows_only_for_crossings():
     crossing = run_scenario(ScenarioConfig(scenario="von_neumann"))
     instant = run_scenario(ScenarioConfig(scenario="bell_case1"))
