@@ -212,12 +212,6 @@ def _open_crossing(
     t_right: boundary_mod.TransferMatrix,
 ) -> boundary_mod.BoundaryLink:
     grid = state.grid
-    if _centroid(left, grid) >= _centroid(right, grid):
-        raise ValueError(
-            f"crossing expects {left.system!r} to start left of {right.system!r}"
-        )
-    _in_rows(left, t_left, grid)  # raises if a branch is unknown to a transfer
-    _in_rows(right, t_right, grid)
     rho_left = aggregate_density(left)
     rho_right = aggregate_density(right)
     x12 = boundary_mod.find_initial_boundary(rho_left, rho_right, grid)
@@ -258,12 +252,20 @@ def meet(
         if s not in state.wavefields:
             raise ValueError(f"unknown system {s!r}")
     fields = tuple(state.wavefields[s] for s in participants)
+    if mode == "crossing":
+        if b is None:
+            raise ValueError("a crossing needs two systems")
+        if _centroid(fields[0], state.grid) >= _centroid(fields[1], state.grid):
+            raise ValueError(f"crossing expects {a!r} to start left of {b!r}")
     transfers = boundary_mod.transfer_matrices_synced(
         tuple(wf.memory for wf in fields),
         unitary,
         participants,
         index_bases=state.index_bases or None,
     )
+    for wf, transfer in zip(fields, transfers):
+        _in_rows(wf, transfer, state.grid)  # raises if a branch is unknown to a transfer
+    # every precondition is checked above, so a rejected meet records nothing
     merged = memory_mod.record_interaction(
         fields[0].memory,
         fields[1].memory if b is not None else None,
@@ -277,8 +279,6 @@ def meet(
         for wf, transfer in zip(fields, transfers):
             _expand_instant(wf, transfer, state.grid)
         return None
-    if b is None:
-        raise ValueError("a crossing needs two systems")
     return _open_crossing(state, fields[0], fields[1], unitary, op_id, *transfers)
 
 

@@ -34,6 +34,7 @@ from .hilbert import Ket, Operator, apply, expand_product_terms, reduced_density
 from .spatial import Grid, gaussian_packet, norm_squared, streamlines
 
 _R = 1.0 / math.sqrt(2.0)
+_CROSSING_K0 = 5.0  # packet momentum of the two crossing scenarios
 
 # matching tolerances for the frozen algebraic expectations
 EXACT_TOL = 1e-10
@@ -103,7 +104,7 @@ class ScenarioResult:
     config: ScenarioConfig
     state: ScenarioState
     summary: dict
-    snapshot_rows: list
+    frames: list  # blocks (t, x, label, field), one per packet per frame
     boundary_rows: list
     passed: bool
 
@@ -129,17 +130,21 @@ def _close(actual: dict, expected: dict, tol: float) -> float:
     return worst
 
 
-def _frame(state: ScenarioState, rows: list, prefix: str = "") -> None:
-    # one row per packet per grid point, labeled system:index
+def _frame(state: ScenarioState, frames: list, prefix: str = "") -> None:
+    # one block per packet: time, the grid's x, label system:index, field
     for name in sorted(state.wavefields):
         ordered = sorted(branches(state, name), key=lambda p: (p.region or "", p.index.text()))
         for p in ordered:
             label = f"{prefix}{name}:{p.index.text()}"
-            dens = np.abs(p.field) ** 2
-            for x, value, d in zip(state.grid.x, p.field, dens):
-                rows.append(
-                    (state.time, float(x), label, float(value.real), float(value.imag), float(d))
-                )
+            frames.append((state.time, state.grid.x, label, p.field.copy()))
+
+
+def _resolution_check(grid: Grid, k0: float, checks: list) -> None:
+    # A momentum at or past pi/dx aliases and voids the run.  Listed only
+    # when it fails, so the summaries of resolved runs stay as they were.
+    if abs(k0) >= math.pi / grid.dx:
+        detail = f"|k0| {abs(k0)} >= pi/dx {math.pi / grid.dx:.4g}"
+        _check(checks, "grid resolves packet momenta", False, detail)
 
 
 def _table_json(table: dict) -> dict:
@@ -170,10 +175,15 @@ def _finalize(
     cfg: ScenarioConfig,
     state: ScenarioState,
     checks: list,
-    rows: list,
+    frames: list,
     table_pairs=(),
     extra: dict | None = None,
+    outcomes: dict | None = None,
 ) -> ScenarioResult:
+    # ``outcomes`` is the table the ensemble trials sample, if any
+    stats = _ensemble_block(cfg, name, outcomes, checks) if outcomes is not None else None
+    if stats:
+        extra = {**(extra or {}), "statistics": stats}
     summary = {
         "scenario": name,
         "time": float(state.time),
@@ -211,7 +221,7 @@ def _finalize(
         for link in state.links
         for t, x, cl, cr in link.trajectory
     ]
-    result = ScenarioResult(name, cfg, state, summary, rows, boundary_rows, passed)
+    result = ScenarioResult(name, cfg, state, summary, frames, boundary_rows, passed)
     if not passed:
         raise CheckFailure(result)
     return result
@@ -227,9 +237,11 @@ def _memory_audit(state: ScenarioState, checks: list) -> None:
         _check(checks, "branches match memory-derived expansion", False, exc)
 
 
-def _mass_audit(state: ScenarioState, checks: list) -> None:
+def _rest_audits(state: ScenarioState, checks: list) -> None:
+    """Unit fluid mass per system, then the memory audit."""
     worst = max(abs(total_mass(state, s) - 1.0) for s in state.wavefields)
     _check(checks, "unit fluid mass per system", worst <= ORACLE_TOL, f"worst {worst:.3e}")
+    _memory_audit(state, checks)
 
 
 # two-system gates, row-major over (first label, second label)
@@ -266,14 +278,14 @@ def _unitary_with_first_column(col0, labels) -> Operator:
     return Operator(np.stack(cols, axis=1), dims, labels)
 
 
-def _run_crossing(state: ScenarioState, link, cfg: ScenarioConfig, rows: list) -> None:
+def _run_crossing(state: ScenarioState, link, cfg: ScenarioConfig, frames: list) -> None:
     """Advance until the boundary completes, snapshotting on cadence."""
     stride = cfg.snapshot_every if cfg.snapshot_every > 0 else 64
     cap = int(math.ceil(20.0 / state.grid.dt))
     while link.active and state.step_count < cap:
         advance(state, stride)
         if cfg.snapshot_every > 0 and link.active:
-            _frame(state, rows)
+            _frame(state, frames)
 
 
 # --- two_spin_crossing ---------------------------------------------------
@@ -291,15 +303,16 @@ def run_two_spin_crossing(cfg: ScenarioConfig) -> ScenarioResult:
     a1, b1 = cfg.pair(1, _R, _R)
     a2, b2 = cfg.pair(2, _R, _R)
     state = new_state(grid)
-    add_system(state, "1", (a1, b1), gaussian_packet(grid, -8.0, 1.0, 5.0))
-    add_system(state, "2", (a2, b2), gaussian_packet(grid, 8.0, 1.0, -5.0))
-    rows: list = []
-    _frame(state, rows)
+    add_system(state, "1", (a1, b1), gaussian_packet(grid, -8.0, 1.0, _CROSSING_K0))
+    add_system(state, "2", (a2, b2), gaussian_packet(grid, 8.0, 1.0, -_CROSSING_K0))
+    frames: list = []
+    _frame(state, frames)
     link = meet(state, "1", "2", _cz("1", "2"), "phase-exchange", mode="crossing")
-    _run_crossing(state, link, cfg, rows)
-    _frame(state, rows)
+    _run_crossing(state, link, cfg, frames)
+    _frame(state, frames)
 
     checks: list = []
+    _resolution_check(grid, _CROSSING_K0, checks)
     _check(checks, "crossing completed", not link.active, f"{state.step_count} steps")
     traj = np.array(link.trajectory)
     _check(
@@ -311,22 +324,20 @@ def run_two_spin_crossing(cfg: ScenarioConfig) -> ScenarioResult:
     gap = float(np.abs(traj[:, 2] - traj[:, 3]).max())
     _check(checks, "crossed fluid levels agree", gap <= 1e-6, f"max gap {gap:.3e}")
     if link.active:  # the audits below need both systems at rest
-        return _finalize(cfg.scenario, cfg, state, checks, rows)
+        return _finalize(cfg.scenario, cfg, state, checks, frames)
 
     ket = apply(_cz("1", "2"), tensor(state_ket("1", (a1, b1)), state_ket("2", (a2, b2))))
     expected = {}
     for term in expand_product_terms(ket):
         m = term.label_map()
         expected[(m["1"], m["2"])] = abs(term.coefficient) ** 2
-    diff = _close(correlation_table(state, "1", "2"), expected, ORACLE_TOL)
+    table = correlation_table(state, "1", "2")
+    diff = _close(table, expected, ORACLE_TOL)
     _check(checks, "joint table matches product-state route", diff <= ORACLE_TOL, f"{diff:.3e}")
-    _mass_audit(state, checks)
-    _memory_audit(state, checks)
+    _rest_audits(state, checks)
 
-    stats = _ensemble_block(cfg, cfg.scenario, correlation_table(state, "1", "2"), checks)
-    extra = {"statistics": stats} if stats else None
     return _finalize(
-        cfg.scenario, cfg, state, checks, rows, table_pairs=[("1", "2"), ("2", "1")], extra=extra
+        cfg.scenario, cfg, state, checks, frames, [("1", "2"), ("2", "1")], outcomes=table
     )
 
 
@@ -348,8 +359,8 @@ def run_three_spin_chain(cfg: ScenarioConfig) -> ScenarioResult:
     add_system(state, "1", s1, gaussian_packet(grid, -6.0, 1.5))
     add_system(state, "2", s2, gaussian_packet(grid, 0.0, 1.5))
     add_system(state, "3", s3, gaussian_packet(grid, 6.0, 1.5))
-    rows: list = []
-    _frame(state, rows)
+    frames: list = []
+    _frame(state, frames)
 
     meet(state, "1", "2", _cz("1", "2"), "couple-near")
     wf2 = state.wavefields["2"]
@@ -386,7 +397,8 @@ def run_three_spin_chain(cfg: ScenarioConfig) -> ScenarioResult:
         m = term.label_map()
         key = (m["2"], m["1"])
         exp21[key] = exp21.get(key, 0.0) + abs(term.coefficient) ** 2
-    diff13 = _close(correlation_table(state, "1", "3"), exp13, EXACT_TOL)
+    table = correlation_table(state, "1", "3")
+    diff13 = _close(table, exp13, EXACT_TOL)
     _check(checks, "far pair table matches product-state route", diff13 <= EXACT_TOL, f"{diff13:.3e}")
     diff21 = _close(correlation_table(state, "2", "1"), exp21, EXACT_TOL)
     _check(
@@ -395,14 +407,11 @@ def run_three_spin_chain(cfg: ScenarioConfig) -> ScenarioResult:
         diff21 <= EXACT_TOL,
         f"{diff21:.3e}",
     )
-    _mass_audit(state, checks)
-    _memory_audit(state, checks)
-    _frame(state, rows)
+    _rest_audits(state, checks)
+    _frame(state, frames)
 
-    stats = _ensemble_block(cfg, cfg.scenario, correlation_table(state, "1", "3"), checks)
-    extra = {"statistics": stats} if stats else None
     return _finalize(
-        cfg.scenario, cfg, state, checks, rows, table_pairs=[("1", "3"), ("2", "1")], extra=extra
+        cfg.scenario, cfg, state, checks, frames, [("1", "3"), ("2", "1")], outcomes=table
     )
 
 
@@ -420,13 +429,14 @@ def run_von_neumann(cfg: ScenarioConfig) -> ScenarioResult:
     grid = cfg.make_grid(-64.0, 64.0, 2048, 0.0125)
     a1, b1 = cfg.pair(1, _R, _R)
     state = new_state(grid)
-    add_system(state, "1", (a1, b1), gaussian_packet(grid, -8.0, 1.0, 5.0))
-    add_system(state, "2", (1.0, 0.0), gaussian_packet(grid, 8.0, 1.0, -5.0))
-    rows: list = []
-    _frame(state, rows)
+    add_system(state, "1", (a1, b1), gaussian_packet(grid, -8.0, 1.0, _CROSSING_K0))
+    add_system(state, "2", (1.0, 0.0), gaussian_packet(grid, 8.0, 1.0, -_CROSSING_K0))
+    frames: list = []
+    _frame(state, frames)
     link = meet(state, "1", "2", _cnot("1", "2"), "pointer-readout", mode="crossing")
 
     checks: list = []
+    _resolution_check(grid, _CROSSING_K0, checks)
     expected_left = np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex)
     expected_right = np.array([[a1, 0], [0, a1], [0, b1], [b1, 0]], dtype=complex)
     dl = float(np.abs(link.t_left.matrix - expected_left).max())
@@ -434,11 +444,11 @@ def run_von_neumann(cfg: ScenarioConfig) -> ScenarioResult:
     _check(checks, "spin-side boundary matrix is the frozen form", dl <= 1e-12, f"{dl:.3e}")
     _check(checks, "pointer-side boundary matrix is the frozen form", dr <= 1e-12, f"{dr:.3e}")
 
-    _run_crossing(state, link, cfg, rows)
-    _frame(state, rows)
+    _run_crossing(state, link, cfg, frames)
+    _frame(state, frames)
     _check(checks, "crossing completed", not link.active, f"{state.step_count} steps")
     if link.active:  # the audits below need both systems at rest
-        return _finalize(cfg.scenario, cfg, state, checks, rows)
+        return _finalize(cfg.scenario, cfg, state, checks, frames)
 
     pointer = index_distribution(state, "2")
     expected = {0: abs(a1) ** 2, 1: abs(b1) ** 2}
@@ -448,13 +458,10 @@ def run_von_neumann(cfg: ScenarioConfig) -> ScenarioResult:
     exp_table = {(0, 0): abs(a1) ** 2, (1, 1): abs(b1) ** 2}
     diff = _close(table, exp_table, EXACT_TOL)
     _check(checks, "pointer and spin indexes perfectly correlated", diff <= EXACT_TOL, f"{diff:.3e}")
-    _mass_audit(state, checks)
-    _memory_audit(state, checks)
+    _rest_audits(state, checks)
 
-    stats = _ensemble_block(cfg, cfg.scenario, pointer, checks)
-    extra = {"statistics": stats} if stats else None
     return _finalize(
-        cfg.scenario, cfg, state, checks, rows, table_pairs=[("2", "1")], extra=extra
+        cfg.scenario, cfg, state, checks, frames, table_pairs=[("2", "1")], outcomes=pointer
     )
 
 
@@ -506,7 +513,7 @@ def _display_map(state: ScenarioState, system: str) -> dict:
 def run_bell_case1(cfg: ScenarioConfig) -> ScenarioResult:
     """Matched-basis pair readout: outcomes disagree every single time."""
     state = _bell_state(cfg, tilted=False)
-    rows: list = []
+    frames: list = []
     checks: list = []
 
     table = correlation_table(state, "A", "B")
@@ -533,21 +540,18 @@ def run_bell_case1(cfg: ScenarioConfig) -> ScenarioResult:
     dist = index_distribution(state, "A")
     diff = _close(dist, {0: 0.5, 1: 0.5}, EXACT_TOL)
     _check(checks, "each recorder outcome is even odds", diff <= EXACT_TOL, f"{diff:.3e}")
-    _mass_audit(state, checks)
-    _memory_audit(state, checks)
+    _rest_audits(state, checks)
 
-    stats = _ensemble_block(cfg, cfg.scenario, table, checks)
-    extra = {"statistics": stats} if stats else None
-    _frame(state, rows)
+    _frame(state, frames)
     return _finalize(
-        cfg.scenario, cfg, state, checks, rows, table_pairs=[("A", "B")], extra=extra
+        cfg.scenario, cfg, state, checks, frames, table_pairs=[("A", "B")], outcomes=table
     )
 
 
 def run_bell_case2(cfg: ScenarioConfig) -> ScenarioResult:
     """Tilted-basis pair readout: three-eighths agreement pattern."""
     state = _bell_state(cfg, tilted=True)
-    rows: list = []
+    frames: list = []
     checks: list = []
 
     table = correlation_table(state, "A", "B")
@@ -571,14 +575,11 @@ def run_bell_case2(cfg: ScenarioConfig) -> ScenarioResult:
     dist = index_distribution(state, "2")
     diff = _close(dist, {0: 0.5, 1: 0.5}, EXACT_TOL)
     _check(checks, "tilted indexes of the pair are even odds", diff <= EXACT_TOL, f"{diff:.3e}")
-    _mass_audit(state, checks)
-    _memory_audit(state, checks)
+    _rest_audits(state, checks)
 
-    stats = _ensemble_block(cfg, cfg.scenario, table, checks)
-    extra = {"statistics": stats} if stats else None
-    _frame(state, rows)
+    _frame(state, frames)
     return _finalize(
-        cfg.scenario, cfg, state, checks, rows, table_pairs=[("A", "B")], extra=extra
+        cfg.scenario, cfg, state, checks, frames, table_pairs=[("A", "B")], outcomes=table
     )
 
 
@@ -611,9 +612,9 @@ def run_student_demo(cfg: ScenarioConfig) -> ScenarioResult:
     res1 = run_bell_case1(replace(sub, scenario="bell_case1"))
     res2 = run_bell_case2(replace(sub, scenario="bell_case2"))
     checks: list = []
-    rows: list = []
-    _frame(res1.state, rows, prefix="matched.")
-    _frame(res2.state, rows, prefix="tilted.")
+    frames: list = []
+    _frame(res1.state, frames, prefix="matched.")
+    _frame(res2.state, frames, prefix="tilted.")
 
     n = 8
     counts = {}
@@ -655,7 +656,7 @@ def run_student_demo(cfg: ScenarioConfig) -> ScenarioResult:
         "particles_per_side": n,
     }
     # the per-case audits already passed inside the sub-runs
-    return _finalize(cfg.scenario, cfg, res2.state, checks, rows, extra=extra)
+    return _finalize(cfg.scenario, cfg, res2.state, checks, frames, extra=extra)
 
 
 # --- beam_splitter_einstein ----------------------------------------------
@@ -687,7 +688,7 @@ def run_beam_splitter_einstein(cfg: ScenarioConfig) -> ScenarioResult:
     meet(state, "A", "B", _identity_pair("A", "B"), "record-compare")
 
     checks: list = []
-    rows: list = []
+    frames: list = []
     table = correlation_table(state, "A", "B")
     expected = {(1, 0): 0.5, (0, 1): 0.5}
     diff = _close(table, expected, EXACT_TOL)
@@ -711,14 +712,11 @@ def run_beam_splitter_einstein(cfg: ScenarioConfig) -> ScenarioResult:
         abs(display[k] - expected_display[k]) <= EXACT_TOL for k in expected_display
     )
     _check(checks, "near detector carries the two equal branches", ok)
-    _mass_audit(state, checks)
-    _memory_audit(state, checks)
+    _rest_audits(state, checks)
 
-    stats = _ensemble_block(cfg, cfg.scenario, table, checks)
-    extra = {"statistics": stats} if stats else None
-    _frame(state, rows)
+    _frame(state, frames)
     return _finalize(
-        cfg.scenario, cfg, state, checks, rows, table_pairs=[("A", "B"), ("I", "II")], extra=extra
+        cfg.scenario, cfg, state, checks, frames, [("A", "B"), ("I", "II")], outcomes=table
     )
 
 
@@ -738,8 +736,8 @@ def run_stern_gerlach(cfg: ScenarioConfig) -> ScenarioResult:
     add_system(state, "s", (a, b), gaussian_packet(grid, 0.0, 1.5))
     add_system(state, "I", (0.0, 1.0), gaussian_packet(grid, 0.0, 1.5))
     add_system(state, "II", (1.0, 0.0), gaussian_packet(grid, 0.0, 1.5))
-    rows: list = []
-    _frame(state, rows)
+    frames: list = []
+    _frame(state, frames)
     meet(state, "s", "I", _cnot("s", "I"), "fork-path-up")
     meet(state, "s", "II", _cnot("s", "II"), "fork-path-down")
 
@@ -756,9 +754,9 @@ def run_stern_gerlach(cfg: ScenarioConfig) -> ScenarioResult:
         advance(state, min(stride, steps - done))
         done += min(stride, steps - done)
         if cfg.snapshot_every > 0:
-            _frame(state, rows)
+            _frame(state, frames)
     if cfg.snapshot_every == 0:
-        _frame(state, rows)
+        _frame(state, frames)
 
     checks: list = []
     aa, bb = abs(a) ** 2, abs(b) ** 2
@@ -777,7 +775,8 @@ def run_stern_gerlach(cfg: ScenarioConfig) -> ScenarioResult:
     )
     _check(checks, "second path carries the two weighted branches", ok)
 
-    diff = _close(index_distribution(state, "s"), {0: aa, 1: bb}, EXACT_TOL)
+    weights = index_distribution(state, "s")
+    diff = _close(weights, {0: aa, 1: bb}, EXACT_TOL)
     _check(checks, "spin weights preserved through the fork", diff <= EXACT_TOL, f"{diff:.3e}")
 
     centroids = {p.index.own: _packet_centroid(p, grid) for p in spin.packets}
@@ -787,15 +786,11 @@ def run_stern_gerlach(cfg: ScenarioConfig) -> ScenarioResult:
         centroids.get(0, 0.0) > 1.0 and centroids.get(1, 0.0) < -1.0,
         f"{centroids}",
     )
-    _mass_audit(state, checks)
-    _memory_audit(state, checks)
+    _rest_audits(state, checks)
 
-    stats = _ensemble_block(cfg, cfg.scenario, index_distribution(state, "s"), checks)
     extra = {"branch_centroids": {str(k): v for k, v in sorted(centroids.items())}}
-    if stats:
-        extra["statistics"] = stats
     return _finalize(
-        cfg.scenario, cfg, state, checks, rows, table_pairs=[("s", "I"), ("s", "II")], extra=extra
+        cfg.scenario, cfg, state, checks, frames, [("s", "I"), ("s", "II")], extra, weights
     )
 
 
@@ -851,27 +846,24 @@ def run_weak_entanglement(cfg: ScenarioConfig) -> ScenarioResult:
     _check(checks, "purity loss scales as the square", 1.8 <= slope <= 2.2, f"slope {slope:.4f}")
 
     state = _weak_state(cfg, a, b, cfg.epsilon)
-    rows: list = []
-    _frame(state, rows)
+    frames: list = []
+    _frame(state, frames)
     aa, bb = abs(a) ** 2, abs(b) ** 2
     diff = _close(index_distribution(state, "t"), {0: aa, 1: bb}, EXACT_TOL)
     _check(checks, "target weights unaffected by the coupling", diff <= EXACT_TOL, f"{diff:.3e}")
     leak = (abs(b) * math.sin(cfg.epsilon)) ** 2
-    diff = _close(index_distribution(state, "c"), {0: 1.0 - leak, 1: leak}, EXACT_TOL)
+    control = index_distribution(state, "c")
+    diff = _close(control, {0: 1.0 - leak, 1: leak}, EXACT_TOL)
     _check(checks, "control flips with the leaked weight", diff <= EXACT_TOL, f"{diff:.3e}")
-    _mass_audit(state, checks)
-    _memory_audit(state, checks)
+    _rest_audits(state, checks)
 
     extra = {
         "trace_distances": {str(e): float(d) for e, d in distances.items()},
         "slope": slope,
         "epsilon": cfg.epsilon,
     }
-    stats = _ensemble_block(cfg, cfg.scenario, index_distribution(state, "c"), checks)
-    if stats:
-        extra["statistics"] = stats
     return _finalize(
-        cfg.scenario, cfg, state, checks, rows, table_pairs=[("c", "e")], extra=extra
+        cfg.scenario, cfg, state, checks, frames, [("c", "e")], extra, control
     )
 
 
@@ -911,8 +903,8 @@ def run_tunneling(cfg: ScenarioConfig) -> ScenarioResult:
     packet = state.wavefields["1"].packets[0]
     initial = packet.field.copy()
 
-    rows: list = []
-    _frame(state, rows)
+    frames: list = []
+    _frame(state, frames)
     frame_stride = 5
     steps = 1400
     times = [0.0]
@@ -929,10 +921,11 @@ def run_tunneling(cfg: ScenarioConfig) -> ScenarioResult:
             times.append(state.time)
             fields.append(packet.field.copy())
         if cfg.snapshot_every > 0 and done % cfg.snapshot_every == 0 and done < steps:
-            _frame(state, rows)
-    _frame(state, rows)
+            _frame(state, frames)
+    _frame(state, frames)
 
     checks: list = []
+    _resolution_check(grid, k0, checks)
     dens_final = np.abs(packet.field) ** 2
     transmitted = float(np.sum(dens_final[grid.x >= width]) * grid.dx)
     reflected = float(np.sum(dens_final[grid.x < 0.0]) * grid.dx)
@@ -972,12 +965,8 @@ def run_tunneling(cfg: ScenarioConfig) -> ScenarioResult:
         "barrier": {"height": v0, "width": width},
         "packet": {"k0": k0, "sigma": sigma, "x0": x0},
     }
-    stats = _ensemble_block(
-        cfg, cfg.scenario, {"transmitted": transmitted, "reflected": 1.0 - transmitted}, checks
-    )
-    if stats:
-        extra["statistics"] = stats
-    return _finalize(cfg.scenario, cfg, state, checks, rows, extra=extra)
+    outcomes = {"transmitted": transmitted, "reflected": 1.0 - transmitted}
+    return _finalize(cfg.scenario, cfg, state, checks, frames, extra=extra, outcomes=outcomes)
 
 
 # --- registry ------------------------------------------------------------

@@ -8,6 +8,7 @@ round-trip a double) with sorted JSON keys and fixed newlines.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import fields
 
@@ -80,31 +81,40 @@ def dumps(obj) -> str:
     return "".join(out) + "\n"
 
 
-def write_snapshots_csv(rows, path: str) -> None:
+def _format_column(values) -> list[str]:
+    values = np.asarray(values, dtype=float)
+    fmt = "{:.17g}".format if np.isfinite(values).all() else format_float
+    return list(map(fmt, values.tolist()))
+
+
+def write_snapshots_csv(frames, path: str) -> None:
+    """One row per grid point of each frame block ``(t, x, label, field)``.
+
+    A block is formatted in one pass and written as one string; one
+    holding a non-finite value goes through ``format_float`` instead.
+    """
+    x_text: dict = {}  # id(x) -> (x, formatted); holding x keeps its id unique
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SNAPSHOT_HEADER)
-        for t, x, label, re, im, density in rows:
-            writer.writerow(
-                (
-                    format_float(t),
-                    format_float(x),
-                    label,
-                    format_float(re),
-                    format_float(im),
-                    format_float(density),
-                )
-            )
+        fh.write(",".join(SNAPSHOT_HEADER) + "\n")
+        for t, x, label, field in frames:
+            if id(x) not in x_text:
+                x_text[id(x)] = (x, _format_column(x))
+            values = (field.real, field.imag, np.abs(field) ** 2)
+            quoted = io.StringIO()  # the label as csv.writer quotes a field that is not first
+            csv.writer(quoted, lineterminator="\n").writerow(("", label))
+            head = format_float(t) + ",%s," + quoted.getvalue()[1:-1].replace("%", "%%") + ","
+            if all(np.isfinite(v).all() for v in values):
+                row, columns = head + "%.17g,%.17g,%.17g\n", [v.tolist() for v in values]
+            else:
+                row, columns = head + "%s,%s,%s\n", [_format_column(v) for v in values]
+            fh.write("".join(map(row.__mod__, zip(x_text[id(x)][1], *columns))))
 
 
 def write_boundary_csv(rows, path: str) -> None:
+    columns = np.asarray(rows, dtype=float).reshape(-1, len(BOUNDARY_HEADER)).T
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(BOUNDARY_HEADER)
-        for t, x12, left, right in rows:
-            writer.writerow(
-                (format_float(t), format_float(x12), format_float(left), format_float(right))
-            )
+        fh.write(",".join(BOUNDARY_HEADER) + "\n")
+        fh.write("".join(map("%s,%s,%s,%s\n".__mod__, zip(*map(_format_column, columns)))))
 
 
 def config_echo(cfg) -> dict:
@@ -122,7 +132,7 @@ def write_run(result, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     p = os.path.join(out_dir, "snapshots.csv")
-    write_snapshots_csv(result.snapshot_rows, p)
+    write_snapshots_csv(result.frames, p)
     paths.append(p)
     p = os.path.join(out_dir, "boundary.csv")
     write_boundary_csv(result.boundary_rows, p)

@@ -56,7 +56,8 @@ def test_failed_checks_exit_two_and_still_write(tmp_path, capsys):
 
 def test_stalled_crossing_fails_a_named_check_and_writes(tmp_path, capsys):
     # on 64 points the packets cannot resolve their momentum, so the
-    # crossing never completes before the step cap
+    # crossing never completes before the step cap; the resolution check
+    # names the cause
     cfg = tmp_path / "stall.cfg"
     cfg.write_text("n_points = 64\n")
     out = tmp_path / "run"
@@ -69,6 +70,8 @@ def test_stalled_crossing_fails_a_named_check_and_writes(tmp_path, capsys):
     assert summary["boundaries"][0]["completed"] is False
     failed = {c["name"] for c in summary["checks"] if not c["passed"]}
     assert "crossing completed" in failed
+    # the cause is named: k0 = 5 is past the Nyquist wavenumber pi/dx = pi/2
+    assert "grid resolves packet momenta" in failed
     assert abs(sum(summary["index_distributions"]["1"].values()) - 1.0) < 1e-9
 
 

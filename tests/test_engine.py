@@ -303,6 +303,25 @@ def test_crossing_rejects_wrong_orientation():
         )
 
 
+def test_rejected_crossing_leaves_no_record():
+    state, grid = crossing_state()
+    memories = {s: wf.memory for s, wf in state.wavefields.items()}
+    fields = {s: [p.field.copy() for p in wf.packets] for s, wf in state.wavefields.items()}
+    with pytest.raises(ValueError, match="start left of"):
+        meet(state, "2", "1", Operator(CZ.matrix, (2, 2), ("2", "1")), "cz", mode="crossing")
+    assert state.links == []
+    for s, wf in state.wavefields.items():
+        assert wf.memory is memories[s]
+        assert "cz" not in wf.memory.ops
+        assert all(np.array_equal(p.field, f) for p, f in zip(wf.packets, fields[s]))
+        assert len(wf.packets) == len(fields[s])
+        assert validate_against_memory(state, s, atol=1e-8) < 1e-8
+    # the same op id goes through once the order is right
+    link = meet(state, "1", "2", CZ, "cz", mode="crossing")
+    assert link.active
+    assert "cz" in state.wavefields["1"].memory.ops
+
+
 def test_meet_rejected_mid_crossing():
     state, grid = crossing_state()
     meet(state, "1", "2", CZ, "cz", mode="crossing")

@@ -4,17 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from wavefields.engine import new_state
+from wavefields.engine import add_system, advance, new_state
 from wavefields.scenarios import (
     SCENARIOS,
     CheckFailure,
     ScenarioConfig,
     _check,
     _finalize,
+    _frame,
     list_scenarios,
     run_scenario,
 )
-from wavefields.spatial import Grid
+from wavefields.spatial import Grid, gaussian_packet
 
 ALL_NAMES = [
     "two_spin_crossing",
@@ -43,10 +44,12 @@ def test_default_run_passes_every_audit(name):
     assert res.summary["passed"] is True
     assert all(c["passed"] for c in res.summary["checks"])
     # every scenario leaves at least two spatial frames
-    times = {row[0] for row in res.snapshot_rows}
+    times = {block[0] for block in res.frames}
     assert len(times) >= 1
-    for row in res.snapshot_rows[:10]:
-        assert len(row) == 6
+    # one block per packet per frame: the grid's x and a field on it
+    for t, x, label, field in res.frames:
+        assert isinstance(label, str)
+        assert len(x) == len(field) == res.state.grid.n
 
 
 def test_unknown_scenario_rejected():
@@ -99,22 +102,24 @@ def test_student_demo_counts_are_frozen():
 def test_snapshot_cadence_adds_frames():
     base = run_scenario(ScenarioConfig(scenario="two_spin_crossing"))
     dense = run_scenario(ScenarioConfig(scenario="two_spin_crossing", snapshot_every=128))
-    t_base = sorted({row[0] for row in base.snapshot_rows})
-    t_dense = sorted({row[0] for row in dense.snapshot_rows})
+    t_base = sorted({block[0] for block in base.frames})
+    t_dense = sorted({block[0] for block in dense.frames})
     assert len(t_base) == 2
     assert len(t_dense) > 2
-    # no duplicated frames: each (time, label, x) appears once
+    # no duplicated frames: each (time, label) block appears once and
+    # covers every grid point once
     seen = {}
-    for t, x, label, _, _, _ in dense.snapshot_rows:
-        key = (t, label, x)
+    for t, x, label, field in dense.frames:
+        key = (t, label)
         assert key not in seen
         seen[key] = True
+        assert len(x) == len(set(x.tolist())) == len(field) == dense.state.grid.n
 
 
 def test_tunneling_snapshot_cadence_is_not_tied_to_the_sampling_stride():
     res = run_scenario(ScenarioConfig(scenario="tunneling", snapshot_every=7))
     # first and last frame plus one every 7 of the 1400 steps
-    assert len({row[0] for row in res.snapshot_rows}) == 201
+    assert len({block[0] for block in res.frames}) == 201
     assert res.summary["steps"] == 1400
     assert res.passed
 
@@ -160,3 +165,28 @@ def test_check_failure_carries_the_result():
         _finalize("tunneling", cfg, state, checks, [])
     assert err.value.result.summary["passed"] is False
     assert "always fails" in str(err.value)
+
+
+def test_frame_blocks_share_the_grid_and_freeze_the_field():
+    grid = Grid(-16.0, 16.0, 256, 0.01)
+    state = new_state(grid)
+    add_system(state, "1", (0.6, 0.8), gaussian_packet(grid, 0.0, 1.0, 2.0))
+    frames = []
+    _frame(state, frames, prefix="p.")
+    assert [block[2] for block in frames] == ["p.1:0|", "p.1:1|"]
+    before = [block[3].copy() for block in frames]
+    advance(state, 10)
+    for (t, x, _, field), old in zip(frames, before):
+        assert t == 0.0
+        assert x is grid.x
+        assert np.array_equal(field, old)
+        assert not np.shares_memory(field, state.wavefields["1"].packets[0].field)
+
+
+@pytest.mark.parametrize("name", ["two_spin_crossing", "von_neumann", "tunneling"])
+def test_under_resolved_grid_fails_a_named_check(name):
+    # 64 points over 128 length units put pi/dx below the packet's |k0|
+    with pytest.raises(CheckFailure) as info:
+        run_scenario(ScenarioConfig(scenario=name, n_points=64))
+    failed = {c["name"] for c in info.value.result.summary["checks"] if not c["passed"]}
+    assert "grid resolves packet momenta" in failed

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavefields.scenarios import ScenarioConfig, run_scenario
 from wavefields.serialize import (
@@ -56,16 +58,18 @@ def test_dumps_rejects_bad_input():
 
 
 def test_snapshot_csv_format(tmp_path):
-    rows = [
-        (0.0, -1.5, "1:0|2=1", 0.25, -0.5, 0.3125),
-        (0.0, -1.25, "1:1|2=0,A=1", 0.0, 0.0, 0.0),
+    blocks = [
+        (0.0, np.array([-1.5]), "1:0|2=1", np.array([0.25 - 0.5j])),
+        (0.0, np.array([-1.25]), "1:1|2=0,A=1", np.array([0j])),
     ]
     path = tmp_path / "snapshots.csv"
-    write_snapshots_csv(rows, str(path))
+    write_snapshots_csv(blocks, str(path))
     with open(path, newline="") as fh:
         parsed = list(csv.reader(fh))
     assert parsed[0] == list(SNAPSHOT_HEADER)
-    assert parsed[1] == ["0", "-1.5", "1:0|2=1", "0.25", "-0.5", "0.3125"]
+    # density is |field|^2 through np.abs, as frames have always computed
+    # it, so 0.25**2 + 0.5**2 carries the hypot rounding
+    assert parsed[1] == ["0", "-1.5", "1:0|2=1", "0.25", "-0.5", "0.31250000000000006"]
     # the label with a comma survives csv quoting
     assert parsed[2][2] == "1:1|2=0,A=1"
 
@@ -99,3 +103,97 @@ def test_write_run_is_byte_stable(tmp_path):
     assert names == ["snapshots.csv", "boundary.csv", "summary.json", "config.json"]
     for name in names:
         assert (dir1 / name).read_bytes() == (dir2 / name).read_bytes()
+
+
+# Row-by-row reference writers: one csv.writer row per grid point, every
+# value through format_float.  The block writers must match them byte
+# for byte.
+
+
+def _reference_snapshots(frames, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SNAPSHOT_HEADER)
+        for t, x, label, field in frames:
+            dens = np.abs(field) ** 2
+            for xi, value, d in zip(x, field, dens):
+                writer.writerow(
+                    (
+                        format_float(t),
+                        format_float(xi),
+                        label,
+                        format_float(value.real),
+                        format_float(value.imag),
+                        format_float(d),
+                    )
+                )
+
+
+def _reference_boundary(rows, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(BOUNDARY_HEADER)
+        for row in rows:
+            writer.writerow(tuple(format_float(v) for v in row))
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, float("nan"), float("inf"), float("-inf")]
+_values = st.one_of(st.floats(), st.sampled_from(_SPECIAL))
+# mostly finite blocks, so both the one-pass path and the fallback run
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_labels = st.text(alphabet=st.sampled_from(list('1A:|=,"% ab\n\r')), max_size=12)
+
+
+@st.composite
+def _frames(draw):
+    grids = [
+        np.array(draw(st.lists(_finite, min_size=1, max_size=6))),
+        np.linspace(-1.0, 1.0, draw(st.integers(1, 5))),
+    ]
+    blocks = []
+    for _ in range(draw(st.integers(0, 6))):
+        x = grids[draw(st.integers(0, 1))]
+        parts = st.one_of(_finite, _values) if draw(st.booleans()) else _finite
+        pairs = draw(st.lists(st.tuples(parts, parts), min_size=len(x), max_size=len(x)))
+        field = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+        blocks.append((draw(st.one_of(_finite, _values)), x, draw(_labels), field))
+    return blocks
+
+
+def _same_bytes(writer, reference, data, tmp_path):
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "reference.csv"
+    writer(data, str(ours))
+    reference(data, str(theirs))
+    return ours.read_bytes() == theirs.read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@settings(max_examples=150, deadline=None)
+@given(frames=_frames())
+def test_snapshot_blocks_match_the_row_writer(frames, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("snap")
+    assert _same_bytes(write_snapshots_csv, _reference_snapshots, frames, tmp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(_values, _values, _values, _values), max_size=8))
+def test_boundary_columns_match_the_row_writer(rows, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("bnd")
+    assert _same_bytes(write_boundary_csv, _reference_boundary, rows, tmp)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_block_writer_edge_cases_match_the_row_writer(tmp_path):
+    x1, x2 = np.array([-1.0, 0.5, 2.0]), np.array([-0.25, 0.25])
+    nan, inf = float("nan"), float("inf")
+    frames = [
+        (0.0, x1, 'q,"w",%s', np.array([1e-320 - 0.0j, -0.0 + 0j, 1.5 + 2.5j])),
+        (0.125, x2, "1:1|2=0,A=1", np.array([complex(nan, 1.0), complex(-inf, inf)])),
+        (inf, x1, "", np.array([1e200 + 0j, 0j, -3j])),  # |1e200|^2 overflows
+        (-0.0, x2, "a\nb", np.array([0.1 + 0.2j, -0.3j])),
+    ]
+    assert _same_bytes(write_snapshots_csv, _reference_snapshots, frames, tmp_path)
+    assert _same_bytes(write_snapshots_csv, _reference_snapshots, [], tmp_path)
+    rows = [(0.0, -0.0, nan, inf), (5e-324, -inf, 1e-8, 0.5)]
+    assert _same_bytes(write_boundary_csv, _reference_boundary, rows, tmp_path)
+    assert _same_bytes(write_boundary_csv, _reference_boundary, [], tmp_path)
