@@ -163,14 +163,27 @@ class TransferMatrix:
             raise ValueError(f"transfer matrix for {self.system!r} is not an isometry")
 
 
-def _product_labels(viewpoint: str, order: list[str], dims: list[int]):
+def _product_labels(viewpoint: str, order: list[str], dims: list[int], flats):
     labels = []
-    for flat in range(math.prod(dims)):
+    for flat in flats:
         idx = np.unravel_index(flat, dims)
         assignment = dict(zip(order, (int(i) for i in idx)))
         own = assignment.pop(viewpoint)
         labels.append(IndexLabel(own, tuple(sorted(assignment.items()))))
     return labels
+
+
+def _flat_index(label: IndexLabel, viewpoint: str, order: list[str], dims: list[int]) -> int:
+    """Position of a label in the product basis; raises outside it."""
+    bits = dict(label.partners)
+    idx = [label.own if s == viewpoint else bits.get(s, -1) for s in order]
+    if list(bits) != [s for s in order if s != viewpoint] or not all(
+        0 <= i < d for i, d in zip(idx, dims)
+    ):
+        raise ValueError(
+            f"branch {label.text()!r} of {viewpoint!r} lies outside its index space {order}"
+        )
+    return int(np.ravel_multi_index(idx, dims))
 
 
 def _basis_rotation(order, dims, bases) -> np.ndarray:
@@ -197,20 +210,31 @@ def _synced_transfer(
     unitary: Operator,
     system: str,
     index_bases=None,
+    occupied=None,
 ) -> TransferMatrix:
     pre_order = memory.systems(own)
     post_order = memory.systems(merged)
     pre_dims = [own.initial_states[s].dims[0] for s in pre_order]
     post_dims = [merged.initial_states[s].dims[0] for s in post_order]
     new_systems = [s for s in post_order if s not in pre_order]
-    missing = [
-        op_id for op_id in memory.linearize(merged) if op_id not in own.ops
-    ]
+    # merged holds own, so records are missing exactly when it holds more
+    late = memory.linearize(merged) if len(merged.ops) > len(own.ops) else []
+    missing = [op_id for op_id in late if op_id not in own.ops]
 
     n_in = math.prod(pre_dims)
     n_out = math.prod(post_dims)
+    if occupied is None:
+        cols = np.arange(n_in)
+    else:
+        cols = sorted({_flat_index(lb, system, pre_order, pre_dims) for lb in occupied})
+    if index_bases:
+        r_in = _basis_rotation(pre_order, pre_dims, index_bases)
+        r_out = _basis_rotation(post_order, post_dims, index_bases)
+        needed = np.flatnonzero(r_in[:, cols].any(axis=1))
+    else:
+        needed = cols
     t = np.zeros((n_out, n_in), dtype=np.complex128)
-    for col in range(n_in):
+    for col in needed:
         idx = np.unravel_index(col, pre_dims)
         ket = None
         for sys_id, i in zip(pre_order, idx):
@@ -225,15 +249,14 @@ def _synced_transfer(
         t[:, col] = hilbert.permute_systems(ket, post_order).amplitudes
 
     if index_bases:
-        r_in = _basis_rotation(pre_order, pre_dims, index_bases)
-        r_out = _basis_rotation(post_order, post_dims, index_bases)
         t = r_out.conj().T @ t @ r_in
-
+    t = t[:, cols]
+    rows = np.arange(n_out) if occupied is None else np.flatnonzero(t.any(axis=1))
     return TransferMatrix(
         system,
-        t,
-        _product_labels(system, pre_order, pre_dims),
-        _product_labels(system, post_order, post_dims),
+        t[rows],
+        _product_labels(system, pre_order, pre_dims, cols),
+        _product_labels(system, post_order, post_dims, rows),
     )
 
 
@@ -242,6 +265,7 @@ def transfer_matrices_synced(
     unitary: Operator,
     acting: tuple[str, ...],
     index_bases=None,
+    occupied=None,
 ) -> tuple[TransferMatrix, ...]:
     """Transfer matrices of an interaction between systems with history.
 
@@ -252,6 +276,12 @@ def transfer_matrices_synced(
     the records it lacks), then the new unitary.  The in-branch space is
     the system's own pre-interaction index space, the out-branch space
     the merged one.
+
+    ``occupied`` holds, per acting system, the in-labels its branches
+    occupy.  Each matrix then keeps only those columns and drops every
+    out-row that is exactly zero on them; the entries it keeps are the
+    dense matrix's.  By default every in-label is a column and every
+    out-label a row.
     """
     if len(acting) not in (1, 2) or len(mem_pair) != len(acting):
         raise ValueError("acting systems and memories must pair up, 1 or 2 each")
@@ -265,9 +295,10 @@ def transfer_matrices_synced(
     for sys_id in acting:
         if sys_id not in merged.initial_states:
             raise ValueError(f"acting system {sys_id!r} unknown to the memories")
+    occupied = occupied or (None,) * len(acting)
     return tuple(
-        _synced_transfer(own, merged, unitary, sys_id, index_bases)
-        for own, sys_id in zip(mem_pair, acting)
+        _synced_transfer(own, merged, unitary, sys_id, index_bases, occ)
+        for own, sys_id, occ in zip(mem_pair, acting, occupied)
     )
 
 

@@ -135,9 +135,13 @@ def _active_link(state: ScenarioState, system: str) -> boundary_mod.BoundaryLink
     return None
 
 
+def _when(state: ScenarioState) -> str:
+    return f"at step {state.step_count}, t={state.time:.6g}"
+
+
 def _require_at_rest(state: ScenarioState, system: str) -> None:
     if _active_link(state, system) is not None:
-        raise ValueError(f"system {system!r} is mid-crossing")
+        raise ValueError(f"system {system!r} is mid-crossing {_when(state)}")
 
 
 def _centroid(wf: WaveField, grid: Grid) -> float:
@@ -162,30 +166,28 @@ def total_mass(state: ScenarioState, system: str) -> float:
     return sum(p.mass(state.grid) for p in state.wavefields[system].packets)
 
 
-def _in_rows(wf: WaveField, transfer: boundary_mod.TransferMatrix, grid: Grid):
+def _in_rows(wf: WaveField, transfer: boundary_mod.TransferMatrix, state: ScenarioState):
     """Fields and coefficients of the branches, one row per in-label."""
     packets = {p.index: p for p in wf.packets}
-    unknown = set(packets) - set(transfer.in_labels)
+    unknown = sorted(label.text() for label in set(packets) - set(transfer.in_labels))
     if unknown:
-        raise RuntimeError(f"branches {unknown} missing from the transfer matrix")
-    raw = np.zeros((len(transfer.in_labels), grid.n), dtype=np.complex128)
-    coeff = np.zeros(len(transfer.in_labels), dtype=np.complex128)
-    for row, label in enumerate(transfer.in_labels):
-        p = packets.get(label)
-        if p is not None:
-            raw[row] = p.field
-            coeff[row] = p.coefficient
+        raise RuntimeError(
+            f"branches {unknown} of {wf.system!r} missing from the transfer matrix {_when(state)}"
+        )
+    rows = [packets.get(label) for label in transfer.in_labels]
+    raw = np.array([np.zeros(state.grid.n, complex) if p is None else p.field for p in rows])
+    coeff = np.array([0j if p is None else p.coefficient for p in rows], dtype=np.complex128)
     return raw, coeff
 
 
-def _expand_instant(wf: WaveField, transfer: boundary_mod.TransferMatrix, grid: Grid):
-    raw, coeff = _in_rows(wf, transfer, grid)
+def _expand_instant(wf: WaveField, transfer: boundary_mod.TransferMatrix, state: ScenarioState):
+    raw, coeff = _in_rows(wf, transfer, state)
     raw_out = transfer.matrix @ raw
     coeff_out = transfer.matrix @ coeff
     out = []
     for row, label in enumerate(transfer.out_labels):
         c = complex(coeff_out[row])
-        mass = float(np.sum(np.abs(raw_out[row]) ** 2) * grid.dx)
+        mass = float(np.sum(np.abs(raw_out[row]) ** 2) * state.grid.dx)
         if abs(c) <= COEFFICIENT_THRESHOLD and mass <= DARK_MASS_THRESHOLD:
             continue
         out.append(Packet(label, c, raw_out[row]))
@@ -257,14 +259,16 @@ def meet(
             raise ValueError("a crossing needs two systems")
         if _centroid(fields[0], state.grid) >= _centroid(fields[1], state.grid):
             raise ValueError(f"crossing expects {a!r} to start left of {b!r}")
-    transfers = boundary_mod.transfer_matrices_synced(
-        tuple(wf.memory for wf in fields),
-        unitary,
-        participants,
-        index_bases=state.index_bases or None,
-    )
-    for wf, transfer in zip(fields, transfers):
-        _in_rows(wf, transfer, state.grid)  # raises if a branch is unknown to a transfer
+    try:
+        transfers = boundary_mod.transfer_matrices_synced(
+            tuple(wf.memory for wf in fields),
+            unitary,
+            participants,
+            index_bases=state.index_bases or None,
+            occupied=tuple([p.index for p in wf.packets] for wf in fields),
+        )
+    except ValueError as err:
+        raise ValueError(f"{err} {_when(state)}") from err
     # every precondition is checked above, so a rejected meet records nothing
     merged = memory_mod.record_interaction(
         fields[0].memory,
@@ -277,7 +281,7 @@ def meet(
 
     if mode == "instant":
         for wf, transfer in zip(fields, transfers):
-            _expand_instant(wf, transfer, state.grid)
+            _expand_instant(wf, transfer, state)
         return None
     return _open_crossing(state, fields[0], fields[1], unitary, op_id, *transfers)
 
@@ -304,8 +308,8 @@ def _step_link(state: ScenarioState, link: boundary_mod.BoundaryLink) -> None:
     pre_left = float(np.sum(rho_left[~post_side_left]) * grid.dx)
     pre_right = float(np.sum(rho_right[post_side_left]) * grid.dx)
     if pre_left < COMPLETION_THRESHOLD and pre_right < COMPLETION_THRESHOLD:
-        _expand_instant(left, link.t_left, grid)
-        _expand_instant(right, link.t_right, grid)
+        _expand_instant(left, link.t_left, state)
+        _expand_instant(right, link.t_right, state)
         link.active = False
 
 
@@ -329,7 +333,7 @@ def branches(state: ScenarioState, system: str) -> list[Packet]:
     transfer = link.t_left
     if system == link.right_system:
         post_side, transfer = ~post_side, link.t_right
-    raw, coeff = _in_rows(wf, transfer, grid)
+    raw, coeff = _in_rows(wf, transfer, state)
     pre = np.where(post_side, 0.0, raw)
     post = np.where(post_side, transfer.matrix @ raw, 0.0)
     return [
@@ -357,8 +361,7 @@ def advance(state: ScenarioState, steps: int = 1) -> ScenarioState:
             m = total_mass(state, sys_id)
             if abs(m - 1.0) > NORM_AUDIT_TOL:
                 raise RuntimeError(
-                    f"norm audit failed for {sys_id!r} at t={state.time:.6g}: "
-                    f"total mass {m!r}"
+                    f"norm audit failed for {sys_id!r} {_when(state)}: total mass {m!r}"
                 )
     return state
 

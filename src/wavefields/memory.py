@@ -7,6 +7,10 @@ records on disjoint systems are not, and any linearization consistent
 with the DAG derives the same joint state because unordered records
 commute.  Memories only ever grow; synchronization is a union.
 
+An in-memory ledger keeps its records in causal insertion order, and
+construction refuses a parent listed after its child, so meets never
+re-sort it; ``linearize`` stays the canonical order (JSON, derived state).
+
 Memories are treated as immutable: every operation returns a new one
 and never mutates its inputs.
 """
@@ -58,7 +62,7 @@ class InteractionOp:
 
 @dataclass
 class InternalMemory:
-    """Initial states plus the causal DAG of interaction records."""
+    """Initial states plus the causal DAG of records, in insertion order."""
 
     initial_states: dict[SystemId, Ket]
     ops: dict[str, InteractionOp]
@@ -69,18 +73,19 @@ class InternalMemory:
                 raise ValueError(
                     f"initial state for {sys_id!r} is labeled {ket.labels}"
                 )
+        seen: set[str] = set()
         for op in self.ops.values():
             for p in op.participants:
                 if p not in self.initial_states:
                     raise ValueError(
                         f"op {op.op_id!r} references unknown system {p!r}"
                     )
-            for parent in op.parents:
-                if parent not in self.ops:
-                    raise ValueError(
-                        f"op {op.op_id!r} references unknown parent {parent!r}"
-                    )
-        linearize(self)  # raises on cycles
+            if not op.parents <= seen:  # an unknown parent, or a late one as in a cycle
+                late = sorted(op.parents - seen)
+                raise ValueError(
+                    f"op {op.op_id!r} lists parents {late} that do not come before it"
+                )
+            seen.add(op.op_id)
 
 
 @dataclass(frozen=True)
@@ -145,8 +150,11 @@ def world_line(mem: InternalMemory, system: SystemId) -> list[str]:
 
 
 def _tip(mem: InternalMemory, system: SystemId) -> str | None:
-    line = world_line(mem, system)
-    return line[-1] if line else None
+    # a system's records are totally ordered, so its last one is its tip
+    for op_id, op in reversed(mem.ops.items()):
+        if system in op.participants:
+            return op_id
+    return None
 
 
 def derive_state(mem: InternalMemory) -> Ket:
@@ -184,7 +192,7 @@ def synchronize(a: InternalMemory, b: InternalMemory) -> InternalMemory:
     ops = dict(a.ops)
     for op_id, op in b.ops.items():
         if op_id in ops:
-            if not ops[op_id].same_record(op):
+            if ops[op_id] is not op and not ops[op_id].same_record(op):
                 raise ValueError(f"conflicting records under op id {op_id!r}")
         else:
             ops[op_id] = op
@@ -317,11 +325,6 @@ def memory_from_json(text: str) -> InternalMemory:
     }
     ops = {}
     for entry in doc["ops"]:
-        late = sorted(set(entry["parents"]) - set(ops))
-        if late:
-            raise ValueError(
-                f"op {entry['op_id']!r} lists parents {late} that do not come before it"
-            )
         unitary = Operator(
             _decode_array(entry["unitary"]["matrix"]),
             tuple(entry["unitary"]["dims"]),

@@ -227,6 +227,21 @@ def test_synced_rejects_mismatches():
         transfer_matrices_synced((m1, m2), u13, ("1", "3"))
 
 
+def test_synced_occupied_rejects_labels_outside_the_index_space():
+    rng = np.random.default_rng(43)
+    m1 = fresh_memory("1", random_amps(rng))
+    m2 = fresh_memory("2", random_amps(rng))
+    u = Operator(CNOT, (2, 2), ("1", "2"))
+    (t1, t2) = transfer_matrices_synced(
+        (m1, m2), u, ("1", "2"), occupied=([IndexLabel(1, ())], None)
+    )
+    assert t1.in_labels == [IndexLabel(1, ())] and t1.matrix.shape == (2, 1)
+    assert t2.matrix.shape == (4, 2)  # None keeps the dense form
+    for stray in (IndexLabel(2, ()), IndexLabel(0, (("3", 0),))):
+        with pytest.raises(ValueError, match="of '1' lies outside"):
+            transfer_matrices_synced((m1, m2), u, ("1", "2"), occupied=([stray], None))
+
+
 def test_transfer_matrix_validates_labels_and_isometry():
     labels2 = [IndexLabel(0, ()), IndexLabel(1, ())]
     labels4 = [IndexLabel(i % 2, (("2", i // 2),)) for i in range(4)]

@@ -361,3 +361,101 @@ def test_dark_branch_keeps_interference_fluid():
     dark = [p for p in wf.packets if abs(p.coefficient) < 1e-12]
     assert len(dark) == 1
     assert dark[0].mass(grid) > 0.1
+
+
+# ---------------------------------------------------------------------------
+# Error context: the system, the step and the time.
+
+
+def test_norm_audit_names_system_step_and_time():
+    state, grid = small_state()
+    add_system(state, "1", [0.6, 0.8], gaussian_packet(grid, 0.0, 2.0))
+    advance(state, 3)
+    state.wavefields["1"].packets[0].field *= 2.0
+    with pytest.raises(RuntimeError, match=r"'1' at step 4, t=0\.04: total mass"):
+        advance(state)
+
+
+def test_unknown_branch_errors_name_system_step_and_time():
+    state, grid = crossing_state()
+    advance(state, 2)
+    stray = state.wavefields["2"].packets[0]
+    stray.index = IndexLabel(0, (("9", 1),))
+    with pytest.raises(ValueError, match=r"'0\|9=1' of '2' lies outside .* at step 2, t=0\.025"):
+        meet(state, "1", "2", CZ, "cz")
+    assert "cz" not in state.wavefields["1"].memory.ops
+    # mid-crossing the stored labels must stay the transfer's in-labels
+    stray.index = IndexLabel(0, ())
+    meet(state, "1", "2", CZ, "cz", mode="crossing")
+    advance(state, 3)
+    stray.index = IndexLabel(0, (("9", 1),))
+    with pytest.raises(RuntimeError, match=r"\['0\|9=1'\] of '2' missing .* at step 5, t=0\.0625"):
+        branches(state, "2")
+
+
+def test_mid_crossing_refusal_names_system_step_and_time():
+    state, grid = crossing_state()
+    meet(state, "1", "2", CZ, "cz", mode="crossing")
+    advance(state, 5)
+    with pytest.raises(ValueError, match=r"'1' is mid-crossing at step 5, t=0\.0625"):
+        meet(state, "1", None, Operator(np.eye(2), (2,), ("1",)), "late")
+
+
+# ---------------------------------------------------------------------------
+# Sparse meets on a shared ledger.
+
+
+def test_meet_on_a_shared_ledger_does_not_relinearize(monkeypatch):
+    from wavefields import memory
+
+    state, grid = small_state()
+    shape = gaussian_packet(grid, 0.0, 2.0)
+    add_system(state, "1", [0.6, 0.8], shape)
+    add_system(state, "2", [0.8, 0.6j], shape)
+    phase = Operator(np.diag([1.0, 1.0, 1.0, 1.0j]), (2, 2), ("1", "2"))
+    for k in range(200):
+        meet(state, "1", "2", CZ if k % 2 else phase, f"g{k}")
+    shared = state.wavefields["1"].memory
+    assert state.wavefields["2"].memory is shared and len(shared.ops) == 200
+
+    calls = []
+    real = memory.linearize
+    monkeypatch.setattr(memory, "linearize", lambda mem: calls.append(mem) or real(mem))
+    meet(state, "1", "2", CZ, "g200")
+    assert calls == []
+    assert list(state.wavefields["1"].memory.ops)[-1] == "g200"
+    monkeypatch.undo()
+    for s in ("1", "2"):
+        assert validate_against_memory(state, s, atol=1e-8) < 1e-8
+
+
+def test_meet_builds_only_occupied_columns_and_nonzero_rows(monkeypatch):
+    # a GHZ chain occupies two of the 2^N in-labels at every link
+    built = []
+    real = boundary.transfer_matrices_synced
+    monkeypatch.setattr(
+        boundary, "transfer_matrices_synced", lambda *a, **k: built.append(real(*a, **k)) or built[-1]
+    )
+    state, grid = small_state()
+    names = [str(i) for i in range(6)]
+    for i, s in enumerate(names):
+        amps = [0.6, 0.8] if i == 0 else [1.0, 0.0]
+        add_system(state, s, amps, gaussian_packet(grid, -10.0 + 4.0 * i, 1.0))
+    for a, b in zip(names, names[1:]):
+        meet(state, a, b, Operator(CNOT.matrix, (2, 2), (a, b)), f"{a}{b}")
+    assert [(t_a.matrix.shape, t_b.matrix.shape) for t_a, t_b in built] == [((2, 2), (2, 1))] * 5
+    for s in names:
+        assert validate_against_memory(state, s, atol=1e-12) < 1e-12
+
+
+def test_mid_crossing_branches_hold_no_empty_rows():
+    state, grid = crossing_state(amps_right=(1.0, 0.0))
+    meet(state, "1", "2", CNOT, "readout", mode="crossing")
+    advance(state, 150)
+    for s in ("1", "2"):
+        view = branches(state, s)
+        assert all(np.any(p.field != 0.0) for p in view)
+    # the ready pointer: its one occupied in-branch and the two out-branches it feeds
+    assert [(p.region, p.index.text()) for p in branches(state, "2")] == [
+        (PRE, "0|"), (POST, "0|1=0"), (POST, "1|1=1"),
+    ]

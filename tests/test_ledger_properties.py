@@ -1,0 +1,111 @@
+"""Property tests: random ledgers, sparse transfers and linearizations."""
+
+import functools
+import itertools
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wavefields import hilbert
+from wavefields.boundary import transfer_matrices_synced
+from wavefields.hilbert import Operator
+from wavefields.memory import derive_state, fresh_memory, record_interaction, synchronize
+
+
+def random_unitary(rng, d):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_amps(rng, d):
+    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return z / np.linalg.norm(z)
+
+
+def random_op(rng, dims, acting):
+    sub = tuple(dims[s] for s in acting)
+    return Operator(random_unitary(rng, math.prod(sub)), sub, tuple(acting))
+
+
+@st.composite
+def ledgers(draw):
+    """Each system's memory after random 1- and 2-system records.
+
+    Systems are qubits or qutrits.  A record updates only its
+    participants' memories, as a meet does, so the union of all of them
+    is a DAG whose records on disjoint systems stay unordered.
+    """
+    names = [str(i) for i in range(draw(st.integers(2, 4)))]
+    dims = {s: draw(st.sampled_from([2, 3])) for s in names}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mems = {s: fresh_memory(s, random_amps(rng, dims[s])) for s in names}
+    for k in range(draw(st.integers(0, 5))):
+        acting = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+        other = mems[acting[1]] if len(acting) == 2 else None
+        merged = record_interaction(mems[acting[0]], other, random_op(rng, dims, acting), f"op{k}")
+        for s in acting:
+            mems[s] = merged
+    return mems, dims, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(ledger=ledgers(), data=st.data())
+def test_occupied_transfer_is_the_dense_one_restricted(ledger, data):
+    mems, dims, rng = ledger
+    names = sorted(mems)
+    acting = tuple(data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True)))
+    unitary = random_op(rng, dims, acting)
+    bases = None
+    if data.draw(st.booleans()):
+        rotated = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+        bases = {s: random_op(rng, dims, (s,)) for s in rotated}
+    mem_pair = tuple(mems[s] for s in acting)
+    dense = transfer_matrices_synced(mem_pair, unitary, acting, index_bases=bases)
+    occupied = tuple(
+        data.draw(st.lists(st.sampled_from(t.in_labels), min_size=1, unique=True)) for t in dense
+    )
+    sparse = transfer_matrices_synced(
+        mem_pair, unitary, acting, index_bases=bases, occupied=occupied
+    )
+    for full, part, occ in zip(dense, sparse, occupied):
+        cols = [full.in_labels.index(label) for label in part.in_labels]
+        rows = [full.out_labels.index(label) for label in part.out_labels]
+        assert set(part.in_labels) == set(occ) and cols == sorted(cols)
+        assert rows == sorted(rows)
+        assert np.abs(part.matrix - full.matrix[np.ix_(rows, cols)]).max() <= 1e-12
+        dropped = np.delete(full.matrix[:, cols], rows, axis=0)
+        assert np.abs(dropped).max(initial=0.0) <= 1e-12
+
+
+def _state_along(mem, order):
+    state = None
+    for s in sorted(mem.initial_states):
+        ket = mem.initial_states[s]
+        state = ket if state is None else hilbert.tensor(state, ket)
+    for op_id in order:
+        op = mem.ops[op_id]
+        state = hilbert.apply(op.unitary, state, op.participants)
+    return state
+
+
+@settings(max_examples=40, deadline=None)
+@given(ledger=ledgers())
+def test_derive_state_is_the_same_along_every_linearization(ledger):
+    mems, _, _ = ledger
+    mem = functools.reduce(synchronize, mems.values())
+    expected = derive_state(mem).amplitudes
+    seen = 0
+    for order in itertools.permutations(mem.ops):
+        placed: set[str] = set()
+        for op_id in order:
+            if not mem.ops[op_id].parents <= placed:
+                break
+            placed.add(op_id)
+        else:
+            seen += 1
+            got = _state_along(mem, order).amplitudes
+            assert np.abs(got - expected).max() <= 1e-12
+    assert seen >= 1

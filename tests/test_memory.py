@@ -192,6 +192,21 @@ def test_linearize_detects_cycles():
         )
 
 
+def test_construction_refuses_parent_after_child(monkeypatch):
+    from wavefields import memory
+
+    rng = np.random.default_rng(37)
+    final, _, _ = chain_memory(rng)
+    calls = []
+    monkeypatch.setattr(memory, "linearize", lambda mem: calls.append(mem))
+    rebuilt = InternalMemory(dict(final.initial_states), dict(final.ops))
+    assert list(rebuilt.ops) == ["u12", "v13", "w23"]
+    swapped = {k: final.ops[k] for k in ("u12", "w23", "v13")}
+    with pytest.raises(ValueError, match=r"'w23' lists parents \['v13'\]"):
+        InternalMemory(dict(final.initial_states), swapped)
+    assert calls == []
+
+
 def test_external_memories_singlet():
     prep = Operator(
         np.array(
