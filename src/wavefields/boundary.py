@@ -18,15 +18,9 @@ import numpy as np
 from . import hilbert, memory
 from .hilbert import Ket, Operator
 from .memory import IndexLabel, InternalMemory
-from .spatial import Grid, current
+from .spatial import Grid, cumulative_mass, current
 
 ISOMETRY_TOL = 1e-12
-
-
-def _cumulative(rho: np.ndarray, grid: Grid) -> np.ndarray:
-    """Trapezoid cumulative mass at each grid point, starting at 0."""
-    inner = 0.5 * (rho[:-1] + rho[1:]) * grid.dx
-    return np.concatenate([[0.0], np.cumsum(inner)])
 
 
 def find_initial_boundary(
@@ -47,8 +41,8 @@ def find_initial_boundary(
     """
     rho_left = np.asarray(rho_left, float)
     rho_right = np.asarray(rho_right, float)
-    cum_left = _cumulative(rho_left, grid)
-    cum_right = _cumulative(rho_right, grid)
+    cum_left = cumulative_mass(rho_left, grid)
+    cum_right = cumulative_mass(rho_right, grid)
     total_right = cum_right[-1]
 
     def f(x: float) -> float:
@@ -217,9 +211,9 @@ def _synced_transfer(
     pre_dims = [own.initial_states[s].dims[0] for s in pre_order]
     post_dims = [merged.initial_states[s].dims[0] for s in post_order]
     new_systems = [s for s in post_order if s not in pre_order]
-    # merged holds own, so records are missing exactly when it holds more
-    late = memory.linearize(merged) if len(merged.ops) > len(own.ops) else []
-    missing = [op_id for op_id in late if op_id not in own.ops]
+    # a ledger keeps causal insertion order, so the records own lacks
+    # come out of merged in an order they can be applied in
+    missing = [op_id for op_id in merged.ops if op_id not in own.ops]
 
     n_in = math.prod(pre_dims)
     n_out = math.prod(post_dims)

@@ -83,7 +83,8 @@ def _build_parser() -> _Parser:
     run.add_argument("--out", help="output directory for run files")
     run.add_argument("--trials", type=int, help="ensemble trials (0 disables)")
     run.add_argument("--snapshot-every", type=int, help="frame cadence in steps")
-    run.add_argument("--jobs", type=int, help="accepted for compatibility; trials run in one thread")
+    jobs_help = "accepted for compatibility; trials run in one thread"
+    run.add_argument("--jobs", type=int, help=jobs_help)
 
     sub.add_parser("list", help="list the available scenarios")
     return parser

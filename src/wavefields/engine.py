@@ -25,7 +25,7 @@ from . import boundary as boundary_mod
 from . import memory as memory_mod
 from .hilbert import COEFFICIENT_THRESHOLD, Operator
 from .memory import ExternalMemory, IndexLabel, InternalMemory
-from .spatial import Grid, Propagator, current
+from .spatial import Grid, Propagator, cumulative_mass, current
 
 NORM_AUDIT_TOL = 1e-8
 COMPLETION_THRESHOLD = 1e-10
@@ -197,8 +197,8 @@ def _expand_instant(wf: WaveField, transfer: boundary_mod.TransferMatrix, state:
 def _record_crossed(link, rho_left, rho_right, grid: Grid, t: float) -> None:
     # Crossed fluid is the coherent mass past the boundary; the boundary
     # law keeps the two integrals equal.
-    cum_l = boundary_mod._cumulative(rho_left, grid)
-    cum_r = boundary_mod._cumulative(rho_right, grid)
+    cum_l = cumulative_mass(rho_left, grid)
+    cum_r = cumulative_mass(rho_right, grid)
     link.crossed_left = float(cum_l[-1] - np.interp(link.x12, grid.x, cum_l))
     link.crossed_right = float(np.interp(link.x12, grid.x, cum_r))
     link.record(t)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .engine import WaveField
 from .memory import ExternalMemory
-from .spatial import Grid
+from .spatial import Grid, cumulative_mass
 
 # below this, sampling splits the fluid in exact Born proportions
 STRATIFIED_LIMIT = 32
@@ -66,9 +66,7 @@ def _branch_rows(wf: WaveField):
 
 
 def _positions(field: np.ndarray, grid: Grid, count: int, rng) -> np.ndarray:
-    rho = np.abs(field) ** 2
-    inner = 0.5 * (rho[:-1] + rho[1:]) * grid.dx
-    cum = np.concatenate([[0.0], np.cumsum(inner)])
+    cum = cumulative_mass(np.abs(field) ** 2, grid)
     if cum[-1] <= 0.0:
         raise ValueError("cannot sample positions from an empty branch")
     return np.interp(rng.random(count), cum / cum[-1], grid.x)
@@ -164,24 +162,22 @@ def _normalized(probs: dict) -> tuple[list, np.ndarray]:
 
 
 def ensemble_statistics(
-    outcomes,
+    outcomes: dict,
     trials: int,
     seed: int,
     jobs: int = 1,
 ) -> dict:
     """Empirical outcome frequencies over independent trials.
 
-    ``outcomes`` is the scenario's final label distribution (or a
-    callable producing it).  Trials are drawn in fixed chunks with
-    generators keyed (seed, chunk), so the result depends on the seed
-    alone.  ``jobs`` is accepted for callers that pass a worker count;
-    the chunks are drawn in one thread, which is faster at these sizes
-    than handing them to a pool.
+    ``outcomes`` is the scenario's final label distribution.  Trials
+    are drawn in fixed chunks with generators keyed (seed, chunk), so
+    the result depends on the seed alone.  ``jobs`` is accepted for
+    callers that pass a worker count; the chunks are drawn in one
+    thread, which is faster at these sizes than handing them to a pool.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    probs = outcomes() if callable(outcomes) else outcomes
-    keys, p = _normalized(probs)
+    keys, p = _normalized(outcomes)
 
     partials = [
         np.random.default_rng((seed, i)).multinomial(min(TRIAL_CHUNK, trials - start), p)

@@ -35,6 +35,7 @@ from .spatial import Grid, gaussian_packet, norm_squared, streamlines
 
 _R = 1.0 / math.sqrt(2.0)
 _CROSSING_K0 = 5.0  # packet momentum of the two crossing scenarios
+_SMALL_GRID = (-32.0, 32.0, 512, 0.01)  # (x_min, x_max, n_points, dt) of the resting scenarios
 
 # matching tolerances for the frozen algebraic expectations
 EXACT_TOL = 1e-10
@@ -130,6 +131,11 @@ def _close(checks: list, name: str, actual: dict, expected: dict, tol: float = E
     _check(checks, name, worst <= tol, f"{worst:.3e}")
 
 
+def _only_keys(checks: list, name: str, table: dict, expected: dict) -> None:
+    """Check that a table holds no outcome outside the expected ones."""
+    _check(checks, name, all(k in expected for k in table), f"keys {sorted(table)}")
+
+
 def _oracle_table(ket: Ket, a: str, b: str) -> dict:
     """Joint (a, b) index probabilities of a reference-route state."""
     out: dict = {}
@@ -146,6 +152,42 @@ def _frame(state: ScenarioState, frames: list, prefix: str = "") -> None:
         for p in ordered:
             label = f"{prefix}{name}:{p.index.text()}"
             frames.append((state.time, state.grid.x, label, p.field.copy()))
+
+
+def _evolve(
+    state: ScenarioState, cfg: ScenarioConfig, frames: list, steps: int, until=None, each=None
+) -> None:
+    """Advance up to ``steps`` steps one at a time, then take the last frame.
+
+    A frame is taken every ``cfg.snapshot_every`` steps while the run
+    goes on.  ``until`` ends the run on the first step it holds, so a
+    crossing ends when its boundary completes whatever the cadence;
+    ``each`` runs after every step.
+    """
+    for done in range(1, steps + 1):
+        advance(state)
+        if each is not None:
+            each()
+        if done == steps or (until is not None and until()):
+            break
+        if cfg.snapshot_every and done % cfg.snapshot_every == 0:
+            _frame(state, frames)
+    _frame(state, frames)
+
+
+def _world(cfg: ScenarioConfig, bounds, systems, sigma: float = 1.5, bases=None):
+    """A fresh state on the scenario's grid, which ``cfg`` may override.
+
+    ``bounds`` is the default (x_min, x_max, n_points, dt); ``systems``
+    lists (name, amplitudes, x0[, k0]) Gaussian packets of width
+    ``sigma``; ``bases`` holds index bases set before any system is added.
+    """
+    grid = cfg.make_grid(*bounds)
+    state = new_state(grid)
+    state.index_bases.update(bases or {})
+    for name, amplitudes, x0, *k0 in systems:
+        add_system(state, name, amplitudes, gaussian_packet(grid, x0, sigma, *k0))
+    return state
 
 
 def _resolution_check(grid: Grid, k0: float, checks: list) -> None:
@@ -180,7 +222,6 @@ def _ensemble_block(cfg: ScenarioConfig, name: str, outcomes: dict, checks: list
 
 
 def _finalize(
-    name: str,
     cfg: ScenarioConfig,
     state: ScenarioState,
     checks: list,
@@ -190,6 +231,7 @@ def _finalize(
     outcomes: dict | None = None,
 ) -> ScenarioResult:
     # ``outcomes`` is the table the ensemble trials sample, if any
+    name = cfg.scenario
     stats = _ensemble_block(cfg, name, outcomes, checks) if outcomes is not None else None
     if stats:
         extra = {**(extra or {}), "statistics": stats}
@@ -287,14 +329,23 @@ def _unitary_with_first_column(col0, labels) -> Operator:
     return Operator(np.stack(cols, axis=1), dims, labels)
 
 
-def _run_crossing(state: ScenarioState, link, cfg: ScenarioConfig, frames: list) -> None:
-    """Advance until the boundary completes, snapshotting on cadence."""
-    stride = cfg.snapshot_every if cfg.snapshot_every > 0 else 64
+def _start_crossing(cfg: ScenarioConfig, spin1, spin2, unitary: Operator, op_id: str):
+    """Spins 1 and 2 fly at each other and open a crossing of ``unitary``."""
+    systems = [("1", spin1, -8.0, _CROSSING_K0), ("2", spin2, 8.0, -_CROSSING_K0)]
+    state = _world(cfg, (-64.0, 64.0, 2048, 0.0125), systems, sigma=1.0)
+    frames: list = []
+    _frame(state, frames)
+    link = meet(state, "1", "2", unitary, op_id, mode="crossing")
+    checks: list = []
+    _resolution_check(state.grid, _CROSSING_K0, checks)
+    return state, link, frames, checks
+
+
+def _run_crossing(state: ScenarioState, link, cfg: ScenarioConfig, frames, checks) -> None:
+    """Advance until the boundary completes, then check that it did."""
     cap = int(math.ceil(20.0 / state.grid.dt))
-    while link.active and state.step_count < cap:
-        advance(state, stride)
-        if cfg.snapshot_every > 0 and link.active:
-            _frame(state, frames)
+    _evolve(state, cfg, frames, cap, until=lambda: not link.active)
+    _check(checks, "crossing completed", not link.active, f"{state.step_count} steps")
 
 
 # --- two_spin_crossing ---------------------------------------------------
@@ -308,21 +359,12 @@ def run_two_spin_crossing(cfg: ScenarioConfig) -> ScenarioResult:
     correlated index labels.  Amplitude pairs 1 and 2 set the internal
     states; by symmetry of the shapes the boundary must stay put.
     """
-    grid = cfg.make_grid(-64.0, 64.0, 2048, 0.0125)
     a1, b1 = cfg.pair(1, _R, _R)
     a2, b2 = cfg.pair(2, _R, _R)
-    state = new_state(grid)
-    add_system(state, "1", (a1, b1), gaussian_packet(grid, -8.0, 1.0, _CROSSING_K0))
-    add_system(state, "2", (a2, b2), gaussian_packet(grid, 8.0, 1.0, -_CROSSING_K0))
-    frames: list = []
-    _frame(state, frames)
-    link = meet(state, "1", "2", _cz("1", "2"), "phase-exchange", mode="crossing")
-    _run_crossing(state, link, cfg, frames)
-    _frame(state, frames)
-
-    checks: list = []
-    _resolution_check(grid, _CROSSING_K0, checks)
-    _check(checks, "crossing completed", not link.active, f"{state.step_count} steps")
+    cz = _cz("1", "2")
+    state, link, frames, checks = _start_crossing(cfg, (a1, b1), (a2, b2), cz, "phase-exchange")
+    _run_crossing(state, link, cfg, frames, checks)
+    grid = state.grid
     traj = np.array(link.trajectory)
     _check(
         checks,
@@ -333,17 +375,15 @@ def run_two_spin_crossing(cfg: ScenarioConfig) -> ScenarioResult:
     gap = float(np.abs(traj[:, 2] - traj[:, 3]).max())
     _check(checks, "crossed fluid levels agree", gap <= 1e-6, f"max gap {gap:.3e}")
     if link.active:  # the audits below need both systems at rest
-        return _finalize(cfg.scenario, cfg, state, checks, frames)
+        return _finalize(cfg, state, checks, frames)
 
-    ket = apply(_cz("1", "2"), tensor(state_ket("1", (a1, b1)), state_ket("2", (a2, b2))))
+    ket = apply(cz, tensor(state_ket("1", (a1, b1)), state_ket("2", (a2, b2))))
     table = correlation_table(state, "1", "2")
     name = "joint table matches product-state route"
     _close(checks, name, table, _oracle_table(ket, "1", "2"), ORACLE_TOL)
     _rest_audits(state, checks)
 
-    return _finalize(
-        cfg.scenario, cfg, state, checks, frames, [("1", "2"), ("2", "1")], outcomes=table
-    )
+    return _finalize(cfg, state, checks, frames, [("1", "2"), ("2", "1")], outcomes=table)
 
 
 # --- three_spin_chain ----------------------------------------------------
@@ -356,14 +396,11 @@ def run_three_spin_chain(cfg: ScenarioConfig) -> ScenarioResult:
     touch system 2 at all: not its packets, not its record.  System 2's
     own correlation view stays the one written by the first coupling.
     """
-    grid = cfg.make_grid(-32.0, 32.0, 512, 0.01)
     s1 = cfg.pair(1, 0.6, 0.8)
     s2 = cfg.pair(2, _R, _R)
     s3 = (1.0, 0.0)
-    state = new_state(grid)
-    add_system(state, "1", s1, gaussian_packet(grid, -6.0, 1.5))
-    add_system(state, "2", s2, gaussian_packet(grid, 0.0, 1.5))
-    add_system(state, "3", s3, gaussian_packet(grid, 6.0, 1.5))
+    systems = [("1", s1, -6.0), ("2", s2, 0.0), ("3", s3, 6.0)]
+    state = _world(cfg, _SMALL_GRID, systems)
     frames: list = []
     _frame(state, frames)
 
@@ -402,9 +439,7 @@ def run_three_spin_chain(cfg: ScenarioConfig) -> ScenarioResult:
     _rest_audits(state, checks)
     _frame(state, frames)
 
-    return _finalize(
-        cfg.scenario, cfg, state, checks, frames, [("1", "3"), ("2", "1")], outcomes=table
-    )
+    return _finalize(cfg, state, checks, frames, [("1", "3"), ("2", "1")], outcomes=table)
 
 
 # --- von_neumann ---------------------------------------------------------
@@ -431,17 +466,10 @@ def run_von_neumann(cfg: ScenarioConfig) -> ScenarioResult:
     state: the joint expansion admits only perfectly correlated terms,
     so the pointer's final index distribution is the spin's weights.
     """
-    grid = cfg.make_grid(-64.0, 64.0, 2048, 0.0125)
     a1, b1 = cfg.pair(1, _R, _R)
-    state = new_state(grid)
-    add_system(state, "1", (a1, b1), gaussian_packet(grid, -8.0, 1.0, _CROSSING_K0))
-    add_system(state, "2", (1.0, 0.0), gaussian_packet(grid, 8.0, 1.0, -_CROSSING_K0))
-    frames: list = []
-    _frame(state, frames)
-    link = meet(state, "1", "2", _cnot("1", "2"), "pointer-readout", mode="crossing")
-
-    checks: list = []
-    _resolution_check(grid, _CROSSING_K0, checks)
+    state, link, frames, checks = _start_crossing(
+        cfg, (a1, b1), (1.0, 0.0), _cnot("1", "2"), "pointer-readout"
+    )
     expected_left = np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex)
     expected_right = np.array([[a1, 0], [0, a1], [0, b1], [b1, 0]], dtype=complex)
     dl = _frozen_gap(link.t_left, expected_left)
@@ -449,11 +477,9 @@ def run_von_neumann(cfg: ScenarioConfig) -> ScenarioResult:
     _check(checks, "spin-side boundary matrix is the frozen form", dl <= 1e-12, f"{dl:.3e}")
     _check(checks, "pointer-side boundary matrix is the frozen form", dr <= 1e-12, f"{dr:.3e}")
 
-    _run_crossing(state, link, cfg, frames)
-    _frame(state, frames)
-    _check(checks, "crossing completed", not link.active, f"{state.step_count} steps")
+    _run_crossing(state, link, cfg, frames, checks)
     if link.active:  # the audits below need both systems at rest
-        return _finalize(cfg.scenario, cfg, state, checks, frames)
+        return _finalize(cfg, state, checks, frames)
 
     pointer = index_distribution(state, "2")
     expected = {0: abs(a1) ** 2, 1: abs(b1) ** 2}
@@ -463,9 +489,7 @@ def run_von_neumann(cfg: ScenarioConfig) -> ScenarioResult:
     _close(checks, "pointer and spin indexes perfectly correlated", table, exp_table)
     _rest_audits(state, checks)
 
-    return _finalize(
-        cfg.scenario, cfg, state, checks, frames, table_pairs=[("2", "1")], outcomes=pointer
-    )
+    return _finalize(cfg, state, checks, frames, table_pairs=[("2", "1")], outcomes=pointer)
 
 
 # --- bell pair scenarios -------------------------------------------------
@@ -492,14 +516,9 @@ def _tilted_readout() -> Operator:
 
 
 def _bell_state(cfg: ScenarioConfig, tilted: bool) -> ScenarioState:
-    grid = cfg.make_grid(-32.0, 32.0, 512, 0.01)
-    state = new_state(grid)
-    if tilted:
-        state.index_bases["2"] = _phi_basis()
-    add_system(state, "1", (1.0, 0.0), gaussian_packet(grid, -2.0, 1.5))
-    add_system(state, "2", (1.0, 0.0), gaussian_packet(grid, 2.0, 1.5))
-    add_system(state, "A", (1.0, 0.0), gaussian_packet(grid, -8.0, 1.5))
-    add_system(state, "B", (1.0, 0.0), gaussian_packet(grid, 8.0, 1.5))
+    ready = (1.0, 0.0)
+    systems = [("1", ready, -2.0), ("2", ready, 2.0), ("A", ready, -8.0), ("B", ready, 8.0)]
+    state = _world(cfg, _SMALL_GRID, systems, bases={"2": _phi_basis()} if tilted else None)
     meet(state, "1", "2", _pair_source(), "pair-source")
     meet(state, "1", "A", _cnot("1", "A"), "near-readout")
     readout = _tilted_readout() if tilted else _cnot("2", "B")
@@ -527,12 +546,7 @@ def run_bell_case1(cfg: ScenarioConfig) -> ScenarioResult:
     table = correlation_table(state, "A", "B")
     expected = {(0, 1): 0.5, (1, 0): 0.5}
     _close(checks, "recorders anticorrelated half-half", table, expected)
-    _check(
-        checks,
-        "no same-outcome branch exists",
-        all(k in expected for k in table),
-        f"keys {sorted(table)}",
-    )
+    _only_keys(checks, "no same-outcome branch exists", table, expected)
 
     shown = {
         (0, (("1", 0), ("2", 1), ("B", 1))): _R,
@@ -545,9 +559,7 @@ def run_bell_case1(cfg: ScenarioConfig) -> ScenarioResult:
     _rest_audits(state, checks)
 
     _frame(state, frames)
-    return _finalize(
-        cfg.scenario, cfg, state, checks, frames, table_pairs=[("A", "B")], outcomes=table
-    )
+    return _finalize(cfg, state, checks, frames, table_pairs=[("A", "B")], outcomes=table)
 
 
 def run_bell_case2(cfg: ScenarioConfig) -> ScenarioResult:
@@ -574,15 +586,12 @@ def run_bell_case2(cfg: ScenarioConfig) -> ScenarioResult:
     _rest_audits(state, checks)
 
     _frame(state, frames)
-    return _finalize(
-        cfg.scenario, cfg, state, checks, frames, table_pairs=[("A", "B")], outcomes=table
-    )
+    return _finalize(cfg, state, checks, frames, table_pairs=[("A", "B")], outcomes=table)
 
 
 # --- student_demo --------------------------------------------------------
 
-_UP_DOWN_A = {0: "up", 1: "down"}
-_UP_DOWN_B_MATCHED = {0: "up", 1: "down"}
+_UP_DOWN = {0: "up", 1: "down"}
 # tilted readout eigenstates: index 0 points below the equator, 1 above
 _UP_DOWN_B_TILTED = {0: "down", 1: "up"}
 
@@ -634,8 +643,8 @@ def run_student_demo(cfg: ScenarioConfig) -> ScenarioResult:
         counts["tilted"] == expected2,
         f"{sorted(counts['tilted'].items())}",
     )
-    styled1 = _styled(counts["matched"], _UP_DOWN_A, _UP_DOWN_B_MATCHED)
-    styled2 = _styled(counts["tilted"], _UP_DOWN_A, _UP_DOWN_B_TILTED)
+    styled1 = _styled(counts["matched"], _UP_DOWN, _UP_DOWN)
+    styled2 = _styled(counts["tilted"], _UP_DOWN, _UP_DOWN_B_TILTED)
     _check(
         checks,
         "up/down language preserves the pattern",
@@ -652,7 +661,7 @@ def run_student_demo(cfg: ScenarioConfig) -> ScenarioResult:
         "particles_per_side": n,
     }
     # the per-case audits already passed inside the sub-runs
-    return _finalize(cfg.scenario, cfg, res2.state, checks, frames, extra=extra)
+    return _finalize(cfg, res2.state, checks, frames, extra=extra)
 
 
 # --- beam_splitter_einstein ----------------------------------------------
@@ -672,12 +681,9 @@ def run_beam_splitter_einstein(cfg: ScenarioConfig) -> ScenarioResult:
     by its own detector.  The detectors' records anticorrelate exactly:
     the excitation is never found on both sides.
     """
-    grid = cfg.make_grid(-32.0, 32.0, 512, 0.01)
-    state = new_state(grid)
-    add_system(state, "I", (0.0, 1.0), gaussian_packet(grid, -2.0, 1.5))
-    add_system(state, "II", (1.0, 0.0), gaussian_packet(grid, 2.0, 1.5))
-    add_system(state, "A", (1.0, 0.0), gaussian_packet(grid, -8.0, 1.5))
-    add_system(state, "B", (1.0, 0.0), gaussian_packet(grid, 8.0, 1.5))
+    ready = (1.0, 0.0)
+    systems = [("I", (0.0, 1.0), -2.0), ("II", ready, 2.0), ("A", ready, -8.0), ("B", ready, 8.0)]
+    state = _world(cfg, _SMALL_GRID, systems)
     meet(state, "I", "II", _splitter(), "split")
     meet(state, "I", "A", _cnot("I", "A"), "near-detector")
     meet(state, "II", "B", _cnot("II", "B"), "far-detector")
@@ -688,12 +694,7 @@ def run_beam_splitter_einstein(cfg: ScenarioConfig) -> ScenarioResult:
     table = correlation_table(state, "A", "B")
     expected = {(1, 0): 0.5, (0, 1): 0.5}
     _close(checks, "exactly one detector fires, even odds", table, expected)
-    _check(
-        checks,
-        "no double-count branch exists",
-        all(k in expected for k in table),
-        f"keys {sorted(table)}",
-    )
+    _only_keys(checks, "no double-count branch exists", table, expected)
     modes = correlation_table(state, "I", "II")
     _close(checks, "the excitation sits in exactly one mode", modes, {(1, 0): 0.5, (0, 1): 0.5})
 
@@ -705,9 +706,7 @@ def run_beam_splitter_einstein(cfg: ScenarioConfig) -> ScenarioResult:
     _rest_audits(state, checks)
 
     _frame(state, frames)
-    return _finalize(
-        cfg.scenario, cfg, state, checks, frames, [("A", "B"), ("I", "II")], outcomes=table
-    )
+    return _finalize(cfg, state, checks, frames, [("A", "B"), ("I", "II")], outcomes=table)
 
 
 # --- stern_gerlach -------------------------------------------------------
@@ -720,12 +719,10 @@ def run_stern_gerlach(cfg: ScenarioConfig) -> ScenarioResult:
     then each spin branch gets an opposite momentum kick and the
     packets fly apart, one path per index, weights preserved.
     """
-    grid = cfg.make_grid(-32.0, 32.0, 1024, 0.01)
     a, b = cfg.pair(1, 0.6, 0.8)
-    state = new_state(grid)
-    add_system(state, "s", (a, b), gaussian_packet(grid, 0.0, 1.5))
-    add_system(state, "I", (0.0, 1.0), gaussian_packet(grid, 0.0, 1.5))
-    add_system(state, "II", (1.0, 0.0), gaussian_packet(grid, 0.0, 1.5))
+    systems = [("s", (a, b), 0.0), ("I", (0.0, 1.0), 0.0), ("II", (1.0, 0.0), 0.0)]
+    state = _world(cfg, (-32.0, 32.0, 1024, 0.01), systems)
+    grid = state.grid
     frames: list = []
     _frame(state, frames)
     meet(state, "s", "I", _cnot("s", "I"), "fork-path-up")
@@ -737,16 +734,7 @@ def run_stern_gerlach(cfg: ScenarioConfig) -> ScenarioResult:
         sign = 1.0 if p.index.own == 0 else -1.0
         p.field = p.field * np.exp(1j * sign * kick * grid.x)
 
-    steps = 150
-    stride = cfg.snapshot_every if cfg.snapshot_every > 0 else steps
-    done = 0
-    while done < steps:
-        advance(state, min(stride, steps - done))
-        done += min(stride, steps - done)
-        if cfg.snapshot_every > 0:
-            _frame(state, frames)
-    if cfg.snapshot_every == 0:
-        _frame(state, frames)
+    _evolve(state, cfg, frames, 150)
 
     checks: list = []
     aa, bb = abs(a) ** 2, abs(b) ** 2
@@ -773,20 +761,15 @@ def run_stern_gerlach(cfg: ScenarioConfig) -> ScenarioResult:
     _rest_audits(state, checks)
 
     extra = {"branch_centroids": {str(k): v for k, v in sorted(centroids.items())}}
-    return _finalize(
-        cfg.scenario, cfg, state, checks, frames, [("s", "I"), ("s", "II")], extra, weights
-    )
+    return _finalize(cfg, state, checks, frames, [("s", "I"), ("s", "II")], extra, weights)
 
 
 # --- weak_entanglement ---------------------------------------------------
 
 
 def _weak_state(cfg: ScenarioConfig, a, b, eps: float) -> ScenarioState:
-    grid = cfg.make_grid(-32.0, 32.0, 512, 0.01)
-    state = new_state(grid)
-    add_system(state, "c", (1.0, 0.0), gaussian_packet(grid, -4.0, 1.5))
-    add_system(state, "t", (1.0, 0.0), gaussian_packet(grid, 0.0, 1.5))
-    add_system(state, "e", (1.0, 0.0), gaussian_packet(grid, 4.0, 1.5))
+    ready = (1.0, 0.0)
+    state = _world(cfg, _SMALL_GRID, [("c", ready, -4.0), ("t", ready, 0.0), ("e", ready, 4.0)])
     col0 = [a, b * math.cos(eps), 0.0, b * math.sin(eps)]
     meet(state, "c", "t", _unitary_with_first_column(col0, ("c", "t")), "weak-coupling")
     meet(state, "c", "e", _cnot("c", "e"), "amplify")
@@ -845,9 +828,7 @@ def run_weak_entanglement(cfg: ScenarioConfig) -> ScenarioResult:
         "slope": slope,
         "epsilon": cfg.epsilon,
     }
-    return _finalize(
-        cfg.scenario, cfg, state, checks, frames, [("c", "e")], extra, control
-    )
+    return _finalize(cfg, state, checks, frames, [("c", "e")], extra, control)
 
 
 # --- tunneling -----------------------------------------------------------
@@ -876,11 +857,10 @@ def run_tunneling(cfg: ScenarioConfig) -> ScenarioResult:
     rate averaged over the packet's spectrum, and the fluid
     trajectories seeded across the packet must never cross.
     """
-    grid = cfg.make_grid(-64.0, 64.0, 2048, 0.01)
     k0, sigma, x0 = 2.0, 2.0, -15.0
     v0, width = 2.0, 1.0
-    state = new_state(grid)
-    add_system(state, "1", (1.0, 0.0), gaussian_packet(grid, x0, sigma, k0))
+    state = _world(cfg, (-64.0, 64.0, 2048, 0.01), [("1", (1.0, 0.0), x0, k0)], sigma)
+    grid = state.grid
     barrier = np.where((grid.x >= 0.0) & (grid.x < width), v0, 0.0)
     set_potential(state, "1", barrier)
     packet = state.wavefields["1"].packets[0]
@@ -888,24 +868,16 @@ def run_tunneling(cfg: ScenarioConfig) -> ScenarioResult:
 
     frames: list = []
     _frame(state, frames)
-    frame_stride = 5
-    steps = 1400
     times = [0.0]
     fields = [initial.copy()]
-    done = 0
-    while done < steps:
-        # stop at the next streamline sample or snapshot, whichever is first
-        nxt = (done // frame_stride + 1) * frame_stride
-        if cfg.snapshot_every > 0:
-            nxt = min(nxt, (done // cfg.snapshot_every + 1) * cfg.snapshot_every)
-        advance(state, nxt - done)
-        done = nxt
-        if done % frame_stride == 0:
+
+    def sample() -> None:
+        # the streamlines are integrated from a field sampled every 5 steps
+        if state.step_count % 5 == 0:
             times.append(state.time)
             fields.append(packet.field.copy())
-        if cfg.snapshot_every > 0 and done % cfg.snapshot_every == 0 and done < steps:
-            _frame(state, frames)
-    _frame(state, frames)
+
+    _evolve(state, cfg, frames, 1400, each=sample)
 
     checks: list = []
     _resolution_check(grid, k0, checks)
@@ -949,7 +921,7 @@ def run_tunneling(cfg: ScenarioConfig) -> ScenarioResult:
         "packet": {"k0": k0, "sigma": sigma, "x0": x0},
     }
     outcomes = {"transmitted": transmitted, "reflected": 1.0 - transmitted}
-    return _finalize(cfg.scenario, cfg, state, checks, frames, extra=extra, outcomes=outcomes)
+    return _finalize(cfg, state, checks, frames, extra=extra, outcomes=outcomes)
 
 
 # --- registry ------------------------------------------------------------

@@ -91,6 +91,12 @@ def norm_squared(psi: np.ndarray, grid: Grid) -> float:
     return float(np.sum(np.abs(psi) ** 2) * grid.dx)
 
 
+def cumulative_mass(rho: np.ndarray, grid: Grid) -> np.ndarray:
+    """Trapezoid cumulative mass of a density at each grid point, starting at 0."""
+    inner = 0.5 * (rho[:-1] + rho[1:]) * grid.dx
+    return np.concatenate([[0.0], np.cumsum(inner)])
+
+
 def gaussian_packet(grid: Grid, x0: float, sigma: float, k0: float = 0.0) -> np.ndarray:
     """Unit-norm Gaussian with center x0, width sigma and momentum kick k0."""
     psi = (2.0 * math.pi * sigma**2) ** -0.25 * np.exp(

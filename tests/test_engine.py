@@ -429,6 +429,28 @@ def test_meet_on_a_shared_ledger_does_not_relinearize(monkeypatch):
         assert validate_against_memory(state, s, atol=1e-8) < 1e-8
 
 
+def test_meet_orders_the_partners_records_without_linearize(monkeypatch):
+    # system 1 lacks the two records its partner 2 made with 3 and alone
+    from wavefields import memory
+
+    state, grid = small_state()
+    for i, s in enumerate(("1", "2", "3")):
+        add_system(state, s, [0.6, 0.8j], gaussian_packet(grid, -8.0 + 8.0 * i, 1.0))
+    meet(state, "2", "3", Operator(CNOT.matrix, (2, 2), ("2", "3")), "pair")
+    meet(state, "2", None, Operator(np.diag([1.0, 1.0j]), (2,), ("2",)), "phase")
+    assert len(state.wavefields["1"].memory.ops) == 0
+
+    calls = []
+    real = memory.linearize
+    monkeypatch.setattr(memory, "linearize", lambda mem: calls.append(mem) or real(mem))
+    meet(state, "1", "2", CZ, "join")
+    assert calls == []
+    monkeypatch.undo()
+    assert list(state.wavefields["1"].memory.ops) == ["pair", "phase", "join"]
+    for s in ("1", "2", "3"):
+        assert validate_against_memory(state, s, atol=1e-8) < 1e-8
+
+
 def test_meet_builds_only_occupied_columns_and_nonzero_rows(monkeypatch):
     # a GHZ chain occupies two of the 2^N in-labels at every link
     built = []

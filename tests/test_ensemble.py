@@ -182,18 +182,6 @@ def test_ensemble_statistics_deterministic_outcome():
     assert stats == {(1,): 1.0}
 
 
-def test_ensemble_statistics_accepts_builder():
-    called = []
-
-    def build():
-        called.append(1)
-        return {0: 0.25, 1: 0.75}
-
-    stats = ensemble_statistics(build, 50_000, 2)
-    assert called == [1]
-    assert abs(stats[0] - 0.25) < 0.007
-
-
 def test_statistics_report_shape_and_z():
     report = statistics_report("demo", {(0, 1): 0.5, (1, 0): 0.5}, 10_000, 1)
     assert report["scenario"] == "demo"

@@ -15,6 +15,7 @@ from wavefields.scenarios import (
     list_scenarios,
     run_scenario,
 )
+from wavefields.serialize import dumps
 from wavefields.spatial import Grid, gaussian_packet
 
 ALL_NAMES = [
@@ -105,7 +106,7 @@ def test_snapshot_cadence_adds_frames():
     t_base = sorted({block[0] for block in base.frames})
     t_dense = sorted({block[0] for block in dense.frames})
     assert len(t_base) == 2
-    assert len(t_dense) > 2
+    assert len(t_dense) == 5  # 0, 128, 256, 384 and the completion at 407
     # no duplicated frames: each (time, label) block appears once and
     # covers every grid point once
     seen = {}
@@ -114,6 +115,28 @@ def test_snapshot_cadence_adds_frames():
         assert key not in seen
         seen[key] = True
         assert len(x) == len(set(x.tolist())) == len(field) == dense.state.grid.n
+
+
+@pytest.mark.parametrize("name", ["two_spin_crossing", "von_neumann"])
+def test_crossing_ends_when_its_boundary_completes_at_any_cadence(name):
+    base = run_scenario(ScenarioConfig(scenario=name))
+    assert base.summary["steps"] == 407
+    frame_times = {}
+    for every in (7, 8, 32):
+        res = run_scenario(ScenarioConfig(scenario=name, snapshot_every=every))
+        assert dumps(res.summary) == dumps(base.summary)
+        times = {block[0] for block in res.frames}
+        assert max(times) == res.summary["time"]
+        frame_times[every] = len(times)
+    # the first frame, one every K steps while the boundary moves, the last
+    assert frame_times == {7: 60, 8: 52, 32: 14}
+
+
+@pytest.mark.parametrize("every", [4, 7, 150])
+def test_stern_gerlach_frames_every_k_of_150_steps(every):
+    res = run_scenario(ScenarioConfig(scenario="stern_gerlach", snapshot_every=every))
+    assert res.summary["steps"] == 150
+    assert len({block[0] for block in res.frames}) == 1 + math.ceil(150 / every)
 
 
 def test_tunneling_snapshot_cadence_is_not_tied_to_the_sampling_stride():
@@ -162,7 +185,7 @@ def test_check_failure_carries_the_result():
     _check(checks, "always fails", False, "forced")
     cfg = ScenarioConfig(scenario="tunneling")
     with pytest.raises(CheckFailure) as err:
-        _finalize("tunneling", cfg, state, checks, [])
+        _finalize(cfg, state, checks, [])
     assert err.value.result.summary["passed"] is False
     assert "always fails" in str(err.value)
 
