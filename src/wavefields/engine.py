@@ -11,8 +11,10 @@ place) or run as a crossing: the two fluids pass through a moving
 boundary whose transfer matrices re-index the crossed fluid.  A
 crossing in flight is the systems' freely evolving branch rows plus the
 boundary position; ``branches`` cuts the rows into their pre- and
-post-interaction parts when asked.  Everything a system knows travels
-with it; a meet touches only the two participants.
+post-interaction parts when asked.  A step advances each system's rows
+as one stack, and for a system in a crossing returns their derivative
+too, from which the boundary law takes its current.  Everything a
+system knows travels with it; a meet touches only the two participants.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import boundary as boundary_mod
 from . import memory as memory_mod
 from .hilbert import COEFFICIENT_THRESHOLD, Operator
 from .memory import ExternalMemory, IndexLabel, InternalMemory
-from .spatial import Grid, Propagator, cumulative_mass, current
+from .spatial import Grid, Propagator, cumulative_mass, current, norm_squared
 
 NORM_AUDIT_TOL = 1e-8
 COMPLETION_THRESHOLD = 1e-10
@@ -53,7 +55,7 @@ class Packet:
     region: str | None = None
 
     def mass(self, grid: Grid) -> float:
-        return float(np.sum(np.abs(self.field) ** 2) * grid.dx)
+        return norm_squared(self.field, grid)
 
     def fluid_norm(self, grid: Grid) -> float:
         return float(np.sqrt(self.mass(grid)))
@@ -110,7 +112,7 @@ def add_system(state: ScenarioState, system: str, amplitudes, shape) -> WaveFiel
     if system in state.wavefields:
         raise ValueError(f"system {system!r} already exists")
     shape = np.asarray(shape, dtype=np.complex128)
-    mass = float(np.sum(np.abs(shape) ** 2) * state.grid.dx)
+    mass = norm_squared(shape, state.grid)
     if abs(mass - 1.0) > 1e-6:
         raise ValueError(f"packet shape has squared norm {mass!r}, expected 1")
     amps = np.asarray(amplitudes, dtype=np.complex128)
@@ -153,13 +155,9 @@ def _centroid(wf: WaveField, grid: Grid) -> float:
 
 
 def aggregate_density(wf: WaveField) -> np.ndarray:
-    rho = None
-    for p in wf.packets:
-        d = np.abs(p.field) ** 2
-        rho = d if rho is None else rho + d
-    if rho is None:
+    if not wf.packets:
         raise ValueError(f"system {wf.system!r} has no packets")
-    return rho
+    return np.sum([np.abs(p.field) ** 2 for p in wf.packets], axis=0)
 
 
 def total_mass(state: ScenarioState, system: str) -> float:
@@ -187,7 +185,7 @@ def _expand_instant(wf: WaveField, transfer: boundary_mod.TransferMatrix, state:
     out = []
     for row, label in enumerate(transfer.out_labels):
         c = complex(coeff_out[row])
-        mass = float(np.sum(np.abs(raw_out[row]) ** 2) * state.grid.dx)
+        mass = norm_squared(raw_out[row], state.grid)
         if abs(c) <= COEFFICIENT_THRESHOLD and mass <= DARK_MASS_THRESHOLD:
             continue
         out.append(Packet(label, c, raw_out[row]))
@@ -286,21 +284,17 @@ def meet(
     return _open_crossing(state, fields[0], fields[1], unitary, op_id, *transfers)
 
 
-def _step_link(state: ScenarioState, link: boundary_mod.BoundaryLink) -> None:
+def _step_link(state: ScenarioState, link: boundary_mod.BoundaryLink, currents) -> None:
     grid = state.grid
     left = state.wavefields[link.left_system]
     right = state.wavefields[link.right_system]
-    # The stored packets are whole branches, each one coherent wave, so
-    # the boundary law reads density and current straight from them.
+    # The stored packets are whole branches, each one coherent wave, so the
+    # boundary law reads the density from them and the current their step gave.
     rho_left = aggregate_density(left)
     rho_right = aggregate_density(right)
+    j_left, j_right = currents[link.left_system], currents[link.right_system]
     link.x12 = boundary_mod.step_boundary_fields(
-        link.x12,
-        rho_left,
-        sum(current(p.field, grid) for p in left.packets),
-        rho_right,
-        sum(current(p.field, grid) for p in right.packets),
-        grid,
+        link.x12, rho_left, j_left, rho_right, j_right, grid
     )
     _record_crossed(link, rho_left, rho_right, grid, state.time + grid.dt)
 
@@ -349,12 +343,18 @@ def advance(state: ScenarioState, steps: int = 1) -> ScenarioState:
     """Run the world forward, evolving packets and moving boundaries."""
     grid = state.grid
     for _ in range(steps):
+        currents = {}  # summed over rows, for the systems in a crossing
         for wf in state.wavefields.values():
-            prop = state.propagator(wf.system)
-            for p in wf.packets:
-                p.field = prop.step(p.field)
+            rows = np.array([p.field for p in wf.packets])
+            if _active_link(state, wf.system) is None:
+                rows = state.propagator(wf.system).step(rows)
+            else:
+                rows, drows = state.propagator(wf.system).step(rows, derivative=True)
+                currents[wf.system] = current(rows, grid, drows).sum(axis=0)
+            for p, row in zip(wf.packets, rows):
+                p.field = row
         for link in state.active_links():
-            _step_link(state, link)
+            _step_link(state, link, currents)
         state.time += grid.dt
         state.step_count += 1
         for sys_id in state.wavefields:

@@ -3,9 +3,11 @@
 Wavefunctions live on a periodic, power-of-two grid and are stored as
 plain complex ndarrays.  Propagation is the split-step spectral method
 in kinetic-potential-kinetic order, which is exactly norm-preserving up
-to FFT roundoff.  The fluid quantities (density, current, velocity,
-streamlines) are what the rest of the package moves around at
-interaction boundaries.
+to FFT roundoff.  It transforms along the last axis, so a stack of rows
+steps as one array with the bits of each row stepped alone, and a step
+can return the x-derivative of its result from its own last spectrum.
+The fluid quantities (density, current, velocity, streamlines) are what
+the rest of the package moves around at interaction boundaries.
 """
 
 from __future__ import annotations
@@ -73,12 +75,21 @@ class Propagator:
         self._half_kinetic = np.exp(half)
         self._potential_phase = np.exp(-1j * v * grid.dt / grid.hbar)
 
-    def step(self, psi: np.ndarray, steps: int = 1) -> np.ndarray:
+    def step(self, psi: np.ndarray, steps: int = 1, derivative: bool = False):
+        """Advance one row or a ``(rows, n)`` stack by ``steps`` steps.
+
+        With ``derivative`` it returns ``(psi, dpsi/dx)``, IFFT(S) and
+        IFFT(ik S) of the last spectrum S in one inverse transform.
+        """
+        if derivative and steps < 1:
+            raise ValueError("a derivative needs at least one step")
         out = np.asarray(psi, dtype=np.complex128)
-        for _ in range(steps):
+        for n in range(steps):
             out = np.fft.ifft(self._half_kinetic * np.fft.fft(out))
-            out = out * self._potential_phase
-            out = np.fft.ifft(self._half_kinetic * np.fft.fft(out))
+            spectrum = self._half_kinetic * np.fft.fft(out * self._potential_phase)
+            if derivative and n == steps - 1:
+                return tuple(np.fft.ifft(np.stack([spectrum, 1j * self.grid.k * spectrum])))
+            out = np.fft.ifft(spectrum)
         return out
 
 
@@ -105,9 +116,10 @@ def gaussian_packet(grid: Grid, x0: float, sigma: float, k0: float = 0.0) -> np.
     return psi / math.sqrt(norm_squared(psi, grid))
 
 
-def current(psi: np.ndarray, grid: Grid) -> np.ndarray:
-    """Probability current (hbar/m) Im(psi* dpsi/dx), spectral derivative."""
-    dpsi = np.fft.ifft(1j * grid.k * np.fft.fft(psi))
+def current(psi: np.ndarray, grid: Grid, dpsi: np.ndarray | None = None) -> np.ndarray:
+    """Current (hbar/m) Im(psi* dpsi) of each row; dpsi is spectral d/dx if not given."""
+    if dpsi is None:
+        dpsi = np.fft.ifft(1j * grid.k * np.fft.fft(psi))
     return grid.hbar / grid.mass * np.imag(np.conj(psi) * dpsi)
 
 
@@ -194,5 +206,5 @@ def streamlines(
     """Fluid trajectories of one wavefunction's stored evolution."""
     fields = np.asarray(fields, dtype=np.complex128)
     densities = np.abs(fields) ** 2
-    currents = np.stack([current(f, grid) for f in fields])
+    currents = current(fields, grid)
     return streamlines_from_fields(times, densities, currents, seeds, grid, label)

@@ -22,7 +22,7 @@ from wavefields.engine import (
 )
 from wavefields.hilbert import Operator
 from wavefields.memory import IndexLabel
-from wavefields.spatial import Grid, gaussian_packet
+from wavefields.spatial import Grid, current, gaussian_packet
 
 CZ = Operator(np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex), (2, 2), ("1", "2"))
 CNOT = Operator(
@@ -344,6 +344,38 @@ def test_advance_audit_catches_corruption():
     add_system(state, "1", [0.6, 0.8], gaussian_packet(grid, 0.0, 2.0))
     state.wavefields["1"].packets[0].field *= 2.0
     with pytest.raises(RuntimeError):
+        advance(state)
+
+
+def test_boundary_current_is_the_sum_of_row_currents(monkeypatch):
+    # The engine takes the current from the step's own spectrum; at every
+    # step it must be the current of the rows the step left behind.
+    state, grid = crossing_state()
+    link = meet(state, "1", "2", CNOT, "cnot", mode="crossing")
+    law = boundary.step_boundary_fields
+    fed = []
+
+    def spy(x12, rho_left, j_left, rho_right, j_right, grid):
+        for sys_id, j in (("1", j_left), ("2", j_right)):
+            want = sum(current(p.field, grid) for p in state.wavefields[sys_id].packets)
+            fed.append(np.abs(j - want).max() / np.abs(want).max())
+        return law(x12, rho_left, j_left, rho_right, j_right, grid)
+
+    monkeypatch.setattr(boundary, "step_boundary_fields", spy)
+    while link.active and state.step_count < 2000:
+        advance(state, 1)
+    assert not link.active
+    assert len(fed) == 2 * state.step_count
+    assert max(fed) <= 1e-12
+
+
+def test_audit_catches_corruption_right_after_a_crossing_step():
+    state, grid = crossing_state()
+    link = meet(state, "1", "2", CNOT, "cnot", mode="crossing")
+    advance(state, 1)
+    assert link.active
+    state.wavefields["2"].packets[0].field *= 2.0
+    with pytest.raises(RuntimeError, match=r"norm audit failed for '2' at step 2"):
         advance(state)
 
 

@@ -208,3 +208,54 @@ def test_streamlines_need_two_samples():
     grid = Grid(-30.0, 30.0, 512, 2e-3)
     with pytest.raises(ValueError):
         streamlines(np.array([0.0]), np.zeros((1, grid.n)), [0.0], grid)
+
+
+# ---------------------------------------------------------------------------
+# Stacked rows: a (rows, n) array steps row for row like its rows alone.
+
+
+def _rows(grid, r, seed):
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-8.0, 8.0, r)
+    kicks = rng.uniform(-2.0, 2.0, r)
+    amps = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+    return np.array(
+        [a * gaussian_packet(grid, c, 1.5, k) for a, c, k in zip(amps, centers, kicks)]
+    )
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+@pytest.mark.parametrize("r", [1, 2, 4])
+@pytest.mark.parametrize("with_potential", [False, True])
+@pytest.mark.parametrize("steps", [1, 3])
+def test_stacked_step_equals_row_steps_bit_for_bit(n, r, with_potential, steps):
+    grid = Grid(-40.0, 40.0, n, 5e-3)
+    prop = Propagator(grid, 0.02 * grid.x**2 if with_potential else None)
+    rows = _rows(grid, r, seed=n + r)
+    stacked = prop.step(rows, steps)
+    assert stacked.shape == rows.shape
+    for row, got in zip(rows, stacked):
+        assert np.array_equal(got, prop.step(row, steps))
+
+
+@pytest.mark.parametrize("r", [1, 2, 4])
+@pytest.mark.parametrize("steps", [1, 3])
+def test_step_derivative_comes_from_the_same_spectrum(r, steps):
+    grid = Grid(-40.0, 40.0, 512, 5e-3)
+    prop = Propagator(grid, 0.02 * grid.x**2)
+    rows = _rows(grid, r, seed=r)
+    psi, dpsi = prop.step(rows, steps, derivative=True)
+    # the rows are the plain step's bits; the derivative is spectral
+    assert np.array_equal(psi, prop.step(rows, steps))
+    spectral = np.fft.ifft(1j * grid.k * np.fft.fft(psi))
+    assert np.abs(dpsi - spectral).max() <= 1e-12 * np.abs(spectral).max()
+    j = current(psi, grid)
+    assert np.abs(current(psi, grid, dpsi) - j).max() <= 1e-12 * np.abs(j).max()
+    with pytest.raises(ValueError):
+        prop.step(rows, 0, derivative=True)
+
+
+def test_current_of_a_stack_equals_row_currents():
+    grid = Grid(-40.0, 40.0, 512, 5e-3)
+    rows = _rows(grid, 4, seed=11)
+    assert np.array_equal(current(rows, grid), np.stack([current(f, grid) for f in rows]))
