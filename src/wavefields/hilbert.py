@@ -99,10 +99,8 @@ class Operator:
             )
 
     def is_unitary(self, tol: float = 1e-12) -> bool:
-        d = self.matrix.shape[0]
-        return bool(
-            np.allclose(self.matrix.conj().T @ self.matrix, np.eye(d), atol=tol)
-        )
+        gram = self.matrix.conj().T @ self.matrix
+        return bool(np.abs(gram - np.eye(self.matrix.shape[0])).max(initial=0.0) <= tol)
 
     def dagger(self) -> "Operator":
         return Operator(self.matrix.conj().T, self.dims, self.labels)

@@ -10,6 +10,9 @@ commute.  Memories only ever grow; synchronization is a union.
 An in-memory ledger keeps its records in causal insertion order, and
 construction refuses a parent listed after its child, so meets never
 re-sort it; ``linearize`` stays the canonical order (JSON, derived state).
+Construction checks the whole ledger; ``synchronize`` and
+``record_interaction`` check only what they add to a valid one (known
+participants, parents present, self-labeled initial states).
 
 Memories are treated as immutable: every operation returns a new one
 and never mutates its inputs.
@@ -69,23 +72,33 @@ class InternalMemory:
 
     def __post_init__(self):
         for sys_id, ket in self.initial_states.items():
-            if ket.labels != (sys_id,):
-                raise ValueError(
-                    f"initial state for {sys_id!r} is labeled {ket.labels}"
-                )
+            _check_state(sys_id, ket)
         seen: set[str] = set()
         for op in self.ops.values():
-            for p in op.participants:
-                if p not in self.initial_states:
-                    raise ValueError(
-                        f"op {op.op_id!r} references unknown system {p!r}"
-                    )
-            if not op.parents <= seen:  # an unknown parent, or a late one as in a cycle
-                late = sorted(op.parents - seen)
-                raise ValueError(
-                    f"op {op.op_id!r} lists parents {late} that do not come before it"
-                )
+            _check_record(op, self.initial_states, seen)
             seen.add(op.op_id)
+
+
+def _check_state(sys_id: SystemId, ket: Ket) -> None:
+    if ket.labels != (sys_id,):
+        raise ValueError(f"initial state for {sys_id!r} is labeled {ket.labels}")
+
+
+def _check_record(op: InteractionOp, states, present) -> None:
+    """Refuse a record on an unknown system or with a parent not yet present."""
+    for p in op.participants:
+        if p not in states:
+            raise ValueError(f"op {op.op_id!r} references unknown system {p!r}")
+    late = sorted(p for p in op.parents if p not in present)
+    if late:  # an unknown parent, or a late one as in a cycle
+        raise ValueError(f"op {op.op_id!r} lists parents {late} that do not come before it")
+
+
+def _appended(states: dict[SystemId, Ket], ops: dict[str, InteractionOp]) -> InternalMemory:
+    """A memory whose added entries the caller checked: no full pass."""
+    mem = object.__new__(InternalMemory)
+    mem.initial_states, mem.ops = states, ops
+    return mem
 
 
 @dataclass(frozen=True)
@@ -177,17 +190,19 @@ def derive_state(mem: InternalMemory) -> Ket:
 
 
 def synchronize(a: InternalMemory, b: InternalMemory) -> InternalMemory:
-    """Union of two memories; entries sharing an id must be identical."""
+    """Union of two memories; entries sharing an id must be identical.
+
+    ``a``'s records come first, then ``b``'s others in ``b``'s order: the
+    union of two causal orders, so only the entries added to ``a`` are checked.
+    """
     states = dict(a.initial_states)
     for sys_id, ket in b.initial_states.items():
         if sys_id in states:
-            if states[sys_id].dims != ket.dims or not np.array_equal(
-                states[sys_id].amplitudes, ket.amplitudes
-            ):
-                raise ValueError(
-                    f"conflicting initial states recorded for system {sys_id!r}"
-                )
+            known = states[sys_id]
+            if known.dims != ket.dims or not np.array_equal(known.amplitudes, ket.amplitudes):
+                raise ValueError(f"conflicting initial states recorded for system {sys_id!r}")
         else:
+            _check_state(sys_id, ket)
             states[sys_id] = ket
     ops = dict(a.ops)
     for op_id, op in b.ops.items():
@@ -195,8 +210,9 @@ def synchronize(a: InternalMemory, b: InternalMemory) -> InternalMemory:
             if ops[op_id] is not op and not ops[op_id].same_record(op):
                 raise ValueError(f"conflicting records under op id {op_id!r}")
         else:
+            _check_record(op, states, ops)
             ops[op_id] = op
-    return InternalMemory(states, ops)
+    return _appended(states, ops)
 
 
 def record_interaction(
@@ -216,16 +232,10 @@ def record_interaction(
     participants = tuple(unitary.labels)
     if op_id in merged.ops:
         raise ValueError(f"op id {op_id!r} already recorded")
-    for p in participants:
-        if p not in merged.initial_states:
-            raise ValueError(f"participant {p!r} unknown to the merged memory")
-    parents = frozenset(
-        tip for tip in (_tip(merged, p) for p in participants) if tip is not None
-    )
+    parents = frozenset(t for t in (_tip(merged, p) for p in participants) if t is not None)
     op = InteractionOp(op_id, unitary, participants, parents)
-    ops = dict(merged.ops)
-    ops[op_id] = op
-    return InternalMemory(dict(merged.initial_states), ops)
+    _check_record(op, merged.initial_states, merged.ops)
+    return _appended(dict(merged.initial_states), {**merged.ops, op_id: op})
 
 
 def _rotate_bases(state: Ket, bases: dict[SystemId, Operator] | None) -> Ket:

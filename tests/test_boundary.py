@@ -253,6 +253,19 @@ def test_transfer_matrix_validates_labels_and_isometry():
         TransferMatrix("1", 0.5 * good, labels2, labels4)
 
 
+def test_isometry_check_has_no_relative_slack():
+    # a column of squared norm 1 + 4e-6 is off by 4e-6, far above 1e-12
+    labels2 = [IndexLabel(0, ()), IndexLabel(1, ())]
+    labels4 = [IndexLabel(i % 2, (("2", i // 2),)) for i in range(4)]
+    t = np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex)
+    assert is_isometry(t)
+    t[0, 0] = np.sqrt(1.0 + 4e-6)
+    assert not is_isometry(t)
+    assert is_isometry(t, tol=1e-5)
+    with pytest.raises(ValueError, match="not an isometry"):
+        TransferMatrix("1", t, labels2, labels4)
+
+
 # ---------------------------------------------------------------------------
 # Boundary location.
 

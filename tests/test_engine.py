@@ -502,6 +502,40 @@ def test_meet_builds_only_occupied_columns_and_nonzero_rows(monkeypatch):
         assert validate_against_memory(state, s, atol=1e-12) < 1e-12
 
 
+@pytest.mark.parametrize("rotated", [False, True])
+def test_meets_build_no_state_through_the_oracle(monkeypatch, rotated):
+    # the hilbert route is the oracle: meets must not lean on it
+    from wavefields import hilbert
+
+    rng = np.random.default_rng(47)
+    state, grid = small_state()
+    names = [str(i) for i in range(4)]
+    if rotated:
+        for s in ("0", "3"):
+            state.index_bases[s] = Operator(random_unitary(rng, 2), (2,), (s,))
+    for i, s in enumerate(names):
+        amps = random_amps(rng) if i in (0, 3) else [1.0, 0.0]
+        add_system(state, s, amps, gaussian_packet(grid, -12.0 + 8.0 * i, 1.0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a meet called the hilbert oracle")
+
+    with monkeypatch.context() as patched:
+        for name in ("apply", "tensor", "basis_ket", "permute_systems"):
+            patched.setattr(hilbert, name, refuse)
+        for a, b in zip(names, names[1:]):
+            meet(state, a, b, Operator(CNOT.matrix, (2, 2), (a, b)), f"cnot-{a}{b}")
+        for k in range(20):
+            if k % 2:
+                meet(state, "0", "3", Operator(CZ.matrix, (2, 2), ("0", "3")), f"cz-{k}")
+            else:
+                s = ("0", "3")[k // 2 % 2]
+                phase = np.diag([1.0, np.exp(1j * rng.uniform(0, 2 * np.pi))])
+                meet(state, s, None, Operator(phase, (2,), (s,)), f"phase-{k}")
+    for s in names:
+        assert validate_against_memory(state, s, atol=1e-10) < 1e-10
+
+
 def test_mid_crossing_branches_hold_no_empty_rows():
     state, grid = crossing_state(amps_right=(1.0, 0.0))
     meet(state, "1", "2", CNOT, "readout", mode="crossing")

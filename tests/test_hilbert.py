@@ -253,6 +253,14 @@ def test_born_rejects_non_unitary_basis():
         born_probabilities(singlet(), "1", bad)
 
 
+def test_is_unitary_has_no_relative_slack():
+    # numpy's default rtol=1e-5 would pass an error of 4e-6 at tol 1e-12
+    stretched = Operator(np.diag([math.sqrt(1.0 + 4e-6), 1.0]), (2,), ("1",))
+    assert not stretched.is_unitary(1e-12)
+    assert stretched.is_unitary(1e-5)
+    assert Operator(CNOT, (2, 2), ("1", "2")).is_unitary(1e-12)
+
+
 def test_born_matches_reduced_density_diagonal():
     rng = np.random.default_rng(37)
     for _ in range(20):

@@ -8,10 +8,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavefields import hilbert
+from wavefields import boundary, hilbert, memory
 from wavefields.boundary import transfer_matrices_synced
 from wavefields.hilbert import Operator
-from wavefields.memory import derive_state, fresh_memory, record_interaction, synchronize
+from wavefields.memory import (
+    IndexLabel,
+    InternalMemory,
+    derive_state,
+    fresh_memory,
+    record_interaction,
+    synchronize,
+)
 
 
 def random_unitary(rng, d):
@@ -109,3 +116,101 @@ def test_derive_state_is_the_same_along_every_linearization(ledger):
             got = _state_along(mem, order).amplitudes
             assert np.abs(got - expected).max() <= 1e-12
     assert seen >= 1
+
+
+def reference_transfer(own, merged, unitary, system, index_bases=None, occupied=None):
+    """Transfer built one column at a time through the ``hilbert`` route.
+
+    Each needed in-branch becomes a basis ket, is tensored with the
+    initial states of newly met systems, takes every record ``own``
+    lacks and then ``unitary`` by ``hilbert.apply``, and is permuted to
+    the merged system order.  Returns (matrix, in_labels, out_labels).
+    """
+    pre_order = memory.systems(own)
+    post_order = memory.systems(merged)
+    pre_dims = [own.initial_states[s].dims[0] for s in pre_order]
+    post_dims = [merged.initial_states[s].dims[0] for s in post_order]
+    missing = [op_id for op_id in merged.ops if op_id not in own.ops]
+    n_in, n_out = math.prod(pre_dims), math.prod(post_dims)
+    if occupied is None:
+        cols = list(range(n_in))
+    else:
+        cols = sorted({boundary._flat_index(lb, system, pre_order, pre_dims) for lb in occupied})
+    needed = cols
+    if index_bases:
+        r_in = boundary._basis_rotation(pre_order, pre_dims, index_bases)
+        r_out = boundary._basis_rotation(post_order, post_dims, index_bases)
+        needed = np.flatnonzero(r_in[:, cols].any(axis=1))
+    t = np.zeros((n_out, n_in), dtype=np.complex128)
+    for col in needed:
+        ket = None
+        for sys_id, i in zip(pre_order, np.unravel_index(col, pre_dims)):
+            factor = hilbert.basis_ket(sys_id, int(i), own.initial_states[sys_id].dims[0])
+            ket = factor if ket is None else hilbert.tensor(ket, factor)
+        for sys_id in post_order:
+            if sys_id not in pre_order:
+                ket = hilbert.tensor(ket, merged.initial_states[sys_id])
+        for op_id in missing:
+            op = merged.ops[op_id]
+            ket = hilbert.apply(op.unitary, ket, op.participants)
+        ket = hilbert.apply(unitary, ket)
+        t[:, col] = hilbert.permute_systems(ket, post_order).amplitudes
+    if index_bases:
+        t = r_out.conj().T @ t @ r_in
+    t = t[:, cols]
+    rows = list(range(n_out)) if occupied is None else list(np.flatnonzero(t.any(axis=1)))
+
+    def labels(order, dims, flats):
+        out = []
+        for flat in flats:
+            assignment = {s: int(i) for s, i in zip(order, np.unravel_index(flat, dims))}
+            own_index = assignment.pop(system)
+            out.append(IndexLabel(own_index, tuple(sorted(assignment.items()))))
+        return out
+
+    return t[rows], labels(pre_order, pre_dims, cols), labels(post_order, post_dims, rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ledger=ledgers(), data=st.data())
+def test_batched_transfer_is_the_column_by_column_one(ledger, data):
+    mems, dims, rng = ledger
+    names = sorted(mems)
+    acting = tuple(
+        data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+    )
+    unitary = random_op(rng, dims, acting)
+    bases = None
+    if data.draw(st.booleans()):
+        rotated = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+        bases = {s: random_op(rng, dims, (s,)) for s in rotated}
+    mem_pair = tuple(mems[s] for s in acting)
+    merged = functools.reduce(synchronize, mem_pair)
+    occupied = None
+    if data.draw(st.booleans()):
+        occupied = tuple(
+            data.draw(st.lists(
+                st.sampled_from(reference_transfer(own, merged, unitary, s, bases)[1]),
+                min_size=1,
+                unique=True,
+            ))
+            for own, s in zip(mem_pair, acting)
+        )
+    got = transfer_matrices_synced(
+        mem_pair, unitary, acting, index_bases=bases, occupied=occupied
+    )
+    for t, own, s, occ in zip(got, mem_pair, acting, occupied or (None,) * len(acting)):
+        matrix, in_labels, out_labels = reference_transfer(own, merged, unitary, s, bases, occ)
+        assert np.array_equal(t.matrix, matrix)
+        assert t.in_labels == in_labels
+        assert t.out_labels == out_labels
+
+
+@settings(max_examples=60, deadline=None)
+@given(ledger=ledgers())
+def test_full_construction_accepts_every_appended_ledger(ledger):
+    mems, _, _ = ledger
+    for mem in [*mems.values(), functools.reduce(synchronize, mems.values())]:
+        rebuilt = InternalMemory(dict(mem.initial_states), dict(mem.ops))
+        assert list(rebuilt.ops) == list(mem.ops)
+        assert rebuilt.initial_states == mem.initial_states

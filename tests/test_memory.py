@@ -207,6 +207,53 @@ def test_construction_refuses_parent_after_child(monkeypatch):
     assert calls == []
 
 
+def test_construction_refuses_unknown_participant():
+    rng = np.random.default_rng(39)
+    final, _, _ = chain_memory(rng)
+    states = {s: k for s, k in final.initial_states.items() if s != "3"}
+    with pytest.raises(ValueError, match="'v13' references unknown system '3'"):
+        InternalMemory(states, dict(final.ops))
+    doc = json.loads(memory_to_json(final))
+    del doc["initial_states"]["3"]
+    with pytest.raises(ValueError, match="unknown system '3'"):
+        memory_from_json(json.dumps(doc))
+
+
+def test_appends_do_not_recheck_the_whole_ledger(monkeypatch):
+    rng = np.random.default_rng(43)
+    final, _, _ = chain_memory(rng)
+    newcomer = fresh_memory("4", [1.0, 0.0])
+    checks = []
+    full_check = InternalMemory.__post_init__
+    monkeypatch.setattr(
+        InternalMemory, "__post_init__", lambda self: checks.append(self) or full_check(self)
+    )
+    grown = record_interaction(final, None, Operator(np.eye(2), (2,), ("1",)), "g1")
+    merged = synchronize(newcomer, grown)
+    assert checks == []
+    assert list(merged.ops) == ["u12", "v13", "w23", "g1"]
+    rebuilt = InternalMemory(dict(merged.initial_states), dict(merged.ops))
+    assert list(rebuilt.ops) == list(merged.ops)
+    assert len(checks) == 1
+
+
+def test_synchronize_checks_each_entry_it_adds():
+    # entries slipped into a ledger after construction are caught on merge
+    rng = np.random.default_rng(45)
+    final, _, _ = chain_memory(rng)
+    u = pair_op(rng, "1", "2")
+    cases = [
+        ("ops", "x", InteractionOp("x", u, ("1", "2"), frozenset({"no"})), r"parents \['no'\]"),
+        ("ops", "x", InteractionOp("x", u, ("1", "9"), frozenset()), "unknown system '9'"),
+        ("initial_states", "5", hilbert.basis_ket("6", 0), "'5' is labeled"),
+    ]
+    for where, key, entry, message in cases:
+        tampered = InternalMemory(dict(final.initial_states), dict(final.ops))
+        getattr(tampered, where)[key] = entry
+        with pytest.raises(ValueError, match=message):
+            synchronize(fresh_memory("4", [1.0, 0.0]), tampered)
+
+
 def test_external_memories_singlet():
     prep = Operator(
         np.array(
