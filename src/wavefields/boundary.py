@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import memory
-from .hilbert import Ket, Operator
+from .hilbert import _NORM_SLACK, Ket, Operator
 from .memory import IndexLabel, InternalMemory
 from .spatial import Grid, cumulative_mass, current
 
@@ -183,23 +183,30 @@ def _flat_index(label: IndexLabel, viewpoint: str, order: list[str], dims: list[
 
 
 def _basis_rotation(order, dims, bases) -> np.ndarray:
-    out = np.eye(1)
+    mats = []
     for sys_id, d in zip(order, dims):
         b = bases.get(sys_id) if bases else None
-        if b is not None and b.dims != (d,):
-            raise ValueError(f"index basis for {sys_id!r} has wrong dimension")
-        if b is not None and not b.is_unitary(tol=1e-12):
-            raise ValueError(f"index basis for {sys_id!r} is not unitary")
-        out = np.kron(out, np.eye(d) if b is None else b.matrix)
+        if b is None:
+            mats.append(np.eye(d))
+        else:
+            if b.dims != (d,):
+                raise ValueError(f"index basis for {sys_id!r} has wrong dimension")
+            if not b.is_unitary(tol=1e-12):
+                raise ValueError(f"index basis for {sys_id!r} is not unitary")
+            mats.append(b.matrix)
+    out = np.eye(1)
+    for m in mats:
+        out = np.kron(out, m)
     return out
 
 
 def _unit_rows(batch: np.ndarray) -> np.ndarray:
-    """Each row of ``batch`` over its own 1-D norm, as a Ket is normalized."""
-    out = np.empty_like(batch)
-    for j, row in enumerate(batch):
-        out[j] = row / float(np.linalg.norm(row))
-    return out
+    """Each row of ``batch`` over its own 1-D norm; a norm off 1 is refused, as by a Ket."""
+    norms = np.array([np.linalg.norm(row) for row in batch])
+    off = np.abs(norms - 1.0) > _NORM_SLACK
+    if off.any():
+        raise ValueError(f"state norm {float(norms[off][0])!r} is not 1")
+    return batch / norms[:, None]
 
 
 def _contract(batch, labels, dims, unitary: Operator, targets) -> np.ndarray:
@@ -211,14 +218,11 @@ def _contract(batch, labels, dims, unitary: Operator, targets) -> np.ndarray:
     axes = [labels.index(t) for t in targets]
     if tuple(dims[i] for i in axes) != unitary.dims:
         raise ValueError(f"operator dims {unitary.dims} do not match systems {tuple(targets)}")
-    others = [i for i in range(len(dims)) if i not in axes]
-    n, dk = len(batch), unitary.matrix.shape[0]
-    view = batch.reshape([n] + dims).transpose([0] + [1 + i for i in axes + others])
-    view = view.reshape(n, dk, batch.shape[1] // dk)
-    out = np.matmul(np.ascontiguousarray(unitary.matrix), view)
-    out = out.reshape([n] + [dims[i] for i in axes + others])
-    out = np.moveaxis(out, range(1, len(axes) + 1), [1 + i for i in axes])
-    return _unit_rows(out.reshape(batch.shape))
+    perm = [0] + [1 + i for i in axes] + [1 + i for i in range(len(dims)) if i not in axes]
+    u = np.ascontiguousarray(unitary.matrix)
+    view = batch.reshape([len(batch)] + dims).transpose(perm)
+    out = u @ view.reshape(len(batch), len(u), batch.shape[1] // len(u))
+    return _unit_rows(out.reshape(view.shape).transpose(np.argsort(perm)).reshape(batch.shape))
 
 
 def _synced_transfer(

@@ -192,8 +192,7 @@ def derive_state(mem: InternalMemory) -> Ket:
 def synchronize(a: InternalMemory, b: InternalMemory) -> InternalMemory:
     """Union of two memories; entries sharing an id must be identical.
 
-    ``a``'s records come first, then ``b``'s others in ``b``'s order: the
-    union of two causal orders, so only the entries added to ``a`` are checked.
+    Only the entries ``b`` adds to ``a`` are checked; they keep ``b``'s causal order.
     """
     states = dict(a.initial_states)
     for sys_id, ket in b.initial_states.items():

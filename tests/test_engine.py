@@ -536,6 +536,33 @@ def test_meets_build_no_state_through_the_oracle(monkeypatch, rotated):
         assert validate_against_memory(state, s, atol=1e-10) < 1e-10
 
 
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("scale", [2.0, 1.001])
+def test_meet_refuses_an_operator_that_does_not_keep_the_norm(rotated, scale):
+    # orthogonal columns of norm != 1: the meet is refused and records nothing
+    rng = np.random.default_rng(48)
+    state, grid = small_state()
+    if rotated:
+        for s in ("1", "2"):
+            state.index_bases[s] = Operator(random_unitary(rng, 2), (2,), (s,))
+    for i, s in enumerate(("1", "2")):
+        add_system(state, s, random_amps(rng), gaussian_packet(grid, -6.0 + 12.0 * i, 1.0))
+    memories = {s: wf.memory for s, wf in state.wavefields.items()}
+    fields = {s: [p.field.copy() for p in wf.packets] for s, wf in state.wavefields.items()}
+    bad = [
+        ("1", None, Operator(scale * np.eye(2), (2,), ("1",))),
+        ("1", "2", Operator(scale * CNOT.matrix, (2, 2), ("1", "2"))),
+    ]
+    for a, b, op in bad:
+        with pytest.raises(ValueError, match=r"state norm .* is not 1 at step 0"):
+            meet(state, a, b, op, "bad")
+    for s, wf in state.wavefields.items():
+        assert wf.memory is memories[s]
+        assert all(np.array_equal(p.field, f) for p, f in zip(wf.packets, fields[s]))
+    meet(state, "1", "2", CNOT, "bad")
+    assert "bad" in state.wavefields["2"].memory.ops
+
+
 def test_mid_crossing_branches_hold_no_empty_rows():
     state, grid = crossing_state(amps_right=(1.0, 0.0))
     meet(state, "1", "2", CNOT, "readout", mode="crossing")
