@@ -25,7 +25,7 @@ import numpy as np
 
 from . import boundary as boundary_mod
 from . import memory as memory_mod
-from .hilbert import COEFFICIENT_THRESHOLD, Operator
+from .hilbert import _NORM_SLACK, COEFFICIENT_THRESHOLD, Operator
 from .memory import ExternalMemory, IndexLabel, InternalMemory
 from .spatial import Grid, Propagator, cumulative_mass, current, norm_squared
 
@@ -258,6 +258,8 @@ def meet(
         if _centroid(fields[0], state.grid) >= _centroid(fields[1], state.grid):
             raise ValueError(f"crossing expects {a!r} to start left of {b!r}")
     try:
+        if not unitary.is_unitary(tol=_NORM_SLACK):  # transfers build only occupied columns
+            raise ValueError(f"{op_id!r} is not unitary: a state norm it gives is not 1")
         transfers = boundary_mod.transfer_matrices_synced(
             tuple(wf.memory for wf in fields),
             unitary,

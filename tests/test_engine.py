@@ -563,6 +563,31 @@ def test_meet_refuses_an_operator_that_does_not_keep_the_norm(rotated, scale):
     assert "bad" in state.wavefields["2"].memory.ops
 
 
+def test_meet_refuses_an_operator_unitary_only_on_the_occupied_columns():
+    # both systems sit at index 0, so each operator keeps the norm of every
+    # state the meet builds a transfer for, but is not unitary
+    state, grid = small_state()
+    for i, s in enumerate(("1", "2")):
+        add_system(state, s, [1.0, 0.0], gaussian_packet(grid, -6.0 + 12.0 * i, 1.0))
+    advance(state, 3)
+    memories = {s: wf.memory for s, wf in state.wavefields.items()}
+    fields = {s: [p.field.copy() for p in wf.packets] for s, wf in state.wavefields.items()}
+    two = np.eye(4, dtype=complex)
+    two[:, 1] = two[:, 0]  # |01> goes where |00> goes
+    bad = [
+        ("1", None, Operator(np.array([[1.0, 1.0], [0.0, 0.0]], complex), (2,), ("1",))),
+        ("1", "2", Operator(two, (2, 2), ("1", "2"))),
+    ]
+    for a, b, op in bad:
+        assert not op.is_unitary()
+        with pytest.raises(ValueError, match=r"'bad' is not unitary.* at step 3, t=0\.03"):
+            meet(state, a, b, op, "bad")
+    for s, wf in state.wavefields.items():
+        assert wf.memory is memories[s]
+        assert all(np.array_equal(p.field, f) for p, f in zip(wf.packets, fields[s]))
+        assert validate_against_memory(state, s) < 1e-10
+
+
 def test_mid_crossing_branches_hold_no_empty_rows():
     state, grid = crossing_state(amps_right=(1.0, 0.0))
     meet(state, "1", "2", CNOT, "readout", mode="crossing")

@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavefields import cli, serialize
 from wavefields.scenarios import ScenarioConfig, run_scenario
 from wavefields.serialize import (
     BOUNDARY_HEADER,
@@ -197,3 +199,100 @@ def test_block_writer_edge_cases_match_the_row_writer(tmp_path):
     rows = [(0.0, -0.0, nan, inf), (5e-324, -inf, 1e-8, 0.5)]
     assert _same_bytes(write_boundary_csv, _reference_boundary, rows, tmp_path)
     assert _same_bytes(write_boundary_csv, _reference_boundary, [], tmp_path)
+
+
+# The writer splits the frames across the CPUs it may run on, one forked
+# child per range after the first.  The bytes must not depend on the split.
+
+
+def _count_forks(monkeypatch, cpus):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return forks
+
+
+def _split_frames():
+    # the first block holds over half the grid points, so on 2 CPUs every
+    # later block, with the odd grid and the non-finite values, is the child's
+    wide, even, odd = np.linspace(-4.0, 4.0, 16), np.linspace(-2.0, 2.0, 4), np.arange(3.0)
+    nan, inf = float("nan"), float("inf")
+    return [
+        (0.0, wide, "1:0", np.full(16, 0.25 + 0.5j)),
+        (0.5, odd, 'a,"b"', np.array([1.5 + 0j, complex(nan, 1.0), -inf * 1j])),
+        (1.0, odd, "2:0", np.array([1e200 + 0j, 0j, 0.1 - 0.2j])),  # |1e200|^2 overflows
+        (inf, even, "%s", np.array([1e-320, -0.0, 3.0, 4.0 - 1j])),
+        (1.5, even, "1:1|2=0,A=1", np.full(4, -0.125j)),
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize(
+    "cpus, frames, expected_forks",
+    [
+        (1, _split_frames(), 0),
+        (2, _split_frames()[:1], 0),
+        (2, [], 0),
+        (2, _split_frames(), 1),
+    ],
+)
+def test_snapshots_fork_only_when_the_split_can_help(
+    cpus, frames, expected_forks, monkeypatch, tmp_path
+):
+    forks = _count_forks(monkeypatch, cpus)
+    assert _same_bytes(write_snapshots_csv, _reference_snapshots, frames, tmp_path)
+    assert len(forks) == expected_forks
+    assert sorted(os.listdir(tmp_path)) == ["ours.csv", "reference.csv"]
+
+
+def test_a_failing_snapshot_worker_is_an_io_error(monkeypatch, tmp_path, capsys):
+    _count_forks(monkeypatch, 2)
+    parent, write_blocks = os.getpid(), serialize._write_blocks
+
+    def fail_in_child(frames, fh):
+        if os.getpid() != parent:
+            raise RuntimeError("no space left in the child")
+        write_blocks(frames, fh)
+
+    def in_parent(call, *args):
+        try:
+            return call(*args)
+        finally:
+            if os.getpid() != parent:  # a child got back here: it did not leave through os._exit
+                (tmp_path / "escaped").touch()
+                os._exit(1)
+
+    monkeypatch.setattr(serialize, "_write_blocks", fail_in_child)
+    path = tmp_path / "snapshots.csv"
+    with pytest.raises(OSError, match=str(path)):
+        in_parent(write_snapshots_csv, _split_frames(), str(path))
+    out = tmp_path / "run"
+    assert in_parent(cli.main, ["run", "bell_case1", "--out", str(out)]) == 3
+    assert "snapshots.csv" in capsys.readouterr().err
+    # no part file is left behind, and no child came back to run the rest of the session
+    assert sorted(os.listdir(tmp_path)) == ["run", "snapshots.csv"]
+    assert os.listdir(out) == ["snapshots.csv"]
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_real_run_writes_the_row_writer_bytes(monkeypatch, tmp_path):
+    forks = _count_forks(monkeypatch, 2)
+    results = []
+
+    def keep(result, out_dir):
+        results.append(result)
+        return serialize.write_run(result, out_dir)
+
+    monkeypatch.setattr(cli, "write_run", keep)
+    out = tmp_path / "run"
+    assert cli.main(["run", "stern_gerlach", "--snapshot-every", "32", "--out", str(out)]) == 0
+    assert len(forks) == 1
+    _reference_snapshots(results[0].frames, str(tmp_path / "reference.csv"))
+    assert (out / "snapshots.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

@@ -1,5 +1,8 @@
 """Checks on the package source itself."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import wavefields
@@ -17,3 +20,18 @@ def test_no_source_line_is_longer_than_99_characters():
         if len(line) > MAX_LINE
     ]
     assert long_lines == []
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # start-up is timed end to end; the snapshot writer forks without a pool
+    probe = (
+        "import sys, wavefields; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('multiprocessing', 'concurrent')))"
+    )
+    src = str(Path(wavefields.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"
