@@ -139,8 +139,9 @@ def transfer_matrices(
 
 
 def is_isometry(t: np.ndarray, tol: float = ISOMETRY_TOL) -> bool:
-    gram = t.conj().T @ t
-    return bool(np.abs(gram - np.eye(t.shape[1])).max(initial=0.0) <= tol)
+    gram = np.asarray(t.conj().T @ t, dtype=np.complex128)
+    gram.flat[:: len(gram) + 1] -= 1.0  # the Gram matrix minus the identity, in place
+    return bool(np.abs(gram).max(initial=0.0) <= tol)
 
 
 @dataclass

@@ -11,10 +11,11 @@ place) or run as a crossing: the two fluids pass through a moving
 boundary whose transfer matrices re-index the crossed fluid.  A
 crossing in flight is the systems' freely evolving branch rows plus the
 boundary position; ``branches`` cuts the rows into their pre- and
-post-interaction parts when asked.  A step advances each system's rows
-as one stack, and for a system in a crossing returns their derivative
-too, from which the boundary law takes its current.  Everything a
-system knows travels with it; a meet touches only the two participants.
+post-interaction parts when asked.  A step advances as one stack the rows
+of all systems that share a potential and are all at rest or all in a
+crossing, returning the derivative for a crossing; the stack's densities
+feed the boundary law and the norm audit.  Everything a system knows
+travels with it; a meet touches only the two participants.
 """
 
 from __future__ import annotations
@@ -79,17 +80,18 @@ class ScenarioState:
     links: list[boundary_mod.BoundaryLink] = field(default_factory=list)
     potentials: dict[str, np.ndarray] = field(default_factory=dict)
     index_bases: dict[str, Operator] = field(default_factory=dict)
-    _propagators: dict[str, Propagator] = field(default_factory=dict, repr=False)
+    _propagators: dict[bytes | None, Propagator] = field(default_factory=dict, repr=False)
 
     def active_links(self) -> list[boundary_mod.BoundaryLink]:
         return [ln for ln in self.links if ln.active]
 
     def propagator(self, system: str) -> Propagator:
-        if system not in self._propagators:
-            self._propagators[system] = Propagator(
-                self.grid, self.potentials.get(system)
-            )
-        return self._propagators[system]
+        """The cached propagator of the system's potential; free systems share one."""
+        v = self.potentials.get(system)
+        key = None if v is None or not v.any() else v.tobytes()
+        if key not in self._propagators:
+            self._propagators[key] = Propagator(self.grid, v)
+        return self._propagators[key]
 
 
 def new_state(grid: Grid) -> ScenarioState:
@@ -98,7 +100,6 @@ def new_state(grid: Grid) -> ScenarioState:
 
 def set_potential(state: ScenarioState, system: str, potential) -> None:
     state.potentials[system] = np.asarray(potential, dtype=float)
-    state._propagators.pop(system, None)
 
 
 def add_system(state: ScenarioState, system: str, amplitudes, shape) -> WaveField:
@@ -286,14 +287,13 @@ def meet(
     return _open_crossing(state, fields[0], fields[1], unitary, op_id, *transfers)
 
 
-def _step_link(state: ScenarioState, link: boundary_mod.BoundaryLink, currents) -> None:
+def _step_link(state: ScenarioState, link: boundary_mod.BoundaryLink, densities, currents) -> bool:
     grid = state.grid
     left = state.wavefields[link.left_system]
     right = state.wavefields[link.right_system]
     # The stored packets are whole branches, each one coherent wave, so the
-    # boundary law reads the density from them and the current their step gave.
-    rho_left = aggregate_density(left)
-    rho_right = aggregate_density(right)
+    # boundary law reads the density and the current their step gave.
+    rho_left, rho_right = densities[link.left_system], densities[link.right_system]
     j_left, j_right = currents[link.left_system], currents[link.right_system]
     link.x12 = boundary_mod.step_boundary_fields(
         link.x12, rho_left, j_left, rho_right, j_right, grid
@@ -307,6 +307,7 @@ def _step_link(state: ScenarioState, link: boundary_mod.BoundaryLink, currents) 
         _expand_instant(left, link.t_left, state)
         _expand_instant(right, link.t_right, state)
         link.active = False
+    return not link.active
 
 
 def branches(state: ScenarioState, system: str) -> list[Packet]:
@@ -345,22 +346,33 @@ def advance(state: ScenarioState, steps: int = 1) -> ScenarioState:
     """Run the world forward, evolving packets and moving boundaries."""
     grid = state.grid
     for _ in range(steps):
-        currents = {}  # summed over rows, for the systems in a crossing
+        groups: dict = {}  # (propagator, in a crossing) -> wave-fields
         for wf in state.wavefields.values():
-            rows = np.array([p.field for p in wf.packets])
-            if _active_link(state, wf.system) is None:
-                rows = state.propagator(wf.system).step(rows)
-            else:
-                rows, drows = state.propagator(wf.system).step(rows, derivative=True)
-                currents[wf.system] = current(rows, grid, drows).sum(axis=0)
-            for p, row in zip(wf.packets, rows):
+            key = (state.propagator(wf.system), _active_link(state, wf.system) is not None)
+            groups.setdefault(key, []).append(wf)
+        densities, currents = {}, {}  # summed over each system's rows
+        for (prop, crossing), wfs in groups.items():
+            packets = [p for wf in wfs for p in wf.packets]
+            rows = np.array([p.field for p in packets])
+            rows, drows = prop.step(rows, derivative=True) if crossing else (prop.step(rows), None)
+            for p, row in zip(packets, rows):
                 p.field = row
+            rho, j = np.abs(rows) ** 2, current(rows, grid, drows) if crossing else None
+            start = 0
+            for wf in wfs:
+                part, start = slice(start, start + len(wf.packets)), start + len(wf.packets)
+                densities[wf.system] = rho[part].sum(axis=0)
+                if crossing:
+                    currents[wf.system] = j[part].sum(axis=0)
+        masses = {s: float(rho.sum()) * grid.dx for s, rho in densities.items()}
         for link in state.active_links():
-            _step_link(state, link, currents)
+            if _step_link(state, link, densities, currents):  # packets re-expanded
+                for s in (link.left_system, link.right_system):
+                    masses[s] = total_mass(state, s)
         state.time += grid.dt
         state.step_count += 1
         for sys_id in state.wavefields:
-            m = total_mass(state, sys_id)
+            m = masses[sys_id]
             if abs(m - 1.0) > NORM_AUDIT_TOL:
                 raise RuntimeError(
                     f"norm audit failed for {sys_id!r} {_when(state)}: total mass {m!r}"

@@ -100,7 +100,8 @@ class Operator:
 
     def is_unitary(self, tol: float = 1e-12) -> bool:
         gram = self.matrix.conj().T @ self.matrix
-        return bool(np.abs(gram - np.eye(self.matrix.shape[0])).max(initial=0.0) <= tol)
+        gram.flat[:: len(gram) + 1] -= 1.0  # the Gram matrix minus the identity, in place
+        return bool(np.abs(gram).max(initial=0.0) <= tol)
 
     def dagger(self) -> "Operator":
         return Operator(self.matrix.conj().T, self.dims, self.labels)

@@ -31,7 +31,7 @@ from .engine import (
 )
 from .ensemble import pair_particles, sample_particles, statistics_report
 from .hilbert import Ket, Operator, apply, expand_product_terms, reduced_density, state_ket, tensor
-from .spatial import Grid, gaussian_packet, norm_squared, streamlines
+from .spatial import Grid, cumulative_mass, gaussian_packet, norm_squared, streamlines
 
 _R = 1.0 / math.sqrt(2.0)
 _CROSSING_K0 = 5.0  # packet momentum of the two crossing scenarios
@@ -79,12 +79,8 @@ class ScenarioConfig:
             raise ValueError("epsilon must lie in (0, pi/2)")
 
     def make_grid(self, x_min: float, x_max: float, n: int, dt: float) -> Grid:
-        return Grid(
-            self.x_min if self.x_min is not None else x_min,
-            self.x_max if self.x_max is not None else x_max,
-            self.n_points if self.n_points is not None else n,
-            self.dt if self.dt is not None else dt,
-        )
+        given = (self.x_min, self.x_max, self.n_points, self.dt)
+        return Grid(*(d if g is None else g for g, d in zip(given, (x_min, x_max, n, dt))))
 
     def pair(self, which: int, default_a: complex, default_b: complex):
         a = getattr(self, f"a{which}")
@@ -629,20 +625,12 @@ def run_student_demo(cfg: ScenarioConfig) -> ScenarioResult:
         report = pair_particles(pa, pb, correlation_table(res.state, "A", "B"))
         counts[label] = report.counts
 
-    expected1 = {(0, 1): 4, (1, 0): 4}
-    _check(
-        checks,
-        "matched case pairs all disagree",
-        counts["matched"] == expected1,
-        f"{sorted(counts['matched'].items())}",
-    )
-    expected2 = {(0, 0): 3, (0, 1): 1, (1, 0): 1, (1, 1): 3}
-    _check(
-        checks,
-        "tilted case shows the 3-1-1-3 split",
-        counts["tilted"] == expected2,
-        f"{sorted(counts['tilted'].items())}",
-    )
+    split = {(0, 0): 3, (0, 1): 1, (1, 0): 1, (1, 1): 3}
+    for label, name, expected in (
+        ("matched", "matched case pairs all disagree", {(0, 1): 4, (1, 0): 4}),
+        ("tilted", "tilted case shows the 3-1-1-3 split", split),
+    ):
+        _check(checks, name, counts[label] == expected, f"{sorted(counts[label].items())}")
     styled1 = _styled(counts["matched"], _UP_DOWN, _UP_DOWN)
     styled2 = _styled(counts["tilted"], _UP_DOWN, _UP_DOWN_B_TILTED)
     _check(
@@ -899,7 +887,7 @@ def run_tunneling(cfg: ScenarioConfig) -> ScenarioResult:
     drift = abs(norm_squared(packet.field, grid) - 1.0)
     _check(checks, "unit mass conserved through the barrier", drift <= 1e-8, f"{drift:.3e}")
 
-    cum = np.cumsum(np.abs(initial) ** 2) * grid.dx
+    cum = cumulative_mass(np.abs(initial) ** 2, grid)
     quantiles = np.linspace(0.025, 0.975, 50)
     seeds = np.interp(quantiles * cum[-1], cum, grid.x)
     lines = streamlines(np.array(times), np.array(fields), seeds, grid, label="1")

@@ -8,6 +8,7 @@ formatted by up to one process per available CPU, to the same bytes.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
@@ -90,6 +91,20 @@ def _format_column(values) -> list[str]:
     return list(map(fmt, values.tolist()))
 
 
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A text file opened beside ``path`` that replaces it only if the block succeeds."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "w", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _write_blocks(frames, fh) -> None:
     """Write each block as one string; one with a non-finite value goes through format_float."""
     x_text: dict = {}  # id(x) -> (x, formatted); holding x keeps its id unique
@@ -130,7 +145,7 @@ def write_snapshots_csv(frames, path: str) -> None:
                     os._exit(0)
                 finally:
                     os._exit(1)
-        with open(path, "w", newline="") as fh:
+        with _replacing(path) as fh:
             fh.write(",".join(SNAPSHOT_HEADER) + "\n")
             _write_blocks(frames[: bounds[1]], fh)
             for part in parts:
@@ -147,7 +162,7 @@ def write_snapshots_csv(frames, path: str) -> None:
 
 def write_boundary_csv(rows, path: str) -> None:
     columns = np.asarray(rows, dtype=float).reshape(-1, len(BOUNDARY_HEADER)).T
-    with open(path, "w", newline="") as fh:
+    with _replacing(path) as fh:
         fh.write(",".join(BOUNDARY_HEADER) + "\n")
         fh.write("".join(map("%s,%s,%s,%s\n".__mod__, zip(*map(_format_column, columns)))))
 
@@ -170,6 +185,6 @@ def write_run(result, out_dir: str) -> list[str]:
     write_snapshots_csv(result.frames, paths[0])
     write_boundary_csv(result.boundary_rows, paths[1])
     for p, blob in zip(paths[2:], (result.summary, config_echo(result.config))):
-        with open(p, "w", newline="") as fh:
+        with _replacing(p) as fh:
             fh.write(dumps(blob))
     return paths

@@ -1,9 +1,9 @@
 """One-dimensional Schrodinger propagation and the fluid picture of it.
 
 Wavefunctions live on a periodic, power-of-two grid and are stored as
-plain complex ndarrays.  Propagation is the split-step spectral method
-in kinetic-potential-kinetic order, which is exactly norm-preserving up
-to FFT roundoff.  It transforms along the last axis, so a stack of rows
+plain complex ndarrays.  A step is the exact free propagator where the
+potential is zero, else the kinetic-potential-kinetic split step.  Both
+keep the norm to FFT roundoff and act along the last axis, so a stack of rows
 steps as one array with the bits of each row stepped alone, and a step
 can return the x-derivative of its result from its own last spectrum.
 The fluid quantities (density, current, velocity, streamlines) are what
@@ -64,7 +64,7 @@ class WorldLine:
 
 
 class Propagator:
-    """Cached split-step factors for one grid and potential."""
+    """Cached step factors for one grid and potential; exact free flight where it is zero."""
 
     def __init__(self, grid: Grid, potential=None):
         self.grid = grid
@@ -72,7 +72,9 @@ class Propagator:
         if v.shape != (grid.n,):
             raise ValueError(f"potential shape {v.shape} does not match grid")
         half = -1j * grid.hbar * grid.k**2 * grid.dt / (4.0 * grid.mass)
-        self._half_kinetic = np.exp(half)
+        self.free = not v.any()
+        # the whole kinetic factor in free flight, half of it on each side of V otherwise
+        self._kinetic = np.exp(2.0 * half) if self.free else np.exp(half)
         self._potential_phase = np.exp(-1j * v * grid.dt / grid.hbar)
 
     def step(self, psi: np.ndarray, steps: int = 1, derivative: bool = False):
@@ -85,8 +87,9 @@ class Propagator:
             raise ValueError("a derivative needs at least one step")
         out = np.asarray(psi, dtype=np.complex128)
         for n in range(steps):
-            out = np.fft.ifft(self._half_kinetic * np.fft.fft(out))
-            spectrum = self._half_kinetic * np.fft.fft(out * self._potential_phase)
+            if not self.free:
+                out = np.fft.ifft(self._kinetic * np.fft.fft(out)) * self._potential_phase
+            spectrum = self._kinetic * np.fft.fft(out)
             if derivative and n == steps - 1:
                 return tuple(np.fft.ifft(np.stack([spectrum, 1j * self.grid.k * spectrum])))
             out = np.fft.ifft(spectrum)
@@ -94,7 +97,7 @@ class Propagator:
 
 
 def step(psi: np.ndarray, potential, grid: Grid, steps: int = 1) -> np.ndarray:
-    """One or more split-step updates of a wavefunction."""
+    """One or more steps of a wavefunction in a potential (None for free flight)."""
     return Propagator(grid, potential).step(psi, steps)
 
 

@@ -379,6 +379,60 @@ def test_audit_catches_corruption_right_after_a_crossing_step():
         advance(state)
 
 
+def _crossing_completion_step():
+    state, _ = crossing_state()
+    link = meet(state, "1", "2", CNOT, "cnot", mode="crossing")
+    while link.active and state.step_count < 2000:
+        advance(state, 1)
+    assert not link.active
+    return state.step_count
+
+
+@pytest.mark.parametrize("completing", [False, True])
+def test_norm_audit_names_the_system_mid_crossing_and_on_completion(completing):
+    # The audit reads the densities of the step's stacked rows in flight, and
+    # the re-expanded packets on the step a crossing completes.
+    last = _crossing_completion_step()
+    state, grid = crossing_state()
+    link = meet(state, "1", "2", CNOT, "cnot", mode="crossing")
+    advance(state, last - 1 if completing else 5)
+    assert link.active
+    for p in state.wavefields["2"].packets:
+        p.field *= 1.0 + 1e-6  # too little to move the boundary, enough for the audit
+    step = state.step_count + 1
+    with pytest.raises(RuntimeError, match=rf"norm audit failed for '2' at step {step}, t={step * grid.dt:.6g}:"):
+        advance(state)
+    assert link.active is not completing
+
+
+@pytest.mark.parametrize("potential", [False, True])
+def test_stacked_systems_step_as_if_alone(potential):
+    # Systems sharing a propagator step as one stack; each row keeps the
+    # bits of its own system stepped alone.
+    def world(names):
+        state, grid = small_state()
+        for name in names:
+            i = int(name)
+            add_system(state, name, random_amps(np.random.default_rng(i)), gaussian_packet(grid, 6.0 * i - 12.0, 1.5, 0.5 * i))
+        if potential and "2" in names:
+            engine.set_potential(state, "2", 0.01 * grid.x**2)
+        if potential and "3" in names:
+            engine.set_potential(state, "3", np.zeros(grid.n))  # free all the same
+        return state
+
+    together = world("123")
+    advance(together, 9)
+    for name in "123":
+        alone = world(name)
+        advance(alone, 9)
+        got = [p.field for p in together.wavefields[name].packets]
+        want = [p.field for p in alone.wavefields[name].packets]
+        assert len(got) == len(want) == 2
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    shared = {id(together.propagator(name)) for name in "123"}
+    assert len(shared) == (2 if potential else 1)
+
+
 def test_dark_branch_keeps_interference_fluid():
     # two branches with the same labels but different shapes can cancel
     # algebraically while their fluids do not; the engine keeps the fluid

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wavefields.boundary import is_isometry
 from wavefields.hilbert import (
     Ket,
     Operator,
@@ -259,6 +262,36 @@ def test_is_unitary_has_no_relative_slack():
     assert not stretched.is_unitary(1e-12)
     assert stretched.is_unitary(1e-5)
     assert Operator(CNOT, (2, 2), ("1", "2")).is_unitary(1e-12)
+
+
+def _identity_difference_check(m, tol):
+    """The unitarity check written with np.eye and a full difference matrix."""
+    gram = m.conj().T @ m
+    return bool(np.abs(gram - np.eye(m.shape[1])).max(initial=0.0) <= tol)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    extra=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    eps=st.sampled_from([0.0, 1e-14, 1e-11, 1e-8, 1e-5]),
+)
+def test_unitarity_checks_match_the_identity_difference(n, extra, seed, eps):
+    # Random unitaries and isometries, perturbed by eps, checked at their own
+    # worst deviation and just inside and just outside it, and at fixed tols.
+    rng = np.random.default_rng(seed)
+
+    def noise(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    square = np.linalg.qr(noise((n, n)))[0] + eps * noise((n, n))
+    tall = np.linalg.qr(noise((n + extra, n)))[0] + eps * noise((n + extra, n))
+    checks = ((square, Operator(square, (n,), ("1",)).is_unitary), (tall, lambda tol: is_isometry(tall, tol)))
+    for m, check in checks:
+        worst = float(np.abs(m.conj().T @ m - np.eye(n)).max())
+        for tol in (worst * (1 - 1e-9), worst, worst * (1 + 1e-9), 1e-12, 1e-6):
+            assert check(tol) == _identity_difference_check(m, tol)
 
 
 def test_born_matches_reduced_density_diagonal():

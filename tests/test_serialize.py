@@ -107,6 +107,25 @@ def test_write_run_is_byte_stable(tmp_path):
         assert (dir1 / name).read_bytes() == (dir2 / name).read_bytes()
 
 
+def test_a_failed_rewrite_keeps_the_earlier_files_whole(monkeypatch, tmp_path):
+    result = run_scenario(ScenarioConfig(scenario="bell_case1", trials=5000, out_dir=None))
+    out = tmp_path / "run"
+    paths = write_run(result, str(out))
+    before = {p: open(p, "rb").read() for p in paths}
+    assert sorted(os.listdir(out)) == sorted(os.path.basename(p) for p in paths)
+
+    def broken(blob):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(serialize, "dumps", broken)
+    with pytest.raises(OSError, match="disk full"):
+        write_run(result, str(out))
+    # the rewritten CSVs replaced theirs whole; summary.json kept its bytes
+    # and no temporary file is left beside them
+    assert sorted(os.listdir(out)) == sorted(os.path.basename(p) for p in paths)
+    assert all(open(p, "rb").read() == blob for p, blob in before.items())
+
+
 # Row-by-row reference writers: one csv.writer row per grid point, every
 # value through format_float.  The block writers must match them byte
 # for byte.
@@ -275,9 +294,10 @@ def test_a_failing_snapshot_worker_is_an_io_error(monkeypatch, tmp_path, capsys)
     out = tmp_path / "run"
     assert in_parent(cli.main, ["run", "bell_case1", "--out", str(out)]) == 3
     assert "snapshots.csv" in capsys.readouterr().err
-    # no part file is left behind, and no child came back to run the rest of the session
-    assert sorted(os.listdir(tmp_path)) == ["run", "snapshots.csv"]
-    assert os.listdir(out) == ["snapshots.csv"]
+    # no partial output or part file is left behind, and no child came back
+    # to run the rest of the session
+    assert sorted(os.listdir(tmp_path)) == ["run"]
+    assert os.listdir(out) == []
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
 

@@ -259,3 +259,66 @@ def test_current_of_a_stack_equals_row_currents():
     grid = Grid(-40.0, 40.0, 512, 5e-3)
     rows = _rows(grid, 4, seed=11)
     assert np.array_equal(current(rows, grid), np.stack([current(f, grid) for f in rows]))
+
+
+# ---------------------------------------------------------------------------
+# Free flight: with no potential a step is the exact free propagator.
+
+
+def _kinetic_potential_kinetic(grid, potential, psi, steps):
+    """The split step written out: half kinetic, potential, half kinetic."""
+    half = np.exp(-1j * grid.hbar * grid.k**2 * grid.dt / (4.0 * grid.mass))
+    phase = np.exp(-1j * np.asarray(potential, float) * grid.dt / grid.hbar)
+    for _ in range(steps):
+        psi = np.fft.ifft(half * np.fft.fft(psi))
+        psi = np.fft.ifft(half * np.fft.fft(psi * phase))
+    return psi
+
+
+@pytest.mark.parametrize("steps", [1, 7])
+def test_free_step_agrees_with_the_zero_potential_split_step(steps):
+    grid = Grid(-40.0, 40.0, 1024, 5e-3)
+    rows = _rows(grid, 4, seed=23)
+    free = Propagator(grid).step(rows, steps)
+    split = _kinetic_potential_kinetic(grid, np.zeros(grid.n), rows, steps)
+    assert np.abs(free - split).max() <= 1e-13
+
+
+def analytic_free_gaussian(grid, t, x0, sigma, k0, hbar=1.0, mass=1.0):
+    """Exact free evolution of gaussian_packet(grid, x0, sigma, k0) on the line."""
+    s_t = sigma**2 + 1j * hbar * t / (2.0 * mass)
+    v = hbar * k0 / mass
+    psi = (2.0 * math.pi * sigma**2) ** -0.25 * np.sqrt(sigma**2 / s_t) * np.exp(
+        -((grid.x - x0 - v * t) ** 2) / (4.0 * s_t) + 1j * k0 * grid.x - 0.5j * k0 * v * t
+    )
+    return psi
+
+
+@pytest.mark.parametrize("steps, dt", [(1, 2.0), (400, 5e-3)])
+def test_free_step_is_the_exact_free_propagator(steps, dt):
+    # No splitting error: one step of 2.0 is as exact as 400 of 0.005.
+    grid = Grid(-40.0, 40.0, 1024, dt)
+    psi0 = gaussian_packet(grid, -5.0, 1.0, 2.0)
+    got = Propagator(grid).step(psi0, steps)
+    want = analytic_free_gaussian(grid, steps * dt, -5.0, 1.0, 2.0)
+    assert np.abs(got - want).max() <= 1e-12
+    assert abs(measured_width(got, grid) - free_gaussian_width(steps * dt, 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+def test_none_and_zero_potential_step_alike(derivative):
+    grid = Grid(-40.0, 40.0, 512, 5e-3)
+    rows = _rows(grid, 3, seed=5)
+    a = Propagator(grid).step(rows, 3, derivative=derivative)
+    b = Propagator(grid, np.zeros(grid.n)).step(rows, 3, derivative=derivative)
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("steps", [1, 5])
+def test_potential_step_equals_the_written_out_split_step(steps):
+    grid = Grid(-40.0, 40.0, 512, 5e-3)
+    v = 0.02 * grid.x**2
+    rows = _rows(grid, 3, seed=8)
+    prop = Propagator(grid, v)
+    assert not prop.free
+    assert np.array_equal(prop.step(rows, steps), _kinetic_potential_kinetic(grid, v, rows, steps))
