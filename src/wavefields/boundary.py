@@ -13,6 +13,8 @@ A transfer is one batched contraction over all its columns and calls no
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -161,24 +163,28 @@ class TransferMatrix:
             raise ValueError(f"transfer matrix for {self.system!r} is not an isometry")
 
 
-def _product_labels(viewpoint: str, order: list[str], dims: list[int], flats):
-    labels = []
-    for idx in zip(*(a.tolist() for a in np.unravel_index(np.asarray(flats, int), dims))):
-        assignment = dict(zip(order, idx))
-        own = assignment.pop(viewpoint)
-        labels.append(IndexLabel(own, tuple(sorted(assignment.items()))))
-    return labels
+@functools.lru_cache(maxsize=1 << 14)
+def _label(viewpoint: str, order: tuple, dims: tuple, flat: int) -> IndexLabel:
+    """The label at one flat index of the product basis; built once per label."""
+    assignment = dict(zip(order, (int(i) for i in np.unravel_index(flat, dims))))
+    own = assignment.pop(viewpoint)
+    return IndexLabel(own, tuple(sorted(assignment.items())))
 
 
 def _flat_index(label: IndexLabel, viewpoint: str, order: list[str], dims: list[int]) -> int:
     """Position of a label in the product basis; raises outside it."""
+    return _flat(label, viewpoint, tuple(order), tuple(dims))
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _flat(label: IndexLabel, viewpoint: str, order: tuple, dims: tuple) -> int:
     bits = dict(label.partners)
     idx = [label.own if s == viewpoint else bits.get(s, -1) for s in order]
     if list(bits) != [s for s in order if s != viewpoint] or not all(
         0 <= i < d for i, d in zip(idx, dims)
     ):
         raise ValueError(
-            f"branch {label.text()!r} of {viewpoint!r} lies outside its index space {order}"
+            f"branch {label.text()!r} of {viewpoint!r} lies outside its index space {list(order)}"
         )
     return int(np.ravel_multi_index(idx, dims))
 
@@ -203,7 +209,7 @@ def _basis_rotation(order, dims, bases) -> np.ndarray:
 
 def _unit_rows(batch: np.ndarray) -> np.ndarray:
     """Each row of ``batch`` over its own 1-D norm; a norm off 1 is refused, as by a Ket."""
-    norms = np.array([np.linalg.norm(row) for row in batch])
+    norms = np.sqrt(np.vecdot(batch.real, batch.real) + np.vecdot(batch.imag, batch.imag))
     off = np.abs(norms - 1.0) > _NORM_SLACK
     if off.any():
         raise ValueError(f"state norm {float(norms[off][0])!r} is not 1")
@@ -233,15 +239,18 @@ def _synced_transfer(
     system: str,
     index_bases=None,
     occupied=None,
+    prefix: bool = False,
 ) -> TransferMatrix:
     pre_order = memory.systems(own)
     post_order = memory.systems(merged)
     pre_dims = [own.initial_states[s].dims[0] for s in pre_order]
     post_dims = [merged.initial_states[s].dims[0] for s in post_order]
     new_systems = [s for s in post_order if s not in pre_order]
-    # a ledger keeps causal insertion order, so the records own lacks
-    # come out of merged in an order they can be applied in
-    missing = [op for op_id, op in merged.ops.items() if op_id not in own.ops]
+    # records come out of merged in causal insertion order; with ``prefix``,
+    # merged starts with own's records, so the ones own lacks are the rest
+    missing = itertools.islice(merged.ops.values(), len(own.ops), None) if prefix else [
+        op for op_id, op in merged.ops.items() if op_id not in own.ops
+    ]
 
     n_in, n_out = math.prod(pre_dims), math.prod(post_dims)
     if occupied is None:
@@ -276,8 +285,8 @@ def _synced_transfer(
     return TransferMatrix(
         system,
         t[rows],
-        _product_labels(system, pre_order, pre_dims, cols),
-        _product_labels(system, post_order, post_dims, rows),
+        [_label(system, tuple(pre_order), tuple(pre_dims), int(f)) for f in cols],
+        [_label(system, tuple(post_order), tuple(post_dims), int(f)) for f in rows],
     )
 
 
@@ -287,6 +296,7 @@ def transfer_matrices_synced(
     acting: tuple[str, ...],
     index_bases=None,
     occupied=None,
+    merged: InternalMemory | None = None,
 ) -> tuple[TransferMatrix, ...]:
     """Transfer matrices of an interaction between systems with history.
 
@@ -303,6 +313,9 @@ def transfer_matrices_synced(
     out-row that is exactly zero on them; the entries it keeps are the
     dense matrix's.  By default every in-label is a column and every
     out-label a row.
+
+    ``merged``, if given, must be ``memory.synchronize`` of ``mem_pair`` in
+    order, so that it starts with the first memory's records.
     """
     if len(acting) not in (1, 2) or len(mem_pair) != len(acting):
         raise ValueError("acting systems and memories must pair up, 1 or 2 each")
@@ -310,16 +323,15 @@ def transfer_matrices_synced(
         raise ValueError(
             f"unitary acts on {unitary.labels}, expected {tuple(acting)}"
         )
-    merged = mem_pair[0]
-    for other in mem_pair[1:]:
-        merged = memory.synchronize(merged, other)
+    if merged is None:
+        merged = memory.synchronize(*mem_pair) if len(mem_pair) == 2 else mem_pair[0]
     for sys_id in acting:
         if sys_id not in merged.initial_states:
             raise ValueError(f"acting system {sys_id!r} unknown to the memories")
     occupied = occupied or (None,) * len(acting)
     return tuple(
-        _synced_transfer(own, merged, unitary, sys_id, index_bases, occ)
-        for own, sys_id, occ in zip(mem_pair, acting, occupied)
+        _synced_transfer(own, merged, unitary, sys_id, index_bases, occ, prefix=k == 0)
+        for k, (own, sys_id, occ) in enumerate(zip(mem_pair, acting, occupied))
     )
 
 

@@ -28,7 +28,7 @@ from . import boundary as boundary_mod
 from . import memory as memory_mod
 from .hilbert import _NORM_SLACK, COEFFICIENT_THRESHOLD, Operator
 from .memory import ExternalMemory, IndexLabel, InternalMemory
-from .spatial import Grid, Propagator, cumulative_mass, current, norm_squared
+from .spatial import Grid, Propagator, current, norm_squared, row_masses
 
 NORM_AUDIT_TOL = 1e-8
 COMPLETION_THRESHOLD = 1e-10
@@ -183,23 +183,27 @@ def _expand_instant(wf: WaveField, transfer: boundary_mod.TransferMatrix, state:
     raw, coeff = _in_rows(wf, transfer, state)
     raw_out = transfer.matrix @ raw
     coeff_out = transfer.matrix @ coeff
-    out = []
-    for row, label in enumerate(transfer.out_labels):
-        c = complex(coeff_out[row])
-        mass = norm_squared(raw_out[row], state.grid)
-        if abs(c) <= COEFFICIENT_THRESHOLD and mass <= DARK_MASS_THRESHOLD:
-            continue
-        out.append(Packet(label, c, raw_out[row]))
-    wf.packets = out
+    masses = row_masses(raw_out, state.grid)
+    wf.packets = [
+        Packet(label, complex(c), row)
+        for label, c, row, mass in zip(transfer.out_labels, coeff_out, raw_out, masses)
+        if not (abs(complex(c)) <= COEFFICIENT_THRESHOLD and mass <= DARK_MASS_THRESHOLD)
+    ]
+
+
+def _trapezoid_below(rho: np.ndarray, j: int, w: float, dx: float) -> float:
+    """Trapezoid mass of ``rho`` below the point a fraction ``w`` into cell ``j``."""
+    whole = rho[0] + rho[j] + 2.0 * rho[1:j].sum() if j else 0.0
+    return float(0.5 * dx * (whole + w * (rho[j] + rho[j + 1])))
 
 
 def _record_crossed(link, rho_left, rho_right, grid: Grid, t: float) -> None:
-    # Crossed fluid is the coherent mass past the boundary; the boundary
-    # law keeps the two integrals equal.
-    cum_l = cumulative_mass(rho_left, grid)
-    cum_r = cumulative_mass(rho_right, grid)
-    link.crossed_left = float(cum_l[-1] - np.interp(link.x12, grid.x, cum_l))
-    link.crossed_right = float(np.interp(link.x12, grid.x, cum_r))
+    # Crossed fluid is the coherent mass past the boundary, the trapezoid
+    # cumulative mass read at x12; the boundary law keeps the two equal.
+    j = min(max(int(np.searchsorted(grid.x, link.x12, side="right")) - 1, 0), grid.n - 2)
+    w = (link.x12 - grid.x[j]) / grid.dx
+    link.crossed_left = _trapezoid_below(rho_left[::-1], grid.n - 2 - j, 1.0 - w, grid.dx)
+    link.crossed_right = _trapezoid_below(rho_right, j, w, grid.dx)
     link.record(t)
 
 
@@ -258,25 +262,23 @@ def meet(
             raise ValueError("a crossing needs two systems")
         if _centroid(fields[0], state.grid) >= _centroid(fields[1], state.grid):
             raise ValueError(f"crossing expects {a!r} to start left of {b!r}")
+    mems = tuple(wf.memory for wf in fields)
     try:
         if not unitary.is_unitary(tol=_NORM_SLACK):  # transfers build only occupied columns
             raise ValueError(f"{op_id!r} is not unitary: a state norm it gives is not 1")
+        merged = mems[0] if b is None else memory_mod.synchronize(*mems)
         transfers = boundary_mod.transfer_matrices_synced(
-            tuple(wf.memory for wf in fields),
+            mems,
             unitary,
             participants,
             index_bases=state.index_bases or None,
             occupied=tuple([p.index for p in wf.packets] for wf in fields),
+            merged=merged,
         )
     except ValueError as err:
         raise ValueError(f"{err} {_when(state)}") from err
     # every precondition is checked above, so a rejected meet records nothing
-    merged = memory_mod.record_interaction(
-        fields[0].memory,
-        fields[1].memory if b is not None else None,
-        unitary,
-        op_id,
-    )
+    merged = memory_mod.record_interaction(merged, None, unitary, op_id)
     for wf in fields:
         wf.memory = merged
 

@@ -15,14 +15,16 @@ Construction checks the whole ledger; ``synchronize`` and
 participants, parents present, self-labeled initial states).
 
 Memories are treated as immutable: every operation returns a new one
-and never mutates its inputs.
+and never mutates its inputs.  That is what makes it safe for a memory to
+cache its derived state: ``derive_state`` computes it once per memory.
 """
 
 from __future__ import annotations
 
 import base64
+import heapq
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,6 +71,7 @@ class InternalMemory:
 
     initial_states: dict[SystemId, Ket]
     ops: dict[str, InteractionOp]
+    _state: Ket | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for sys_id, ket in self.initial_states.items():
@@ -140,18 +143,16 @@ def linearize(mem: InternalMemory) -> list[str]:
     for op_id, parents in remaining.items():
         for p in parents:
             children[p].append(op_id)
-    ready = sorted(op_id for op_id, parents in remaining.items() if not parents)
+    ready = [op_id for op_id, parents in remaining.items() if not parents]
+    heapq.heapify(ready)
     order: list[str] = []
     while ready:
-        op_id = ready.pop(0)
+        op_id = heapq.heappop(ready)
         order.append(op_id)
-        newly = []
         for child in children[op_id]:
             remaining[child].discard(op_id)
             if not remaining[child]:
-                newly.append(child)
-        if newly:
-            ready = sorted(ready + newly)
+                heapq.heappush(ready, child)
     if len(order) != len(mem.ops):
         raise ValueError("interaction records contain a causal cycle")
     return order
@@ -177,6 +178,8 @@ def derive_state(mem: InternalMemory) -> Ket:
     is applied along a linearization of the DAG.  Unordered records act
     on disjoint systems, so the choice of linearization does not matter.
     """
+    if mem._state is not None:
+        return mem._state
     if not mem.initial_states:
         raise ValueError("memory has no systems")
     state: Ket | None = None
@@ -186,13 +189,14 @@ def derive_state(mem: InternalMemory) -> Ket:
     for op_id in linearize(mem):
         op = mem.ops[op_id]
         state = hilbert.apply(op.unitary, state, op.participants)
+    mem._state = state
     return state
 
 
 def synchronize(a: InternalMemory, b: InternalMemory) -> InternalMemory:
     """Union of two memories; entries sharing an id must be identical.
 
-    Only the entries ``b`` adds to ``a`` are checked; they keep ``b``'s causal order.
+    Only the entries ``b`` adds to ``a`` are checked; they follow ``a``'s in ``b``'s causal order.
     """
     states = dict(a.initial_states)
     for sys_id, ket in b.initial_states.items():

@@ -89,10 +89,12 @@ class Propagator:
         for n in range(steps):
             if not self.free:
                 out = np.fft.ifft(self._kinetic * np.fft.fft(out)) * self._potential_phase
-            spectrum = self._kinetic * np.fft.fft(out)
-            if derivative and n == steps - 1:
-                return tuple(np.fft.ifft(np.stack([spectrum, 1j * self.grid.k * spectrum])))
-            out = np.fft.ifft(spectrum)
+            if derivative and n == steps - 1:  # S and ik·S written into one buffer
+                both = np.empty((2,) + out.shape, dtype=np.complex128)
+                np.multiply(self._kinetic, np.fft.fft(out), out=both[0])
+                np.multiply(1j * self.grid.k, both[0], out=both[1])
+                return tuple(np.fft.ifft(both))
+            out = np.fft.ifft(self._kinetic * np.fft.fft(out))
         return out
 
 
@@ -103,6 +105,11 @@ def step(psi: np.ndarray, potential, grid: Grid, steps: int = 1) -> np.ndarray:
 
 def norm_squared(psi: np.ndarray, grid: Grid) -> float:
     return float(np.sum(np.abs(psi) ** 2) * grid.dx)
+
+
+def row_masses(rows: np.ndarray, grid: Grid) -> np.ndarray:
+    """``norm_squared`` of each row of a ``(rows, n)`` stack, with the same bits."""
+    return np.sum(np.abs(rows) ** 2, axis=1) * grid.dx
 
 
 def cumulative_mass(rho: np.ndarray, grid: Grid) -> np.ndarray:

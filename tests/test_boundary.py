@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wavefields import hilbert
+from wavefields import boundary, engine, hilbert
 from wavefields.boundary import (
     BoundaryLink,
     TransferMatrix,
@@ -422,3 +424,51 @@ def test_boundary_link_rejects_broken_isometry():
     BoundaryLink("1", "2", u, 0.0, t, t, "op")
     with pytest.raises(ValueError):
         TransferMatrix("1", np.ones((4, 2), dtype=complex), labels2, labels4)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 8), st.integers(1, 300)),
+    spread=st.integers(0, 12),
+    off=st.floats(-5e-7, 5e-7),
+    layout=st.sampled_from(["contiguous", "every_other", "transposed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_unit_rows_take_the_per_row_norm_bit_for_bit(shape, spread, off, layout, seed):
+    rng = np.random.default_rng(seed)
+    rows, cols = shape
+    scale = 10.0 ** rng.uniform(-spread, spread, (rows, 2 * cols))
+    base = scale * (rng.standard_normal((rows, 2 * cols)) + 1j * rng.standard_normal((rows, 2 * cols)))
+    batch = {
+        "contiguous": base[:, :cols],
+        "every_other": base[:, ::2],
+        "transposed": np.array(base[:, :cols].T).T,
+    }[layout]
+    batch /= np.array([np.linalg.norm(row) for row in batch])[:, None] / (1.0 + off)
+    want = batch / np.array([np.linalg.norm(row) for row in batch])[:, None]
+    assert boundary._unit_rows(batch).tobytes() == want.tobytes()
+
+
+def test_memoized_labels_are_the_fresh_ones_and_stay_sparse():
+    order, dims = ["a", "b", "c"], [2, 3, 2]
+    for view in order:
+        for flat in range(12):
+            fresh = boundary._label.__wrapped__(view, tuple(order), tuple(dims), flat)
+            label = boundary._label(view, tuple(order), tuple(dims), flat)
+            assert label == fresh
+            assert boundary._label(view, tuple(order), tuple(dims), flat) is label
+            assert boundary._flat_index(label, view, order, dims) == flat
+    outside = IndexLabel(2, (("b", 0), ("c", 0)))  # own index 2 of a qubit
+    for _ in range(2):  # a refusal is never memoized
+        with pytest.raises(ValueError, match=r"lies outside its index space \['a', 'b', 'c'\]"):
+            boundary._flat_index(outside, "a", order, dims)
+    # a GHZ chain of 8 spins builds a few labels per meet, never the 2^8 label space
+    boundary._label.cache_clear()
+    grid = Grid(-32.0, 32.0, 256, dt=0.01)
+    state = engine.new_state(grid)
+    names = [f"s{i}" for i in range(8)]
+    for i, s in enumerate(names):
+        engine.add_system(state, s, [0.6, 0.8] if i == 0 else [1.0, 0.0], gaussian_packet(grid, 4.0 * i - 14.0, 1.0))
+    for a, b in zip(names, names[1:]):
+        engine.meet(state, a, b, Operator(CNOT, (2, 2), (a, b)), f"{a}{b}")
+    assert boundary._label.cache_info().currsize <= 6 * (len(names) - 1)

@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from wavefields import boundary, engine
+from wavefields import boundary, engine, memory
 from wavefields.engine import (
     POST,
     PRE,
@@ -653,3 +653,56 @@ def test_mid_crossing_branches_hold_no_empty_rows():
     assert [(p.region, p.index.text()) for p in branches(state, "2")] == [
         (PRE, "0|"), (POST, "0|1=0"), (POST, "1|1=1"),
     ]
+
+
+def test_a_meet_merges_the_ledgers_once(monkeypatch):
+    merges = []
+    real = memory.synchronize
+    monkeypatch.setattr(memory, "synchronize", lambda a, b: merges.append((a, b)) or real(a, b))
+    state, grid = crossing_state()
+    meet(state, "1", None, Operator(np.diag([1.0, 1j]), (2,), ("1",)), "phase-1")
+    assert merges == []
+    link = meet(state, "1", "2", CNOT, "cnot", mode="crossing")
+    assert len(merges) == 1
+    while link.active and state.step_count < 2000:
+        advance(state, 1)
+    assert not link.active and len(merges) == 1
+    meet(state, "2", "1", Operator(CZ.matrix, (2, 2), ("2", "1")), "cz")
+    assert len(merges) == 2
+    for s in "12":
+        assert validate_against_memory(state, s) < 1e-8
+
+
+def test_systems_sharing_a_memory_derive_it_once(monkeypatch):
+    from wavefields import hilbert
+
+    state, grid = small_state()
+    add_system(state, "1", [0.6, 0.8], gaussian_packet(grid, -8.0, 1.0))
+    add_system(state, "2", [0.8, 0.6j], gaussian_packet(grid, 8.0, 1.0))
+    meet(state, "1", "2", CNOT, "cnot")
+    assert state.wavefields["1"].memory is state.wavefields["2"].memory
+    applied = []
+    real = hilbert.apply
+    monkeypatch.setattr(hilbert, "apply", lambda *a, **k: applied.append(a) or real(*a, **k))
+    validate_against_memory(state, "1", atol=1e-12)
+    assert len(applied) == 1
+    validate_against_memory(state, "2", atol=1e-12)
+    assert len(applied) == 1
+
+
+def test_crossed_masses_are_the_trapezoid_cumulative_mass_at_the_boundary():
+    from types import SimpleNamespace
+
+    from wavefields.spatial import cumulative_mass
+
+    grid = Grid(-32.0, 32.0, 256, dt=0.01)
+    rng = np.random.default_rng(61)
+    rho_left = np.abs(gaussian_packet(grid, -3.0, 2.0)) ** 2
+    rho_right = np.abs(gaussian_packet(grid, 3.0, 2.0)) ** 2
+    cum_l, cum_r = cumulative_mass(rho_left, grid), cumulative_mass(rho_right, grid)
+    spots = [grid.x[0], grid.x[1], grid.x[128], grid.x[-2], grid.x[-1], *rng.uniform(-32.0, grid.x[-1], 40)]
+    for x12 in spots:
+        link = SimpleNamespace(x12=float(x12), record=lambda t: None)
+        engine._record_crossed(link, rho_left, rho_right, grid, 0.0)
+        assert abs(link.crossed_left - (cum_l[-1] - np.interp(x12, grid.x, cum_l))) <= 1e-14
+        assert abs(link.crossed_right - np.interp(x12, grid.x, cum_r)) <= 1e-14

@@ -214,3 +214,54 @@ def test_full_construction_accepts_every_appended_ledger(ledger):
         rebuilt = InternalMemory(dict(mem.initial_states), dict(mem.ops))
         assert list(rebuilt.ops) == list(mem.ops)
         assert rebuilt.initial_states == mem.initial_states
+
+
+@settings(max_examples=60, deadline=None)
+@given(ledger=ledgers(), data=st.data())
+def test_the_records_the_first_memory_lacks_are_the_merge_suffix(ledger, data):
+    mems, dims, rng = ledger
+    acting = tuple(data.draw(st.lists(st.sampled_from(sorted(mems)), min_size=2, max_size=2, unique=True)))
+    first = mems[acting[0]]
+    merged = synchronize(first, mems[acting[1]])
+    scanned = [op for op_id, op in merged.ops.items() if op_id not in first.ops]
+    assert list(merged.ops.values())[len(first.ops):] == scanned
+    unitary = random_op(rng, dims, acting)
+    suffix = boundary._synced_transfer(first, merged, unitary, acting[0], prefix=True)
+    scan = boundary._synced_transfer(first, merged, unitary, acting[0], prefix=False)
+    assert np.array_equal(suffix.matrix, scan.matrix)
+    assert (suffix.in_labels, suffix.out_labels) == (scan.in_labels, scan.out_labels)
+
+
+def sorted_list_linearize(ops):
+    """Kahn's algorithm with the ready list re-sorted, the order ``linearize`` keeps."""
+    remaining = {op_id: set(parents) for op_id, parents in ops.items()}
+    ready = sorted(op_id for op_id, parents in remaining.items() if not parents)
+    order = []
+    while ready:
+        op_id = ready.pop(0)
+        order.append(op_id)
+        newly = [c for c, parents in remaining.items() if op_id in parents]
+        for child in newly:
+            remaining[child].discard(op_id)
+        ready = sorted(ready + [c for c in newly if not remaining[c]])
+    return order
+
+
+@st.composite
+def dags(draw):
+    """Parents per op id, drawn over earlier ids and listed in a shuffled order."""
+    ids = draw(st.lists(st.text("abxy019", min_size=1, max_size=3), max_size=14, unique=True))
+    parents = {
+        op_id: frozenset(draw(st.lists(st.sampled_from(ids[:i]), max_size=3)) if i else ())
+        for i, op_id in enumerate(ids)
+    }
+    return dict(draw(st.permutations(list(parents.items()))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(parents=dags())
+def test_linearize_with_a_heap_keeps_the_sorted_list_order(parents):
+    from types import SimpleNamespace
+
+    mem = SimpleNamespace(ops={op_id: SimpleNamespace(parents=ps) for op_id, ps in parents.items()})
+    assert memory.linearize(mem) == sorted_list_linearize(parents)

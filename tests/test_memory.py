@@ -372,3 +372,22 @@ def test_memory_json_rejects_parent_after_child():
     doc["ops"].reverse()
     with pytest.raises(ValueError, match="far-readout"):
         memory_from_json(json.dumps(doc))
+
+
+def test_a_memory_derives_once_and_a_new_memory_afresh(monkeypatch):
+    rng = np.random.default_rng(29)
+    a = record_interaction(fresh_memory("a", [0.6, 0.8]), fresh_memory("b", [RT2, RT2]), pair_op(rng, "a", "b"), "ab")
+    applied = []
+    real = hilbert.apply
+    monkeypatch.setattr(hilbert, "apply", lambda *args, **kw: applied.append(args) or real(*args, **kw))
+    first = derive_state(a)
+    assert len(applied) == 1
+    assert derive_state(a) is first and len(applied) == 1
+    assert a == InternalMemory(dict(a.initial_states), dict(a.ops))  # the cache takes no part in ==
+    later = record_interaction(a, None, Operator(np.diag([1.0, -1.0]), (2,), ("a",)), "z")
+    assert later._state is None
+    derive_state(later)
+    assert len(applied) == 3
+    back = memory_from_json(memory_to_json(a))
+    assert np.array_equal(derive_state(back).amplitudes, first.amplitudes)
+    assert len(applied) == 4

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavefields.spatial import (
     Grid,
@@ -12,6 +14,7 @@ from wavefields.spatial import (
     gaussian_packet,
     madelung,
     norm_squared,
+    row_masses,
     step,
     streamlines,
     streamlines_from_fields,
@@ -322,3 +325,43 @@ def test_potential_step_equals_the_written_out_split_step(steps):
     prop = Propagator(grid, v)
     assert not prop.free
     assert np.array_equal(prop.step(rows, steps), _kinetic_potential_kinetic(grid, v, rows, steps))
+
+
+@pytest.mark.parametrize("potential", [None, "harmonic"])
+@pytest.mark.parametrize("steps", [1, 3])
+def test_derivative_step_has_the_bits_of_the_stacked_spectrum(potential, steps):
+    # S and ik·S share one buffer before the inverse transform; the bits are
+    # those of stacking the last spectrum with ik·S
+    grid = Grid(-40.0, 40.0, 512, 5e-3)
+    v = None if potential is None else 0.02 * grid.x**2
+    prop = Propagator(grid, v)
+    rows = _rows(grid, 3, seed=11)
+    psi, dpsi = prop.step(rows, steps, derivative=True)
+    before = prop.step(rows, steps - 1) if steps > 1 else rows
+    if not prop.free:
+        before = np.fft.ifft(prop._kinetic * np.fft.fft(before)) * prop._potential_phase
+    spectrum = prop._kinetic * np.fft.fft(before)
+    want = np.fft.ifft(np.stack([spectrum, 1j * grid.k * spectrum]))
+    assert np.array_equal(psi, want[0]) and np.array_equal(dpsi, want[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 600)),
+    spread=st.integers(0, 12),
+    layout=st.sampled_from(["contiguous", "every_other", "transposed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_masses_are_norm_squared_bit_for_bit(shape, spread, layout, seed):
+    grid = Grid(-40.0, 40.0, 512, 5e-3)
+    rng = np.random.default_rng(seed)
+    rows, cols = shape
+    scale = 10.0 ** rng.uniform(-spread, spread, (rows, 2 * cols))
+    base = scale * (rng.standard_normal((rows, 2 * cols)) + 1j * rng.standard_normal((rows, 2 * cols)))
+    stack = {
+        "contiguous": base[:, :cols],
+        "every_other": base[:, ::2],
+        "transposed": np.array(base[:, :cols].T).T,
+    }[layout]
+    want = np.array([norm_squared(row, grid) for row in stack])
+    assert row_masses(stack, grid).tobytes() == want.tobytes()
