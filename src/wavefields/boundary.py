@@ -23,7 +23,7 @@ import numpy as np
 from . import memory
 from .hilbert import _NORM_SLACK, Ket, Operator
 from .memory import IndexLabel, InternalMemory
-from .spatial import Grid, cumulative_mass, current
+from .spatial import Grid, cumulative_mass
 
 ISOMETRY_TOL = 1e-12
 
@@ -105,18 +105,6 @@ def step_boundary_fields(
     mid = x12 + 0.5 * grid.dt * k1
     out = x12 + grid.dt * velocity(mid)
     return float(min(max(out, grid.x[0]), grid.x[-1]))
-
-
-def step_boundary(x12: float, psi_left, psi_right, grid: Grid) -> float:
-    """Interface update computed from two wavefunctions."""
-    return step_boundary_fields(
-        x12,
-        np.abs(psi_left) ** 2,
-        current(psi_left, grid),
-        np.abs(psi_right) ** 2,
-        current(psi_right, grid),
-        grid,
-    )
 
 
 def transfer_matrices(

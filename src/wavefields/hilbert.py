@@ -197,19 +197,6 @@ def expand_product_terms(state: Ket) -> list[ProductTerm]:
     return terms
 
 
-def terms_to_ket(terms, dims: dict[str, int]) -> Ket:
-    """Rebuild a state from product terms; inverse of expand_product_terms."""
-    order = sorted(dims)
-    shape = tuple(dims[s] for s in order)
-    amps = np.zeros(shape, dtype=np.complex128)
-    for t in terms:
-        labels = t.label_map()
-        if sorted(labels) != order:
-            raise ValueError(f"term systems {sorted(labels)} do not match {order}")
-        amps[tuple(labels[s] for s in order)] += t.coefficient
-    return Ket(amps.reshape(-1), shape, tuple(order))
-
-
 def reduced_density(state: Ket, keep) -> np.ndarray:
     """Density matrix of the kept systems, tracing out everything else.
 

@@ -12,7 +12,6 @@ from wavefields.boundary import (
     apply_boundary_transfer,
     find_initial_boundary,
     is_isometry,
-    step_boundary,
     step_boundary_fields,
     transfer_matrices,
     transfer_matrices_synced,
@@ -320,6 +319,18 @@ def test_initial_boundary_balances_both_ways():
 
 # ---------------------------------------------------------------------------
 # Boundary motion.
+
+
+def step_boundary(x12, psi_left, psi_right, grid):
+    """The boundary law on two wavefunctions' densities and currents."""
+    return step_boundary_fields(
+        x12,
+        np.abs(psi_left) ** 2,
+        current(psi_left, grid),
+        np.abs(psi_right) ** 2,
+        current(psi_right, grid),
+        grid,
+    )
 
 
 def test_boundary_stationary_for_mirror_symmetric_collision():

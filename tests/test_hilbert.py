@@ -19,7 +19,6 @@ from wavefields.hilbert import (
     reduced_density,
     state_ket,
     tensor,
-    terms_to_ket,
 )
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -184,6 +183,17 @@ def test_expand_prunes_null_coefficients():
     assert len(terms) == 2
     labels = {t.basis_labels for t in terms}
     assert labels == {(("1", 0), ("2", 0)), (("1", 1), ("2", 1))}
+
+
+def terms_to_ket(terms, dims):
+    """Rebuild a state from product terms; inverse of expand_product_terms."""
+    order = sorted(dims)
+    amps = np.zeros(tuple(dims[s] for s in order), dtype=np.complex128)
+    for t in terms:
+        labels = t.label_map()
+        assert sorted(labels) == order
+        amps[tuple(labels[s] for s in order)] += t.coefficient
+    return Ket(amps.reshape(-1), amps.shape, tuple(order))
 
 
 def test_expand_is_inverse_of_rebuild():

@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavefields import cli, serialize
-from wavefields.scenarios import ScenarioConfig, run_scenario
+from wavefields.scenarios import SCENARIOS, ScenarioConfig, run_scenario
 from wavefields.serialize import (
     BOUNDARY_HEADER,
     SNAPSHOT_HEADER,
@@ -220,6 +222,16 @@ def test_block_writer_edge_cases_match_the_row_writer(tmp_path):
     assert _same_bytes(write_boundary_csv, _reference_boundary, [], tmp_path)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_rows_cut_into_kernel_calls_match_the_row_writer(monkeypatch, tmp_path):
+    # 3-row kernel calls cut the 16-row block, and join a 3-row block's
+    # rows with the next block's
+    monkeypatch.setattr(serialize, "_ROWS", 3)
+    assert _same_bytes(write_snapshots_csv, _reference_snapshots, _split_frames(), tmp_path)
+    rows = [(i * 0.125, i / 3, -i * 1e-9, 1e300 * i) for i in range(7)]
+    assert _same_bytes(write_boundary_csv, _reference_boundary, rows, tmp_path)
+
+
 # The writer splits the frames across the CPUs it may run on, one forked
 # child per range after the first.  The bytes must not depend on the split.
 
@@ -302,7 +314,12 @@ def test_a_failing_snapshot_worker_is_an_io_error(monkeypatch, tmp_path, capsys)
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_real_run_writes_the_row_writer_bytes(monkeypatch, tmp_path):
+@pytest.mark.parametrize(
+    "args",
+    [pytest.param([name], id=name) for name in sorted(SCENARIOS)]
+    + [pytest.param(["stern_gerlach", "--snapshot-every", "32"], id="stern_gerlach-every-32")],
+)
+def test_a_real_run_writes_the_row_writer_bytes(args, monkeypatch, tmp_path):
     forks = _count_forks(monkeypatch, 2)
     results = []
 
@@ -312,7 +329,117 @@ def test_a_real_run_writes_the_row_writer_bytes(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "write_run", keep)
     out = tmp_path / "run"
-    assert cli.main(["run", "stern_gerlach", "--snapshot-every", "32", "--out", str(out)]) == 0
+    assert cli.main(["run", *args, "--out", str(out)]) == 0
     assert len(forks) == 1
     _reference_snapshots(results[0].frames, str(tmp_path / "reference.csv"))
     assert (out / "snapshots.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    _reference_boundary(results[0].boundary_rows, str(tmp_path / "reference.csv"))
+    assert (out / "boundary.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+# The CSV writers format floats with a numpy kernel; format_float is its
+# reference, and it falls back to format_float for the values it cannot
+# format exactly.
+
+
+def _kernel_text(values):
+    cells = serialize._format_column(values)
+    return [cell[cell != serialize._PAD].tobytes().decode() for cell in cells]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIAL)), max_size=40))
+def test_the_kernel_writes_format_float(values):
+    assert _kernel_text(values) == [format_float(v) for v in values]
+
+
+def test_the_kernel_writes_format_float_over_random_bits_and_magnitudes():
+    rng = np.random.default_rng(23)
+    bits = rng.integers(0, 2**64 - 1, 50_000, dtype=np.uint64, endpoint=True).view(np.float64)
+    spread = rng.standard_normal(50_000) * 10.0 ** rng.integers(-30, 30, 50_000)
+    # short decimals: trailing zeros and fixed notation
+    short = np.round(rng.standard_normal(50_000) * 1e6) / 10.0 ** rng.integers(0, 24, 50_000)
+    # exact ties at the 17th digit: 17 significant digits, then a half
+    k = rng.integers(8, 16, 50_000)
+    halves = rng.integers(1, 8, 50_000) / 2.0 ** (17 - k)
+    ties = np.floor(10.0**k * (1 + rng.random(50_000))) + halves
+    whole = rng.integers(-(10**17), 10**17, 50_000).astype(float)
+    for values in (bits, spread, short, ties, whole):
+        assert _kernel_text(values) == [format_float(v) for v in values.tolist()]
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        # exact ties at the 17th digit round half to even
+        (1234567890123456.75, "1234567890123456.8"),
+        (1234567890123456.25, "1234567890123456.2"),
+        # next to a power of ten, where the decimal exponent estimate can be one off
+        (9.9999999999999995e-05, "9.9999999999999991e-05"),
+        (99999999999999999.0, "1e+17"),
+        (1e16, "10000000000000000"),
+        (1e17, "1e+17"),
+        (0.0001, "0.0001"),
+        (1e-5, "1.0000000000000001e-05"),
+        (5e-324, "4.9406564584124654e-324"),
+        (1.7976931348623157e308, "1.7976931348623157e+308"),
+        # the edges of the fast range
+        (1e280, "1e+280"),
+        (-1e280, "-1e+280"),
+        (float(np.nextafter(1e280, 0.0)), format_float(np.nextafter(1e280, 0.0))),
+        (float(np.nextafter(1e-280, 1.0)), format_float(np.nextafter(1e-280, 1.0))),
+        (1e-280, "9.9999999999999996e-281"),
+        (-0.0, "-0"),
+        (123.456, "123.456"),
+    ],
+)
+def test_the_kernel_on_ties_decade_edges_and_extremes(value, text):
+    assert format_float(value) == text
+    assert _kernel_text([value]) == [text]
+
+
+def _fallbacks(monkeypatch):
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return format_float(value)
+
+    monkeypatch.setattr(serialize, "format_float", counted)
+    return calls
+
+
+def test_near_ties_fall_back_to_format_float(monkeypatch):
+    # exact ties where 10**(16 - k) is exact and where it is not, and one
+    # value 2.1e-16 from a tie, closer than the kernel's error bound
+    ties = [
+        1234567890123456.75,
+        1234567890123456.25,
+        2.0**-25,
+        3 * 2.0**-24,
+        1.1473543192139844e38,
+    ]
+    calls = _fallbacks(monkeypatch)
+    assert _kernel_text(ties) == [format_float(v) for v in ties]
+    assert calls == ties
+
+
+def test_a_real_run_formats_almost_every_value_in_the_kernel(monkeypatch):
+    result = run_scenario(ScenarioConfig(scenario="stern_gerlach", snapshot_every=32))
+    values = np.concatenate(
+        [np.concatenate([x, f.real, f.imag, np.abs(f) ** 2]) for _, x, _, f in result.frames]
+    )
+    calls = _fallbacks(monkeypatch)
+    serialize._format_column(values)
+    assert len(values) > 100_000
+    assert len(calls) < 0.01 * len(values)
+
+
+def test_importing_the_writer_builds_no_table():
+    probe = "import wavefields.serialize as s; print(s._tables.cache_info().currsize)"
+    src = os.path.dirname(os.path.dirname(serialize.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "0"
