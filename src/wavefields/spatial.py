@@ -3,15 +3,19 @@
 Wavefunctions live on a periodic, power-of-two grid and are stored as
 plain complex ndarrays.  A step is the exact free propagator where the
 potential is zero, else the kinetic-potential-kinetic split step.  Both
-keep the norm to FFT roundoff and act along the last axis, so a stack of rows
-steps as one array with the bits of each row stepped alone, and a step
-can return the x-derivative of its result from its own last spectrum.
-The fluid quantities (density, current, velocity, streamlines) are what
-the rest of the package moves around at interaction boundaries.
+run on the spectrum S of the rows, end with rows = IFFT(S), keep the norm
+to FFT roundoff and act along the last axis, so a stack of rows steps as
+one array with the bits of each row stepped alone.  A step can hand back
+its last spectrum, and the next one can start from it instead of
+transforming the rows again.  The fluid quantities (density, current,
+velocity, streamlines) are what the rest of the package moves around at
+interaction boundaries; ``derivative_at`` gives the spectral derivative
+at a few cells without a transform, for a current read at one place.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,6 +47,12 @@ class Grid:
         self.dx = (self.x_max - self.x_min) / self.n
         self.x = self.x_min + self.dx * np.arange(self.n)
         self.k = 2.0 * math.pi * np.fft.fftfreq(self.n, d=self.dx)
+
+    @functools.cached_property
+    def derivative_kernel(self) -> np.ndarray:
+        """The spectral derivative kernel IFFT(ik), circularly reversed and laid out twice."""
+        reversed_kernel = np.roll(np.fft.ifft(1j * self.k)[::-1], 1)
+        return np.concatenate([reversed_kernel, reversed_kernel])
 
 
 @dataclass
@@ -77,25 +87,23 @@ class Propagator:
         self._kinetic = np.exp(2.0 * half) if self.free else np.exp(half)
         self._potential_phase = np.exp(-1j * v * grid.dt / grid.hbar)
 
-    def step(self, psi: np.ndarray, steps: int = 1, derivative: bool = False):
+    def step(self, psi: np.ndarray, steps: int = 1, spectrum=None, keep: bool = False):
         """Advance one row or a ``(rows, n)`` stack by ``steps`` steps.
 
-        With ``derivative`` it returns ``(psi, dpsi/dx)``, IFFT(S) and
-        IFFT(ik S) of the last spectrum S in one inverse transform.
+        The steps run on the spectrum S: ``spectrum`` when given, which
+        must be the S whose IFFT gave ``psi``, else FFT(psi).  A free step
+        multiplies S by the kinetic factor; a split step takes S through
+        IFFT, the potential phase and FFT between two half kinetic factors.
+        The result is IFFT of the last S, returned as ``(psi, S)`` with
+        ``keep`` so the next step can start from S.
         """
-        if derivative and steps < 1:
-            raise ValueError("a derivative needs at least one step")
-        out = np.asarray(psi, dtype=np.complex128)
-        for n in range(steps):
+        s = np.fft.fft(np.asarray(psi, dtype=np.complex128)) if spectrum is None else spectrum
+        for _ in range(steps):
             if not self.free:
-                out = np.fft.ifft(self._kinetic * np.fft.fft(out)) * self._potential_phase
-            if derivative and n == steps - 1:  # S and ik·S written into one buffer
-                both = np.empty((2,) + out.shape, dtype=np.complex128)
-                np.multiply(self._kinetic, np.fft.fft(out), out=both[0])
-                np.multiply(1j * self.grid.k, both[0], out=both[1])
-                return tuple(np.fft.ifft(both))
-            out = np.fft.ifft(self._kinetic * np.fft.fft(out))
-        return out
+                s = np.fft.fft(np.fft.ifft(self._kinetic * s) * self._potential_phase)
+            s = self._kinetic * s
+        out = np.fft.ifft(s)
+        return (out, s) if keep else out
 
 
 def step(psi: np.ndarray, potential, grid: Grid, steps: int = 1) -> np.ndarray:
@@ -131,6 +139,18 @@ def current(psi: np.ndarray, grid: Grid, dpsi: np.ndarray | None = None) -> np.n
     if dpsi is None:
         dpsi = np.fft.ifft(1j * grid.k * np.fft.fft(psi))
     return grid.hbar / grid.mass * np.imag(np.conj(psi) * dpsi)
+
+
+def derivative_at(rows: np.ndarray, grid: Grid, cells) -> np.ndarray:
+    """Spectral d/dx of one row or a ``(rows, n)`` stack at ``cells``, one column each.
+
+    IFFT(ik FFT(psi)) is the circular convolution of psi with the kernel
+    D = IFFT(ik), so its value at cell i is the dot product of the row
+    with D circularly reversed and shifted by i, a contiguous slice of
+    ``grid.derivative_kernel``.  It equals the transform route to roundoff.
+    """
+    kernel, n = grid.derivative_kernel, grid.n
+    return np.array([rows @ kernel[n - i : 2 * n - i] for i in cells]).T
 
 
 def madelung(psi: np.ndarray, grid: Grid) -> MadelungFields:

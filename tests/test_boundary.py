@@ -322,15 +322,9 @@ def test_initial_boundary_balances_both_ways():
 
 
 def step_boundary(x12, psi_left, psi_right, grid):
-    """The boundary law on two wavefunctions' densities and currents."""
-    return step_boundary_fields(
-        x12,
-        np.abs(psi_left) ** 2,
-        current(psi_left, grid),
-        np.abs(psi_right) ** 2,
-        current(psi_right, grid),
-        grid,
-    )
+    """The boundary law on two wavefunctions."""
+    rho = np.abs(psi_left) ** 2 + np.abs(psi_right) ** 2
+    return step_boundary_fields(x12, rho, np.array([psi_left, psi_right]), grid)
 
 
 def test_boundary_stationary_for_mirror_symmetric_collision():
@@ -366,9 +360,7 @@ def test_boundary_rides_with_comoving_packets():
 
 def test_boundary_holds_where_density_vanishes():
     grid = wide_grid()
-    rho = np.zeros(grid.n)
-    j = np.zeros(grid.n)
-    assert step_boundary_fields(5.0, rho, j, rho, j, grid) == 5.0
+    assert step_boundary_fields(5.0, np.zeros(grid.n), np.zeros((2, grid.n), complex), grid) == 5.0
 
 
 # ---------------------------------------------------------------------------

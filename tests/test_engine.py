@@ -22,7 +22,7 @@ from wavefields.engine import (
 )
 from wavefields.hilbert import Operator
 from wavefields.memory import IndexLabel
-from wavefields.spatial import Grid, current, gaussian_packet
+from wavefields.spatial import Grid, gaussian_packet
 
 CZ = Operator(np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex), (2, 2), ("1", "2"))
 CNOT = Operator(
@@ -348,25 +348,34 @@ def test_advance_audit_catches_corruption():
 
 
 def test_boundary_current_is_the_sum_of_row_currents(monkeypatch):
-    # The engine takes the current from the step's own spectrum; at every
-    # step it must be the current of the rows the step left behind.
+    # The law gets each system's stepped rows and reads their current at the
+    # interface only; at every step the rows must be the ones the step left
+    # behind, and the derivative there their spectral derivative.
     state, grid = crossing_state()
     link = meet(state, "1", "2", CNOT, "cnot", mode="crossing")
-    law = boundary.step_boundary_fields
-    fed = []
+    law, at = boundary.step_boundary_fields, boundary.derivative_at
+    fed, read = [], []
 
-    def spy(x12, rho_left, j_left, rho_right, j_right, grid):
-        for sys_id, j in (("1", j_left), ("2", j_right)):
-            want = sum(current(p.field, grid) for p in state.wavefields[sys_id].packets)
-            fed.append(np.abs(j - want).max() / np.abs(want).max())
-        return law(x12, rho_left, j_left, rho_right, j_right, grid)
+    def spy(x12, rho, rows, grid):
+        stacks = [[p.field for p in state.wavefields[s].packets] for s in "12"]
+        fed.append(np.array_equal(rows, np.array(stacks[0] + stacks[1])))
+        densities = [(np.abs(np.array(stack)) ** 2).sum(axis=0) for stack in stacks]
+        fed.append(np.array_equal(rho, densities[0] + densities[1]))
+        return law(x12, rho, rows, grid)
+
+    def derivative_spy(rows, grid, cells):
+        got = at(rows, grid, cells)
+        want = np.fft.ifft(1j * grid.k * np.fft.fft(rows))
+        read.append(np.abs(got - want[:, cells]).max() / np.abs(want).max())
+        return got
 
     monkeypatch.setattr(boundary, "step_boundary_fields", spy)
+    monkeypatch.setattr(boundary, "derivative_at", derivative_spy)
     while link.active and state.step_count < 2000:
         advance(state, 1)
     assert not link.active
-    assert len(fed) == 2 * state.step_count
-    assert max(fed) <= 1e-12
+    assert len(fed) == 2 * state.step_count and all(fed)
+    assert len(read) >= state.step_count // 2 and max(read) <= 1e-12
 
 
 def test_audit_catches_corruption_right_after_a_crossing_step():
@@ -431,6 +440,42 @@ def test_stacked_systems_step_as_if_alone(potential):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
     shared = {id(together.propagator(name)) for name in "123"}
     assert len(shared) == (2 if potential else 1)
+
+
+@pytest.mark.parametrize("potential", [False, True])
+def test_advance_calls_on_a_lone_system_are_one_multi_step(potential):
+    # each advance continues from the spectrum the last one kept, so k calls
+    # give the bits of one k-step Propagator.step of the starting rows
+    state, grid = small_state()
+    add_system(state, "1", random_amps(np.random.default_rng(4)), gaussian_packet(grid, -2.0, 1.5, 1.0))
+    if potential:
+        engine.set_potential(state, "1", 0.01 * grid.x**2)
+    rows = np.array([p.field for p in state.wavefields["1"].packets])
+    for _ in range(6):
+        advance(state)
+    want = state.propagator("1").step(rows, 6)
+    assert np.array_equal(np.array([p.field for p in state.wavefields["1"].packets]), want)
+
+
+@pytest.mark.parametrize("write", ["kick", "in_place"])
+def test_a_write_into_a_field_forces_a_fresh_transform(monkeypatch, write):
+    state, grid = small_state()
+    add_system(state, "1", [0.6, 0.8], gaussian_packet(grid, -2.0, 1.5, 1.0))
+    packets = state.wavefields["1"].packets
+    advance(state, 2)
+    calls, fft = [], np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda a, *args, **kw: calls.append(1) or fft(a, *args, **kw))
+    advance(state)
+    assert calls == []  # free flight from the kept spectrum: no forward transform
+    if write == "kick":
+        packets[0].field = packets[0].field * np.exp(0.5j * grid.x)
+    else:
+        packets[1].field[grid.n // 2] *= 1.0 + 1e-9  # too little for the norm audit
+    rows = np.array([p.field for p in packets])
+    advance(state)
+    assert calls == [1]
+    want = state.propagator("1").step(rows)
+    assert np.array_equal(np.array([p.field for p in packets]), want)
 
 
 def test_dark_branch_keeps_interference_fluid():

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,8 @@ from wavefields.memory import (
     InternalMemory,
     derive_state,
     fresh_memory,
+    memory_from_json,
+    memory_to_json,
     record_interaction,
     synchronize,
 )
@@ -38,21 +41,27 @@ def random_op(rng, dims, acting):
 
 
 @st.composite
-def ledgers(draw):
+def ledgers(draw, ids=None):
     """Each system's memory after random 1- and 2-system records.
 
     Systems are qubits or qutrits.  A record updates only its
     participants' memories, as a meet does, so the union of all of them
-    is a DAG whose records on disjoint systems stay unordered.
+    is a DAG whose records on disjoint systems stay unordered.  System and
+    record ids are "0", "1", ... and "op0", "op1", ..., or drawn from ``ids``.
     """
-    names = [str(i) for i in range(draw(st.integers(2, 4)))]
+    count, records = draw(st.integers(2, 4)), draw(st.integers(0, 5))
+    names = [str(i) for i in range(count)]
+    op_ids = [f"op{k}" for k in range(records)]
+    if ids is not None:
+        names = draw(st.lists(ids, min_size=count, max_size=count, unique=True))
+        op_ids = draw(st.lists(ids, min_size=records, max_size=records, unique=True))
     dims = {s: draw(st.sampled_from([2, 3])) for s in names}
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mems = {s: fresh_memory(s, random_amps(rng, dims[s])) for s in names}
-    for k in range(draw(st.integers(0, 5))):
+    for op_id in op_ids:
         acting = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
         other = mems[acting[1]] if len(acting) == 2 else None
-        merged = record_interaction(mems[acting[0]], other, random_op(rng, dims, acting), f"op{k}")
+        merged = record_interaction(mems[acting[0]], other, random_op(rng, dims, acting), op_id)
         for s in acting:
             mems[s] = merged
     return mems, dims, rng
@@ -245,6 +254,22 @@ def sorted_list_linearize(ops):
             remaining[child].discard(op_id)
         ready = sorted(ready + [c for c in newly if not remaining[c]])
     return order
+
+
+# ids that JSON must quote or escape, and some that it writes as \\u escapes
+AWKWARD_IDS = st.text(alphabet='ab0"[]{},: \\/\n\u00e9\u2603', min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ledger=ledgers(ids=AWKWARD_IDS), data=st.data())
+def test_memory_json_is_the_indent_2_dump_byte_for_byte(ledger, data):
+    mems, _, _ = ledger
+    mem = mems[data.draw(st.sampled_from(sorted(mems)))]
+    text = memory_to_json(mem)
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2)
+    back = memory_from_json(text)
+    assert back.ops.keys() == mem.ops.keys() and back.initial_states.keys() == mem.initial_states.keys()
+    assert all(back.ops[k].same_record(op) for k, op in mem.ops.items())
 
 
 @st.composite

@@ -1,5 +1,7 @@
 """Checks on the package source itself."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -35,3 +37,21 @@ def test_importing_the_package_loads_no_process_pool():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_every_traced_target_resolves_in_the_package():
+    # the benchmark's tracer wraps these names; one that no longer resolves
+    # would make every traced run fail at install
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("wavefields_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    missing = []
+    for module, attribute, *_ in tracer.TARGETS:
+        owner = importlib.import_module(f"wavefields.{module}")
+        for part in attribute.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{attribute}")
+    assert missing == []

@@ -11,6 +11,7 @@ from wavefields.spatial import (
     Grid,
     Propagator,
     current,
+    derivative_at,
     gaussian_packet,
     madelung,
     norm_squared,
@@ -244,18 +245,19 @@ def test_stacked_step_equals_row_steps_bit_for_bit(n, r, with_potential, steps):
 @pytest.mark.parametrize("r", [1, 2, 4])
 @pytest.mark.parametrize("steps", [1, 3])
 def test_step_derivative_comes_from_the_same_spectrum(r, steps):
+    # the kept spectrum S is the rows' own: IFFT(S) has the rows' bits, and
+    # the derivative IFFT(ik S) is their spectral derivative at every cell
     grid = Grid(-40.0, 40.0, 512, 5e-3)
     prop = Propagator(grid, 0.02 * grid.x**2)
     rows = _rows(grid, r, seed=r)
-    psi, dpsi = prop.step(rows, steps, derivative=True)
-    # the rows are the plain step's bits; the derivative is spectral
+    psi, spectrum = prop.step(rows, steps, keep=True)
     assert np.array_equal(psi, prop.step(rows, steps))
+    assert np.array_equal(psi, np.fft.ifft(spectrum))
+    dpsi = np.fft.ifft(1j * grid.k * spectrum)
     spectral = np.fft.ifft(1j * grid.k * np.fft.fft(psi))
     assert np.abs(dpsi - spectral).max() <= 1e-12 * np.abs(spectral).max()
-    j = current(psi, grid)
-    assert np.abs(current(psi, grid, dpsi) - j).max() <= 1e-12 * np.abs(j).max()
-    with pytest.raises(ValueError):
-        prop.step(rows, 0, derivative=True)
+    at = derivative_at(psi, grid, range(grid.n))
+    assert np.abs(at - spectral).max() <= 1e-12 * np.abs(spectral).max()
 
 
 def test_current_of_a_stack_equals_row_currents():
@@ -269,13 +271,13 @@ def test_current_of_a_stack_equals_row_currents():
 
 
 def _kinetic_potential_kinetic(grid, potential, psi, steps):
-    """The split step written out: half kinetic, potential, half kinetic."""
+    """The split step written out on the spectrum: half kinetic, potential, half kinetic."""
     half = np.exp(-1j * grid.hbar * grid.k**2 * grid.dt / (4.0 * grid.mass))
     phase = np.exp(-1j * np.asarray(potential, float) * grid.dt / grid.hbar)
+    spectrum = np.fft.fft(psi)
     for _ in range(steps):
-        psi = np.fft.ifft(half * np.fft.fft(psi))
-        psi = np.fft.ifft(half * np.fft.fft(psi * phase))
-    return psi
+        spectrum = half * np.fft.fft(np.fft.ifft(half * spectrum) * phase)
+    return np.fft.ifft(spectrum)
 
 
 @pytest.mark.parametrize("steps", [1, 7])
@@ -308,12 +310,12 @@ def test_free_step_is_the_exact_free_propagator(steps, dt):
     assert abs(measured_width(got, grid) - free_gaussian_width(steps * dt, 1.0)) <= 1e-12
 
 
-@pytest.mark.parametrize("derivative", [False, True])
-def test_none_and_zero_potential_step_alike(derivative):
+@pytest.mark.parametrize("keep", [False, True])
+def test_none_and_zero_potential_step_alike(keep):
     grid = Grid(-40.0, 40.0, 512, 5e-3)
     rows = _rows(grid, 3, seed=5)
-    a = Propagator(grid).step(rows, 3, derivative=derivative)
-    b = Propagator(grid, np.zeros(grid.n)).step(rows, 3, derivative=derivative)
+    a = Propagator(grid).step(rows, 3, keep=keep)
+    b = Propagator(grid, np.zeros(grid.n)).step(rows, 3, keep=keep)
     assert np.array_equal(a, b)
 
 
@@ -328,21 +330,33 @@ def test_potential_step_equals_the_written_out_split_step(steps):
 
 
 @pytest.mark.parametrize("potential", [None, "harmonic"])
-@pytest.mark.parametrize("steps", [1, 3])
-def test_derivative_step_has_the_bits_of_the_stacked_spectrum(potential, steps):
-    # S and ik·S share one buffer before the inverse transform; the bits are
-    # those of stacking the last spectrum with ik·S
+@pytest.mark.parametrize("steps", [1, 4])
+def test_continuing_from_the_kept_spectrum_is_stepping_straight_through(potential, steps):
+    # k steps from the spectrum a step kept are the bits of 1 + k steps in one call
     grid = Grid(-40.0, 40.0, 512, 5e-3)
-    v = None if potential is None else 0.02 * grid.x**2
-    prop = Propagator(grid, v)
-    rows = _rows(grid, 3, seed=11)
-    psi, dpsi = prop.step(rows, steps, derivative=True)
-    before = prop.step(rows, steps - 1) if steps > 1 else rows
-    if not prop.free:
-        before = np.fft.ifft(prop._kinetic * np.fft.fft(before)) * prop._potential_phase
-    spectrum = prop._kinetic * np.fft.fft(before)
-    want = np.fft.ifft(np.stack([spectrum, 1j * grid.k * spectrum]))
-    assert np.array_equal(psi, want[0]) and np.array_equal(dpsi, want[1])
+    prop = Propagator(grid, None if potential is None else 0.02 * grid.x**2)
+    rows = _rows(grid, 3, seed=13)
+    psi, spectrum = prop.step(rows, keep=True)
+    assert np.array_equal(prop.step(psi, steps, spectrum=spectrum), prop.step(rows, 1 + steps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([64, 512, 2048]),
+    r=st.integers(1, 5),
+    where=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_interface_current_is_the_spectral_current(n, r, where, seed):
+    # the current at cells i and i + 1 from derivative_at, as the boundary law
+    # reads it, is the full spectral current there to 1e-12 of the largest one
+    grid = Grid(-40.0, 40.0, n, 5e-3)
+    i = round(where * (n - 2))  # the first pair of cells, the last, or any between
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+    full = current(rows, grid)
+    at = current(rows[:, i : i + 2], grid, derivative_at(rows, grid, [i, i + 1]))
+    assert np.abs(at - full[:, i : i + 2]).max() <= 1e-12 * np.abs(full).max()
 
 
 @settings(max_examples=80, deadline=None)
