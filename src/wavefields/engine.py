@@ -86,6 +86,7 @@ class ScenarioState:
     potentials: dict[str, np.ndarray] = field(default_factory=dict)
     index_bases: dict[str, Operator] = field(default_factory=dict)
     _propagators: dict[bytes | None, Propagator] = field(default_factory=dict, repr=False)
+    _resolved: dict[str, Propagator] = field(default_factory=dict, repr=False)  # by system
     # (propagator, in a crossing) -> a private copy of the rows a step gave, and their spectrum
     _spectra: dict[tuple, tuple] = field(default_factory=dict, repr=False)
 
@@ -93,8 +94,12 @@ class ScenarioState:
         return [ln for ln in self.links if ln.active]
 
     def propagator(self, system: str) -> Propagator:
-        """The cached propagator of the system's potential; free systems share one."""
-        v = self.potentials.get(system)
+        """The system's propagator as ``set_potential`` resolved it; free systems share one."""
+        if system not in self._resolved:
+            self._resolved[system] = self._shared_propagator(None)
+        return self._resolved[system]
+
+    def _shared_propagator(self, v: np.ndarray | None) -> Propagator:
         key = None if v is None or not v.any() else v.tobytes()
         if key not in self._propagators:
             self._propagators[key] = Propagator(self.grid, v)
@@ -106,7 +111,10 @@ def new_state(grid: Grid) -> ScenarioState:
 
 
 def set_potential(state: ScenarioState, system: str, potential) -> None:
-    state.potentials[system] = np.asarray(potential, dtype=float)
+    """Give the system a copy of ``potential`` and resolve its propagator once."""
+    v = np.array(potential, dtype=float)
+    state._resolved[system] = state._shared_propagator(v)
+    state.potentials[system] = v
 
 
 def add_system(state: ScenarioState, system: str, amplitudes, shape) -> WaveField:

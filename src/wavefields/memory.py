@@ -159,11 +159,6 @@ def linearize(mem: InternalMemory) -> list[str]:
     return order
 
 
-def world_line(mem: InternalMemory, system: SystemId) -> list[str]:
-    """The system's own interaction records, in causal order."""
-    return [op_id for op_id in linearize(mem) if system in mem.ops[op_id].participants]
-
-
 def _tip(mem: InternalMemory, system: SystemId) -> str | None:
     # a system's records are totally ordered, so its last one is its tip
     for op_id, op in reversed(mem.ops.items()):

@@ -36,6 +36,7 @@ from .spatial import Grid, cumulative_mass, gaussian_packet, norm_squared, strea
 _R = 1.0 / math.sqrt(2.0)
 _CROSSING_K0 = 5.0  # packet momentum of the two crossing scenarios
 _SMALL_GRID = (-32.0, 32.0, 512, 0.01)  # (x_min, x_max, n_points, dt) of the resting scenarios
+_READY = (1.0, 0.0)  # the amplitudes of a system ready to record
 
 # matching tolerances for the frozen algebraic expectations
 EXACT_TOL = 1e-10
@@ -115,21 +116,17 @@ class CheckFailure(RuntimeError):
         self.result = result
 
 
-def _check(records: list, name: str, passed, detail="") -> None:
-    records.append({"name": name, "passed": bool(passed), "detail": str(detail)})
+SCENARIOS: dict = {}  # name -> (runner, blurb), in the order the runners are defined
 
 
-def _close(checks: list, name: str, actual: dict, expected: dict, tol: float = EXACT_TOL):
-    """Check the largest deviation between two outcome tables, missing keys as 0."""
-    worst = 0.0
-    for k in set(actual) | set(expected):
-        worst = max(worst, abs(actual.get(k, 0.0) - expected.get(k, 0.0)))
-    _check(checks, name, worst <= tol, f"{worst:.3e}")
+def _scenario(blurb: str, name: str = ""):
+    """Register the runner under ``name``, by default its own name less ``run_``."""
 
+    def register(runner):
+        SCENARIOS[name or runner.__name__.removeprefix("run_")] = (runner, blurb)
+        return runner
 
-def _only_keys(checks: list, name: str, table: dict, expected: dict) -> None:
-    """Check that a table holds no outcome outside the expected ones."""
-    _check(checks, name, all(k in expected for k in table), f"keys {sorted(table)}")
+    return register
 
 
 def _oracle_table(ket: Ket, a: str, b: str) -> dict:
@@ -150,27 +147,6 @@ def _frame(state: ScenarioState, frames: list, prefix: str = "") -> None:
             frames.append((state.time, state.grid.x, label, p.field.copy()))
 
 
-def _evolve(
-    state: ScenarioState, cfg: ScenarioConfig, frames: list, steps: int, until=None, each=None
-) -> None:
-    """Advance up to ``steps`` steps one at a time, then take the last frame.
-
-    A frame is taken every ``cfg.snapshot_every`` steps while the run
-    goes on.  ``until`` ends the run on the first step it holds, so a
-    crossing ends when its boundary completes whatever the cadence;
-    ``each`` runs after every step.
-    """
-    for done in range(1, steps + 1):
-        advance(state)
-        if each is not None:
-            each()
-        if done == steps or (until is not None and until()):
-            break
-        if cfg.snapshot_every and done % cfg.snapshot_every == 0:
-            _frame(state, frames)
-    _frame(state, frames)
-
-
 def _world(cfg: ScenarioConfig, bounds, systems, sigma: float = 1.5, bases=None):
     """A fresh state on the scenario's grid, which ``cfg`` may override.
 
@@ -186,168 +162,203 @@ def _world(cfg: ScenarioConfig, bounds, systems, sigma: float = 1.5, bases=None)
     return state
 
 
-def _resolution_check(grid: Grid, k0: float, checks: list) -> None:
-    # A momentum at or past pi/dx aliases and voids the run.  Listed only
-    # when it fails, so the summaries of resolved runs stay as they were.
-    if abs(k0) >= math.pi / grid.dx:
-        detail = f"|k0| {abs(k0)} >= pi/dx {math.pi / grid.dx:.4g}"
-        _check(checks, "grid resolves packet momenta", False, detail)
-
-
 def _table_json(table: dict) -> dict:
     return {",".join(str(part) for part in k): float(v) for k, v in sorted(table.items())}
 
 
-def _packet_centroid(packet, grid: Grid) -> float:
-    dens = np.abs(packet.field) ** 2
-    return float(np.dot(grid.x, dens) / dens.sum())
+@dataclass
+class _Run:
+    """One run: its configuration, audit checks and snapshot frames, and the audits."""
 
+    cfg: ScenarioConfig
+    checks: list = field(default_factory=list)
+    frames: list = field(default_factory=list)  # blocks (t, x, label, field)
 
-def _ensemble_block(cfg: ScenarioConfig, name: str, outcomes: dict, checks: list):
-    if cfg.trials <= 0:
-        return None
-    stats = statistics_report(name, outcomes, cfg.trials, cfg.seed, jobs=cfg.jobs)
-    zs = stats["z_scores"].values()
-    _check(
-        checks,
-        "ensemble frequencies within 3 sigma",
-        all(abs(z) <= Z_LIMIT for z in zs),
-        f"max |z| {max((abs(z) for z in zs), default=0.0):.3f} over {cfg.trials} trials",
-    )
-    return stats
+    def check(self, name: str, passed, detail="") -> None:
+        self.checks.append({"name": name, "passed": bool(passed), "detail": str(detail)})
 
+    def close(self, name: str, actual: dict, expected: dict, tol=EXACT_TOL, only="") -> None:
+        """Check the largest deviation between two outcome tables, missing keys as 0.
 
-def _finalize(
-    cfg: ScenarioConfig,
-    state: ScenarioState,
-    checks: list,
-    frames: list,
-    table_pairs=(),
-    extra: dict | None = None,
-    outcomes: dict | None = None,
-) -> ScenarioResult:
-    # ``outcomes`` is the table the ensemble trials sample, if any
-    name = cfg.scenario
-    stats = _ensemble_block(cfg, name, outcomes, checks) if outcomes is not None else None
-    if stats:
-        extra = {**(extra or {}), "statistics": stats}
-    summary = {
-        "scenario": name,
-        "time": float(state.time),
-        "steps": int(state.step_count),
-        "systems": sorted(state.wavefields),
-        "index_distributions": {
-            s: {str(k): float(v) for k, v in index_distribution(state, s).items()}
-            for s in sorted(state.wavefields)
-        },
-        "correlation_tables": {
-            f"{a},{b}": _table_json(correlation_table(state, a, b)) for a, b in table_pairs
-        },
-        "boundaries": [
-            {
-                "left": link.left_system,
-                "right": link.right_system,
-                "op": link.op_id,
-                "completed": not link.active,
-                "final_x12": float(link.x12),
-                "max_abs_x12": float(max(abs(t[1]) for t in link.trajectory)),
-                "crossed_left": float(link.crossed_left),
-                "crossed_right": float(link.crossed_right),
-                "max_crossed_gap": float(max(abs(t[2] - t[3]) for t in link.trajectory)),
-            }
+        A nonempty ``only`` names a second check: that ``actual`` holds no
+        outcome outside the expected ones.
+        """
+        worst = 0.0
+        for k in set(actual) | set(expected):
+            worst = max(worst, abs(actual.get(k, 0.0) - expected.get(k, 0.0)))
+        self.check(name, worst <= tol, f"{worst:.3e}")
+        if only:
+            self.check(only, all(k in expected for k in actual), f"keys {sorted(actual)}")
+
+    def shows(self, state: ScenarioState, name: str, system: str, expected: dict) -> None:
+        """Check a system's branches: own index and partners to coefficient."""
+        packets = state.wavefields[system].packets
+        display = {(p.index.own, p.index.partners): complex(p.coefficient) for p in packets}
+        near = (abs(display[k] - expected[k]) <= EXACT_TOL for k in expected)
+        self.check(name, set(display) == set(expected) and all(near))
+
+    def resolves(self, grid: Grid, k0: float) -> None:
+        # A momentum at or past pi/dx aliases and voids the run.  Listed only
+        # when it fails, so the summaries of resolved runs stay as they were.
+        if abs(k0) >= math.pi / grid.dx:
+            detail = f"|k0| {abs(k0)} >= pi/dx {math.pi / grid.dx:.4g}"
+            self.check("grid resolves packet momenta", False, detail)
+
+    def rest_audits(self, state: ScenarioState, mass: bool = True) -> None:
+        """Unit fluid mass per system (unless not ``mass``), then the memory audit."""
+        if mass:
+            worst = max(abs(total_mass(state, s) - 1.0) for s in state.wavefields)
+            self.check("unit fluid mass per system", worst <= ORACLE_TOL, f"worst {worst:.3e}")
+        worst = 0.0
+        try:
+            for s in sorted(state.wavefields):
+                worst = max(worst, validate_against_memory(state, s, atol=ORACLE_TOL))
+            self.check("branches match memory-derived expansion", True, f"worst {worst:.3e}")
+        except AssertionError as exc:
+            self.check("branches match memory-derived expansion", False, exc)
+
+    def evolve(self, state: ScenarioState, steps: int, until=None, each=None) -> None:
+        """Advance up to ``steps`` steps one at a time, then take the last frame.
+
+        A frame is taken every ``cfg.snapshot_every`` steps while the run
+        goes on.  ``until`` ends the run on the first step it holds, so a
+        crossing ends when its boundary completes whatever the cadence;
+        ``each`` runs after every step.
+        """
+        for done in range(1, steps + 1):
+            advance(state)
+            if each is not None:
+                each()
+            if done == steps or (until is not None and until()):
+                break
+            if self.cfg.snapshot_every and done % self.cfg.snapshot_every == 0:
+                _frame(state, self.frames)
+        _frame(state, self.frames)
+
+    def finish(self, state: ScenarioState, table_pairs=(), extra=None, outcomes=None):
+        """The run's result; ``outcomes`` is the table the ensemble trials sample, if any."""
+        cfg, name = self.cfg, self.cfg.scenario
+        if outcomes is not None and cfg.trials > 0:
+            stats = statistics_report(name, outcomes, cfg.trials, cfg.seed, jobs=cfg.jobs)
+            zs = [abs(z) for z in stats["z_scores"].values()]
+            within = all(z <= Z_LIMIT for z in zs)
+            detail = f"max |z| {max(zs, default=0.0):.3f} over {cfg.trials} trials"
+            self.check("ensemble frequencies within 3 sigma", within, detail)
+            extra = {**(extra or {}), "statistics": stats}
+        summary = {
+            "scenario": name,
+            "time": float(state.time),
+            "steps": int(state.step_count),
+            "systems": sorted(state.wavefields),
+            "index_distributions": {
+                s: {str(k): float(v) for k, v in index_distribution(state, s).items()}
+                for s in sorted(state.wavefields)
+            },
+            "correlation_tables": {
+                f"{a},{b}": _table_json(correlation_table(state, a, b)) for a, b in table_pairs
+            },
+            "boundaries": [
+                {
+                    "left": link.left_system,
+                    "right": link.right_system,
+                    "op": link.op_id,
+                    "completed": not link.active,
+                    "final_x12": float(link.x12),
+                    "max_abs_x12": float(max(abs(t[1]) for t in link.trajectory)),
+                    "crossed_left": float(link.crossed_left),
+                    "crossed_right": float(link.crossed_right),
+                    "max_crossed_gap": float(max(abs(t[2] - t[3]) for t in link.trajectory)),
+                }
+                for link in state.links
+            ],
+            "checks": self.checks,
+        }
+        if extra:
+            summary.update(extra)
+        passed = all(c["passed"] for c in self.checks)
+        summary["passed"] = passed
+        boundary_rows = [
+            (float(t), float(x), float(cl), float(cr))
             for link in state.links
-        ],
-        "checks": checks,
-    }
-    if extra:
-        summary.update(extra)
-    passed = all(c["passed"] for c in checks)
-    summary["passed"] = passed
-    boundary_rows = [
-        (float(t), float(x), float(cl), float(cr))
-        for link in state.links
-        for t, x, cl, cr in link.trajectory
-    ]
-    result = ScenarioResult(name, cfg, state, summary, frames, boundary_rows, passed)
-    if not passed:
-        raise CheckFailure(result)
-    return result
+            for t, x, cl, cr in link.trajectory
+        ]
+        result = ScenarioResult(name, cfg, state, summary, self.frames, boundary_rows, passed)
+        if not passed:
+            raise CheckFailure(result)
+        return result
 
 
-def _memory_audit(state: ScenarioState, checks: list) -> None:
-    worst = 0.0
-    try:
-        for s in sorted(state.wavefields):
-            worst = max(worst, validate_against_memory(state, s, atol=ORACLE_TOL))
-        _check(checks, "branches match memory-derived expansion", True, f"worst {worst:.3e}")
-    except AssertionError as exc:
-        _check(checks, "branches match memory-derived expansion", False, exc)
-
-
-def _rest_audits(state: ScenarioState, checks: list) -> None:
-    """Unit fluid mass per system, then the memory audit."""
-    worst = max(abs(total_mass(state, s) - 1.0) for s in state.wavefields)
-    _check(checks, "unit fluid mass per system", worst <= ORACLE_TOL, f"worst {worst:.3e}")
-    _memory_audit(state, checks)
-
-
-# two-system gates, row-major over (first label, second label)
-
-
-def _cnot(control: str, target: str) -> Operator:
-    m = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    return Operator(m, (2, 2), (control, target))
-
-
-def _cz(a: str, b: str) -> Operator:
-    return Operator(np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex), (2, 2), (a, b))
-
-
-def _identity_pair(a: str, b: str) -> Operator:
-    return Operator(np.eye(4, dtype=complex), (2, 2), (a, b))
-
-
-def _unitary_with_first_column(col0, labels) -> Operator:
-    """Any unitary whose action on |0..0> is the given column."""
+def _unitary_with_first_column(col0) -> np.ndarray:
+    """Any two-spin unitary whose action on |00> is the given column."""
     col0 = np.asarray(col0, dtype=complex)
-    d = col0.size
     cols = [col0 / np.linalg.norm(col0)]
-    for e in np.eye(d, dtype=complex):
+    for e in np.eye(4, dtype=complex):
         v = e.copy()
         for c in cols:
             v -= c * np.vdot(c, v)
         n = np.linalg.norm(v)
         if n > 1e-9:
             cols.append(v / n)
-        if len(cols) == d:
+        if len(cols) == 4:
             break
-    dims = (2,) * int(math.log2(d))
-    return Operator(np.stack(cols, axis=1), dims, labels)
+    return np.stack(cols, axis=1)
 
 
-def _start_crossing(cfg: ScenarioConfig, spin1, spin2, unitary: Operator, op_id: str):
-    """Spins 1 and 2 fly at each other and open a crossing of ``unitary``."""
+# the tilted readout basis (columns), 120 degrees from the reference axis
+_PHI = np.array([[0.5, math.sqrt(3.0) / 2.0], [math.sqrt(3.0) / 2.0, -0.5]], dtype=complex)
+_FLIP = np.array([[0, 1], [1, 0]], dtype=complex)
+
+# gates by name, row-major over their labels in the order ``_gate`` gets them
+_GATES = {
+    "cnot": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+    "cz": np.diag([1.0, 1.0, 1.0, -1.0]),
+    "identity": np.eye(4),
+    "splitter": np.array([[1, 0, 0, 0], [0, _R, _R, 0], [0, -_R, _R, 0], [0, 0, 0, 1]]),
+    "phi": _PHI,
+    "pair_source": _unitary_with_first_column([0.0, _R, -_R, 0.0]),
+    "tilted_readout": np.kron(np.outer(_PHI[:, 0], _PHI[:, 0].conj()), np.eye(2))
+    + np.kron(np.outer(_PHI[:, 1], _PHI[:, 1].conj()), _FLIP),
+}
+
+
+def _gate(name: str, *labels: str) -> Operator:
+    return Operator(np.array(_GATES[name], dtype=complex), (2,) * len(labels), labels)
+
+
+def _crossing(run: _Run, spin1, spin2, unitary: Operator, op_id: str, frozen=()):
+    """Spins 1 and 2 fly at each other through a crossing of ``unitary`` until it completes.
+
+    ``frozen`` holds the spin frozen forms the spin-side and then the
+    pointer-side boundary matrix must take, checked before the first step.
+    """
+
+    def flat(label, system):  # the label's bits over all its systems, as one flat index
+        bits = dict(label.partners, **{system: label.own})
+        return int(np.ravel_multi_index([bits[s] for s in sorted(bits)], [2] * len(bits)))
+
     systems = [("1", spin1, -8.0, _CROSSING_K0), ("2", spin2, 8.0, -_CROSSING_K0)]
-    state = _world(cfg, (-64.0, 64.0, 2048, 0.0125), systems, sigma=1.0)
-    frames: list = []
-    _frame(state, frames)
+    state = _world(run.cfg, (-64.0, 64.0, 2048, 0.0125), systems, sigma=1.0)
+    _frame(state, run.frames)
     link = meet(state, "1", "2", unitary, op_id, mode="crossing")
-    checks: list = []
-    _resolution_check(state.grid, _CROSSING_K0, checks)
-    return state, link, frames, checks
-
-
-def _run_crossing(state: ScenarioState, link, cfg: ScenarioConfig, frames, checks) -> None:
-    """Advance until the boundary completes, then check that it did."""
+    run.resolves(state.grid, _CROSSING_K0)
+    for side, t, form in zip(("spin", "pointer"), (link.t_left, link.t_right), frozen):
+        # the largest gap to the form, which must vanish on the rows the transfer drops
+        rows = [flat(label, t.system) for label in t.out_labels]
+        cols = form[:, [flat(label, t.system) for label in t.in_labels]]
+        held = np.abs(t.matrix - cols[rows]).max()
+        gap = float(max(held, np.abs(np.delete(cols, rows, axis=0)).max(initial=0.0)))
+        run.check(f"{side}-side boundary matrix is the frozen form", gap <= 1e-12, f"{gap:.3e}")
     cap = int(math.ceil(20.0 / state.grid.dt))
-    _evolve(state, cfg, frames, cap, until=lambda: not link.active)
-    _check(checks, "crossing completed", not link.active, f"{state.step_count} steps")
+    run.evolve(state, cap, until=lambda: not link.active)
+    run.check("crossing completed", not link.active, f"{state.step_count} steps")
+    return state, link
 
 
 # --- two_spin_crossing ---------------------------------------------------
 
 
-def run_two_spin_crossing(cfg: ScenarioConfig) -> ScenarioResult:
+@_scenario("two moving spins re-index through an equal-flux boundary")
+def run_two_spin_crossing(run: _Run) -> ScenarioResult:
     """Two moving spins exchange a phase while passing through a boundary.
 
     Spins fly at each other, interact through a conditional phase as
@@ -355,106 +366,70 @@ def run_two_spin_crossing(cfg: ScenarioConfig) -> ScenarioResult:
     correlated index labels.  Amplitude pairs 1 and 2 set the internal
     states; by symmetry of the shapes the boundary must stay put.
     """
-    a1, b1 = cfg.pair(1, _R, _R)
-    a2, b2 = cfg.pair(2, _R, _R)
-    cz = _cz("1", "2")
-    state, link, frames, checks = _start_crossing(cfg, (a1, b1), (a2, b2), cz, "phase-exchange")
-    _run_crossing(state, link, cfg, frames, checks)
-    grid = state.grid
+    spin1, spin2 = run.cfg.pair(1, _R, _R), run.cfg.pair(2, _R, _R)
+    cz = _gate("cz", "1", "2")
+    state, link = _crossing(run, spin1, spin2, cz, "phase-exchange")
     traj = np.array(link.trajectory)
-    _check(
-        checks,
-        "boundary stays within one cell of the symmetry point",
-        np.abs(traj[:, 1]).max() <= grid.dx,
-        f"max |x12| {np.abs(traj[:, 1]).max():.3e}, dx {grid.dx}",
-    )
+    moved, dx = np.abs(traj[:, 1]).max(), state.grid.dx
+    name = "boundary stays within one cell of the symmetry point"
+    run.check(name, moved <= dx, f"max |x12| {moved:.3e}, dx {dx}")
     gap = float(np.abs(traj[:, 2] - traj[:, 3]).max())
-    _check(checks, "crossed fluid levels agree", gap <= 1e-6, f"max gap {gap:.3e}")
+    run.check("crossed fluid levels agree", gap <= 1e-6, f"max gap {gap:.3e}")
     if link.active:  # the audits below need both systems at rest
-        return _finalize(cfg, state, checks, frames)
+        return run.finish(state)
 
-    ket = apply(cz, tensor(state_ket("1", (a1, b1)), state_ket("2", (a2, b2))))
+    ket = apply(cz, tensor(state_ket("1", spin1), state_ket("2", spin2)))
     table = correlation_table(state, "1", "2")
     name = "joint table matches product-state route"
-    _close(checks, name, table, _oracle_table(ket, "1", "2"), ORACLE_TOL)
-    _rest_audits(state, checks)
+    run.close(name, table, _oracle_table(ket, "1", "2"), ORACLE_TOL)
+    run.rest_audits(state)
 
-    return _finalize(cfg, state, checks, frames, [("1", "2"), ("2", "1")], outcomes=table)
+    return run.finish(state, [("1", "2"), ("2", "1")], outcomes=table)
 
 
 # --- three_spin_chain ----------------------------------------------------
 
 
-def run_three_spin_chain(cfg: ScenarioConfig) -> ScenarioResult:
+@_scenario("chained couplings leave the bystander's field and record untouched")
+def run_three_spin_chain(run: _Run) -> ScenarioResult:
     """Chained couplings leave the bystander bit-identical.
 
     Spin 1 couples to 2, then to 3.  The second interaction must not
     touch system 2 at all: not its packets, not its record.  System 2's
     own correlation view stays the one written by the first coupling.
     """
-    s1 = cfg.pair(1, 0.6, 0.8)
-    s2 = cfg.pair(2, _R, _R)
-    s3 = (1.0, 0.0)
-    systems = [("1", s1, -6.0), ("2", s2, 0.0), ("3", s3, 6.0)]
-    state = _world(cfg, _SMALL_GRID, systems)
-    frames: list = []
-    _frame(state, frames)
+    s1, s2, s3 = run.cfg.pair(1, 0.6, 0.8), run.cfg.pair(2, _R, _R), _READY
+    state = _world(run.cfg, _SMALL_GRID, [("1", s1, -6.0), ("2", s2, 0.0), ("3", s3, 6.0)])
+    _frame(state, run.frames)
 
-    meet(state, "1", "2", _cz("1", "2"), "couple-near")
+    meet(state, "1", "2", _gate("cz", "1", "2"), "couple-near")
     wf2 = state.wavefields["2"]
-    before = [(p.index, complex(p.coefficient), p.field.copy()) for p in wf2.packets]
-    mem_before = wf2.memory
-    ops_before = len(wf2.memory.ops)
-    meet(state, "1", "3", _cnot("1", "3"), "couple-far")
+    mem, ops = wf2.memory, len(wf2.memory.ops)
+    before = [(p.index, complex(p.coefficient), p.field.tobytes()) for p in wf2.packets]
+    meet(state, "1", "3", _gate("cnot", "1", "3"), "couple-far")
+    after = [(p.index, complex(p.coefficient), p.field.tobytes()) for p in wf2.packets]
+    same = state.wavefields["2"] is wf2 and wf2.memory is mem and len(mem.ops) == ops
+    run.check("bystander untouched by the far coupling", same and after == before)
 
-    checks: list = []
-    same_object = state.wavefields["2"] is wf2 and wf2.memory is mem_before
-    untouched = (
-        same_object
-        and len(wf2.memory.ops) == ops_before
-        and len(wf2.packets) == len(before)
-        and all(
-            p.index == idx
-            and complex(p.coefficient) == c
-            and np.array_equal(p.field, f)
-            for p, (idx, c, f) in zip(wf2.packets, before)
-        )
-    )
-    _check(checks, "bystander untouched by the far coupling", untouched)
-
-    advance(state, 20)
+    run.evolve(state, 20)
 
     ket = tensor(tensor(state_ket("1", s1), state_ket("2", s2)), state_ket("3", s3))
-    full = apply(_cnot("1", "3"), apply(_cz("1", "2"), ket))
+    near = apply(_gate("cz", "1", "2"), ket)
     table = correlation_table(state, "1", "3")
-    name = "far pair table matches product-state route"
-    _close(checks, name, table, _oracle_table(full, "1", "3"))
-    exp21 = _oracle_table(apply(_cz("1", "2"), ket), "2", "1")
+    far = _oracle_table(apply(_gate("cnot", "1", "3"), near), "1", "3")
+    run.close("far pair table matches product-state route", table, far)
     name = "bystander's view stops at its own last interaction"
-    _close(checks, name, correlation_table(state, "2", "1"), exp21)
-    _rest_audits(state, checks)
-    _frame(state, frames)
+    run.close(name, correlation_table(state, "2", "1"), _oracle_table(near, "2", "1"))
+    run.rest_audits(state)
 
-    return _finalize(cfg, state, checks, frames, [("1", "3"), ("2", "1")], outcomes=table)
+    return run.finish(state, [("1", "3"), ("2", "1")], outcomes=table)
 
 
 # --- von_neumann ---------------------------------------------------------
 
 
-def _frozen_gap(transfer, frozen: np.ndarray) -> float:
-    """Largest gap to a spin frozen form, which must vanish on dropped rows."""
-
-    def flat(label):
-        bits = dict(label.partners, **{transfer.system: label.own})
-        return int(np.ravel_multi_index([bits[s] for s in sorted(bits)], [2] * len(bits)))
-
-    rows = [flat(label) for label in transfer.out_labels]
-    cols = frozen[:, [flat(label) for label in transfer.in_labels]]
-    held = np.abs(transfer.matrix - cols[rows]).max()
-    return float(max(held, np.abs(np.delete(cols, rows, axis=0)).max(initial=0.0)))
-
-
-def run_von_neumann(cfg: ScenarioConfig) -> ScenarioResult:
+@_scenario("pointer readout of a flying spin with frozen boundary matrices")
+def run_von_neumann(run: _Run) -> ScenarioResult:
     """Pointer readout of a spin through a crossing.
 
     A spin in a superposition set by amplitude pair 1 flies through a
@@ -462,127 +437,88 @@ def run_von_neumann(cfg: ScenarioConfig) -> ScenarioResult:
     state: the joint expansion admits only perfectly correlated terms,
     so the pointer's final index distribution is the spin's weights.
     """
-    a1, b1 = cfg.pair(1, _R, _R)
-    state, link, frames, checks = _start_crossing(
-        cfg, (a1, b1), (1.0, 0.0), _cnot("1", "2"), "pointer-readout"
+    a1, b1 = run.cfg.pair(1, _R, _R)
+    frozen = (
+        np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex),
+        np.array([[a1, 0], [0, a1], [0, b1], [b1, 0]], dtype=complex),
     )
-    expected_left = np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex)
-    expected_right = np.array([[a1, 0], [0, a1], [0, b1], [b1, 0]], dtype=complex)
-    dl = _frozen_gap(link.t_left, expected_left)
-    dr = _frozen_gap(link.t_right, expected_right)
-    _check(checks, "spin-side boundary matrix is the frozen form", dl <= 1e-12, f"{dl:.3e}")
-    _check(checks, "pointer-side boundary matrix is the frozen form", dr <= 1e-12, f"{dr:.3e}")
-
-    _run_crossing(state, link, cfg, frames, checks)
+    readout = _gate("cnot", "1", "2")
+    state, link = _crossing(run, (a1, b1), _READY, readout, "pointer-readout", frozen)
     if link.active:  # the audits below need both systems at rest
-        return _finalize(cfg, state, checks, frames)
+        return run.finish(state)
 
+    aa, bb = abs(a1) ** 2, abs(b1) ** 2
     pointer = index_distribution(state, "2")
-    expected = {0: abs(a1) ** 2, 1: abs(b1) ** 2}
-    _close(checks, "pointer weights equal spin weights", pointer, expected)
+    run.close("pointer weights equal spin weights", pointer, {0: aa, 1: bb})
     table = correlation_table(state, "2", "1")
-    exp_table = {(0, 0): abs(a1) ** 2, (1, 1): abs(b1) ** 2}
-    _close(checks, "pointer and spin indexes perfectly correlated", table, exp_table)
-    _rest_audits(state, checks)
+    run.close("pointer and spin indexes perfectly correlated", table, {(0, 0): aa, (1, 1): bb})
+    run.rest_audits(state)
 
-    return _finalize(cfg, state, checks, frames, table_pairs=[("2", "1")], outcomes=pointer)
+    return run.finish(state, [("2", "1")], outcomes=pointer)
 
 
 # --- bell pair scenarios -------------------------------------------------
 
-
-def _phi_basis() -> Operator:
-    # tilted readout direction, 120 degrees from the reference axis
-    phi_plus = np.array([0.5, math.sqrt(3.0) / 2.0])
-    phi_minus = np.array([math.sqrt(3.0) / 2.0, -0.5])
-    return Operator(np.stack([phi_plus, phi_minus], axis=1), (2,), ("2",))
-
-
-def _pair_source() -> Operator:
-    return _unitary_with_first_column([0.0, _R, -_R, 0.0], ("1", "2"))
-
-
-def _tilted_readout() -> Operator:
-    basis = _phi_basis().matrix
-    p_plus = np.outer(basis[:, 0], basis[:, 0].conj())
-    p_minus = np.outer(basis[:, 1], basis[:, 1].conj())
-    flip = np.array([[0, 1], [1, 0]], dtype=complex)
-    m = np.kron(p_plus, np.eye(2)) + np.kron(p_minus, flip)
-    return Operator(m, (2, 2), ("2", "B"))
-
-
-def _bell_state(cfg: ScenarioConfig, tilted: bool) -> ScenarioState:
-    ready = (1.0, 0.0)
-    systems = [("1", ready, -2.0), ("2", ready, 2.0), ("A", ready, -8.0), ("B", ready, 8.0)]
-    state = _world(cfg, _SMALL_GRID, systems, bases={"2": _phi_basis()} if tilted else None)
-    meet(state, "1", "2", _pair_source(), "pair-source")
-    meet(state, "1", "A", _cnot("1", "A"), "near-readout")
-    readout = _tilted_readout() if tilted else _cnot("2", "B")
-    meet(state, "2", "B", readout, "far-readout")
-    meet(state, "A", "B", _identity_pair("A", "B"), "record-compare")
-    return state
+# each case's far readout and its expectations: the recorder table, the
+# check that no other outcome exists (if any), the signed branches one
+# recorder shows, and the system whose index is even odds
+_BELL_CASES = {
+    "bell_case1": dict(
+        far="cnot",
+        table=("recorders anticorrelated half-half", {(0, 1): 0.5, (1, 0): 0.5}),
+        only="no same-outcome branch exists",
+        shown=("near recorder carries the two signed branches", "A", {
+            (0, (("1", 0), ("2", 1), ("B", 1))): _R,
+            (1, (("1", 1), ("2", 0), ("B", 0))): -_R,
+        }),
+        odds=("each recorder outcome is even odds", "A"),
+    ),
+    "bell_case2": dict(
+        far="tilted_readout",
+        table=(
+            "recorder table shows the tilted pattern",
+            {(0, 0): 3.0 / 8.0, (0, 1): 1.0 / 8.0, (1, 0): 1.0 / 8.0, (1, 1): 3.0 / 8.0},
+        ),
+        shown=("far recorder carries the four signed branches", "B", {
+            (0, (("1", 0), ("2", 0), ("A", 0))): math.sqrt(3.0 / 8.0),
+            (0, (("1", 1), ("2", 0), ("A", 1))): -math.sqrt(1.0 / 8.0),
+            (1, (("1", 0), ("2", 1), ("A", 0))): -math.sqrt(1.0 / 8.0),
+            (1, (("1", 1), ("2", 1), ("A", 1))): -math.sqrt(3.0 / 8.0),
+        }),
+        odds=("tilted indexes of the pair are even odds", "2"),
+    ),
+}
 
 
-def _display_check(checks: list, name: str, state: ScenarioState, system: str, expected):
-    """Check a system's branches: own index and partners to coefficient."""
-    packets = state.wavefields[system].packets
-    display = {(p.index.own, p.index.partners): complex(p.coefficient) for p in packets}
-    ok = set(display) == set(expected) and all(
-        abs(display[k] - expected[k]) <= EXACT_TOL for k in expected
-    )
-    _check(checks, name, ok)
+# decorators apply bottom up, so bell_case1 is registered first
+@_scenario("tilted-basis pair readout with the three-eighths pattern", "bell_case2")
+@_scenario("matched-basis pair readout, recorders disagree every time", "bell_case1")
+def run_bell(run: _Run) -> ScenarioResult:
+    """Pair readout: recorders A and B read spins 1 and 2 of one source.
 
-
-def run_bell_case1(cfg: ScenarioConfig) -> ScenarioResult:
-    """Matched-basis pair readout: outcomes disagree every single time."""
-    state = _bell_state(cfg, tilted=False)
-    frames: list = []
-    checks: list = []
-
-    table = correlation_table(state, "A", "B")
-    expected = {(0, 1): 0.5, (1, 0): 0.5}
-    _close(checks, "recorders anticorrelated half-half", table, expected)
-    _only_keys(checks, "no same-outcome branch exists", table, expected)
-
-    shown = {
-        (0, (("1", 0), ("2", 1), ("B", 1))): _R,
-        (1, (("1", 1), ("2", 0), ("B", 0))): -_R,
-    }
-    _display_check(checks, "near recorder carries the two signed branches", state, "A", shown)
-
-    dist = index_distribution(state, "A")
-    _close(checks, "each recorder outcome is even odds", dist, {0: 0.5, 1: 0.5})
-    _rest_audits(state, checks)
-
-    _frame(state, frames)
-    return _finalize(cfg, state, checks, frames, table_pairs=[("A", "B")], outcomes=table)
-
-
-def run_bell_case2(cfg: ScenarioConfig) -> ScenarioResult:
-    """Tilted-basis pair readout: three-eighths agreement pattern."""
-    state = _bell_state(cfg, tilted=True)
-    frames: list = []
-    checks: list = []
+    In bell_case1 both read in the reference basis, and the outcomes
+    disagree every single time.  In bell_case2 spin 2 is read in a basis
+    tilted by 120 degrees, which gives the three-eighths agreement pattern.
+    """
+    case = _BELL_CASES[run.cfg.scenario]
+    systems = [("1", _READY, -2.0), ("2", _READY, 2.0), ("A", _READY, -8.0), ("B", _READY, 8.0)]
+    tilted = {"2": _gate("phi", "2")} if case["far"] == "tilted_readout" else None
+    state = _world(run.cfg, _SMALL_GRID, systems, bases=tilted)
+    meet(state, "1", "2", _gate("pair_source", "1", "2"), "pair-source")
+    meet(state, "1", "A", _gate("cnot", "1", "A"), "near-readout")
+    meet(state, "2", "B", _gate(case["far"], "2", "B"), "far-readout")
+    meet(state, "A", "B", _gate("identity", "A", "B"), "record-compare")
 
     table = correlation_table(state, "A", "B")
-    expected = {(0, 0): 3.0 / 8.0, (0, 1): 1.0 / 8.0, (1, 0): 1.0 / 8.0, (1, 1): 3.0 / 8.0}
-    _close(checks, "recorder table shows the tilted pattern", table, expected)
+    name, expected = case["table"]
+    run.close(name, table, expected, only=case.get("only", ""))
+    run.shows(state, *case["shown"])
+    name, system = case["odds"]
+    run.close(name, index_distribution(state, system), {0: 0.5, 1: 0.5})
+    run.rest_audits(state)
 
-    q38, q18 = math.sqrt(3.0 / 8.0), math.sqrt(1.0 / 8.0)
-    shown = {
-        (0, (("1", 0), ("2", 0), ("A", 0))): q38,
-        (0, (("1", 1), ("2", 0), ("A", 1))): -q18,
-        (1, (("1", 0), ("2", 1), ("A", 0))): -q18,
-        (1, (("1", 1), ("2", 1), ("A", 1))): -q38,
-    }
-    _display_check(checks, "far recorder carries the four signed branches", state, "B", shown)
-
-    dist = index_distribution(state, "2")
-    _close(checks, "tilted indexes of the pair are even odds", dist, {0: 0.5, 1: 0.5})
-    _rest_audits(state, checks)
-
-    _frame(state, frames)
-    return _finalize(cfg, state, checks, frames, table_pairs=[("A", "B")], outcomes=table)
+    _frame(state, run.frames)
+    return run.finish(state, [("A", "B")], outcomes=table)
 
 
 # --- student_demo --------------------------------------------------------
@@ -592,15 +528,8 @@ _UP_DOWN = {0: "up", 1: "down"}
 _UP_DOWN_B_TILTED = {0: "down", 1: "up"}
 
 
-def _styled(counts: dict, map_a: dict, map_b: dict) -> dict:
-    out: dict = {}
-    for (i, j), n in counts.items():
-        key = (map_a[i], map_b[j])
-        out[key] = out.get(key, 0) + n
-    return out
-
-
-def run_student_demo(cfg: ScenarioConfig) -> ScenarioResult:
+@_scenario("eight-particle paired tables for both pair readouts")
+def run_student_demo(run: _Run) -> ScenarioResult:
     """Eight-particle paired tables for both pair readouts.
 
     Both pair scenarios are run, eight fluid particles are drawn per
@@ -609,112 +538,85 @@ def run_student_demo(cfg: ScenarioConfig) -> ScenarioResult:
     matched case gives eight disagreeing pairs; the tilted case the
     6-to-2 pattern, reported in plain up/down language.
     """
+    cfg, n = run.cfg, 8
     sub = replace(cfg, trials=0, snapshot_every=0, out_dir=None)
-    res1 = run_bell_case1(replace(sub, scenario="bell_case1"))
-    res2 = run_bell_case2(replace(sub, scenario="bell_case2"))
-    checks: list = []
-    frames: list = []
-    _frame(res1.state, frames, prefix="matched.")
-    _frame(res2.state, frames, prefix="tilted.")
-
-    n = 8
-    counts = {}
-    for label, res in (("matched", res1), ("tilted", res2)):
-        pa = sample_particles(res.state.wavefields["A"], res.state.grid, n, cfg.seed)
-        pb = sample_particles(res.state.wavefields["B"], res.state.grid, n, cfg.seed + 1)
-        report = pair_particles(pa, pb, correlation_table(res.state, "A", "B"))
-        counts[label] = report.counts
-
-    split = {(0, 0): 3, (0, 1): 1, (1, 0): 1, (1, 1): 3}
-    for label, name, expected in (
-        ("matched", "matched case pairs all disagree", {(0, 1): 4, (1, 0): 4}),
-        ("tilted", "tilted case shows the 3-1-1-3 split", split),
+    anti, split = {(0, 1): 4, (1, 0): 4}, {(0, 0): 3, (0, 1): 1, (1, 0): 1, (1, 1): 3}
+    counts, styled = {}, {}
+    for case, label, b_words, name, expected in (
+        ("bell_case1", "matched", _UP_DOWN, "matched case pairs all disagree", anti),
+        ("bell_case2", "tilted", _UP_DOWN_B_TILTED, "tilted case shows the 3-1-1-3 split", split),
     ):
-        _check(checks, name, counts[label] == expected, f"{sorted(counts[label].items())}")
-    styled1 = _styled(counts["matched"], _UP_DOWN, _UP_DOWN)
-    styled2 = _styled(counts["tilted"], _UP_DOWN, _UP_DOWN_B_TILTED)
-    _check(
-        checks,
+        state = run_bell(_Run(replace(sub, scenario=case))).state
+        _frame(state, run.frames, prefix=f"{label}.")
+        pa = sample_particles(state.wavefields["A"], state.grid, n, cfg.seed)
+        pb = sample_particles(state.wavefields["B"], state.grid, n, cfg.seed + 1)
+        counts[label] = pair_particles(pa, pb, correlation_table(state, "A", "B")).counts
+        styled[label] = {(_UP_DOWN[i], b_words[j]): k for (i, j), k in counts[label].items()}
+        run.check(name, counts[label] == expected, f"{sorted(counts[label].items())}")
+    run.check(
         "up/down language preserves the pattern",
-        styled1 == {("up", "down"): 4, ("down", "up"): 4}
-        and styled2
+        styled["matched"] == {("up", "down"): 4, ("down", "up"): 4}
+        and styled["tilted"]
         == {("up", "up"): 1, ("down", "down"): 1, ("up", "down"): 3, ("down", "up"): 3},
     )
 
-    extra = {
-        "matched_counts": _table_json(counts["matched"]),
-        "tilted_counts": _table_json(counts["tilted"]),
-        "matched_styled": _table_json(styled1),
-        "tilted_styled": _table_json(styled2),
-        "particles_per_side": n,
-    }
+    extra = {f"{label}_counts": _table_json(counts[label]) for label in counts}
+    extra.update({f"{label}_styled": _table_json(styled[label]) for label in styled})
+    extra["particles_per_side"] = n
     # the per-case audits already passed inside the sub-runs
-    return _finalize(cfg, res2.state, checks, frames, extra=extra)
+    return run.finish(state, extra=extra)
 
 
 # --- beam_splitter_einstein ----------------------------------------------
 
 
-def _splitter() -> Operator:
-    m = np.array(
-        [[1, 0, 0, 0], [0, _R, _R, 0], [0, -_R, _R, 0], [0, 0, 0, 1]], dtype=complex
-    )
-    return Operator(m, (2, 2), ("I", "II"))
-
-
-def run_beam_splitter_einstein(cfg: ScenarioConfig) -> ScenarioResult:
+@_scenario("one excitation over two detectors that never both fire")
+def run_beam_splitter_einstein(run: _Run) -> ScenarioResult:
     """One excitation, two detectors, never a double count.
 
     A single occupied mode is split evenly over two modes, each watched
     by its own detector.  The detectors' records anticorrelate exactly:
     the excitation is never found on both sides.
     """
-    ready = (1.0, 0.0)
-    systems = [("I", (0.0, 1.0), -2.0), ("II", ready, 2.0), ("A", ready, -8.0), ("B", ready, 8.0)]
-    state = _world(cfg, _SMALL_GRID, systems)
-    meet(state, "I", "II", _splitter(), "split")
-    meet(state, "I", "A", _cnot("I", "A"), "near-detector")
-    meet(state, "II", "B", _cnot("II", "B"), "far-detector")
-    meet(state, "A", "B", _identity_pair("A", "B"), "record-compare")
+    systems = [("I", (0.0, 1.0), -2.0), ("II", _READY, 2.0)]
+    state = _world(run.cfg, _SMALL_GRID, systems + [("A", _READY, -8.0), ("B", _READY, 8.0)])
+    meet(state, "I", "II", _gate("splitter", "I", "II"), "split")
+    meet(state, "I", "A", _gate("cnot", "I", "A"), "near-detector")
+    meet(state, "II", "B", _gate("cnot", "II", "B"), "far-detector")
+    meet(state, "A", "B", _gate("identity", "A", "B"), "record-compare")
 
-    checks: list = []
-    frames: list = []
     table = correlation_table(state, "A", "B")
     expected = {(1, 0): 0.5, (0, 1): 0.5}
-    _close(checks, "exactly one detector fires, even odds", table, expected)
-    _only_keys(checks, "no double-count branch exists", table, expected)
+    name, only = "exactly one detector fires, even odds", "no double-count branch exists"
+    run.close(name, table, expected, only=only)
     modes = correlation_table(state, "I", "II")
-    _close(checks, "the excitation sits in exactly one mode", modes, {(1, 0): 0.5, (0, 1): 0.5})
+    run.close("the excitation sits in exactly one mode", modes, {(1, 0): 0.5, (0, 1): 0.5})
+    shown = {(1, (("B", 0), ("I", 1), ("II", 0))): _R, (0, (("B", 1), ("I", 0), ("II", 1))): _R}
+    run.shows(state, "near detector carries the two equal branches", "A", shown)
+    run.rest_audits(state)
 
-    shown = {
-        (1, (("B", 0), ("I", 1), ("II", 0))): _R,
-        (0, (("B", 1), ("I", 0), ("II", 1))): _R,
-    }
-    _display_check(checks, "near detector carries the two equal branches", state, "A", shown)
-    _rest_audits(state, checks)
-
-    _frame(state, frames)
-    return _finalize(cfg, state, checks, frames, [("A", "B"), ("I", "II")], outcomes=table)
+    _frame(state, run.frames)
+    return run.finish(state, [("A", "B"), ("I", "II")], outcomes=table)
 
 
 # --- stern_gerlach -------------------------------------------------------
 
 
-def run_stern_gerlach(cfg: ScenarioConfig) -> ScenarioResult:
+@_scenario("spin-conditioned path split with momentum-forked branches")
+def run_stern_gerlach(run: _Run) -> ScenarioResult:
     """Spin-conditioned path split with spatially forked branches.
 
     The spin (amplitude pair 1) flips the occupied path mode per index,
     then each spin branch gets an opposite momentum kick and the
     packets fly apart, one path per index, weights preserved.
     """
-    a, b = cfg.pair(1, 0.6, 0.8)
-    systems = [("s", (a, b), 0.0), ("I", (0.0, 1.0), 0.0), ("II", (1.0, 0.0), 0.0)]
-    state = _world(cfg, (-32.0, 32.0, 1024, 0.01), systems)
+    a, b = run.cfg.pair(1, 0.6, 0.8)
+    systems = [("s", (a, b), 0.0), ("I", (0.0, 1.0), 0.0), ("II", _READY, 0.0)]
+    state = _world(run.cfg, (-32.0, 32.0, 1024, 0.01), systems)
     grid = state.grid
-    frames: list = []
-    _frame(state, frames)
-    meet(state, "s", "I", _cnot("s", "I"), "fork-path-up")
-    meet(state, "s", "II", _cnot("s", "II"), "fork-path-down")
+    _frame(state, run.frames)
+    meet(state, "s", "I", _gate("cnot", "s", "I"), "fork-path-up")
+    meet(state, "s", "II", _gate("cnot", "s", "II"), "fork-path-down")
 
     kick = 6.0
     spin = state.wavefields["s"]
@@ -722,57 +624,44 @@ def run_stern_gerlach(cfg: ScenarioConfig) -> ScenarioResult:
         sign = 1.0 if p.index.own == 0 else -1.0
         p.field = p.field * np.exp(1j * sign * kick * grid.x)
 
-    _evolve(state, cfg, frames, 150)
+    run.evolve(state, 150)
 
-    checks: list = []
     aa, bb = abs(a) ** 2, abs(b) ** 2
     up, down = (correlation_table(state, "s", path) for path in ("I", "II"))
-    _close(checks, "first path occupied on index 0 only", up, {(0, 1): aa, (1, 0): bb})
-    _close(checks, "second path occupied on index 1 only", down, {(0, 0): aa, (1, 1): bb})
-
-    shown = {
-        (0, (("I", 1), ("s", 0))): complex(a),
-        (1, (("I", 0), ("s", 1))): complex(b),
-    }
-    _display_check(checks, "second path carries the two weighted branches", state, "II", shown)
-
+    run.close("first path occupied on index 0 only", up, {(0, 1): aa, (1, 0): bb})
+    run.close("second path occupied on index 1 only", down, {(0, 0): aa, (1, 1): bb})
+    shown = {(0, (("I", 1), ("s", 0))): complex(a), (1, (("I", 0), ("s", 1))): complex(b)}
+    run.shows(state, "second path carries the two weighted branches", "II", shown)
     weights = index_distribution(state, "s")
-    _close(checks, "spin weights preserved through the fork", weights, {0: aa, 1: bb})
+    run.close("spin weights preserved through the fork", weights, {0: aa, 1: bb})
 
-    centroids = {p.index.own: _packet_centroid(p, grid) for p in spin.packets}
-    _check(
-        checks,
-        "branches deflected to opposite sides",
-        centroids.get(0, 0.0) > 1.0 and centroids.get(1, 0.0) < -1.0,
-        f"{centroids}",
-    )
-    _rest_audits(state, checks)
+    centroids = {}
+    for p in spin.packets:
+        dens = np.abs(p.field) ** 2
+        centroids[p.index.own] = float(np.dot(grid.x, dens) / dens.sum())
+    apart = centroids.get(0, 0.0) > 1.0 and centroids.get(1, 0.0) < -1.0
+    run.check("branches deflected to opposite sides", apart, f"{centroids}")
+    run.rest_audits(state)
 
     extra = {"branch_centroids": {str(k): v for k, v in sorted(centroids.items())}}
-    return _finalize(cfg, state, checks, frames, [("s", "I"), ("s", "II")], extra, weights)
+    return run.finish(state, [("s", "I"), ("s", "II")], extra, weights)
 
 
 # --- weak_entanglement ---------------------------------------------------
 
 
 def _weak_state(cfg: ScenarioConfig, a, b, eps: float) -> ScenarioState:
-    ready = (1.0, 0.0)
-    state = _world(cfg, _SMALL_GRID, [("c", ready, -4.0), ("t", ready, 0.0), ("e", ready, 4.0)])
+    systems = [("c", _READY, -4.0), ("t", _READY, 0.0), ("e", _READY, 4.0)]
+    state = _world(cfg, _SMALL_GRID, systems)
     col0 = [a, b * math.cos(eps), 0.0, b * math.sin(eps)]
-    meet(state, "c", "t", _unitary_with_first_column(col0, ("c", "t")), "weak-coupling")
-    meet(state, "c", "e", _cnot("c", "e"), "amplify")
+    coupling = Operator(_unitary_with_first_column(col0), (2, 2), ("c", "t"))
+    meet(state, "c", "t", coupling, "weak-coupling")
+    meet(state, "c", "e", _gate("cnot", "c", "e"), "amplify")
     return state
 
 
-def _target_trace_distance(state: ScenarioState, a, b) -> float:
-    ket = memory_mod.derive_state(state.wavefields["t"].memory)
-    rho = reduced_density(ket, ["t"])
-    v = np.array([a, b], dtype=complex)
-    ideal = np.outer(v, v.conj())
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho - ideal))))
-
-
-def run_weak_entanglement(cfg: ScenarioConfig) -> ScenarioResult:
+@_scenario("weak-coupling purity loss scaling as the coupling squared")
+def run_weak_entanglement(run: _Run) -> ScenarioResult:
     """Purity loss of a weakly coupled target scales quadratically.
 
     The control's state (amplitude pair 1) leaks into the target with
@@ -780,43 +669,39 @@ def run_weak_entanglement(cfg: ScenarioConfig) -> ScenarioResult:
     reduced state drifts from the ideal superposition by a trace
     distance that falls off as epsilon squared.
     """
+    cfg = run.cfg
     a, b = cfg.pair(1, 0.6, 0.8)
+    ideal = np.outer([a, b], np.conj([a, b]))
     sweep = (0.1, 0.03, 0.01)
-    checks: list = []
     distances = {}
     worst = 0.0
     for eps in sweep:
-        td = _target_trace_distance(_weak_state(cfg, a, b, eps), a, b)
+        ket = memory_mod.derive_state(_weak_state(cfg, a, b, eps).wavefields["t"].memory)
+        rho = reduced_density(ket, ["t"])
+        td = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho - ideal))))
         distances[eps] = td
         worst = max(worst, abs(td - abs(a) * abs(b) * (1.0 - math.cos(eps))))
-    _check(
-        checks,
-        "trace distance matches the closed form",
-        worst <= 1e-12,
-        f"worst {worst:.3e}",
-    )
-    slope = float(
-        np.polyfit(np.log(np.array(sweep)), np.log(np.array([distances[e] for e in sweep])), 1)[0]
-    )
-    _check(checks, "purity loss scales as the square", 1.8 <= slope <= 2.2, f"slope {slope:.4f}")
+    run.check("trace distance matches the closed form", worst <= 1e-12, f"worst {worst:.3e}")
+    logs = np.log(np.array([distances[e] for e in sweep]))
+    slope = float(np.polyfit(np.log(np.array(sweep)), logs, 1)[0])
+    run.check("purity loss scales as the square", 1.8 <= slope <= 2.2, f"slope {slope:.4f}")
 
     state = _weak_state(cfg, a, b, cfg.epsilon)
-    frames: list = []
-    _frame(state, frames)
+    _frame(state, run.frames)
     aa, bb = abs(a) ** 2, abs(b) ** 2
     target = index_distribution(state, "t")
-    _close(checks, "target weights unaffected by the coupling", target, {0: aa, 1: bb})
+    run.close("target weights unaffected by the coupling", target, {0: aa, 1: bb})
     leak = (abs(b) * math.sin(cfg.epsilon)) ** 2
     control = index_distribution(state, "c")
-    _close(checks, "control flips with the leaked weight", control, {0: 1.0 - leak, 1: leak})
-    _rest_audits(state, checks)
+    run.close("control flips with the leaked weight", control, {0: 1.0 - leak, 1: leak})
+    run.rest_audits(state)
 
     extra = {
         "trace_distances": {str(e): float(d) for e, d in distances.items()},
         "slope": slope,
         "epsilon": cfg.epsilon,
     }
-    return _finalize(cfg, state, checks, frames, [("c", "e")], extra, control)
+    return run.finish(state, [("c", "e")], extra, control)
 
 
 # --- tunneling -----------------------------------------------------------
@@ -838,7 +723,8 @@ def _plane_wave_transmission(k: float, v0: float, width: float) -> float:
     return 1.0 / (1.0 + v0 * v0 * s * s / (4.0 * e * (e - v0)))
 
 
-def run_tunneling(cfg: ScenarioConfig) -> ScenarioResult:
+@_scenario("barrier transmission against the momentum-averaged analytic rate")
+def run_tunneling(run: _Run) -> ScenarioResult:
     """Single packet on a rectangular barrier, fluid picture audited.
 
     The transmitted fraction must match the momentum-resolved analytic
@@ -847,15 +733,14 @@ def run_tunneling(cfg: ScenarioConfig) -> ScenarioResult:
     """
     k0, sigma, x0 = 2.0, 2.0, -15.0
     v0, width = 2.0, 1.0
-    state = _world(cfg, (-64.0, 64.0, 2048, 0.01), [("1", (1.0, 0.0), x0, k0)], sigma)
+    state = _world(run.cfg, (-64.0, 64.0, 2048, 0.01), [("1", _READY, x0, k0)], sigma)
     grid = state.grid
     barrier = np.where((grid.x >= 0.0) & (grid.x < width), v0, 0.0)
     set_potential(state, "1", barrier)
     packet = state.wavefields["1"].packets[0]
     initial = packet.field.copy()
 
-    frames: list = []
-    _frame(state, frames)
+    _frame(state, run.frames)
     times = [0.0]
     fields = [initial.copy()]
 
@@ -865,10 +750,9 @@ def run_tunneling(cfg: ScenarioConfig) -> ScenarioResult:
             times.append(state.time)
             fields.append(packet.field.copy())
 
-    _evolve(state, cfg, frames, 1400, each=sample)
+    run.evolve(state, 1400, each=sample)
 
-    checks: list = []
-    _resolution_check(grid, k0, checks)
+    run.resolves(grid, k0)
     dens_final = np.abs(packet.field) ** 2
     transmitted = float(np.sum(dens_final[grid.x >= width]) * grid.dx)
     reflected = float(np.sum(dens_final[grid.x < 0.0]) * grid.dx)
@@ -877,15 +761,11 @@ def run_tunneling(cfg: ScenarioConfig) -> ScenarioResult:
     rates = np.array([_plane_wave_transmission(k, v0, width) for k in grid.k])
     analytic = float(np.sum(spectrum * rates) / np.sum(spectrum))
     rel = abs(transmitted - analytic) / analytic
-    _check(
-        checks,
-        "transmitted fraction matches the momentum-averaged rate",
-        rel <= 0.01,
-        f"measured {transmitted:.6f}, analytic {analytic:.6f}, rel {rel:.2e}",
-    )
+    detail = f"measured {transmitted:.6f}, analytic {analytic:.6f}, rel {rel:.2e}"
+    run.check("transmitted fraction matches the momentum-averaged rate", rel <= 0.01, detail)
 
     drift = abs(norm_squared(packet.field, grid) - 1.0)
-    _check(checks, "unit mass conserved through the barrier", drift <= 1e-8, f"{drift:.3e}")
+    run.check("unit mass conserved through the barrier", drift <= 1e-8, f"{drift:.3e}")
 
     cum = cumulative_mass(np.abs(initial) ** 2, grid)
     quantiles = np.linspace(0.025, 0.975, 50)
@@ -893,13 +773,8 @@ def run_tunneling(cfg: ScenarioConfig) -> ScenarioResult:
     lines = streamlines(np.array(times), np.array(fields), seeds, grid, label="1")
     positions = np.stack([w.positions for w in lines], axis=1)
     min_gap = float(np.diff(positions, axis=1).min())
-    _check(
-        checks,
-        "fluid trajectories never cross",
-        min_gap >= -1e-9,
-        f"min ordered gap {min_gap:.3e}",
-    )
-    _memory_audit(state, checks)
+    run.check("fluid trajectories never cross", min_gap >= -1e-9, f"min ordered gap {min_gap:.3e}")
+    run.rest_audits(state, mass=False)
 
     extra = {
         "transmitted": transmitted,
@@ -909,53 +784,7 @@ def run_tunneling(cfg: ScenarioConfig) -> ScenarioResult:
         "packet": {"k0": k0, "sigma": sigma, "x0": x0},
     }
     outcomes = {"transmitted": transmitted, "reflected": 1.0 - transmitted}
-    return _finalize(cfg, state, checks, frames, extra=extra, outcomes=outcomes)
-
-
-# --- registry ------------------------------------------------------------
-
-SCENARIOS = {
-    "two_spin_crossing": (
-        run_two_spin_crossing,
-        "two moving spins re-index through an equal-flux boundary",
-    ),
-    "three_spin_chain": (
-        run_three_spin_chain,
-        "chained couplings leave the bystander's field and record untouched",
-    ),
-    "von_neumann": (
-        run_von_neumann,
-        "pointer readout of a flying spin with frozen boundary matrices",
-    ),
-    "bell_case1": (
-        run_bell_case1,
-        "matched-basis pair readout, recorders disagree every time",
-    ),
-    "bell_case2": (
-        run_bell_case2,
-        "tilted-basis pair readout with the three-eighths pattern",
-    ),
-    "student_demo": (
-        run_student_demo,
-        "eight-particle paired tables for both pair readouts",
-    ),
-    "beam_splitter_einstein": (
-        run_beam_splitter_einstein,
-        "one excitation over two detectors that never both fire",
-    ),
-    "stern_gerlach": (
-        run_stern_gerlach,
-        "spin-conditioned path split with momentum-forked branches",
-    ),
-    "weak_entanglement": (
-        run_weak_entanglement,
-        "weak-coupling purity loss scaling as the coupling squared",
-    ),
-    "tunneling": (
-        run_tunneling,
-        "barrier transmission against the momentum-averaged analytic rate",
-    ),
-}
+    return run.finish(state, extra=extra, outcomes=outcomes)
 
 
 def list_scenarios() -> list[tuple[str, str]]:
@@ -967,4 +796,4 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         runner, _ = SCENARIOS[cfg.scenario]
     except KeyError:
         raise ValueError(f"unknown scenario {cfg.scenario!r}") from None
-    return runner(cfg)
+    return runner(_Run(cfg))

@@ -106,11 +106,6 @@ class Propagator:
         return (out, s) if keep else out
 
 
-def step(psi: np.ndarray, potential, grid: Grid, steps: int = 1) -> np.ndarray:
-    """One or more steps of a wavefunction in a potential (None for free flight)."""
-    return Propagator(grid, potential).step(psi, steps)
-
-
 def norm_squared(psi: np.ndarray, grid: Grid) -> float:
     return float(np.sum(np.abs(psi) ** 2) * grid.dx)
 

@@ -442,6 +442,18 @@ def test_stacked_systems_step_as_if_alone(potential):
     assert len(shared) == (2 if potential else 1)
 
 
+def test_set_potential_keeps_a_copy_and_resolves_the_propagator_once():
+    state, grid = small_state()
+    add_system(state, "1", [0.6, 0.8], gaussian_packet(grid, -2.0, 1.5, 1.0))
+    v = 0.01 * grid.x**2
+    engine.set_potential(state, "1", v)
+    prop = state.propagator("1")
+    v[:] = 0.0  # the caller's array is not the system's potential
+    advance(state)
+    assert state.propagator("1") is prop and not prop.free
+    assert state.potentials["1"].any()
+
+
 @pytest.mark.parametrize("potential", [False, True])
 def test_advance_calls_on_a_lone_system_are_one_multi_step(potential):
     # each advance continues from the spectrum the last one kept, so k calls

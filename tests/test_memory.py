@@ -22,7 +22,6 @@ from wavefields.memory import (
     record_interaction,
     synchronize,
     systems,
-    world_line,
 )
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -101,6 +100,11 @@ def test_space_like_records_commute():
     a = derive_state(merged)
     b = derive_state(swapped)
     assert np.allclose(a.amplitudes, b.amplitudes, atol=1e-12)
+
+
+def world_line(mem, system):
+    """The system's own interaction records, in causal order."""
+    return [op_id for op_id in linearize(mem) if system in mem.ops[op_id].participants]
 
 
 def test_record_interaction_tracks_parents():

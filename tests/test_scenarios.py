@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +10,8 @@ from wavefields.scenarios import (
     SCENARIOS,
     CheckFailure,
     ScenarioConfig,
-    _check,
-    _finalize,
     _frame,
+    _Run,
     list_scenarios,
     run_scenario,
 )
@@ -35,6 +35,14 @@ ALL_NAMES = [
 def test_registry_lists_all_scenarios_in_order():
     assert [name for name, _ in list_scenarios()] == ALL_NAMES
     assert all(blurb for _, blurb in list_scenarios())
+
+
+def test_readme_table_is_the_scenario_list():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("`wavefields list` prints the ten prepared scenarios:", 1)[1]
+    rows = section.strip().split("\n\n", 1)[0].splitlines()[2:]  # past the header and rule
+    parsed = [tuple(cell.strip() for cell in row.strip("|").split("|")) for row in rows]
+    assert parsed == [(f"`{name}`", blurb) for name, blurb in list_scenarios()]
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -132,11 +140,15 @@ def test_crossing_ends_when_its_boundary_completes_at_any_cadence(name):
     assert frame_times == {7: 60, 8: 52, 32: 14}
 
 
-@pytest.mark.parametrize("every", [4, 7, 150])
-def test_stern_gerlach_frames_every_k_of_150_steps(every):
-    res = run_scenario(ScenarioConfig(scenario="stern_gerlach", snapshot_every=every))
-    assert res.summary["steps"] == 150
-    assert len({block[0] for block in res.frames}) == 1 + math.ceil(150 / every)
+@pytest.mark.parametrize(
+    "name, steps, every",
+    [("stern_gerlach", 150, every) for every in (4, 7, 150)]
+    + [("three_spin_chain", 20, every) for every in (4, 7, 8, 20)],
+)
+def test_stepping_scenario_frames_every_k_steps(name, steps, every):
+    res = run_scenario(ScenarioConfig(scenario=name, snapshot_every=every))
+    assert res.summary["steps"] == steps
+    assert len({block[0] for block in res.frames}) == 1 + math.ceil(steps / every)
 
 
 def test_tunneling_snapshot_cadence_is_not_tied_to_the_sampling_stride():
@@ -181,11 +193,10 @@ def test_tunneling_summary_is_consistent():
 
 def test_check_failure_carries_the_result():
     state = new_state(Grid(-8.0, 8.0, 64, 0.01))
-    checks = []
-    _check(checks, "always fails", False, "forced")
-    cfg = ScenarioConfig(scenario="tunneling")
+    run = _Run(ScenarioConfig(scenario="tunneling"))
+    run.check("always fails", False, "forced")
     with pytest.raises(CheckFailure) as err:
-        _finalize(cfg, state, checks, [])
+        run.finish(state)
     assert err.value.result.summary["passed"] is False
     assert "always fails" in str(err.value)
 

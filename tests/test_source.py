@@ -8,8 +8,18 @@ import sys
 from pathlib import Path
 
 import wavefields
+from wavefields import cli
 
 MAX_LINE = 99
+
+
+def load_tracer():
+    # the benchmark's tracer, loaded from its file as the benchmark loads it
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("wavefields_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
 
 
 def test_no_source_line_is_longer_than_99_characters():
@@ -42,10 +52,7 @@ def test_importing_the_package_loads_no_process_pool():
 def test_every_traced_target_resolves_in_the_package():
     # the benchmark's tracer wraps these names; one that no longer resolves
     # would make every traced run fail at install
-    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("wavefields_bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_tracer()
     assert tracer.TARGETS
     missing = []
     for module, attribute, *_ in tracer.TARGETS:
@@ -55,3 +62,18 @@ def test_every_traced_target_resolves_in_the_package():
         if not callable(owner):
             missing.append(f"{module}.{attribute}")
     assert missing == []
+
+
+def test_traced_run_counts_frames_steps_and_meets():
+    # the tracer's hooks read the arguments of _frame, advance and meet; a
+    # signature change there would break every traced run of the benchmark
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["run", "three_spin_chain"]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics(0)
+    assert metrics["scenarios.frame_rows"] > 0
+    assert metrics["engine.steps"] == 20
+    assert metrics["engine.meets"] == 2

@@ -16,7 +16,6 @@ from wavefields.spatial import (
     madelung,
     norm_squared,
     row_masses,
-    step,
     streamlines,
     streamlines_from_fields,
 )
@@ -59,7 +58,7 @@ def test_step_preserves_norm_per_step():
     grid = Grid(-30.0, 30.0, 512, 2e-3)
     psi = gaussian_packet(grid, -3.0, 1.0, 2.0)
     v = 0.3 * grid.x**2
-    out = step(psi, v, grid)
+    out = Propagator(grid, v).step(psi)
     assert abs(norm_squared(out, grid) - 1.0) < 1e-12
 
 
