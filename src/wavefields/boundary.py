@@ -228,18 +228,13 @@ def _synced_transfer(
     system: str,
     index_bases=None,
     occupied=None,
-    prefix: bool = False,
 ) -> TransferMatrix:
     pre_order = memory.systems(own)
     post_order = memory.systems(merged)
     pre_dims = [own.initial_states[s].dims[0] for s in pre_order]
     post_dims = [merged.initial_states[s].dims[0] for s in post_order]
     new_systems = [s for s in post_order if s not in pre_order]
-    # records come out of merged in causal insertion order; with ``prefix``,
-    # merged starts with own's records, so the ones own lacks are the rest
-    missing = itertools.islice(merged.ops.values(), len(own.ops), None) if prefix else [
-        op for op_id, op in merged.ops.items() if op_id not in own.ops
-    ]
+    missing = _missing_records(own, merged)
 
     n_in, n_out = math.prod(pre_dims), math.prod(post_dims)
     if occupied is None:
@@ -279,6 +274,17 @@ def _synced_transfer(
     )
 
 
+def _missing_records(own: InternalMemory, merged: InternalMemory):
+    """The records of ``merged`` that ``own`` lacks, in causal insertion order.
+
+    A ``merged`` that extends ``own`` starts with own's records, so the
+    ones own lacks are the rest; otherwise every record is looked up.
+    """
+    if memory.extends(merged, own):
+        return itertools.islice(merged.ops.values(), len(own.ops), None)
+    return [op for op_id, op in merged.ops.items() if op_id not in own.ops]
+
+
 def transfer_matrices_synced(
     mem_pair: tuple[InternalMemory, InternalMemory],
     unitary: Operator,
@@ -303,8 +309,7 @@ def transfer_matrices_synced(
     dense matrix's.  By default every in-label is a column and every
     out-label a row.
 
-    ``merged``, if given, must be ``memory.synchronize`` of ``mem_pair`` in
-    order, so that it starts with the first memory's records.
+    ``merged``, if given, must be ``memory.synchronize`` of ``mem_pair``.
     """
     if len(acting) not in (1, 2) or len(mem_pair) != len(acting):
         raise ValueError("acting systems and memories must pair up, 1 or 2 each")
@@ -319,8 +324,8 @@ def transfer_matrices_synced(
             raise ValueError(f"acting system {sys_id!r} unknown to the memories")
     occupied = occupied or (None,) * len(acting)
     return tuple(
-        _synced_transfer(own, merged, unitary, sys_id, index_bases, occ, prefix=k == 0)
-        for k, (own, sys_id, occ) in enumerate(zip(mem_pair, acting, occupied))
+        _synced_transfer(own, merged, unitary, sys_id, index_bases, occ)
+        for own, sys_id, occ in zip(mem_pair, acting, occupied)
     )
 
 

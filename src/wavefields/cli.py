@@ -83,7 +83,10 @@ def _build_parser() -> _Parser:
     run.add_argument("--out", help="output directory for run files")
     run.add_argument("--trials", type=int, help="ensemble trials (0 disables)")
     run.add_argument("--snapshot-every", type=int, help="frame cadence in steps")
-    jobs_help = "accepted for compatibility; trials run in one thread"
+    jobs_help = (
+        "accepted for compatibility; has no effect, "
+        "since the trials are one multinomial draw keyed (seed, 0)"
+    )
     run.add_argument("--jobs", type=int, help=jobs_help)
 
     sub.add_parser("list", help="list the available scenarios")

@@ -4,8 +4,8 @@ A wave-field's fluid divides into its index branches in Born-rule
 proportions.  This module samples individual fluid particles from
 those proportions, pairs two ensembles the way branch labels match
 them up when the systems meet, and accumulates frequentist statistics
-over independent trials.  Everything is deterministic given the seed;
-trial chunks use counter-based generator keys (seed, chunk).
+over independent trials.  Everything is deterministic given the seed:
+the trial counts are one multinomial draw keyed (seed, 0).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .spatial import Grid, cumulative_mass
 
 # below this, sampling splits the fluid in exact Born proportions
 STRATIFIED_LIMIT = 32
-TRIAL_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -156,9 +155,10 @@ def pair_particles(
 def _normalized(probs: dict) -> tuple[list, np.ndarray]:
     keys = sorted(probs)
     p = np.array([probs[k] for k in keys], dtype=float)
-    if np.any(p < -1e-12) or p.sum() <= 0.0:
+    clipped = np.clip(p, 0.0, None)  # roundoff below zero is no weight
+    if np.any(p < -1e-12) or clipped.sum() <= 0.0:
         raise ValueError("outcome weights must be nonnegative with positive sum")
-    return keys, np.clip(p, 0.0, None) / p.sum()
+    return keys, clipped / clipped.sum()
 
 
 def ensemble_statistics(
@@ -169,22 +169,17 @@ def ensemble_statistics(
 ) -> dict:
     """Empirical outcome frequencies over independent trials.
 
-    ``outcomes`` is the scenario's final label distribution.  Trials
-    are drawn in fixed chunks with generators keyed (seed, chunk), so
-    the result depends on the seed alone.  ``jobs`` is accepted for
-    callers that pass a worker count; the chunks are drawn in one
-    thread, which is faster at these sizes than handing them to a pool.
+    ``outcomes`` is the scenario's final label distribution.  The counts
+    of independent trials are Multinomial(trials, p), so they come from
+    one multinomial draw keyed (seed, 0) and depend on the seed alone;
+    the cost does not grow with ``trials``.  ``jobs`` is accepted for
+    callers that pass a worker count and has no effect.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     keys, p = _normalized(outcomes)
-
-    partials = [
-        np.random.default_rng((seed, i)).multinomial(min(TRIAL_CHUNK, trials - start), p)
-        for i, start in enumerate(range(0, trials, TRIAL_CHUNK))
-    ]
-    totals = np.sum(partials, axis=0)
-    return {k: int(c) / trials for k, c in zip(keys, totals)}
+    counts = np.random.default_rng((seed, 0)).multinomial(trials, p)
+    return {k: int(c) / trials for k, c in zip(keys, counts)}
 
 
 def statistics_report(

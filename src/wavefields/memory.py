@@ -17,6 +17,16 @@ participants, parents present, self-labeled initial states).
 Memories are treated as immutable: every operation returns a new one
 and never mutates its inputs.  That is what makes it safe for a memory to
 cache its derived state: ``derive_state`` computes it once per memory.
+
+A memory built from another by appends alone keeps a weak reference to
+the memory it extends: ``record_interaction``'s result extends the merged
+memory, and the union ``synchronize(a, b)`` builds extends ``a``.  Its ops
+and initial states start with the extended memory's, as the very same
+objects.  ``extends`` follows these links by object identity, so
+``synchronize`` of a memory and one it extends returns the extending one
+without a union, and a meet takes the records a memory lacks as a slice.
+The link is weak, so it keeps no old ledger alive; once the extended
+memory is gone, the full union and scan are taken instead.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ import base64
 import heapq
 import json
 import re
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +84,7 @@ class InternalMemory:
     initial_states: dict[SystemId, Ket]
     ops: dict[str, InteractionOp]
     _state: Ket | None = field(default=None, init=False, compare=False, repr=False)
+    _base: weakref.ref | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for sys_id, ket in self.initial_states.items():
@@ -98,11 +110,27 @@ def _check_record(op: InteractionOp, states, present) -> None:
         raise ValueError(f"op {op.op_id!r} lists parents {late} that do not come before it")
 
 
-def _appended(states: dict[SystemId, Ket], ops: dict[str, InteractionOp]) -> InternalMemory:
-    """A memory whose added entries the caller checked: no full pass."""
+def _appended(
+    base: InternalMemory, states: dict[SystemId, Ket], ops: dict[str, InteractionOp]
+) -> InternalMemory:
+    """``base`` with entries appended that the caller checked: no full pass."""
     mem = object.__new__(InternalMemory)
     mem.initial_states, mem.ops = states, ops
+    mem._base = weakref.ref(base)
     return mem
+
+
+def extends(mem: InternalMemory, base: InternalMemory) -> bool:
+    """Whether ``mem`` is ``base`` or was built from it by appends alone.
+
+    Walks back the weak links while the ancestor has at least as many
+    records as ``base``; an ancestor with fewer cannot be it.
+    """
+    while mem is not None and len(mem.ops) >= len(base.ops):
+        if mem is base:
+            return True
+        mem = mem._base and mem._base()
+    return False
 
 
 @dataclass(frozen=True)
@@ -192,7 +220,21 @@ def derive_state(mem: InternalMemory) -> Ket:
 def synchronize(a: InternalMemory, b: InternalMemory) -> InternalMemory:
     """Union of two memories; entries sharing an id must be identical.
 
-    Only the entries ``b`` adds to ``a`` are checked; they follow ``a``'s in ``b``'s causal order.
+    When one memory extends the other it already is their union and is
+    returned as it is: every entry it shares with the other is the same
+    object.  Otherwise see ``_union``.
+    """
+    if extends(a, b):
+        return a
+    if extends(b, a):
+        return b
+    return _union(a, b)
+
+
+def _union(a: InternalMemory, b: InternalMemory) -> InternalMemory:
+    """``a`` followed by what ``b`` adds to it, in ``b``'s causal order.
+
+    Only the entries ``b`` adds to ``a`` are checked.
     """
     states = dict(a.initial_states)
     for sys_id, ket in b.initial_states.items():
@@ -211,7 +253,7 @@ def synchronize(a: InternalMemory, b: InternalMemory) -> InternalMemory:
         else:
             _check_record(op, states, ops)
             ops[op_id] = op
-    return _appended(states, ops)
+    return _appended(a, states, ops)
 
 
 def record_interaction(
@@ -234,7 +276,7 @@ def record_interaction(
     parents = frozenset(t for t in (_tip(merged, p) for p in participants) if t is not None)
     op = InteractionOp(op_id, unitary, participants, parents)
     _check_record(op, merged.initial_states, merged.ops)
-    return _appended(dict(merged.initial_states), {**merged.ops, op_id: op})
+    return _appended(merged, dict(merged.initial_states), {**merged.ops, op_id: op})
 
 
 def _rotate_bases(state: Ket, bases: dict[SystemId, Operator] | None) -> Ket:

@@ -72,6 +72,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be nonnegative")
         if self.jobs < 1:

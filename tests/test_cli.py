@@ -40,6 +40,18 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("extra", [[], ["--trials", "100"]])
+def test_negative_seed_is_refused_before_any_step(extra, monkeypatch, capsys):
+    from wavefields import cli
+
+    runs = []
+    monkeypatch.setattr(cli, "run_scenario", lambda cfg: runs.append(cfg))
+    assert main(["run", "bell_case2", "--seed", "-3", *extra]) == 1
+    captured = capsys.readouterr()
+    assert "seed must be nonnegative" in captured.err
+    assert captured.out == "" and runs == []
+
+
 def test_missing_config_file_is_io_error(capsys):
     assert main(["run", "bell_case1", "--config", "/does/not/exist.cfg"]) == 3
     capsys.readouterr()

@@ -1,5 +1,9 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavefields.engine import Packet, WaveField
 from wavefields.ensemble import (
@@ -180,6 +184,51 @@ def test_ensemble_statistics_deterministic_and_parallel_stable():
 def test_ensemble_statistics_deterministic_outcome():
     stats = ensemble_statistics({(1,): 1.0}, 1000, 3)
     assert stats == {(1,): 1.0}
+
+
+# outcome weights with some exact zeros
+weights = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=8
+).filter(any)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    w=weights, trials=st.integers(1, 10**13), seed=st.integers(0, 2**63), jobs=st.integers(1, 8)
+)
+def test_ensemble_statistics_counts_are_whole_and_seeded(w, trials, seed, jobs):
+    probs = dict(enumerate(w))
+    freqs = ensemble_statistics(probs, trials, seed)
+    # below 2^51 a count comes back from its frequency exactly
+    counts = [round(freqs[k] * trials) for k in sorted(probs)]
+    assert [c / trials for c in counts] == [freqs[k] for k in sorted(probs)]
+    assert sum(counts) == trials
+    assert all(freqs[k] == 0.0 for k, p in probs.items() if p == 0.0)
+    assert ensemble_statistics(probs, trials, seed, jobs=jobs) == freqs
+
+
+def test_trials_up_to_4096_keep_the_counts_of_the_first_generator():
+    # the draws of one trial chunk keyed (seed, 0), as recorded before
+    probs = {"a": 0.2, "b": 0.3, "c": 0.5}
+    assert ensemble_statistics(probs, 1000, 11) == {"a": 0.193, "b": 0.326, "c": 0.481}
+    assert ensemble_statistics(probs, 4096, 11) == {
+        "a": 802 / 4096, "b": 1281 / 4096, "c": 2013 / 4096
+    }
+
+
+def test_a_trillion_trials_take_one_draw():
+    start = time.perf_counter()
+    freqs = ensemble_statistics({(0, 0): 0.5, (1, 1): 0.5}, 10**12, 3)
+    assert time.perf_counter() - start < 0.25
+    assert abs(freqs[(0, 0)] - 0.5) < 1e-5
+
+
+def test_expected_values_of_clipped_weights_sum_to_one():
+    report = statistics_report("x", {0: 0.5, 1: 0.5, 2: -9e-13}, 1000, 1)
+    assert abs(sum(report["expected"].values()) - 1.0) <= 1e-15
+    assert report["expected"]["2"] == 0.0
+    with pytest.raises(ValueError):
+        statistics_report("x", {0: 0.5, 1: -1e-9}, 1000, 1)
 
 
 def test_statistics_report_shape_and_z():

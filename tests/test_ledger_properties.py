@@ -1,11 +1,14 @@
 """Property tests: random ledgers, sparse transfers and linearizations."""
 
 import functools
+import gc
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -233,12 +236,91 @@ def test_the_records_the_first_memory_lacks_are_the_merge_suffix(ledger, data):
     first = mems[acting[0]]
     merged = synchronize(first, mems[acting[1]])
     scanned = [op for op_id, op in merged.ops.items() if op_id not in first.ops]
+    assert memory.extends(merged, first)
     assert list(merged.ops.values())[len(first.ops):] == scanned
-    unitary = random_op(rng, dims, acting)
-    suffix = boundary._synced_transfer(first, merged, unitary, acting[0], prefix=True)
-    scan = boundary._synced_transfer(first, merged, unitary, acting[0], prefix=False)
-    assert np.array_equal(suffix.matrix, scan.matrix)
-    assert (suffix.in_labels, suffix.out_labels) == (scan.in_labels, scan.out_labels)
+    assert list(boundary._missing_records(first, merged)) == scanned
+
+
+def meet_history(data, min_meets=0):
+    """Memories of 2-4 qubits after up to 8 random meets, and every memory made.
+
+    A meet synchronizes its participants' memories and appends one
+    record, as ``engine.meet`` does.  ``made`` keeps every memory alive,
+    so each one's weak link to the memory it extends still resolves.
+    """
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    names = [str(i) for i in range(data.draw(st.integers(2, 4)))]
+    dims = dict.fromkeys(names, 2)
+    mems = {s: fresh_memory(s, random_amps(rng, 2)) for s in names}
+    made = list(mems.values())
+    for k in range(data.draw(st.integers(min_meets, 8))):
+        acting = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+        merged = mems[acting[0]]
+        if len(acting) == 2:
+            merged = synchronize(merged, mems[acting[1]])
+        merged = record_interaction(merged, None, random_op(rng, dims, acting), f"op{k}")
+        made.append(merged)
+        for s in acting:
+            mems[s] = merged
+    return mems, made
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_synchronize_of_extending_memories_is_the_full_union(data):
+    mems, made = meet_history(data)
+    pool = made if data.draw(st.booleans()) else list(mems.values())
+    for a, b in itertools.product(pool, repeat=2):
+        fast, full = synchronize(a, b), memory._union(a, b)
+        assert list(fast.ops) == list(full.ops)
+        assert all(fast.ops[k] is op for k, op in full.ops.items())
+        assert list(fast.initial_states) == list(full.initial_states)
+        assert all(fast.initial_states[s] is k for s, k in full.initial_states.items())
+        if memory.extends(a, b) or memory.extends(b, a):
+            assert fast is a or fast is b
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_records_either_participant_lacks_are_the_full_scan(data):
+    _, made = meet_history(data)
+    for a, b in itertools.product(made, repeat=2):
+        for merged in (synchronize(a, b), memory._union(a, b)):
+            for own in (a, b):
+                scanned = [op for op_id, op in merged.ops.items() if op_id not in own.ops]
+                assert list(boundary._missing_records(own, merged)) == scanned
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_conflicting_records_are_refused_between_memories_that_do_not_extend(data):
+    _, made = meet_history(data, min_meets=1)
+    mem = data.draw(st.sampled_from([m for m in made if m.ops]))
+    op_id = data.draw(st.sampled_from(list(mem.ops)))
+    op = mem.ops[op_id]
+    forged = memory.InteractionOp(
+        op_id, Operator(-op.unitary.matrix, op.unitary.dims, op.unitary.labels),
+        op.participants, op.parents,
+    )
+    rival = InternalMemory(dict(mem.initial_states), {**mem.ops, op_id: forged})
+    assert not memory.extends(mem, rival) and not memory.extends(rival, mem)
+    for a, b in ((mem, rival), (rival, mem)):
+        with pytest.raises(ValueError, match=f"conflicting records under op id {op_id!r}"):
+            synchronize(a, b)
+
+
+def test_the_link_to_the_extended_memory_is_weak():
+    rng = np.random.default_rng(5)
+    first = fresh_memory("0", random_amps(rng, 2))
+    grown = record_interaction(first, None, random_op(rng, {"0": 2}, ("0",)), "op0")
+    assert memory.extends(grown, first) and synchronize(first, grown) is grown
+    link = weakref.ref(first)
+    copy = InternalMemory(dict(first.initial_states), {})
+    del first
+    gc.collect()
+    assert link() is None and not memory.extends(grown, copy)
+    merged = synchronize(copy, grown)
+    assert merged is not grown and list(merged.ops) == ["op0"]
 
 
 def sorted_list_linearize(ops):
