@@ -7,8 +7,9 @@ interaction unitary and the partner's state.  The interface starts
 where the systems' cumulative masses balance and moves with the common
 fluid velocity, which keeps the crossed flux equal and opposite.
 
-A transfer is one batched contraction over all its columns and calls no
-``hilbert`` function, so the dense ``hilbert`` route stays the oracle.
+A transfer is one batched contraction over its occupied columns and
+calls no ``hilbert`` function, so the dense ``hilbert`` route stays the
+oracle.
 """
 
 from __future__ import annotations
@@ -160,13 +161,9 @@ def _label(viewpoint: str, order: tuple, dims: tuple, flat: int) -> IndexLabel:
     return IndexLabel(own, tuple(sorted(assignment.items())))
 
 
-def _flat_index(label: IndexLabel, viewpoint: str, order: list[str], dims: list[int]) -> int:
-    """Position of a label in the product basis; raises outside it."""
-    return _flat(label, viewpoint, tuple(order), tuple(dims))
-
-
 @functools.lru_cache(maxsize=1 << 14)
 def _flat(label: IndexLabel, viewpoint: str, order: tuple, dims: tuple) -> int:
+    """Position of a label in the product basis; raises outside it."""
     bits = dict(label.partners)
     idx = [label.own if s == viewpoint else bits.get(s, -1) for s in order]
     if list(bits) != [s for s in order if s != viewpoint] or not all(
@@ -176,24 +173,6 @@ def _flat(label: IndexLabel, viewpoint: str, order: tuple, dims: tuple) -> int:
             f"branch {label.text()!r} of {viewpoint!r} lies outside its index space {list(order)}"
         )
     return int(np.ravel_multi_index(idx, dims))
-
-
-def _basis_rotation(order, dims, bases) -> np.ndarray:
-    mats = []
-    for sys_id, d in zip(order, dims):
-        b = bases.get(sys_id) if bases else None
-        if b is None:
-            mats.append(np.eye(d))
-        else:
-            if b.dims != (d,):
-                raise ValueError(f"index basis for {sys_id!r} has wrong dimension")
-            if not b.is_unitary(tol=1e-12):
-                raise ValueError(f"index basis for {sys_id!r} is not unitary")
-            mats.append(b.matrix)
-    out = np.eye(1)
-    for m in mats:
-        out = np.kron(out, m)
-    return out
 
 
 def _unit_rows(batch: np.ndarray) -> np.ndarray:
@@ -234,22 +213,26 @@ def _synced_transfer(
     pre_dims = [own.initial_states[s].dims[0] for s in pre_order]
     post_dims = [merged.initial_states[s].dims[0] for s in post_order]
     new_systems = [s for s in post_order if s not in pre_order]
-    missing = _missing_records(own, merged)
+    missing = list(_missing_records(own, merged))
+    bases = {s: b for s, b in (index_bases or {}).items() if s in merged.initial_states}
+    for sys_id, basis in bases.items():
+        memory.check_index_basis(sys_id, basis, merged.initial_states[sys_id].dims[0])
+    # on a known system that nothing below acts on, a basis cancels with its adjoint
+    acted = {s for op in missing for s in op.participants} | {*unitary.labels, *new_systems}
+    bases = {s: b for s, b in bases.items() if s in acted}
 
     n_in, n_out = math.prod(pre_dims), math.prod(post_dims)
     if occupied is None:
         cols = np.arange(n_in)
     else:
-        cols = sorted({_flat_index(lb, system, pre_order, pre_dims) for lb in occupied})
-    needed = cols
-    if index_bases:
-        r_in = _basis_rotation(pre_order, pre_dims, index_bases)
-        r_out = _basis_rotation(post_order, post_dims, index_bases)
-        needed = np.flatnonzero(r_in[:, cols].any(axis=1))
-    # one row per needed basis column, over the product basis of ``labels``
-    n = len(needed)
+        cols = sorted({_flat(lb, system, tuple(pre_order), tuple(pre_dims)) for lb in occupied})
+    # one row per in-column, over the product basis of ``labels``
+    n = len(cols)
     batch = np.zeros((n, n_in), dtype=np.complex128)
-    batch[np.arange(n), needed] = 1.0
+    batch[np.arange(n), cols] = 1.0
+    for sys_id in pre_order:
+        if sys_id in bases:
+            batch = _contract(batch, pre_order, pre_dims, bases[sys_id], [sys_id])
     labels = pre_order + new_systems
     dims = pre_dims + [merged.initial_states[s].dims[0] for s in new_systems]
     for sys_id in new_systems:
@@ -259,16 +242,15 @@ def _synced_transfer(
         batch = _contract(batch, labels, dims, op.unitary, op.participants)
     batch = _contract(batch, labels, dims, unitary, unitary.labels)
     batch = batch.reshape([n] + dims).transpose([0] + [1 + labels.index(s) for s in post_order])
-    t = np.zeros((n_out, n_in), dtype=np.complex128)
-    t[:, needed] = _unit_rows(batch.reshape(n, n_out)).T
-
-    if index_bases:
-        t = r_out.conj().T @ t @ r_in
-    t = t[:, cols]
-    rows = np.arange(n_out) if occupied is None else np.flatnonzero(t.any(axis=1))
+    batch = batch.reshape(n, n_out)
+    for sys_id in post_order:
+        if sys_id in bases:
+            batch = _contract(batch, post_order, post_dims, bases[sys_id].dagger(), [sys_id])
+    batch = _unit_rows(batch)
+    rows = np.arange(n_out) if occupied is None else np.flatnonzero(batch.any(axis=0))
     return TransferMatrix(
         system,
-        t[rows],
+        np.ascontiguousarray(batch[:, rows].T),
         [_label(system, tuple(pre_order), tuple(pre_dims), int(f)) for f in cols],
         [_label(system, tuple(post_order), tuple(post_dims), int(f)) for f in rows],
     )
@@ -301,7 +283,11 @@ def transfer_matrices_synced(
     first (tensoring initial states of newly met systems and applying
     the records it lacks), then the new unitary.  The in-branch space is
     the system's own pre-interaction index space, the out-branch space
-    the merged one.
+    the merged one.  ``index_bases`` relabels chosen systems: each basis
+    is applied to its own system before the history and its adjoint
+    after it (neither, where nothing acts on the system), so no matrix
+    over the whole product basis is built.  Without bases the entries
+    are bit for bit those of building each column as a ``Ket``.
 
     ``occupied`` holds, per acting system, the in-labels its branches
     occupy.  Each matrix then keeps only those columns and drops every

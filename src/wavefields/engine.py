@@ -135,6 +135,8 @@ def add_system(state: ScenarioState, system: str, amplitudes, shape) -> WaveFiel
     if abs(np.linalg.norm(amps) - 1.0) > 1e-6:
         raise ValueError("index amplitudes are not normalized")
     basis = state.index_bases.get(system)
+    if basis is not None:
+        memory_mod.check_index_basis(system, basis, amps.size)
     coeffs = amps if basis is None else basis.matrix.conj().T @ amps
     packets = [
         Packet(IndexLabel(int(i), ()), complex(c), complex(c) * shape)

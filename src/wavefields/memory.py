@@ -279,14 +279,21 @@ def record_interaction(
     return _appended(merged, dict(merged.initial_states), {**merged.ops, op_id: op})
 
 
+def check_index_basis(system: SystemId, basis: Operator, dim: int) -> None:
+    """Refuse an index basis that is not a unitary on the system's ``dim`` indices."""
+    if basis.dims != (dim,):
+        raise ValueError(f"index basis for {system!r} has wrong dimension")
+    if not basis.is_unitary(tol=1e-12):
+        raise ValueError(f"index basis for {system!r} is not unitary")
+
+
 def _rotate_bases(state: Ket, bases: dict[SystemId, Operator] | None) -> Ket:
     if not bases:
         return state
     for sys_id, basis in bases.items():
         if sys_id not in state.labels:
             continue
-        if not basis.is_unitary(tol=1e-12):
-            raise ValueError(f"index basis for {sys_id!r} is not unitary")
+        check_index_basis(sys_id, basis, state.dim(sys_id))
         state = hilbert.apply(basis.dagger(), state, [sys_id])
     return state
 

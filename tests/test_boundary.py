@@ -199,6 +199,27 @@ def test_synced_index_bases_rotate_the_matrix():
     assert t1_rot.in_labels == t1_plain.in_labels
 
 
+def test_a_basis_on_a_system_the_meet_does_not_touch_changes_nothing():
+    # B† I B is the identity, so the transfer keeps its bits and its exact zeros
+    rng = np.random.default_rng(41)
+    s1, s2, s3 = (random_amps(rng) for _ in range(3))
+    u12 = Operator(random_unitary(rng, 4), (2, 2), ("1", "2"))
+    v13 = Operator(random_unitary(rng, 4), (2, 2), ("1", "3"))
+    mem12 = record_interaction(fresh_memory("1", s1), fresh_memory("2", s2), u12, "u12")
+    mem3 = fresh_memory("3", s3)
+    bystander = {"2": Operator(random_unitary(rng, 2), (2,), ("2",))}
+    for occupied in (None, ([IndexLabel(1, (("2", 0),))], [IndexLabel(0, ())])):
+        plain = transfer_matrices_synced((mem12, mem3), v13, ("1", "3"), occupied=occupied)
+        rotated = transfer_matrices_synced(
+            (mem12, mem3), v13, ("1", "3"), index_bases=bystander, occupied=occupied
+        )
+        # system 1 already knows 2; for system 3, 2 is newly met and its rows are relabeled
+        a, b = plain[0], rotated[0]
+        assert a.matrix.tobytes() == b.matrix.tobytes()
+        assert (a.in_labels, a.out_labels) == (b.in_labels, b.out_labels)
+    assert a.matrix.shape == (4, 1)  # system 2 stays at index 0: rows over systems 1 and 3
+
+
 def test_synced_single_system_op():
     rng = np.random.default_rng(37)
     s1, s2 = random_amps(rng), random_amps(rng)
@@ -460,11 +481,11 @@ def test_memoized_labels_are_the_fresh_ones_and_stay_sparse():
             label = boundary._label(view, tuple(order), tuple(dims), flat)
             assert label == fresh
             assert boundary._label(view, tuple(order), tuple(dims), flat) is label
-            assert boundary._flat_index(label, view, order, dims) == flat
+            assert boundary._flat(label, view, tuple(order), tuple(dims)) == flat
     outside = IndexLabel(2, (("b", 0), ("c", 0)))  # own index 2 of a qubit
     for _ in range(2):  # a refusal is never memoized
         with pytest.raises(ValueError, match=r"lies outside its index space \['a', 'b', 'c'\]"):
-            boundary._flat_index(outside, "a", order, dims)
+            boundary._flat(outside, "a", tuple(order), tuple(dims))
     # a GHZ chain of 8 spins builds a few labels per meet, never the 2^8 label space
     boundary._label.cache_clear()
     grid = Grid(-32.0, 32.0, 256, dt=0.01)

@@ -1,6 +1,7 @@
 """Tests for the wave-field engine: meets, crossings, and audits."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,54 @@ def test_index_basis_relabels_branches():
     for i, c in coeffs.items():
         assert abs(c - expected[i]) < 1e-12
     assert validate_against_memory(state, "1") < 1e-10
+
+
+@pytest.mark.parametrize(
+    "basis, message",
+    [
+        (Operator(np.eye(3), (3,), ("1",)), "has wrong dimension"),
+        (Operator([[1.0, 1.0], [0.0, 1.0]], (2,), ("1",)), "is not unitary"),
+    ],
+)
+def test_a_bad_index_basis_is_refused_by_name_everywhere(basis, message):
+    refused = rf"index basis for '1' {message}"
+    state, grid = small_state()
+    state.index_bases["1"] = basis
+    with pytest.raises(ValueError, match=refused):
+        add_system(state, "1", [0.6, 0.8], gaussian_packet(grid, 0.0, 2.0))
+    assert "1" not in state.wavefields
+    # a basis set once the system exists is refused by the meet and by the audit
+    state.index_bases.clear()
+    add_system(state, "1", [0.6, 0.8], gaussian_packet(grid, 0.0, 2.0))
+    state.index_bases["1"] = basis
+    with pytest.raises(ValueError, match=refused):
+        meet(state, "1", None, Operator(np.eye(2), (2,), ("1",)), "gate")
+    assert not state.wavefields["1"].memory.ops
+    with pytest.raises(ValueError, match=refused):
+        memory.external_memories(state.wavefields["1"].memory, "1", {"1": basis})
+
+
+def test_a_ghz_chain_meets_in_a_few_columns():
+    # each CNOT meet keeps 2 columns and 2 rows, so its memory must not grow with the label space
+    grid = Grid(-32.0, 32.0, 256, dt=0.01)
+    state = new_state(grid)
+    names = [f"s{i}" for i in range(12)]
+    for i, s in enumerate(names):
+        amps = [0.6, 0.8] if i == 0 else [1.0, 0.0]
+        add_system(state, s, amps, gaussian_packet(grid, 4.0 * i - 22.0, 1.0))
+    peaks = []
+    for a, b in zip(names, names[1:]):
+        cnot = Operator(CNOT.matrix, (2, 2), (a, b))
+        tracemalloc.start()
+        try:
+            meet(state, a, b, cnot, f"{a}{b}")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 2 * 2**20, [f"{p / 2**20:.2f} MiB" for p in peaks]
+    for s in names:
+        assert len(state.wavefields[s].packets) == 2
+        assert validate_against_memory(state, s) <= 1e-15  # one rounding of the fluid norm
 
 
 # ---------------------------------------------------------------------------

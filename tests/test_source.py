@@ -1,5 +1,6 @@
 """Checks on the package source itself."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -22,16 +23,44 @@ def load_tracer():
     return tracer
 
 
+def sources() -> list[Path]:
+    found = sorted(Path(wavefields.__file__).parent.glob("*.py"))
+    assert found
+    return found
+
+
 def test_no_source_line_is_longer_than_99_characters():
-    sources = sorted(Path(wavefields.__file__).parent.glob("*.py"))
-    assert sources
     long_lines = [
         f"{path.name}:{number}: {len(line)}"
-        for path in sources
+        for path in sources()
         for number, line in enumerate(path.read_text().splitlines(), start=1)
         if len(line) > MAX_LINE
     ]
     assert long_lines == []
+
+
+def test_every_private_function_is_used_in_the_package():
+    # a private helper only the tests call is dead code in the package
+    trees = {path.name: ast.parse(path.read_text()) for path in sources()}
+    uses = [
+        (name, getattr(node, "id", None) or node.attr, node.lineno)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    unused = [
+        f"{name}:{node.lineno}: {node.name}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and not any(
+            used == node.name and (where != name or not node.lineno <= line <= node.end_lineno)
+            for where, used, line in uses
+        )
+    ]
+    assert unused == []
 
 
 def test_importing_the_package_loads_no_process_pool():
