@@ -3,9 +3,10 @@
 Two systems meeting head-on share a moving interface: fluid of each
 system that crosses it is re-indexed from pre-interaction packets into
 post-interaction packets through a transfer matrix built from the
-interaction unitary and the partner's state.  The interface starts
-where the systems' cumulative masses balance and moves with the common
-fluid velocity, which keeps the crossed flux equal and opposite.
+interaction unitary and the partner's state.  The interface sits where
+the systems' cumulative masses balance: it moves with the summed fluid,
+whose world-lines never cross, so the crossed fluxes stay equal and
+opposite.
 
 A transfer is one batched contraction over its occupied columns and
 calls no ``hilbert`` function, so the dense ``hilbert`` route stays the
@@ -18,95 +19,76 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import memory
 from .hilbert import _NORM_SLACK, Ket, Operator
 from .memory import IndexLabel, InternalMemory
-from .spatial import Grid, cumulative_mass, current, derivative_at
+from .spatial import Grid, cumulative_mass
 
 ISOMETRY_TOL = 1e-12
+BALANCE_TOL = 1e-10  # a mass imbalance below this is a degenerate balance
 
 
-def find_initial_boundary(
-    rho_left: np.ndarray,
-    rho_right: np.ndarray,
-    grid: Grid,
-    mass_tol: float = 1e-10,
-) -> float:
-    """Position where left mass below equals right mass above.
+class Balance(NamedTuple):
+    """The boundary where the fluids balance, and each system's mass on either side."""
 
-    The difference F(x) = int_{-inf}^{x} rho_left - int_{x}^{inf}
-    rho_right is nondecreasing, so bisection on its piecewise linear
-    interpolant converges.  Between well-separated densities the
-    balance is degenerate (|F| < mass_tol over a whole band), in which
-    case the center of the band is returned; that choice is what keeps
-    a symmetric collision's interface on the symmetry point instead of
-    seeding it a fraction of a cell off.
-    """
-    rho_left = np.asarray(rho_left, float)
-    rho_right = np.asarray(rho_right, float)
-    cum_left = cumulative_mass(rho_left, grid)
-    cum_right = cumulative_mass(rho_right, grid)
-    total_right = cum_right[-1]
-
-    def f(x: float) -> float:
-        below = float(np.interp(x, grid.x, cum_left))
-        above = total_right - float(np.interp(x, grid.x, cum_right))
-        return below - above
-
-    lo0, hi0 = float(grid.x[0]), float(grid.x[-1])
-    if f(lo0) > mass_tol or f(hi0) < -mass_tol:
-        raise ValueError("densities do not bracket an equal-mass point")
-
-    def edge(crosses) -> float:
-        lo, hi = lo0, hi0
-        while hi - lo > 1e-11:
-            mid = 0.5 * (lo + hi)
-            if crosses(f(mid)):
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-
-    left_edge = edge(lambda v: v > -mass_tol)
-    right_edge = edge(lambda v: v >= mass_tol)
-    return 0.5 * (left_edge + right_edge)
+    x12: float
+    crossed_left: float  # left fluid past x12, by trapezoid cumulative mass
+    crossed_right: float  # right fluid before x12
+    pre_left: float  # left fluid on the cells at or below x12, the cut ``engine.branches`` makes
+    pre_right: float  # right fluid on the cells past x12
 
 
 def step_boundary_fields(
-    x12: float, rho: np.ndarray, rows: np.ndarray, grid: Grid, density_floor: float = 1e-8
-) -> float:
-    """Advance the interface by dt with the common fluid velocity.
+    x12: float, rho_left: np.ndarray, rho_right: np.ndarray, grid: Grid
+) -> Balance:
+    """The boundary a step leaves: where the left mass below equals the right mass above.
 
-    dx12/dt = j / rho, midpoint RK2 on linearly interpolated fields, where
-    ``rho`` is the two systems' summed density and j the summed current of
-    ``rows``, all their branch rows as one ``(rows, n)`` stack.
-    The current is read only at the two cells each velocity interpolates
-    between, with the spectral derivative there from ``derivative_at``.
-    Where the density is below the floor (relative to its peak) the
-    interface holds still: at that level the current carries no usable
-    velocity signal, only ringing from the hard truncation of the fields
-    at the interface.
+    Fluid is conserved and the boundary moves with the summed fluid, whose
+    world-lines never cross, so it stays where the balance F(x) =
+    int_{-inf}^{x} rho_left - int_{x}^{inf} rho_right is zero: the median
+    of the summed fluid when both masses are one.  F at the cells comes
+    from one trapezoid cumulative-mass pass per system.  F is
+    nondecreasing, so a ``searchsorted`` finds the cells where it passes
+    -BALANCE_TOL and +BALANCE_TOL and a linear solve the point in each; the
+    boundary is their centre.  That is the root where F rises through the
+    band within one cell, and the centre of the band where the balance is
+    degenerate (|F| < BALANCE_TOL between well-separated densities), which
+    keeps a symmetric collision's boundary on the symmetry point.  With no
+    fluid on either side ``x12`` holds.  The masses come from the same pass.
     """
-    floor = density_floor * max(float(rho.max()), 1e-300)
-    currents: dict[int, np.ndarray] = {}  # cell i -> the current at cells i and i + 1
+    dx = grid.dx
+    cum_left, cum_right = cumulative_mass(rho_left, grid), cumulative_mass(rho_right, grid)
+    f = cum_left - (cum_right[-1] - cum_right)
+    if f[0] <= -BALANCE_TOL or f[-1] >= BALANCE_TOL:
+        edges = [grid.x[0], grid.x[-1]]  # where F first exceeds -tol, first reaches +tol
+        for e, level, side in ((0, -BALANCE_TOL, "right"), (1, BALANCE_TOL, "left")):
+            i = int(np.searchsorted(f, level, side=side))
+            if 0 < i < grid.n:
+                edges[e] = grid.x[i - 1] + dx * (level - f[i - 1]) / (f[i] - f[i - 1])
+        x12 = 0.5 * (edges[0] + edges[1])
+    post = int(np.searchsorted(grid.x, x12, side="right"))  # the first cell past x12
+    j = min(max(post - 1, 0), grid.n - 2)
+    w = (x12 - grid.x[j]) / dx
+    return Balance(
+        float(x12),
+        float(cum_left[-1] - (cum_left[j] + w * (cum_left[j + 1] - cum_left[j]))),
+        float(cum_right[j] + w * (cum_right[j + 1] - cum_right[j])),
+        float(rho_left[:post].sum() * dx),
+        float(rho_right[post:].sum() * dx),
+    )
 
-    def velocity(x: float) -> float:
-        d = float(np.interp(x, grid.x, rho))
-        if d <= floor:
-            return 0.0
-        i = min(max(int(np.searchsorted(grid.x, x, side="right")) - 1, 0), grid.n - 2)
-        if i not in currents:  # np.interp reads x between cells i and i + 1
-            dpsi = derivative_at(rows, grid, (i, i + 1))
-            currents[i] = current(rows[:, i : i + 2], grid, dpsi).sum(axis=0)
-        return float(np.interp(x, grid.x[i : i + 2], currents[i])) / d
 
-    k1 = velocity(x12)
-    mid = x12 + 0.5 * grid.dt * k1
-    out = x12 + grid.dt * velocity(mid)
-    return float(min(max(out, grid.x[0]), grid.x[-1]))
+def find_initial_boundary(rho_left: np.ndarray, rho_right: np.ndarray, grid: Grid) -> float:
+    """Position where the left mass below equals the right mass above.
+
+    The solve of ``step_boundary_fields``; with no fluid it is the grid's centre.
+    """
+    centre = 0.5 * (grid.x[0] + grid.x[-1])
+    return step_boundary_fields(centre, rho_left, rho_right, grid).x12
 
 
 def transfer_matrices(
@@ -346,8 +328,8 @@ class BoundaryLink:
     """Live interface between two wave-fields mid-interaction.
 
     ``crossed_left`` and ``crossed_right`` track the coherent fluid
-    mass of each system already past the boundary; by construction of
-    the boundary velocity the two stay equal while the link runs.
+    mass of each system already past the boundary; the boundary sits
+    where the two are equal while the link runs.
     """
 
     left_system: str

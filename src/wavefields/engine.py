@@ -13,13 +13,15 @@ crossing in flight is the systems' freely evolving branch rows plus the
 boundary position; ``branches`` cuts the rows into their pre- and
 post-interaction parts when asked.  A step advances as one stack the rows
 of all systems that share a potential and are all at rest or all in a
-crossing.  It continues from the stack's last spectrum while the stacked
-fields are bit for bit the rows that spectrum gave, so free flight costs
-one inverse FFT per step; anything else (a meet, a kick, a completed
-crossing, a write into a field) makes it transform the fields afresh.
-The stack's densities feed the boundary law and the norm audit, and its
-rows give the law the current at the interface.  Everything a system
-knows travels with it; a meet touches only the two participants.
+crossing.  ``advance`` stacks the rows once per call and steps that
+private stack for every step of the call, so free flight costs one
+inverse FFT per step.  A call continues from the stack's last spectrum
+while the stacked fields are bit for bit the rows that spectrum gave;
+anything else (a meet, a kick, a completed crossing, a write into a
+field) makes it transform the fields afresh.  The stack's densities feed
+the boundary law, which puts the boundary on the median of the summed
+fluid, and the norm audit.  Everything a system knows travels with it; a
+meet touches only the two participants.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class ScenarioState:
     index_bases: dict[str, Operator] = field(default_factory=dict)
     _propagators: dict[bytes | None, Propagator] = field(default_factory=dict, repr=False)
     _resolved: dict[str, Propagator] = field(default_factory=dict, repr=False)  # by system
-    # (propagator, in a crossing) -> a private copy of the rows a step gave, and their spectrum
+    # (propagator, in a crossing) -> a copy of the rows a call's last step gave, and their spectrum
     _spectra: dict[tuple, tuple] = field(default_factory=dict, repr=False)
 
     def active_links(self) -> list[boundary_mod.BoundaryLink]:
@@ -208,22 +210,6 @@ def _expand_instant(wf: WaveField, transfer: boundary_mod.TransferMatrix, state:
     ]
 
 
-def _trapezoid_below(rho: np.ndarray, j: int, w: float, dx: float) -> float:
-    """Trapezoid mass of ``rho`` below the point a fraction ``w`` into cell ``j``."""
-    whole = rho[0] + rho[j] + 2.0 * rho[1:j].sum() if j else 0.0
-    return float(0.5 * dx * (whole + w * (rho[j] + rho[j + 1])))
-
-
-def _record_crossed(link, rho_left, rho_right, grid: Grid, t: float) -> None:
-    # Crossed fluid is the coherent mass past the boundary, the trapezoid
-    # cumulative mass read at x12; the boundary law keeps the two equal.
-    j = min(max(int(np.searchsorted(grid.x, link.x12, side="right")) - 1, 0), grid.n - 2)
-    w = (link.x12 - grid.x[j]) / grid.dx
-    link.crossed_left = _trapezoid_below(rho_left[::-1], grid.n - 2 - j, 1.0 - w, grid.dx)
-    link.crossed_right = _trapezoid_below(rho_right, j, w, grid.dx)
-    link.record(t)
-
-
 def _open_crossing(
     state: ScenarioState,
     left: WaveField,
@@ -240,7 +226,7 @@ def _open_crossing(
     link = boundary_mod.BoundaryLink(
         left.system, right.system, unitary, x12, t_left, t_right, op_id
     )
-    _record_crossed(link, rho_left, rho_right, grid, state.time)
+    _step_link(state, link, rho_left, rho_right, state.time)  # records the opening levels
     state.links.append(link)
     return link
 
@@ -306,23 +292,18 @@ def meet(
     return _open_crossing(state, fields[0], fields[1], unitary, op_id, *transfers)
 
 
-def _step_link(state: ScenarioState, link: boundary_mod.BoundaryLink, densities, rows) -> bool:
-    grid = state.grid
-    left = state.wavefields[link.left_system]
-    right = state.wavefields[link.right_system]
-    # The stored packets are whole branches, each one coherent wave, so the
-    # boundary law reads the density and the rows their step gave.
-    rho_left, rho_right = densities[link.left_system], densities[link.right_system]
-    both = np.concatenate((rows[link.left_system], rows[link.right_system]))
-    link.x12 = boundary_mod.step_boundary_fields(link.x12, rho_left + rho_right, both, grid)
-    _record_crossed(link, rho_left, rho_right, grid, state.time + grid.dt)
+def _step_link(state: ScenarioState, link: boundary_mod.BoundaryLink, rho_left, rho_right, t):
+    """Move the boundary to where the fluids balance and record it at ``t``.
 
-    post = int(np.searchsorted(grid.x, link.x12, side="right"))  # first cell past x12
-    pre_left = float(np.sum(rho_left[:post]) * grid.dx)
-    pre_right = float(np.sum(rho_right[post:]) * grid.dx)
-    if pre_left < COMPLETION_THRESHOLD and pre_right < COMPLETION_THRESHOLD:
-        _expand_instant(left, link.t_left, state)
-        _expand_instant(right, link.t_right, state)
+    The crossing completes once neither system has fluid left on its pre
+    side; returns whether it has.
+    """
+    balance = boundary_mod.step_boundary_fields(link.x12, rho_left, rho_right, state.grid)
+    link.x12, link.crossed_left, link.crossed_right = balance[:3]
+    link.record(t)
+    if balance.pre_left < COMPLETION_THRESHOLD and balance.pre_right < COMPLETION_THRESHOLD:
+        _expand_instant(state.wavefields[link.left_system], link.t_left, state)
+        _expand_instant(state.wavefields[link.right_system], link.t_right, state)
         link.active = False
     return not link.active
 
@@ -363,45 +344,83 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def advance(state: ScenarioState, steps: int = 1) -> ScenarioState:
-    """Run the world forward, evolving packets and moving boundaries."""
+def _stacks(state: ScenarioState) -> dict:
+    """Each group's wave-fields, packets, rows and the spectrum to step them from.
+
+    A group is the systems that share a propagator and are all at rest or
+    all in a crossing.  Its spectrum is the one the last call kept while
+    the stacked fields are bit for bit the rows it gave, else None.
+    """
+    groups: dict = {}  # (propagator, in a crossing) -> wave-fields
+    for wf in state.wavefields.values():
+        key = (state.propagator(wf.system), _active_link(state, wf.system) is not None)
+        groups.setdefault(key, []).append(wf)
+    stacks = {}
+    for key, wfs in groups.items():
+        packets = [p for wf in wfs for p in wf.packets]
+        rows = np.array([p.field for p in packets])
+        last, spectrum = state._spectra.get(key, (None, None))
+        if last is None or not _same_bits(rows, last):
+            spectrum = None  # the fields moved since the last call: transform afresh
+        stacks[key] = [wfs, packets, rows, spectrum]
+    return stacks
+
+
+def _step(state: ScenarioState, stacks: dict) -> bool:
+    """One step of every stack, the boundaries and the norm audit; whether a crossing completed."""
     grid = state.grid
-    for _ in range(steps):
-        groups: dict = {}  # (propagator, in a crossing) -> wave-fields
-        for wf in state.wavefields.values():
-            key = (state.propagator(wf.system), _active_link(state, wf.system) is not None)
-            groups.setdefault(key, []).append(wf)
-        spectra, densities, rows_of = {}, {}, {}  # the last two per system
-        for key, wfs in groups.items():
-            packets = [p for wf in wfs for p in wf.packets]
-            rows = np.array([p.field for p in packets])
-            last, spectrum = state._spectra.get(key, (None, None))
-            if last is None or not _same_bits(rows, last):
-                spectrum = None  # the fields moved since the last step: transform afresh
-            rows, spectrum = key[0].step(rows, spectrum=spectrum, keep=True)
-            spectra[key] = (rows.copy(), spectrum)
-            for p, row in zip(packets, rows):
-                p.field = row
-            rho = np.abs(rows) ** 2
-            start = 0
-            for wf in wfs:
-                part, start = slice(start, start + len(wf.packets)), start + len(wf.packets)
-                densities[wf.system] = rho[part].sum(axis=0)
-                rows_of[wf.system] = rows[part]
-        state._spectra = spectra
-        masses = {s: float(rho.sum()) * grid.dx for s, rho in densities.items()}
-        for link in state.active_links():
-            if _step_link(state, link, densities, rows_of):  # packets re-expanded
-                for s in (link.left_system, link.right_system):
-                    masses[s] = total_mass(state, s)
-        state.time += grid.dt
-        state.step_count += 1
-        for sys_id in state.wavefields:
-            m = masses[sys_id]
-            if abs(m - 1.0) > NORM_AUDIT_TOL:
-                raise RuntimeError(
-                    f"norm audit failed for {sys_id!r} {_when(state)}: total mass {m!r}"
-                )
+    densities = {}  # per system, from the stepped rows
+    for key, stack in stacks.items():
+        wfs, packets, rows, spectrum = stack
+        rows, spectrum = key[0].step(rows, spectrum=spectrum, keep=True)
+        stack[2:] = rows, spectrum
+        for p, row in zip(packets, rows):
+            p.field = row
+        rho = rows.real**2 + rows.imag**2
+        start = 0
+        for wf in wfs:
+            densities[wf.system] = rho[start : start + len(wf.packets)].sum(axis=0)
+            start += len(wf.packets)
+    masses = {s: float(rho.sum()) * grid.dx for s, rho in densities.items()}
+    completed = False
+    for link in state.active_links():
+        rho_left, rho_right = densities[link.left_system], densities[link.right_system]
+        if _step_link(state, link, rho_left, rho_right, state.time + grid.dt):
+            completed = True  # packets re-expanded: audit those
+            for s in (link.left_system, link.right_system):
+                masses[s] = total_mass(state, s)
+    state.time += grid.dt
+    state.step_count += 1
+    for sys_id in state.wavefields:
+        m = masses[sys_id]
+        if abs(m - 1.0) > NORM_AUDIT_TOL:
+            raise RuntimeError(
+                f"norm audit failed for {sys_id!r} {_when(state)}: total mass {m!r}"
+            )
+    return completed
+
+
+def advance(state: ScenarioState, steps: int = 1, until=None) -> ScenarioState:
+    """Run the world forward ``steps`` steps, evolving packets and moving boundaries.
+
+    ``until``, if given, ends the call after the first step on which it
+    holds.  The rows are stacked once per call, and again after a
+    crossing completes; in between each stack steps on from its own
+    spectrum, and the packets hold views of the rows each step gives, so
+    ``until`` must not write into a field.
+    """
+    taken = 0
+    while taken < steps:
+        stacks = _stacks(state)
+        try:
+            completed = False
+            while taken < steps and not completed:
+                completed = _step(state, stacks)
+                taken += 1
+                if until is not None and until():
+                    return state
+        finally:  # a private copy of the rows, to tell a later write into a field
+            state._spectra = {k: (rows.copy(), spec) for k, (_, _, rows, spec) in stacks.items()}
     return state
 
 

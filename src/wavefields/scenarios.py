@@ -220,20 +220,26 @@ class _Run:
             self.check("branches match memory-derived expansion", False, exc)
 
     def evolve(self, state: ScenarioState, steps: int, until=None, each=None) -> None:
-        """Advance up to ``steps`` steps one at a time, then take the last frame.
+        """Advance up to ``steps`` steps, then take the last frame.
 
         A frame is taken every ``cfg.snapshot_every`` steps while the run
-        goes on.  ``until`` ends the run on the first step it holds, so a
+        goes on, and each ``advance`` call runs to the next frame or the
+        end.  ``until`` ends the run on the first step it holds, so a
         crossing ends when its boundary completes whatever the cadence;
-        ``each`` runs after every step.
+        ``each`` runs after every step, so it gets one call per step.
         """
-        for done in range(1, steps + 1):
-            advance(state)
+        every, done = self.cfg.snapshot_every, 0
+        while done < steps:
+            end = min(steps, (done // every + 1) * every) if every else steps  # the next frame
+            span = 1 if each is not None else end - done
+            before = state.step_count
+            advance(state, span, until)
+            done += state.step_count - before
             if each is not None:
                 each()
             if done == steps or (until is not None and until()):
                 break
-            if self.cfg.snapshot_every and done % self.cfg.snapshot_every == 0:
+            if every and done % every == 0:
                 _frame(state, self.frames)
         _frame(state, self.frames)
 

@@ -9,13 +9,11 @@ one array with the bits of each row stepped alone.  A step can hand back
 its last spectrum, and the next one can start from it instead of
 transforming the rows again.  The fluid quantities (density, current,
 velocity, streamlines) are what the rest of the package moves around at
-interaction boundaries; ``derivative_at`` gives the spectral derivative
-at a few cells without a transform, for a current read at one place.
+interaction boundaries.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -47,12 +45,6 @@ class Grid:
         self.dx = (self.x_max - self.x_min) / self.n
         self.x = self.x_min + self.dx * np.arange(self.n)
         self.k = 2.0 * math.pi * np.fft.fftfreq(self.n, d=self.dx)
-
-    @functools.cached_property
-    def derivative_kernel(self) -> np.ndarray:
-        """The spectral derivative kernel IFFT(ik), circularly reversed and laid out twice."""
-        reversed_kernel = np.roll(np.fft.ifft(1j * self.k)[::-1], 1)
-        return np.concatenate([reversed_kernel, reversed_kernel])
 
 
 @dataclass
@@ -129,23 +121,10 @@ def gaussian_packet(grid: Grid, x0: float, sigma: float, k0: float = 0.0) -> np.
     return psi / math.sqrt(norm_squared(psi, grid))
 
 
-def current(psi: np.ndarray, grid: Grid, dpsi: np.ndarray | None = None) -> np.ndarray:
-    """Current (hbar/m) Im(psi* dpsi) of each row; dpsi is spectral d/dx if not given."""
-    if dpsi is None:
-        dpsi = np.fft.ifft(1j * grid.k * np.fft.fft(psi))
+def current(psi: np.ndarray, grid: Grid) -> np.ndarray:
+    """Current (hbar/m) Im(psi* dpsi/dx) of each row, with the spectral derivative."""
+    dpsi = np.fft.ifft(1j * grid.k * np.fft.fft(psi))
     return grid.hbar / grid.mass * np.imag(np.conj(psi) * dpsi)
-
-
-def derivative_at(rows: np.ndarray, grid: Grid, cells) -> np.ndarray:
-    """Spectral d/dx of one row or a ``(rows, n)`` stack at ``cells``, one column each.
-
-    IFFT(ik FFT(psi)) is the circular convolution of psi with the kernel
-    D = IFFT(ik), so its value at cell i is the dot product of the row
-    with D circularly reversed and shifted by i, a contiguous slice of
-    ``grid.derivative_kernel``.  It equals the transform route to roundoff.
-    """
-    kernel, n = grid.derivative_kernel, grid.n
-    return np.array([rows @ kernel[n - i : 2 * n - i] for i in cells]).T
 
 
 def madelung(psi: np.ndarray, grid: Grid) -> MadelungFields:

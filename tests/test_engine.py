@@ -271,6 +271,32 @@ def test_crossing_completes_and_matches_oracle():
     assert link.crossed_left > 1.0 - 1e-6
 
 
+def test_an_asymmetric_crossing_sits_on_the_free_gaussians_balance():
+    # Packets of different widths and speeds: the crossed levels agree, and
+    # x12 is the equal-mass point of the two free Gaussians, x* = (mu1 s2 +
+    # mu2 s1) / (s1 + s2) with s(t) = sigma sqrt(1 + (t / 2 sigma^2)^2),
+    # within dx^2 wherever the crossed mass exceeds 1e-6 (the trapezoid
+    # cumulative mass is off the normal CDF by O(dx^2)).
+    grid = Grid(-64.0, 64.0, 2048, dt=0.0125)
+    state = new_state(grid)
+    amps = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    add_system(state, "1", amps, gaussian_packet(grid, -8.0, 1.0, k0=5.0))
+    add_system(state, "2", amps, gaussian_packet(grid, 8.0, 1.5, k0=-3.0))
+    link = meet(state, "1", "2", CZ, "cz", mode="crossing")
+    advance(state, round(3.0 / grid.dt))
+    assert link.active
+    t, x12, crossed_left, crossed_right = np.array(link.trajectory).T
+    assert np.abs(crossed_left - crossed_right).max() <= 1e-6
+
+    def spread(sigma):
+        return sigma * np.sqrt(1.0 + (t / (2.0 * sigma**2)) ** 2)
+
+    mu1, mu2, s1, s2 = -8.0 + 5.0 * t, 8.0 - 3.0 * t, spread(1.0), spread(1.5)
+    crossed = np.minimum(crossed_left, crossed_right) > 1e-6
+    assert crossed.sum() >= 200
+    assert np.abs(x12 - (mu1 * s2 + mu2 * s1) / (s1 + s2))[crossed].max() <= grid.dx**2
+
+
 def test_crossing_preserves_own_marginals_midway():
     state, grid = crossing_state()
     meet(state, "1", "2", CZ, "cz", mode="crossing")
@@ -396,35 +422,24 @@ def test_advance_audit_catches_corruption():
         advance(state)
 
 
-def test_boundary_current_is_the_sum_of_row_currents(monkeypatch):
-    # The law gets each system's stepped rows and reads their current at the
-    # interface only; at every step the rows must be the ones the step left
-    # behind, and the derivative there their spectral derivative.
+def test_boundary_law_gets_the_densities_of_the_stepped_rows(monkeypatch):
+    # At every step the law gets each system's density as the engine forms
+    # it: re^2 + im^2 of the rows the step left, summed over its packets.
     state, grid = crossing_state()
     link = meet(state, "1", "2", CNOT, "cnot", mode="crossing")
-    law, at = boundary.step_boundary_fields, boundary.derivative_at
-    fed, read = [], []
+    law = boundary.step_boundary_fields
+    fed = []
 
-    def spy(x12, rho, rows, grid):
-        stacks = [[p.field for p in state.wavefields[s].packets] for s in "12"]
-        fed.append(np.array_equal(rows, np.array(stacks[0] + stacks[1])))
-        densities = [(np.abs(np.array(stack)) ** 2).sum(axis=0) for stack in stacks]
-        fed.append(np.array_equal(rho, densities[0] + densities[1]))
-        return law(x12, rho, rows, grid)
-
-    def derivative_spy(rows, grid, cells):
-        got = at(rows, grid, cells)
-        want = np.fft.ifft(1j * grid.k * np.fft.fft(rows))
-        read.append(np.abs(got - want[:, cells]).max() / np.abs(want).max())
-        return got
+    def spy(x12, rho_left, rho_right, grid):
+        for s, rho in zip("12", (rho_left, rho_right)):
+            rows = np.array([p.field for p in state.wavefields[s].packets])
+            fed.append(np.array_equal(rho, (rows.real**2 + rows.imag**2).sum(axis=0)))
+        return law(x12, rho_left, rho_right, grid)
 
     monkeypatch.setattr(boundary, "step_boundary_fields", spy)
-    monkeypatch.setattr(boundary, "derivative_at", derivative_spy)
-    while link.active and state.step_count < 2000:
-        advance(state, 1)
+    advance(state, 2000, until=lambda: not link.active)
     assert not link.active
     assert len(fed) == 2 * state.step_count and all(fed)
-    assert len(read) >= state.step_count // 2 and max(read) <= 1e-12
 
 
 def test_audit_catches_corruption_right_after_a_crossing_step():
@@ -446,10 +461,14 @@ def _crossing_completion_step():
     return state.step_count
 
 
-@pytest.mark.parametrize("completing", [False, True])
-def test_norm_audit_names_the_system_mid_crossing_and_on_completion(completing):
+@pytest.mark.parametrize(
+    "completing, steps", [(False, 1), (True, 1), (False, 7), (True, 7)],
+    ids=["False", "True", "False-7", "True-7"],
+)
+def test_norm_audit_names_the_system_mid_crossing_and_on_completion(completing, steps):
     # The audit reads the densities of the step's stacked rows in flight, and
-    # the re-expanded packets on the step a crossing completes.
+    # the re-expanded packets on the step a crossing completes; a call of
+    # several steps names the step that failed.
     last = _crossing_completion_step()
     state, grid = crossing_state()
     link = meet(state, "1", "2", CNOT, "cnot", mode="crossing")
@@ -459,8 +478,48 @@ def test_norm_audit_names_the_system_mid_crossing_and_on_completion(completing):
         p.field *= 1.0 + 1e-6  # too little to move the boundary, enough for the audit
     step = state.step_count + 1
     with pytest.raises(RuntimeError, match=rf"norm audit failed for '2' at step {step}, t={step * grid.dt:.6g}:"):
-        advance(state)
+        advance(state, steps)
+    assert state.step_count == step
     assert link.active is not completing
+
+
+def _stepped_crossing(calls):
+    """A CNOT crossing advanced by ``calls(state, link)``: its fields, trajectory and step."""
+    state, _ = crossing_state()
+    link = meet(state, "1", "2", CNOT, "cnot", mode="crossing")
+    calls(state, link)
+    fields = {s: [(p.index, p.coefficient, p.field.tobytes()) for p in wf.packets]
+              for s, wf in state.wavefields.items()}
+    return fields, link.trajectory, link.active, state.step_count, state.time
+
+
+def test_one_call_of_many_steps_is_that_many_calls_of_one_across_a_completion():
+    last = _crossing_completion_step()
+    k = last + 25
+
+    def one_at_a_time(state, link):
+        for _ in range(k):
+            advance(state)
+
+    single = _stepped_crossing(one_at_a_time)
+    assert single[2:4] == (False, k)
+    assert _stepped_crossing(lambda state, link: advance(state, k)) == single
+    # the trajectory ends on the completion step
+    assert len(single[1]) == last + 1
+
+
+def test_until_stops_a_call_on_the_completion_step():
+    last = _crossing_completion_step()
+    held = []
+
+    def until_done(state, link):
+        advance(state, 2000, until=lambda: held.append(state.step_count) or not link.active)
+
+    fields, trajectory, active, step, _ = _stepped_crossing(until_done)
+    assert not active and step == last
+    assert held == list(range(1, last + 1))  # asked once after every step
+    want = _stepped_crossing(lambda state, link: [advance(state) for _ in range(last)])
+    assert (fields, trajectory) == want[:2]
 
 
 @pytest.mark.parametrize("potential", [False, True])
@@ -797,18 +856,24 @@ def test_systems_sharing_a_memory_derive_it_once(monkeypatch):
 
 
 def test_crossed_masses_are_the_trapezoid_cumulative_mass_at_the_boundary():
-    from types import SimpleNamespace
-
+    # the crossed masses are the trapezoid cumulative mass read at x12, and
+    # the completion masses the cells at or below x12 and past it, the cut
+    # ``branches`` makes, wherever the balance puts x12
     from wavefields.spatial import cumulative_mass
 
     grid = Grid(-32.0, 32.0, 256, dt=0.01)
     rng = np.random.default_rng(61)
-    rho_left = np.abs(gaussian_packet(grid, -3.0, 2.0)) ** 2
-    rho_right = np.abs(gaussian_packet(grid, 3.0, 2.0)) ** 2
-    cum_l, cum_r = cumulative_mass(rho_left, grid), cumulative_mass(rho_right, grid)
-    spots = [grid.x[0], grid.x[1], grid.x[128], grid.x[-2], grid.x[-1], *rng.uniform(-32.0, grid.x[-1], 40)]
-    for x12 in spots:
-        link = SimpleNamespace(x12=float(x12), record=lambda t: None)
-        engine._record_crossed(link, rho_left, rho_right, grid, 0.0)
-        assert abs(link.crossed_left - (cum_l[-1] - np.interp(x12, grid.x, cum_l))) <= 1e-14
-        assert abs(link.crossed_right - np.interp(x12, grid.x, cum_r)) <= 1e-14
+    zero = np.zeros(grid.n)
+    cases = [(grid.x[0], zero, zero), (grid.x[-1], zero, zero), (5.0, zero, zero)]
+    for centre in [-28.0, 0.0, 27.5, *rng.uniform(-28.0, 28.0, 40)]:
+        rho_left = np.abs(gaussian_packet(grid, centre - 2.0, 1.0 + rng.uniform())) ** 2
+        rho_right = np.abs(gaussian_packet(grid, centre + 2.0, 1.0 + rng.uniform())) ** 2
+        cases.append((0.0, rho_left, rho_right))
+    for x12, rho_left, rho_right in cases:
+        got = boundary.step_boundary_fields(x12, rho_left, rho_right, grid)
+        cum_l, cum_r = cumulative_mass(rho_left, grid), cumulative_mass(rho_right, grid)
+        assert abs(got.crossed_left - (cum_l[-1] - np.interp(got.x12, grid.x, cum_l))) <= 1e-14
+        assert abs(got.crossed_right - np.interp(got.x12, grid.x, cum_r)) <= 1e-14
+        pre_side = grid.x <= got.x12
+        assert got.pre_left == pytest.approx(rho_left[pre_side].sum() * grid.dx, abs=1e-15)
+        assert got.pre_right == pytest.approx(rho_right[~pre_side].sum() * grid.dx, abs=1e-15)

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -106,3 +107,18 @@ def test_traced_run_counts_frames_steps_and_meets():
     assert metrics["scenarios.frame_rows"] > 0
     assert metrics["engine.steps"] == 20
     assert metrics["engine.meets"] == 2
+
+
+def test_traced_crossing_times_the_boundary_law_and_counts_every_step(tmp_path, capsys):
+    # the law is timed through the names the tracer wraps, and a call of
+    # many steps counts all of them
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["run", "two_spin_crossing", "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics(0)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert metrics["boundary.law_s"] > 0
+    assert metrics["engine.steps"] == summary["steps"] == 407

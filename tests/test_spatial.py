@@ -11,7 +11,6 @@ from wavefields.spatial import (
     Grid,
     Propagator,
     current,
-    derivative_at,
     gaussian_packet,
     madelung,
     norm_squared,
@@ -255,8 +254,6 @@ def test_step_derivative_comes_from_the_same_spectrum(r, steps):
     dpsi = np.fft.ifft(1j * grid.k * spectrum)
     spectral = np.fft.ifft(1j * grid.k * np.fft.fft(psi))
     assert np.abs(dpsi - spectral).max() <= 1e-12 * np.abs(spectral).max()
-    at = derivative_at(psi, grid, range(grid.n))
-    assert np.abs(at - spectral).max() <= 1e-12 * np.abs(spectral).max()
 
 
 def test_current_of_a_stack_equals_row_currents():
@@ -337,25 +334,6 @@ def test_continuing_from_the_kept_spectrum_is_stepping_straight_through(potentia
     rows = _rows(grid, 3, seed=13)
     psi, spectrum = prop.step(rows, keep=True)
     assert np.array_equal(prop.step(psi, steps, spectrum=spectrum), prop.step(rows, 1 + steps))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.sampled_from([64, 512, 2048]),
-    r=st.integers(1, 5),
-    where=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_interface_current_is_the_spectral_current(n, r, where, seed):
-    # the current at cells i and i + 1 from derivative_at, as the boundary law
-    # reads it, is the full spectral current there to 1e-12 of the largest one
-    grid = Grid(-40.0, 40.0, n, 5e-3)
-    i = round(where * (n - 2))  # the first pair of cells, the last, or any between
-    rng = np.random.default_rng(seed)
-    rows = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
-    full = current(rows, grid)
-    at = current(rows[:, i : i + 2], grid, derivative_at(rows, grid, [i, i + 1]))
-    assert np.abs(at - full[:, i : i + 2]).max() <= 1e-12 * np.abs(full).max()
 
 
 @settings(max_examples=80, deadline=None)
