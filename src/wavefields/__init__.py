@@ -43,8 +43,6 @@ from .hilbert import (
     Operator,
     ProductTerm,
     apply,
-    basis_ket,
-    born_probabilities,
     expand_product_terms,
     reduced_density,
     state_ket,
@@ -74,12 +72,10 @@ from .scenarios import (
 from .serialize import dumps, write_run
 from .spatial import (
     Grid,
-    MadelungFields,
     Propagator,
     WorldLine,
     current,
     gaussian_packet,
-    madelung,
     norm_squared,
     streamlines,
     streamlines_from_fields,
@@ -97,7 +93,6 @@ __all__ = [
     "InteractionOp",
     "InternalMemory",
     "Ket",
-    "MadelungFields",
     "Operator",
     "Packet",
     "PairingReport",
@@ -113,8 +108,6 @@ __all__ = [
     "add_system",
     "advance",
     "apply",
-    "basis_ket",
-    "born_probabilities",
     "branches",
     "correlation_table",
     "current",
@@ -128,7 +121,6 @@ __all__ = [
     "gaussian_packet",
     "index_distribution",
     "list_scenarios",
-    "madelung",
     "meet",
     "memory_from_json",
     "memory_to_json",

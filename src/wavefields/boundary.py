@@ -8,9 +8,9 @@ the systems' cumulative masses balance: it moves with the summed fluid,
 whose world-lines never cross, so the crossed fluxes stay equal and
 opposite.
 
-A transfer is one batched contraction over its occupied columns and
-calls no ``hilbert`` function, so the dense ``hilbert`` route stays the
-oracle.
+A transfer is one batched contraction over its occupied columns, one
+stack for both participants where their axis orders agree, and calls no
+``hilbert`` function, so the dense ``hilbert`` route stays the oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import memory
 from .hilbert import _NORM_SLACK, Ket, Operator
-from .memory import IndexLabel, InternalMemory
+from .memory import IndexLabel, InteractionOp, InternalMemory
 from .spatial import Grid, cumulative_mass
 
 ISOMETRY_TOL = 1e-12
@@ -160,9 +160,9 @@ def _flat(label: IndexLabel, viewpoint: str, order: tuple, dims: tuple) -> int:
 def _unit_rows(batch: np.ndarray) -> np.ndarray:
     """Each row of ``batch`` over its own 1-D norm; a norm off 1 is refused, as by a Ket."""
     norms = np.sqrt(np.vecdot(batch.real, batch.real) + np.vecdot(batch.imag, batch.imag))
-    off = np.abs(norms - 1.0) > _NORM_SLACK
-    if off.any():
-        raise ValueError(f"state norm {float(norms[off][0])!r} is not 1")
+    for norm in norms.tolist():  # a few rows: a Python loop beats the array calls
+        if abs(norm - 1.0) > _NORM_SLACK:  # false for NaN, which passes as in a Ket
+            raise ValueError(f"state norm {norm!r} is not 1")
     return batch / norms[:, None]
 
 
@@ -176,42 +176,55 @@ def _contract(batch, labels, dims, unitary: Operator, targets) -> np.ndarray:
     if tuple(dims[i] for i in axes) != unitary.dims:
         raise ValueError(f"operator dims {unitary.dims} do not match systems {tuple(targets)}")
     perm = [0] + [1 + i for i in axes] + [1 + i for i in range(len(dims)) if i not in axes]
+    back = [0] * len(perm)
+    for i, p in enumerate(perm):
+        back[p] = i
     u = np.ascontiguousarray(unitary.matrix)
     view = batch.reshape([len(batch)] + dims).transpose(perm)
     out = u @ view.reshape(len(batch), len(u), batch.shape[1] // len(u))
-    return _unit_rows(out.reshape(view.shape).transpose(np.argsort(perm)).reshape(batch.shape))
+    return _unit_rows(out.reshape(view.shape).transpose(back).reshape(batch.shape))
 
 
-def _synced_transfer(
-    own: InternalMemory,
-    merged: InternalMemory,
-    unitary: Operator,
-    system: str,
-    index_bases=None,
-    occupied=None,
-) -> TransferMatrix:
+class _Columns(NamedTuple):
+    """A system's in-columns brought up to the merged memory, short of the new unitary."""
+
+    rows: np.ndarray  # one per in-column, over the product basis of ``labels``
+    labels: list[str]
+    dims: list[int]
+    bases: dict  # index bases to undo after the unitary
+    in_labels: list[IndexLabel]
+
+
+def _in_columns(
+    own: InternalMemory, merged: InternalMemory, unitary: Operator, system: str, bases, occupied
+) -> _Columns:
+    """Each in-column of ``system`` as a row, through everything ``merged`` adds to ``own``.
+
+    A row starts as a unit vector of own's product basis, is turned into
+    the index bases, tensored with the initial states of newly met
+    systems and taken through the records own lacks.
+    """
     pre_order = memory.systems(own)
-    post_order = memory.systems(merged)
     pre_dims = [own.initial_states[s].dims[0] for s in pre_order]
-    post_dims = [merged.initial_states[s].dims[0] for s in post_order]
-    new_systems = [s for s in post_order if s not in pre_order]
-    missing = list(_missing_records(own, merged))
-    bases = {s: b for s, b in (index_bases or {}).items() if s in merged.initial_states}
+    new_systems = sorted(s for s in merged.initial_states if s not in own.initial_states)
+    missing = _missing_records(own, merged)
+    bases = {s: b for s, b in (bases or {}).items() if s in merged.initial_states}
     for sys_id, basis in bases.items():
         memory.check_index_basis(sys_id, basis, merged.initial_states[sys_id].dims[0])
-    # on a known system that nothing below acts on, a basis cancels with its adjoint
-    acted = {s for op in missing for s in op.participants} | {*unitary.labels, *new_systems}
-    bases = {s: b for s, b in bases.items() if s in acted}
+    if bases:  # on a known system that nothing below acts on, a basis cancels with its adjoint
+        acted = {s for op in missing for s in op.participants} | {*unitary.labels, *new_systems}
+        bases = {s: b for s, b in bases.items() if s in acted}
 
-    n_in, n_out = math.prod(pre_dims), math.prod(post_dims)
+    order, shape = tuple(pre_order), tuple(pre_dims)
+    n_in = math.prod(pre_dims)
     if occupied is None:
-        cols = np.arange(n_in)
+        cols = range(n_in)
     else:
-        cols = sorted({_flat(lb, system, tuple(pre_order), tuple(pre_dims)) for lb in occupied})
-    # one row per in-column, over the product basis of ``labels``
+        cols = sorted({_flat(lb, system, order, shape) for lb in occupied})
     n = len(cols)
     batch = np.zeros((n, n_in), dtype=np.complex128)
-    batch[np.arange(n), cols] = 1.0
+    for row, col in enumerate(cols):
+        batch[row, col] = 1.0
     for sys_id in pre_order:
         if sys_id in bases:
             batch = _contract(batch, pre_order, pre_dims, bases[sys_id], [sys_id])
@@ -222,30 +235,19 @@ def _synced_transfer(
         batch = _unit_rows((batch[:, :, None] * amps).reshape(n, batch.shape[1] * amps.size))
     for op in missing:
         batch = _contract(batch, labels, dims, op.unitary, op.participants)
-    batch = _contract(batch, labels, dims, unitary, unitary.labels)
-    batch = batch.reshape([n] + dims).transpose([0] + [1 + labels.index(s) for s in post_order])
-    batch = batch.reshape(n, n_out)
-    for sys_id in post_order:
-        if sys_id in bases:
-            batch = _contract(batch, post_order, post_dims, bases[sys_id].dagger(), [sys_id])
-    batch = _unit_rows(batch)
-    rows = np.arange(n_out) if occupied is None else np.flatnonzero(batch.any(axis=0))
-    return TransferMatrix(
-        system,
-        np.ascontiguousarray(batch[:, rows].T),
-        [_label(system, tuple(pre_order), tuple(pre_dims), int(f)) for f in cols],
-        [_label(system, tuple(post_order), tuple(post_dims), int(f)) for f in rows],
-    )
+    return _Columns(batch, labels, dims, bases, [_label(system, order, shape, f) for f in cols])
 
 
-def _missing_records(own: InternalMemory, merged: InternalMemory):
+def _missing_records(own: InternalMemory, merged: InternalMemory) -> list[InteractionOp]:
     """The records of ``merged`` that ``own`` lacks, in causal insertion order.
 
     A ``merged`` that extends ``own`` starts with own's records, so the
-    ones own lacks are the rest; otherwise every record is looked up.
+    ones own lacks are its last ones, read from the end; otherwise every
+    record is looked up.
     """
     if memory.extends(merged, own):
-        return itertools.islice(merged.ops.values(), len(own.ops), None)
+        extra = len(merged.ops) - len(own.ops)
+        return list(itertools.islice(reversed(merged.ops.values()), extra))[::-1]
     return [op for op_id, op in merged.ops.items() if op_id not in own.ops]
 
 
@@ -291,9 +293,49 @@ def transfer_matrices_synced(
         if sys_id not in merged.initial_states:
             raise ValueError(f"acting system {sys_id!r} unknown to the memories")
     occupied = occupied or (None,) * len(acting)
-    return tuple(
-        _synced_transfer(own, merged, unitary, sys_id, index_bases, occ)
+    post_order = memory.systems(merged)
+    post_dims = [merged.initial_states[s].dims[0] for s in post_order]
+    columns = [
+        _in_columns(own, merged, unitary, sys_id, index_bases, occ)
         for own, sys_id, occ in zip(mem_pair, acting, occupied)
+    ]
+    # systems whose rows share an axis order and the bases to undo take the
+    # unitary as one stack: each row rounds as it would alone
+    stacks: dict = {}
+    for k, col in enumerate(columns):
+        stacks.setdefault((tuple(col.labels), tuple(col.bases)), []).append(k)
+    transfers = [None] * len(columns)
+    for ks in stacks.values():
+        first = columns[ks[0]]
+        batch = np.concatenate([columns[k].rows for k in ks])
+        batch = _contract(batch, first.labels, first.dims, unitary, unitary.labels)
+        to_post = [0] + [1 + first.labels.index(s) for s in post_order]
+        batch = batch.reshape([len(batch)] + first.dims).transpose(to_post)
+        batch = batch.reshape(len(batch), math.prod(post_dims))
+        for sys_id in post_order:
+            if sys_id in first.bases:
+                basis = first.bases[sys_id].dagger()
+                batch = _contract(batch, post_order, post_dims, basis, [sys_id])
+        batch = _unit_rows(batch)
+        start = 0
+        for k in ks:
+            rows = batch[start : start + len(columns[k].rows)]
+            start += len(rows)
+            transfers[k] = _transfer(
+                acting[k], rows, columns[k].in_labels, post_order, post_dims, occupied[k]
+            )
+    return tuple(transfers)
+
+
+def _transfer(system, batch, in_labels, post_order, post_dims, occupied) -> TransferMatrix:
+    """The transfer with ``batch``'s rows as columns: every out-row, or those nonzero on them."""
+    keep = range(batch.shape[1]) if occupied is None else batch.any(axis=0).nonzero()[0]
+    order, shape = tuple(post_order), tuple(post_dims)
+    return TransferMatrix(
+        system,
+        np.ascontiguousarray(batch[:, keep].T),
+        in_labels,
+        [_label(system, order, shape, int(f)) for f in keep],
     )
 
 

@@ -61,7 +61,8 @@ class Ket:
                 f"amplitude vector of length {self.amplitudes.size} does not "
                 f"match dims {self.dims}"
             )
-        norm = float(np.linalg.norm(self.amplitudes))
+        real, imag = self.amplitudes.real, self.amplitudes.imag
+        norm = math.sqrt(real.dot(real) + imag.dot(imag))  # np.linalg.norm's sum, undispatched
         if abs(norm - 1.0) > _NORM_SLACK:
             raise ValueError(f"state norm {norm!r} is not 1")
         self.amplitudes = self.amplitudes / norm
@@ -118,12 +119,6 @@ class ProductTerm:
         return dict(self.basis_labels)
 
 
-def basis_ket(system: str, index: int, dim: int = 2) -> Ket:
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[index] = 1.0
-    return Ket(amps, (dim,), (system,))
-
-
 def state_ket(system: str, amplitudes) -> Ket:
     amps = _as_complex_vector(amplitudes)
     return Ket(amps, (amps.size,), (system,))
@@ -167,12 +162,17 @@ def apply(op: Operator, state: Ket, targets=None) -> Ket:
                 f"operator dim {d} does not match system {state.labels[ax]!r} "
                 f"dim {state.dims[ax]}"
             )
-    k = len(targets)
-    psi = state.tensor_view()
-    mat = op.matrix.reshape(op.dims + op.dims)
-    out = np.tensordot(mat, psi, axes=(tuple(range(k, 2 * k)), axes))
-    out = np.moveaxis(out, tuple(range(k)), axes)
-    return Ket(out.reshape(-1), state.dims, state.labels)
+    # ``np.tensordot``'s own transpose, reshape and dot, then its axes moved back
+    rest = [i for i in range(len(state.dims)) if i not in axes]
+    order = axes + rest
+    d = len(op.matrix)
+    mat = op.matrix.reshape(op.dims + op.dims).reshape(d, d)
+    psi = state.tensor_view().transpose(order).reshape(d, state.amplitudes.size // d)
+    out = np.dot(mat, psi).reshape(op.dims + tuple(state.dims[i] for i in rest))
+    back = [0] * len(order)
+    for i, axis in enumerate(order):
+        back[axis] = i
+    return Ket(out.transpose(back).reshape(-1), state.dims, state.labels)
 
 
 def expand_product_terms(state: Ket) -> list[ProductTerm]:
@@ -214,26 +214,3 @@ def reduced_density(state: Ket, keep) -> np.ndarray:
     dr = math.prod(view.dims[len(keep):]) if rest else 1
     psi = view.amplitudes.reshape(dk, dr)
     return psi @ psi.conj().T
-
-
-def born_probabilities(state: Ket, system: str, basis: Operator | None = None) -> np.ndarray:
-    """Outcome probabilities for measuring one system in the given basis.
-
-    ``basis`` columns are the outcome states; identity (the computational
-    basis) when omitted.  Probabilities are clipped of float dust and
-    sum to 1.
-    """
-    if system not in state.labels:
-        raise ValueError(f"state has no system {system!r}")
-    d = state.dim(system)
-    if basis is not None:
-        if basis.dims != (d,):
-            raise ValueError(f"basis dims {basis.dims} do not match system dim {d}")
-        if not basis.is_unitary(tol=1e-12):
-            raise ValueError("measurement basis is not unitary")
-        state = apply(basis.dagger(), state, [system])
-    axis = state.labels.index(system)
-    probs = np.abs(state.tensor_view()) ** 2
-    probs = probs.sum(axis=tuple(i for i in range(len(state.dims)) if i != axis))
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()

@@ -140,6 +140,17 @@ class IndexLabel:
     own: int
     partners: tuple[tuple[SystemId, int], ...]  # sorted by system
 
+    def __post_init__(self):
+        # labels key dicts and caches everywhere: hash the fields once, as the dataclass would
+        object.__setattr__(self, "_hash", hash((self.own, self.partners)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes, so the cached hash is not pickled
+        return IndexLabel, (self.own, self.partners)
+
     def partner_map(self) -> dict[SystemId, int]:
         return dict(self.partners)
 

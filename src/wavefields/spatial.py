@@ -15,7 +15,7 @@ interaction boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,15 +45,6 @@ class Grid:
         self.dx = (self.x_max - self.x_min) / self.n
         self.x = self.x_min + self.dx * np.arange(self.n)
         self.k = 2.0 * math.pi * np.fft.fftfreq(self.n, d=self.dx)
-
-
-@dataclass
-class MadelungFields:
-    """Polar decomposition of a wavefunction into fluid variables."""
-
-    density: np.ndarray
-    principal: np.ndarray  # action S with psi = R exp(i S / hbar), unwrapped
-    velocity: np.ndarray  # dS/dx / m; nan at density nodes
 
 
 @dataclass
@@ -102,11 +93,6 @@ def norm_squared(psi: np.ndarray, grid: Grid) -> float:
     return float(np.sum(np.abs(psi) ** 2) * grid.dx)
 
 
-def row_masses(rows: np.ndarray, grid: Grid) -> np.ndarray:
-    """``norm_squared`` of each row of a ``(rows, n)`` stack, with the same bits."""
-    return np.sum(np.abs(rows) ** 2, axis=1) * grid.dx
-
-
 def cumulative_mass(rho: np.ndarray, grid: Grid) -> np.ndarray:
     """Trapezoid cumulative mass of a density at each grid point, starting at 0."""
     inner = 0.5 * (rho[:-1] + rho[1:]) * grid.dx
@@ -125,31 +111,6 @@ def current(psi: np.ndarray, grid: Grid) -> np.ndarray:
     """Current (hbar/m) Im(psi* dpsi/dx) of each row, with the spectral derivative."""
     dpsi = np.fft.ifft(1j * grid.k * np.fft.fft(psi))
     return grid.hbar / grid.mass * np.imag(np.conj(psi) * dpsi)
-
-
-def madelung(psi: np.ndarray, grid: Grid) -> MadelungFields:
-    """Fluid form of a wavefunction.
-
-    The action is the phase unwrapped outward from the global density
-    maximum (fixing the 2 pi ambiguity deterministically) times hbar.
-    The velocity is dS/dx / m, evaluated through the current identity
-    j = rho v so it stays finite wherever the density is; below the node
-    threshold it is nan.
-    """
-    density = np.abs(psi) ** 2
-    anchor = int(np.argmax(density))
-    theta = np.angle(psi)
-    unwrapped = np.empty_like(theta)
-    unwrapped[anchor:] = np.unwrap(theta[anchor:])
-    unwrapped[: anchor + 1] = np.unwrap(theta[anchor::-1])[::-1]
-    principal = grid.hbar * unwrapped
-
-    j = current(psi, grid)
-    cutoff = NODE_THRESHOLD * float(density.max())
-    velocity = np.full(grid.n, np.nan)
-    ok = density > cutoff
-    velocity[ok] = j[ok] / density[ok]
-    return MadelungFields(density, principal, velocity)
 
 
 def _sample(times, fields, t, x, grid):

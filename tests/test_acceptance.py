@@ -18,7 +18,7 @@ from wavefields.hilbert import Operator, state_ket
 from wavefields.memory import fresh_memory, record_interaction
 from wavefields.scenarios import ScenarioConfig, run_scenario
 from wavefields.serialize import dumps
-from wavefields.spatial import Grid, Propagator, gaussian_packet, norm_squared
+from wavefields.spatial import Grid, Propagator, cumulative_mass, gaussian_packet, norm_squared
 
 ALL_SCENARIOS = [
     "two_spin_crossing",
@@ -198,8 +198,8 @@ def test_criterion_07_boundary_behavior(battery):
     rho_l = np.abs(gaussian_packet(grid, -8.0, 1.0, 5.0)) ** 2
     rho_r = np.abs(gaussian_packet(grid, 8.0, 1.0, -5.0)) ** 2
     root = find_initial_boundary(rho_l, rho_r, grid)
-    cum_l = np.cumsum(rho_l) * grid.dx
-    cum_r = np.cumsum(rho_r) * grid.dx
+    # the trapezoid cumulative masses the solve balances, not rectangle sums
+    cum_l, cum_r = cumulative_mass(rho_l, grid), cumulative_mass(rho_r, grid)
     imbalance = (cum_l[-1] - cum_l) - cum_r  # left mass beyond x minus right mass before x
     scan = grid.x[int(np.argmin(np.abs(imbalance)))]
     ok = (

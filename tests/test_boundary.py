@@ -50,7 +50,7 @@ def test_transfer_matrices_measurement_displays():
     a1, b1 = 0.6, 0.8
     u = Operator(CNOT, (2, 2), ("s", "p"))
     t_spin, t_pointer = transfer_matrices(
-        u, hilbert.state_ket("s", [a1, b1]), hilbert.basis_ket("p", 0)
+        u, hilbert.state_ket("s", [a1, b1]), hilbert.state_ket("p", [1, 0])
     )
     expected_spin = np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex)
     expected_pointer = np.array(
@@ -65,7 +65,7 @@ def test_transfer_matrices_identity_unitary():
     a2, b2 = random_amps(rng)
     u = Operator(np.eye(4), (2, 2), ("1", "2"))
     t_left, t_right = transfer_matrices(
-        u, hilbert.basis_ket("1", 0), hilbert.state_ket("2", [a2, b2])
+        u, hilbert.state_ket("1", [1, 0]), hilbert.state_ket("2", [a2, b2])
     )
     # no interaction: each own index maps to itself, partner state rides along
     expected = np.array([[a2, 0], [b2, 0], [0, a2], [0, b2]])
@@ -118,11 +118,13 @@ def test_transfer_matrices_reject_bad_inputs():
     u = Operator(CNOT, (2, 2), ("1", "2"))
     with pytest.raises(ValueError):
         transfer_matrices(
-            u, hilbert.state_ket("1", [1, 0, 0]), hilbert.basis_ket("2", 0)
+            u, hilbert.state_ket("1", [1, 0, 0]), hilbert.state_ket("2", [1, 0])
         )
     single = Operator(np.eye(2), (2,), ("1",))
     with pytest.raises(ValueError):
-        transfer_matrices(single, hilbert.basis_ket("1", 0), hilbert.basis_ket("2", 0))
+        transfer_matrices(
+            single, hilbert.state_ket("1", [1, 0]), hilbert.state_ket("2", [1, 0])
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +167,15 @@ def test_synced_three_system_history():
 
         for col in range(4):
             k1, k2 = divmod(col, 2)
-            ket = hilbert.tensor(hilbert.basis_ket("1", k1), hilbert.basis_ket("2", k2))
+            ket = hilbert.tensor(
+                hilbert.state_ket("1", np.eye(2)[k1]), hilbert.state_ket("2", np.eye(2)[k2])
+            )
             ket = hilbert.tensor(ket, hilbert.state_ket("3", s3))
             expected = hilbert.apply(v13, ket).amplitudes
             assert np.allclose(t1.matrix[:, col], expected, atol=1e-12)
         for col in range(2):
             ket = hilbert.tensor(hilbert.state_ket("1", s1), hilbert.state_ket("2", s2))
-            ket = hilbert.tensor(ket, hilbert.basis_ket("3", col))
+            ket = hilbert.tensor(ket, hilbert.state_ket("3", np.eye(2)[col]))
             expected = hilbert.apply(v13, hilbert.apply(u12, ket)).amplitudes
             assert np.allclose(t3.matrix[:, col], expected, atol=1e-12)
 

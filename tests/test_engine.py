@@ -483,6 +483,22 @@ def test_norm_audit_names_the_system_mid_crossing_and_on_completion(completing, 
     assert link.active is not completing
 
 
+@pytest.mark.parametrize("crossing", [False, True], ids=["at_rest", "mid_crossing"])
+def test_norm_audit_fails_a_nan_cell(crossing):
+    # a NaN mass compares false with any bound, so the audit must test for
+    # staying within it, not for leaving it
+    state, grid = crossing_state()
+    if crossing:
+        link = meet(state, "1", "2", CNOT, "cnot", mode="crossing")
+        advance(state, 5)
+        assert link.active
+    state.wavefields["2"].packets[0].field[grid.n // 2] = np.nan
+    step = state.step_count + 1
+    with pytest.raises(RuntimeError, match=rf"norm audit failed for '2' at step {step}, .*nan"):
+        advance(state, 3)
+    assert state.step_count == step
+
+
 def _stepped_crossing(calls):
     """A CNOT crossing advanced by ``calls(state, link)``: its fields, trajectory and step."""
     state, _ = crossing_state()
@@ -740,7 +756,7 @@ def test_meets_build_no_state_through_the_oracle(monkeypatch, rotated):
         raise AssertionError("a meet called the hilbert oracle")
 
     with monkeypatch.context() as patched:
-        for name in ("apply", "tensor", "basis_ket", "permute_systems"):
+        for name in ("apply", "tensor", "state_ket", "permute_systems"):
             patched.setattr(hilbert, name, refuse)
         for a, b in zip(names, names[1:]):
             meet(state, a, b, Operator(CNOT.matrix, (2, 2), (a, b)), f"cnot-{a}{b}")

@@ -12,8 +12,6 @@ from wavefields.hilbert import (
     Ket,
     Operator,
     apply,
-    basis_ket,
-    born_probabilities,
     expand_product_terms,
     permute_systems,
     reduced_density,
@@ -22,6 +20,29 @@ from wavefields.hilbert import (
 )
 
 RT2 = 1.0 / math.sqrt(2.0)
+
+
+def basis_ket(system, index, dim=2):
+    return state_ket(system, np.eye(dim)[index])
+
+
+def born_probabilities(state, system, basis=None):
+    """Outcome probabilities of measuring one system; ``basis`` columns are the outcomes."""
+    if system not in state.labels:
+        raise ValueError(f"state has no system {system!r}")
+    d = state.dim(system)
+    if basis is not None:
+        if basis.dims != (d,):
+            raise ValueError(f"basis dims {basis.dims} do not match system dim {d}")
+        if not basis.is_unitary(tol=1e-12):
+            raise ValueError("measurement basis is not unitary")
+        state = apply(basis.dagger(), state, [system])
+    axis = state.labels.index(system)
+    probs = np.abs(state.tensor_view()) ** 2
+    probs = probs.sum(axis=tuple(i for i in range(len(state.dims)) if i != axis))
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum()
+
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex

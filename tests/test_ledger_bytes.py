@@ -1,0 +1,137 @@
+"""Golden bytes of a seeded mini-ledger: meets and the oracle replay keep every bit.
+
+The digests were recorded before the meet and replay paths were tuned for
+speed; a change that moves any transfer entry, packet field, memory
+document or derived amplitude by one bit fails here.
+"""
+
+import cmath
+import hashlib
+import math
+import os
+import pickle
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import wavefields
+from wavefields import boundary
+from wavefields.engine import add_system, meet, new_state, validate_against_memory
+from wavefields.hilbert import Operator
+from wavefields.memory import IndexLabel, derive_state, memory_to_json
+from wavefields.spatial import Grid, gaussian_packet
+
+CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+CHAIN = ("c0", "c1", "c2", "c3")
+PAIR = ("p", "q")
+PAIR_GATES = 40
+
+GOLDEN = {
+    "transfers": "d0ed3be3ded7435008d595d9817c4c248ec0d4fa0e0d5535e929bd1757fc5f19",
+    "packets": "25e458595596bb2892fa151e062ed386cba32e976ee1556b1de5c096eb0c6f5d",
+    "chain_memory": "01d59d8c6bf0f5cc42a6dcfe030989aab2fc245f3ccdb1bdb6cf33a1ad4f4234",
+    "pair_memory": "dbf39fff453e2bd46bc7b25934c6a92e7338d710955fe382c50dc84836c9fdf2",
+    "chain_state": "8dcec0a6d5fbc39dbaf655c1a229f8b7760640caae4f7925fa1beeac3db92c30",
+    "pair_state": "1c9668397dd231735400f71f69cb2c522b0c24edeb5857ba07e36470d2a0b642",
+}
+
+
+def feed(h, *parts):
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(f"{part.shape}{part.dtype.str}".encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        else:
+            h.update(repr(part).encode())
+
+
+def amplitude_pair(rng):
+    w = rng.uniform(0.2, 0.8)
+    return (
+        cmath.rect(math.sqrt(w), rng.uniform(0, 2 * math.pi)),
+        cmath.rect(math.sqrt(1.0 - w), rng.uniform(0, 2 * math.pi)),
+    )
+
+
+def run_mini_ledger(monkeypatch):
+    """A CNOT chain over 4 spins and 40 alternating phase and CZ gates on a pair."""
+    rng = random.Random(17)
+    grid = Grid(-16.0, 16.0, 256, 0.01)
+    state = new_state(grid)
+    theta = rng.uniform(0.5, 1.0)
+    initial = {name: (1.0, 0.0) for name in CHAIN}
+    initial[CHAIN[0]] = (math.cos(theta), math.sin(theta))
+    initial.update({PAIR[0]: amplitude_pair(rng), PAIR[1]: amplitude_pair(rng)})
+    for i, (name, amps) in enumerate(initial.items()):
+        add_system(state, name, amps, gaussian_packet(grid, -10.0 + 4.0 * i, 1.0))
+
+    transfers, packets = hashlib.sha256(), hashlib.sha256()
+    original = boundary.transfer_matrices_synced
+
+    def recording(*args, **kwargs):
+        out = original(*args, **kwargs)
+        for t in out:
+            feed(transfers, t.system, [lb.text() for lb in t.in_labels], t.matrix)
+            feed(transfers, [lb.text() for lb in t.out_labels])
+        return out
+
+    monkeypatch.setattr(boundary, "transfer_matrices_synced", recording)
+    gates = [(CNOT, (a, b), f"chain-{i}") for i, (a, b) in enumerate(zip(CHAIN, CHAIN[1:]))]
+    for k in range(PAIR_GATES):
+        if k % 2:
+            gates.append((CZ, PAIR, f"cz-{k}"))
+        else:
+            phase = np.diag([1.0, cmath.exp(1j * rng.uniform(0, 2 * math.pi))])
+            gates.append((phase, (PAIR[k // 2 % 2],), f"phase-{k}"))
+    for matrix, targets, op_id in gates:
+        b = targets[1] if len(targets) == 2 else None
+        meet(state, targets[0], b, Operator(matrix, (2,) * len(targets), targets), op_id)
+        for s in targets:
+            for p in state.wavefields[s].packets:
+                feed(packets, s, p.index.text(), np.complex128(p.coefficient), p.field)
+    return state, transfers, packets
+
+
+def test_mini_ledger_keeps_its_golden_bytes(monkeypatch):
+    state, transfers, packets = run_mini_ledger(monkeypatch)
+    chain = state.wavefields[CHAIN[-1]].memory
+    pair = state.wavefields[PAIR[0]].memory
+    digests = {
+        "transfers": transfers.hexdigest(),
+        "packets": packets.hexdigest(),
+        "chain_memory": hashlib.sha256(memory_to_json(chain).encode()).hexdigest(),
+        "pair_memory": hashlib.sha256(memory_to_json(pair).encode()).hexdigest(),
+        "chain_state": hashlib.sha256(derive_state(chain).amplitudes.tobytes()).hexdigest(),
+        "pair_state": hashlib.sha256(derive_state(pair).amplitudes.tobytes()).hexdigest(),
+    }
+    assert digests == GOLDEN
+    for s in state.wavefields:
+        assert validate_against_memory(state, s, atol=1e-10) < 1e-10
+
+
+def test_an_unpickled_label_hashes_as_a_fresh_one_under_another_hash_seed():
+    # a label's hash depends on the process's string hash seed, so a hash
+    # kept on the label must not travel with it
+    label = IndexLabel(1, (("a", 0), ("b", 1)))
+    table = {label: "found"}
+    assert hash(label) == hash((label.own, label.partners))
+    probe = (
+        "import pickle, sys\n"
+        "from wavefields.memory import IndexLabel\n"
+        "label, table = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = IndexLabel(1, (('a', 0), ('b', 1)))\n"
+        "assert hash(label) == hash(fresh) == hash((1, (('a', 0), ('b', 1))))\n"
+        "print(table[fresh], {fresh: 'found'}[label], label in table)\n"
+    )
+    src = str(Path(wavefields.__file__).parent.parent)
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], input=pickle.dumps((label, table)),
+        capture_output=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+    )
+    assert out.stdout.decode().split() == ["found", "found", "True"]

@@ -171,7 +171,7 @@ def reference_transfer(own, merged, unitary, system, index_bases=None, occupied=
     for col in needed:
         ket = None
         for sys_id, i in zip(pre_order, np.unravel_index(col, pre_dims)):
-            factor = hilbert.basis_ket(sys_id, int(i), own.initial_states[sys_id].dims[0])
+            factor = hilbert.state_ket(sys_id, np.eye(own.initial_states[sys_id].dims[0])[i])
             ket = factor if ket is None else hilbert.tensor(ket, factor)
         for sys_id in post_order:
             if sys_id not in pre_order:

@@ -189,8 +189,8 @@ def test_linearize_detects_cycles():
     with pytest.raises(ValueError):
         InternalMemory(
             {
-                "1": hilbert.basis_ket("1", 0),
-                "2": hilbert.basis_ket("2", 0),
+                "1": hilbert.state_ket("1", [1, 0]),
+                "2": hilbert.state_ket("2", [1, 0]),
             },
             {"a": op_a, "b": op_b},
         )
@@ -249,7 +249,7 @@ def test_synchronize_checks_each_entry_it_adds():
     cases = [
         ("ops", "x", InteractionOp("x", u, ("1", "2"), frozenset({"no"})), r"parents \['no'\]"),
         ("ops", "x", InteractionOp("x", u, ("1", "9"), frozenset()), "unknown system '9'"),
-        ("initial_states", "5", hilbert.basis_ket("6", 0), "'5' is labeled"),
+        ("initial_states", "5", hilbert.state_ket("6", [1, 0]), "'5' is labeled"),
     ]
     for where, key, entry, message in cases:
         tampered = InternalMemory(dict(final.initial_states), dict(final.ops))

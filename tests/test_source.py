@@ -9,8 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import wavefields
-from wavefields import cli
+from wavefields import boundary, cli
 
 MAX_LINE = 99
 
@@ -122,3 +124,45 @@ def test_traced_crossing_times_the_boundary_law_and_counts_every_step(tmp_path, 
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert metrics["boundary.law_s"] > 0
     assert metrics["engine.steps"] == summary["steps"] == 407
+
+
+def test_traced_meets_time_the_transfers_records_and_the_oracle(monkeypatch):
+    # the ledger's layers are timed through the names the tracer wraps: a
+    # meet that stopped calling them by those names would read 0 there
+    built = []
+    original = boundary.transfer_matrices_synced
+
+    def counted(*args, **kwargs):
+        built.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(boundary, "transfer_matrices_synced", counted)
+    cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+    gates = [(cnot, (a, b)) for a, b in (("c0", "c1"), ("c1", "c2"))]
+    for k in range(6):
+        if k % 2:
+            gates.append((np.diag([1.0, 1.0, 1.0, -1.0]), ("p", "q")))
+        else:
+            gates.append((np.diag([1.0, np.exp(0.3j * k)]), (("p", "q")[k // 2 % 2],)))
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        grid = wavefields.Grid(-16.0, 16.0, 256, 0.01)
+        state = wavefields.new_state(grid)
+        for i, s in enumerate(("c0", "c1", "c2", "p", "q")):
+            amps = [0.6, 0.8] if s in ("c0", "p", "q") else [1.0, 0.0]
+            shape = wavefields.gaussian_packet(grid, 4.0 * i - 8.0, 1.0)
+            wavefields.add_system(state, s, amps, shape)
+        for k, (matrix, targets) in enumerate(gates):
+            op = wavefields.Operator(matrix, (2,) * len(targets), targets)
+            wavefields.meet(state, targets[0], targets[1] if targets[1:] else None, op, f"g{k}")
+        for s in state.wavefields:
+            assert wavefields.validate_against_memory(state, s) < 1e-10
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics(0)
+    assert metrics["engine.meets"] == len(gates)
+    assert metrics["boundary.transfer_calls"] == len(built) == len(gates)
+    assert metrics["boundary.isometry_s"] > 0
+    assert metrics["memory.record_s"] > 0
+    assert metrics["hilbert.apply_calls"] > 0
