@@ -12,7 +12,6 @@ from .boundary import (
     TransferMatrix,
     find_initial_boundary,
     step_boundary_fields,
-    transfer_matrices,
     transfer_matrices_synced,
 )
 from .engine import (
@@ -140,7 +139,6 @@ __all__ = [
     "synchronize",
     "tensor",
     "total_mass",
-    "transfer_matrices",
     "transfer_matrices_synced",
     "validate_against_memory",
     "write_run",

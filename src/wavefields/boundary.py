@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import memory
-from .hilbert import _NORM_SLACK, Ket, Operator
+from .hilbert import _NORM_SLACK, Operator
 from .memory import IndexLabel, InteractionOp, InternalMemory
 from .spatial import Grid, cumulative_mass
 
@@ -89,27 +89,6 @@ def find_initial_boundary(rho_left: np.ndarray, rho_right: np.ndarray, grid: Gri
     """
     centre = 0.5 * (grid.x[0] + grid.x[-1])
     return step_boundary_fields(centre, rho_left, rho_right, grid).x12
-
-
-def transfer_matrices(
-    unitary: Operator, state_left: Ket, state_right: Ket
-) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary-condition matrices of a two-system interaction.
-
-    Rows run over the joint product basis (left index major); columns
-    over the crossing system's own basis.  Each matrix is the unitary
-    contracted with the other system's current state, so both are
-    isometries.
-    """
-    if len(unitary.labels) != 2:
-        raise ValueError("transfer matrices need a two-system unitary")
-    dl, dr = unitary.dims
-    if state_left.dims != (dl,) or state_right.dims != (dr,):
-        raise ValueError("partner state dimensions do not match the unitary")
-    u4 = unitary.matrix.reshape(dl, dr, dl, dr)
-    t_left = np.einsum("ijkl,l->ijk", u4, state_right.amplitudes).reshape(dl * dr, dl)
-    t_right = np.einsum("ijkl,k->ijl", u4, state_left.amplitudes).reshape(dl * dr, dr)
-    return t_left, t_right
 
 
 def is_isometry(t: np.ndarray, tol: float = ISOMETRY_TOL) -> bool:
@@ -198,7 +177,7 @@ class _Columns(NamedTuple):
 def _in_columns(
     own: InternalMemory, merged: InternalMemory, unitary: Operator, system: str, bases, occupied
 ) -> _Columns:
-    """Each in-column of ``system`` as a row, through everything ``merged`` adds to ``own``.
+    """Each occupied in-column of ``system`` as a row, through what ``merged`` adds to ``own``.
 
     A row starts as a unit vector of own's product basis, is turned into
     the index bases, tensored with the initial states of newly met
@@ -216,13 +195,9 @@ def _in_columns(
         bases = {s: b for s, b in bases.items() if s in acted}
 
     order, shape = tuple(pre_order), tuple(pre_dims)
-    n_in = math.prod(pre_dims)
-    if occupied is None:
-        cols = range(n_in)
-    else:
-        cols = sorted({_flat(lb, system, order, shape) for lb in occupied})
+    cols = sorted({_flat(lb, system, order, shape) for lb in occupied})
     n = len(cols)
-    batch = np.zeros((n, n_in), dtype=np.complex128)
+    batch = np.zeros((n, math.prod(pre_dims)), dtype=np.complex128)
     for row, col in enumerate(cols):
         batch[row, col] = 1.0
     for sys_id in pre_order:
@@ -256,8 +231,9 @@ def transfer_matrices_synced(
     unitary: Operator,
     acting: tuple[str, ...],
     index_bases=None,
-    occupied=None,
-    merged: InternalMemory | None = None,
+    *,
+    occupied,
+    merged: InternalMemory,
 ) -> tuple[TransferMatrix, ...]:
     """Transfer matrices of an interaction between systems with history.
 
@@ -274,12 +250,9 @@ def transfer_matrices_synced(
     are bit for bit those of building each column as a ``Ket``.
 
     ``occupied`` holds, per acting system, the in-labels its branches
-    occupy.  Each matrix then keeps only those columns and drops every
-    out-row that is exactly zero on them; the entries it keeps are the
-    dense matrix's.  By default every in-label is a column and every
-    out-label a row.
-
-    ``merged``, if given, must be ``memory.synchronize`` of ``mem_pair``.
+    occupy.  Each matrix keeps only those columns and drops every out-row
+    that is exactly zero on them.  ``merged`` must be
+    ``memory.synchronize`` of ``mem_pair`` (the one memory for a local op).
     """
     if len(acting) not in (1, 2) or len(mem_pair) != len(acting):
         raise ValueError("acting systems and memories must pair up, 1 or 2 each")
@@ -287,17 +260,14 @@ def transfer_matrices_synced(
         raise ValueError(
             f"unitary acts on {unitary.labels}, expected {tuple(acting)}"
         )
-    if merged is None:
-        merged = memory.synchronize(*mem_pair) if len(mem_pair) == 2 else mem_pair[0]
     for sys_id in acting:
         if sys_id not in merged.initial_states:
             raise ValueError(f"acting system {sys_id!r} unknown to the memories")
-    occupied = occupied or (None,) * len(acting)
     post_order = memory.systems(merged)
     post_dims = [merged.initial_states[s].dims[0] for s in post_order]
     columns = [
         _in_columns(own, merged, unitary, sys_id, index_bases, occ)
-        for own, sys_id, occ in zip(mem_pair, acting, occupied)
+        for own, sys_id, occ in zip(mem_pair, acting, occupied, strict=True)
     ]
     # systems whose rows share an axis order and the bases to undo take the
     # unitary as one stack: each row rounds as it would alone
@@ -321,15 +291,13 @@ def transfer_matrices_synced(
         for k in ks:
             rows = batch[start : start + len(columns[k].rows)]
             start += len(rows)
-            transfers[k] = _transfer(
-                acting[k], rows, columns[k].in_labels, post_order, post_dims, occupied[k]
-            )
+            transfers[k] = _transfer(acting[k], rows, columns[k].in_labels, post_order, post_dims)
     return tuple(transfers)
 
 
-def _transfer(system, batch, in_labels, post_order, post_dims, occupied) -> TransferMatrix:
-    """The transfer with ``batch``'s rows as columns: every out-row, or those nonzero on them."""
-    keep = range(batch.shape[1]) if occupied is None else batch.any(axis=0).nonzero()[0]
+def _transfer(system, batch, in_labels, post_order, post_dims) -> TransferMatrix:
+    """The transfer with ``batch``'s rows as columns and the out-rows nonzero on them."""
+    keep = batch.any(axis=0).nonzero()[0]
     order, shape = tuple(post_order), tuple(post_dims)
     return TransferMatrix(
         system,
@@ -376,7 +344,6 @@ class BoundaryLink:
 
     left_system: str
     right_system: str
-    unitary: Operator
     x12: float
     t_left: TransferMatrix
     t_right: TransferMatrix

@@ -8,16 +8,18 @@ from __future__ import annotations
 
 import argparse
 import sys
+import typing
 from importlib import resources
 
 from .scenarios import SCENARIOS, CheckFailure, ScenarioConfig, list_scenarios, run_scenario
 from .serialize import write_run
 
-_INT_KEYS = {"n_points", "trials", "seed", "snapshot_every", "jobs"}
-_FLOAT_KEYS = {"x_min", "x_max", "dt", "epsilon"}
-_COMPLEX_KEYS = {"a1", "b1", "a2", "b2"}
-_STR_KEYS = {"out_dir"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _COMPLEX_KEYS | _STR_KEYS
+# each config key parses to its ScenarioConfig field's type, None stripped
+_KEY_TYPES = {
+    key: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    for key, hint in typing.get_type_hints(ScenarioConfig).items()
+    if key != "scenario"
+}
 
 
 class UsageError(Exception):
@@ -40,17 +42,10 @@ def parse_config_file(path: str) -> dict:
                 raise UsageError(f"{path}:{lineno}: expected key = value, got {line!r}")
             key, _, text = line.partition("=")
             key, text = key.strip(), text.strip()
-            if key not in _ALL_KEYS:
+            if key not in _KEY_TYPES:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                if key in _INT_KEYS:
-                    values[key] = int(text)
-                elif key in _FLOAT_KEYS:
-                    values[key] = float(text)
-                elif key in _COMPLEX_KEYS:
-                    values[key] = complex(text)
-                else:
-                    values[key] = text
+                values[key] = _KEY_TYPES[key](text)
             except ValueError:
                 raise UsageError(f"{path}:{lineno}: bad value {text!r} for {key}") from None
     return values
@@ -83,11 +78,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--out", help="output directory for run files")
     run.add_argument("--trials", type=int, help="ensemble trials (0 disables)")
     run.add_argument("--snapshot-every", type=int, help="frame cadence in steps")
-    jobs_help = (
-        "accepted for compatibility; has no effect, "
-        "since the trials are one multinomial draw keyed (seed, 0)"
-    )
-    run.add_argument("--jobs", type=int, help=jobs_help)
 
     sub.add_parser("list", help="list the available scenarios")
     return parser
@@ -118,7 +108,6 @@ def _cmd_run(args) -> int:
         "seed": args.seed,
         "trials": args.trials,
         "snapshot_every": args.snapshot_every,
-        "jobs": args.jobs,
         "out_dir": args.out,
     }
     values.update({k: v for k, v in flags.items() if v is not None})

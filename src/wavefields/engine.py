@@ -215,7 +215,6 @@ def _open_crossing(
     state: ScenarioState,
     left: WaveField,
     right: WaveField,
-    unitary: Operator,
     op_id: str,
     t_left: boundary_mod.TransferMatrix,
     t_right: boundary_mod.TransferMatrix,
@@ -224,9 +223,7 @@ def _open_crossing(
     rho_left = aggregate_density(left)
     rho_right = aggregate_density(right)
     x12 = boundary_mod.find_initial_boundary(rho_left, rho_right, grid)
-    link = boundary_mod.BoundaryLink(
-        left.system, right.system, unitary, x12, t_left, t_right, op_id
-    )
+    link = boundary_mod.BoundaryLink(left.system, right.system, x12, t_left, t_right, op_id)
     _step_link(state, link, rho_left, rho_right, state.time)  # records the opening levels
     state.links.append(link)
     return link
@@ -290,7 +287,7 @@ def meet(
         for wf, transfer in zip(fields, transfers):
             _expand_instant(wf, transfer, state)
         return None
-    return _open_crossing(state, fields[0], fields[1], unitary, op_id, *transfers)
+    return _open_crossing(state, fields[0], fields[1], op_id, *transfers)
 
 
 def _step_link(state: ScenarioState, link: boundary_mod.BoundaryLink, rho_left, rho_right, t):

@@ -71,28 +71,20 @@ def _positions(field: np.ndarray, grid: Grid, count: int, rng) -> np.ndarray:
     return np.interp(rng.random(count), cum / cum[-1], grid.x)
 
 
-def sample_particles(
-    wf: WaveField,
-    grid: Grid,
-    n: int,
-    seed: int,
-    stratified: bool | None = None,
-) -> list[FluidParticle]:
+def sample_particles(wf: WaveField, grid: Grid, n: int, seed: int) -> list[FluidParticle]:
     """Draw n fluid particles of one system.
 
     Branch labels come up with probability |coefficient|^2 and positions
-    follow the labeled packet's density.  Small ensembles are stratified
-    (exact Born proportions, the demonstration regime); large ones are
-    i.i.d. so binomial statistics apply.
+    follow the labeled packet's density.  Up to ``STRATIFIED_LIMIT``
+    particles are stratified (exact Born proportions, the demonstration
+    regime); more are i.i.d. so binomial statistics apply.
     """
     if n < 1:
         raise ValueError("need at least one particle")
     rows = _branch_rows(wf)
     weights = np.array([abs(p.coefficient) ** 2 for p in rows])
-    if stratified is None:
-        stratified = n <= STRATIFIED_LIMIT
     rng = np.random.default_rng((seed, 0))
-    if stratified:
+    if n <= STRATIFIED_LIMIT:
         counts = largest_remainder(weights, n)
         picks = np.repeat(np.arange(len(rows)), counts)
     else:
@@ -161,19 +153,13 @@ def _normalized(probs: dict) -> tuple[list, np.ndarray]:
     return keys, clipped / clipped.sum()
 
 
-def ensemble_statistics(
-    outcomes: dict,
-    trials: int,
-    seed: int,
-    jobs: int = 1,
-) -> dict:
+def ensemble_statistics(outcomes: dict, trials: int, seed: int) -> dict:
     """Empirical outcome frequencies over independent trials.
 
     ``outcomes`` is the scenario's final label distribution.  The counts
     of independent trials are Multinomial(trials, p), so they come from
     one multinomial draw keyed (seed, 0) and depend on the seed alone;
-    the cost does not grow with ``trials``.  ``jobs`` is accepted for
-    callers that pass a worker count and has no effect.
+    the cost does not grow with ``trials``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -182,15 +168,12 @@ def ensemble_statistics(
     return {k: int(c) / trials for k, c in zip(keys, counts)}
 
 
-def statistics_report(
-    scenario: str,
-    outcomes: dict,
-    trials: int,
-    seed: int,
-    jobs: int = 1,
-) -> dict:
-    """Frequencies next to Born expectations with binomial z-scores."""
-    freqs = ensemble_statistics(outcomes, trials, seed, jobs=jobs)
+def statistics_report(scenario: str, outcomes: dict, trials: int, seed: int, jobs=1) -> dict:
+    """Frequencies next to Born expectations with binomial z-scores.
+
+    ``jobs`` is ignored; it stays because the benchmark's ``ledger`` workload passes it.
+    """
+    freqs = ensemble_statistics(outcomes, trials, seed)
     keys, p = _normalized(outcomes)
     report = {
         "scenario": scenario,

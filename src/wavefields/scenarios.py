@@ -66,7 +66,6 @@ class ScenarioConfig:
     trials: int = 0
     seed: int = 7
     snapshot_every: int = 0
-    jobs: int = 1
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -76,8 +75,6 @@ class ScenarioConfig:
             raise ValueError("seed must be nonnegative")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be nonnegative")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
         if not 0.0 < self.epsilon < math.pi / 2.0:
             raise ValueError("epsilon must lie in (0, pi/2)")
 
@@ -247,7 +244,7 @@ class _Run:
         """The run's result; ``outcomes`` is the table the ensemble trials sample, if any."""
         cfg, name = self.cfg, self.cfg.scenario
         if outcomes is not None and cfg.trials > 0:
-            stats = statistics_report(name, outcomes, cfg.trials, cfg.seed, jobs=cfg.jobs)
+            stats = statistics_report(name, outcomes, cfg.trials, cfg.seed)
             zs = [abs(z) for z in stats["z_scores"].values()]
             within = all(z <= Z_LIMIT for z in zs)
             detail = f"max |z| {max(zs, default=0.0):.3f} over {cfg.trials} trials"

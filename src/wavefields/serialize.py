@@ -29,6 +29,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import fields
+from json.encoder import encode_basestring
 from types import SimpleNamespace
 
 import numpy as np
@@ -55,7 +56,7 @@ def _encode(obj, out: list, indent: int) -> None:
     elif obj is True or obj is False:
         out.append("true" if obj else "false")
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(encode_basestring(obj))  # json.dumps's escaper with ensure_ascii=False
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):

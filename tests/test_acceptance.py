@@ -1,12 +1,18 @@
 """Acceptance gate: every primary criterion, one pass/fail line each."""
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wavefields.boundary import find_initial_boundary, transfer_matrices, transfer_matrices_synced
+import wavefields
+
+from wavefields.boundary import find_initial_boundary, transfer_matrices_synced
 from wavefields.engine import (
     add_system,
     index_distribution,
@@ -14,8 +20,8 @@ from wavefields.engine import (
     new_state,
     validate_against_memory,
 )
-from wavefields.hilbert import Operator, state_ket
-from wavefields.memory import fresh_memory, record_interaction
+from wavefields.hilbert import Operator
+from wavefields.memory import IndexLabel, fresh_memory, record_interaction, synchronize
 from wavefields.scenarios import ScenarioConfig, run_scenario
 from wavefields.serialize import dumps
 from wavefields.spatial import Grid, Propagator, cumulative_mass, gaussian_packet, norm_squared
@@ -50,6 +56,24 @@ def _random_unitary(rng, d):
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(m)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _fresh_transfers(unitary, left, right):
+    """Both transfers of a meet of two fresh systems (name, amplitudes), every in-label occupied."""
+    mems = tuple(fresh_memory(name, amps) for name, amps in (left, right))
+    occupied = tuple([IndexLabel(k, ()) for k in range(len(amps))] for _, amps in (left, right))
+    return transfer_matrices_synced(
+        mems, unitary, unitary.labels, occupied=occupied, merged=synchronize(*mems)
+    )
+
+
+def _joint(t):
+    """A transfer between qubits "1" and "2" over their whole joint basis, "1" major."""
+    out = np.zeros((4, t.matrix.shape[1]), dtype=complex)  # rows the transfer drops are zero
+    for label, row in zip(t.out_labels, t.matrix):
+        index = {t.system: label.own, **dict(label.partners)}
+        out[2 * index["1"] + index["2"]] = row
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -131,8 +155,8 @@ def test_criterion_05_pointer_readout(battery):
     for _ in range(20):
         a, b = _random_amps(rng)
         cnot = Operator(CNOT, (2, 2), ("1", "2"))
-        t_left, t_right = transfer_matrices(
-            cnot, state_ket("1", (a, b)), state_ket("2", (1.0, 0.0))
+        t_left, t_right = (
+            _joint(t) for t in _fresh_transfers(cnot, ("1", (a, b)), ("2", (1.0, 0.0)))
         )
         frozen_left = np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex)
         frozen_right = np.array([[a, 0], [0, a], [0, b], [b, 0]], dtype=complex)
@@ -172,8 +196,8 @@ def test_criterion_06_transfer_isometries():
         dl, dr = (2, 2) if i % 4 else ((2, 3) if i % 8 else (3, 2))
         u = Operator(_random_unitary(rng, dl * dr), (dl, dr), ("1", "2"))
         s1, s2 = _random_amps(rng, dl), _random_amps(rng, dr)
-        t_left, t_right = transfer_matrices(u, state_ket("1", s1), state_ket("2", s2))
-        for t in (t_left, t_right):
+        for t in _fresh_transfers(u, ("1", s1), ("2", s2)):
+            t = t.matrix
             gap = float(np.abs(t.conj().T @ t - np.eye(t.shape[1])).max())
             worst = max(worst, gap)
         count += 1
@@ -183,7 +207,17 @@ def test_criterion_06_transfer_isometries():
             u12 = Operator(_random_unitary(rng, 4), (2, 2), ("1", "2"))
             v13 = Operator(_random_unitary(rng, 4), (2, 2), ("1", "3"))
             mem12 = record_interaction(fresh_memory("1", sa), fresh_memory("2", sb), u12, "u12")
-            t1, t3 = transfer_matrices_synced((mem12, fresh_memory("3", sc)), v13, ("1", "3"))
+            mem3 = fresh_memory("3", sc)
+            t1, t3 = transfer_matrices_synced(
+                (mem12, mem3),
+                v13,
+                ("1", "3"),
+                occupied=(
+                    [IndexLabel(i, (("2", j),)) for i in (0, 1) for j in (0, 1)],
+                    [IndexLabel(0, ()), IndexLabel(1, ())],
+                ),
+                merged=synchronize(mem12, mem3),
+            )
             assert t1.matrix.shape == (8, 4) and t3.matrix.shape == (8, 2)
             for t in (t1.matrix, t3.matrix):
                 gap = float(np.abs(t.conj().T @ t - np.eye(t.shape[1])).max())
@@ -284,11 +318,19 @@ def test_criterion_09_bystander_locality(battery):
 
 
 def test_criterion_10_deterministic_outputs():
-    cfg = ScenarioConfig(scenario="bell_case2", trials=20000, jobs=1)
+    cfg = ScenarioConfig(scenario="bell_case2", trials=20000)
     first = dumps(run_scenario(cfg).summary).encode()
     second = dumps(run_scenario(cfg).summary).encode()
-    threaded = dumps(
-        run_scenario(ScenarioConfig(scenario="bell_case2", trials=20000, jobs=2)).summary
-    ).encode()
-    ok = first == second == threaded
-    _line(10, ok, "summary JSON byte-identical across reruns and across jobs=1/jobs=2")
+    # a fresh interpreter with other string hashes: no output may hang on set or dict order
+    probe = (
+        "import sys; from wavefields import ScenarioConfig, dumps, run_scenario; "
+        "cfg = ScenarioConfig(scenario='bell_case2', trials=20000); "
+        "sys.stdout.buffer.write(dumps(run_scenario(cfg).summary).encode())"
+    )
+    src = str(Path(wavefields.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "12345"}
+    rerun = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, check=True, timeout=120, env=env
+    ).stdout
+    ok = first == second == rerun
+    _line(10, ok, "summary JSON byte-identical across reruns and under another PYTHONHASHSEED")

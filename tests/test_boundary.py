@@ -1,5 +1,8 @@
 """Tests for boundary location, motion, and transfer matrices."""
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,11 +16,10 @@ from wavefields.boundary import (
     find_initial_boundary,
     is_isometry,
     step_boundary_fields,
-    transfer_matrices,
     transfer_matrices_synced,
 )
-from wavefields.hilbert import Operator
-from wavefields.memory import IndexLabel, fresh_memory, record_interaction
+from wavefields.hilbert import Ket, Operator
+from wavefields.memory import IndexLabel, fresh_memory, record_interaction, synchronize, systems
 from wavefields.spatial import Grid, Propagator, current, gaussian_packet
 
 CNOT = np.array(
@@ -42,6 +44,48 @@ def wide_grid():
 
 # ---------------------------------------------------------------------------
 # Transfer matrices from a unitary and a partner state.
+
+
+def transfer_matrices(
+    unitary: Operator, state_left: Ket, state_right: Ket
+) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary-condition matrices of a history-free two-system interaction.
+
+    Rows run over the joint product basis (left index major); columns
+    over the crossing system's own basis.  Each matrix is the unitary
+    contracted with the other system's current state, so both are
+    isometries.  The reference the synchronized transfers are held to.
+    """
+    if len(unitary.labels) != 2:
+        raise ValueError("transfer matrices need a two-system unitary")
+    dl, dr = unitary.dims
+    if state_left.dims != (dl,) or state_right.dims != (dr,):
+        raise ValueError("partner state dimensions do not match the unitary")
+    u4 = unitary.matrix.reshape(dl, dr, dl, dr)
+    t_left = np.einsum("ijkl,l->ijk", u4, state_right.amplitudes).reshape(dl * dr, dl)
+    t_right = np.einsum("ijkl,k->ijl", u4, state_left.amplitudes).reshape(dl * dr, dr)
+    return t_left, t_right
+
+
+def every_label(mem, system):
+    """Every in-label of ``system`` over ``mem``'s product basis, in basis order."""
+    order = systems(mem)
+    dims = [mem.initial_states[s].dims[0] for s in order]
+    labels = []
+    for idx in itertools.product(*map(range, dims)):
+        bits = dict(zip(order, idx))  # ``systems`` is sorted, so the partners are too
+        own = bits.pop(system)
+        labels.append(IndexLabel(own, tuple(bits.items())))
+    return labels
+
+
+def synced(mem_pair, unitary, acting, index_bases=None, occupied=None):
+    """``transfer_matrices_synced`` with every in-label occupied unless given."""
+    occupied = occupied or tuple(every_label(m, s) for m, s in zip(mem_pair, acting))
+    merged = functools.reduce(synchronize, mem_pair)
+    return transfer_matrices_synced(
+        mem_pair, unitary, acting, index_bases, occupied=occupied, merged=merged
+    )
 
 
 def test_transfer_matrices_measurement_displays():
@@ -139,9 +183,7 @@ def test_synced_matches_plain_for_fresh_memories():
         plain_left, plain_right = transfer_matrices(
             u, hilbert.state_ket("1", s1), hilbert.state_ket("2", s2)
         )
-        t1, t2 = transfer_matrices_synced(
-            (fresh_memory("1", s1), fresh_memory("2", s2)), u, ("1", "2")
-        )
+        t1, t2 = synced((fresh_memory("1", s1), fresh_memory("2", s2)), u, ("1", "2"))
         assert np.allclose(t1.matrix, plain_left, atol=1e-12)
         assert np.allclose(t2.matrix, plain_right, atol=1e-12)
         assert t1.in_labels == [IndexLabel(0, ()), IndexLabel(1, ())]
@@ -161,7 +203,7 @@ def test_synced_three_system_history():
         mem12 = record_interaction(
             fresh_memory("1", s1), fresh_memory("2", s2), u12, "u12"
         )
-        t1, t3 = transfer_matrices_synced((mem12, fresh_memory("3", s3)), v13, ("1", "3"))
+        t1, t3 = synced((mem12, fresh_memory("3", s3)), v13, ("1", "3"))
         assert t1.matrix.shape == (8, 4)
         assert t3.matrix.shape == (8, 2)
 
@@ -193,10 +235,8 @@ def test_synced_index_bases_rotate_the_matrix():
     mem3 = fresh_memory("3", s3)
     basis = Operator(random_unitary(rng, 2), (2,), ("1",))
 
-    t1_plain, _ = transfer_matrices_synced((mem12, mem3), v13, ("1", "3"))
-    t1_rot, _ = transfer_matrices_synced(
-        (mem12, mem3), v13, ("1", "3"), index_bases={"1": basis}
-    )
+    t1_plain, _ = synced((mem12, mem3), v13, ("1", "3"))
+    t1_rot, _ = synced((mem12, mem3), v13, ("1", "3"), index_bases={"1": basis})
     r_in = np.kron(basis.matrix, np.eye(2))
     r_out = np.kron(basis.matrix, np.eye(4))
     assert np.allclose(t1_rot.matrix, r_out.conj().T @ t1_plain.matrix @ r_in, atol=1e-12)
@@ -213,10 +253,8 @@ def test_a_basis_on_a_system_the_meet_does_not_touch_changes_nothing():
     mem3 = fresh_memory("3", s3)
     bystander = {"2": Operator(random_unitary(rng, 2), (2,), ("2",))}
     for occupied in (None, ([IndexLabel(1, (("2", 0),))], [IndexLabel(0, ())])):
-        plain = transfer_matrices_synced((mem12, mem3), v13, ("1", "3"), occupied=occupied)
-        rotated = transfer_matrices_synced(
-            (mem12, mem3), v13, ("1", "3"), index_bases=bystander, occupied=occupied
-        )
+        plain = synced((mem12, mem3), v13, ("1", "3"), occupied=occupied)
+        rotated = synced((mem12, mem3), v13, ("1", "3"), index_bases=bystander, occupied=occupied)
         # system 1 already knows 2; for system 3, 2 is newly met and its rows are relabeled
         a, b = plain[0], rotated[0]
         assert a.matrix.tobytes() == b.matrix.tobytes()
@@ -234,7 +272,7 @@ def test_synced_single_system_op():
         "u12",
     )
     gate = Operator(random_unitary(rng, 2), (2,), ("1",))
-    (t,) = transfer_matrices_synced((mem,), gate, ("1",))
+    (t,) = synced((mem,), gate, ("1",))
     assert t.matrix.shape == (4, 4)
     assert np.allclose(t.matrix, np.kron(gate.matrix, np.eye(2)), atol=1e-12)
 
@@ -244,13 +282,14 @@ def test_synced_rejects_mismatches():
     m1 = fresh_memory("1", random_amps(rng))
     m2 = fresh_memory("2", random_amps(rng))
     u = Operator(random_unitary(rng, 4), (2, 2), ("1", "2"))
+    merged = synchronize(m1, m2)
     with pytest.raises(ValueError):
-        transfer_matrices_synced((m1, m2), u, ("2", "1"))
+        transfer_matrices_synced((m1, m2), u, ("2", "1"), occupied=((), ()), merged=merged)
     with pytest.raises(ValueError):
-        transfer_matrices_synced((m1,), u, ("1", "2"))
+        transfer_matrices_synced((m1,), u, ("1", "2"), occupied=((),), merged=m1)
     u13 = Operator(random_unitary(rng, 4), (2, 2), ("1", "3"))
     with pytest.raises(ValueError):
-        transfer_matrices_synced((m1, m2), u13, ("1", "3"))
+        transfer_matrices_synced((m1, m2), u13, ("1", "3"), occupied=((), ()), merged=merged)
 
 
 def test_synced_occupied_rejects_labels_outside_the_index_space():
@@ -258,14 +297,13 @@ def test_synced_occupied_rejects_labels_outside_the_index_space():
     m1 = fresh_memory("1", random_amps(rng))
     m2 = fresh_memory("2", random_amps(rng))
     u = Operator(CNOT, (2, 2), ("1", "2"))
-    (t1, t2) = transfer_matrices_synced(
-        (m1, m2), u, ("1", "2"), occupied=([IndexLabel(1, ())], None)
-    )
+    both = every_label(m2, "2")
+    (t1, t2) = synced((m1, m2), u, ("1", "2"), occupied=([IndexLabel(1, ())], both))
     assert t1.in_labels == [IndexLabel(1, ())] and t1.matrix.shape == (2, 1)
-    assert t2.matrix.shape == (4, 2)  # None keeps the dense form
+    assert t2.matrix.shape == (4, 2)  # every row is nonzero on both columns
     for stray in (IndexLabel(2, ()), IndexLabel(0, (("3", 0),))):
         with pytest.raises(ValueError, match="of '1' lies outside"):
-            transfer_matrices_synced((m1, m2), u, ("1", "2"), occupied=([stray], None))
+            synced((m1, m2), u, ("1", "2"), occupied=([stray], both))
 
 
 def test_transfer_matrix_validates_labels_and_isometry():
@@ -489,8 +527,7 @@ def test_boundary_link_rejects_broken_isometry():
     t = TransferMatrix(
         "1", np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex), labels2, labels4
     )
-    u = Operator(CNOT, (2, 2), ("1", "2"))
-    BoundaryLink("1", "2", u, 0.0, t, t, "op")
+    BoundaryLink("1", "2", 0.0, t, t, "op")
     with pytest.raises(ValueError):
         TransferMatrix("1", np.ones((4, 2), dtype=complex), labels2, labels4)
 

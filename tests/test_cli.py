@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import os
 
 import pytest
 
 from wavefields.cli import UsageError, main, parse_config_file, schema_path
+from wavefields.scenarios import ScenarioConfig
 
 
 def test_list_prints_every_scenario(capsys):
@@ -134,3 +136,30 @@ def test_malformed_pair_in_config_is_usage_error(tmp_path, capsys):
     cfg.write_text("a1 = 0.9\nb1 = 0.9\n")
     assert main(["run", "two_spin_crossing", "--config", str(cfg)]) == 1
     assert "normalized" in capsys.readouterr().err
+
+
+def test_jobs_is_neither_a_key_nor_a_flag(tmp_path, capsys):
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text("jobs = 2\n")
+    assert main(["run", "bell_case1", "--config", str(cfg)]) == 1
+    assert "unknown key 'jobs'" in capsys.readouterr().err
+    assert main(["run", "bell_case1", "--jobs", "2"]) == 1
+    assert "--jobs" in capsys.readouterr().err
+
+
+KEY_TYPES = {
+    "x_min": float, "x_max": float, "n_points": int, "dt": float,
+    "a1": complex, "b1": complex, "a2": complex, "b2": complex,
+    "epsilon": float, "trials": int, "seed": int, "snapshot_every": int, "out_dir": str,
+}
+SAMPLES = {int: "3", float: "0.25", complex: "0.6+0.8j", str: "some where"}
+
+
+def test_every_config_key_parses_to_its_field_type(tmp_path):
+    fields = {f.name for f in dataclasses.fields(ScenarioConfig)} - {"scenario"}
+    assert set(KEY_TYPES) == fields
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(f"{key} = {SAMPLES[kind]}\n" for key, kind in KEY_TYPES.items()))
+    values = parse_config_file(str(path))
+    assert values == {key: kind(SAMPLES[kind]) for key, kind in KEY_TYPES.items()}
+    assert all(type(values[key]) is kind for key, kind in KEY_TYPES.items())

@@ -66,7 +66,7 @@ def test_single_index_field_gives_identical_labels():
 def test_iid_frequency_within_binomial_band():
     wf, grid = make_field([np.sqrt(0.3), np.sqrt(0.7)])
     n = 100_000
-    parts = sample_particles(wf, grid, n, 11, stratified=False)
+    parts = sample_particles(wf, grid, n, 11)
     freq = sum(p.label.index.own == 0 for p in parts) / n
     # 3 sigma of Bernoulli(0.3) at n=1e5 is 0.0043
     assert abs(freq - 0.3) < 0.005
@@ -75,7 +75,7 @@ def test_iid_frequency_within_binomial_band():
 def test_positions_follow_branch_density():
     grid = make_grid()
     wf, _ = make_field([np.sqrt(0.5), np.sqrt(0.5)], centers=[-6.0, 6.0], grid=grid)
-    parts = sample_particles(wf, grid, 4000, 7, stratified=False)
+    parts = sample_particles(wf, grid, 4000, 7)
     for own, center in ((0, -6.0), (1, 6.0)):
         xs = np.array([p.position for p in parts if p.label.index.own == own])
         assert abs(xs.mean() - center) < 0.2
@@ -171,12 +171,11 @@ def test_pairing_rejects_infeasible_marginals():
         pair_particles(a, b[:4], {(0, 0): 1.0})
 
 
-def test_ensemble_statistics_deterministic_and_parallel_stable():
+def test_ensemble_statistics_deterministic_and_near_born():
     probs = {(0, 0): 0.375, (0, 1): 0.125, (1, 0): 0.125, (1, 1): 0.375}
     one = ensemble_statistics(probs, 100_000, 13)
     again = ensemble_statistics(probs, 100_000, 13)
-    threaded = ensemble_statistics(probs, 100_000, 13, jobs=4)
-    assert one == again == threaded
+    assert one == again
     for k, p in probs.items():
         assert abs(one[k] - p) < 0.005
 
@@ -193,10 +192,8 @@ weights = st.lists(
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    w=weights, trials=st.integers(1, 10**13), seed=st.integers(0, 2**63), jobs=st.integers(1, 8)
-)
-def test_ensemble_statistics_counts_are_whole_and_seeded(w, trials, seed, jobs):
+@given(w=weights, trials=st.integers(1, 10**13), seed=st.integers(0, 2**63))
+def test_ensemble_statistics_counts_are_whole_and_seeded(w, trials, seed):
     probs = dict(enumerate(w))
     freqs = ensemble_statistics(probs, trials, seed)
     # below 2^51 a count comes back from its frequency exactly
@@ -204,7 +201,7 @@ def test_ensemble_statistics_counts_are_whole_and_seeded(w, trials, seed, jobs):
     assert [c / trials for c in counts] == [freqs[k] for k in sorted(probs)]
     assert sum(counts) == trials
     assert all(freqs[k] == 0.0 for k, p in probs.items() if p == 0.0)
-    assert ensemble_statistics(probs, trials, seed, jobs=jobs) == freqs
+    assert ensemble_statistics(probs, trials, seed) == freqs
 
 
 def test_trials_up_to_4096_keep_the_counts_of_the_first_generator():

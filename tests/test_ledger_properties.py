@@ -70,35 +70,6 @@ def ledgers(draw, ids=None):
     return mems, dims, rng
 
 
-@settings(max_examples=60, deadline=None)
-@given(ledger=ledgers(), data=st.data())
-def test_occupied_transfer_is_the_dense_one_restricted(ledger, data):
-    mems, dims, rng = ledger
-    names = sorted(mems)
-    acting = tuple(data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True)))
-    unitary = random_op(rng, dims, acting)
-    bases = None
-    if data.draw(st.booleans()):
-        rotated = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
-        bases = {s: random_op(rng, dims, (s,)) for s in rotated}
-    mem_pair = tuple(mems[s] for s in acting)
-    dense = transfer_matrices_synced(mem_pair, unitary, acting, index_bases=bases)
-    occupied = tuple(
-        data.draw(st.lists(st.sampled_from(t.in_labels), min_size=1, unique=True)) for t in dense
-    )
-    sparse = transfer_matrices_synced(
-        mem_pair, unitary, acting, index_bases=bases, occupied=occupied
-    )
-    for full, part, occ in zip(dense, sparse, occupied):
-        cols = [full.in_labels.index(label) for label in part.in_labels]
-        rows = [full.out_labels.index(label) for label in part.out_labels]
-        assert set(part.in_labels) == set(occ) and cols == sorted(cols)
-        assert rows == sorted(rows)
-        assert np.abs(part.matrix - full.matrix[np.ix_(rows, cols)]).max() <= 1e-12
-        dropped = np.delete(full.matrix[:, cols], rows, axis=0)
-        assert np.abs(dropped).max(initial=0.0) <= 1e-12
-
-
 def _state_along(mem, order):
     state = None
     for s in sorted(mem.initial_states):
@@ -212,20 +183,18 @@ def test_batched_transfer_is_the_column_by_column_one(ledger, data):
         bases = {s: random_op(rng, dims, (s,)) for s in rotated}
     mem_pair = tuple(mems[s] for s in acting)
     merged = functools.reduce(synchronize, mem_pair)
-    occupied = None
+    every = [
+        reference_transfer(own, merged, unitary, s, bases)[1] for own, s in zip(mem_pair, acting)
+    ]
+    occupied = tuple(every)
     if data.draw(st.booleans()):
         occupied = tuple(
-            data.draw(st.lists(
-                st.sampled_from(reference_transfer(own, merged, unitary, s, bases)[1]),
-                min_size=1,
-                unique=True,
-            ))
-            for own, s in zip(mem_pair, acting)
+            data.draw(st.lists(st.sampled_from(labels), min_size=1, unique=True)) for labels in every
         )
     got = transfer_matrices_synced(
-        mem_pair, unitary, acting, index_bases=bases, occupied=occupied
+        mem_pair, unitary, acting, index_bases=bases, occupied=occupied, merged=merged
     )
-    for t, own, s, occ in zip(got, mem_pair, acting, occupied or (None,) * len(acting)):
+    for t, own, s, occ in zip(got, mem_pair, acting, occupied):
         matrix, in_labels, out_labels = reference_transfer(own, merged, unitary, s, bases, occ)
         assert t.in_labels == in_labels
         if bases is None:

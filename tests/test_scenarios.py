@@ -70,8 +70,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(scenario="tunneling", trials=-1)
     with pytest.raises(ValueError):
-        ScenarioConfig(scenario="tunneling", jobs=0)
-    with pytest.raises(ValueError):
         ScenarioConfig(scenario="tunneling", epsilon=0.0)
     cfg = ScenarioConfig(scenario="two_spin_crossing", a1=0.6)
     with pytest.raises(ValueError):
@@ -168,11 +166,11 @@ def test_boundary_rows_only_for_crossings():
     assert cl > 1.0 - 1e-6 and cr > 1.0 - 1e-6
 
 
-def test_statistics_block_deterministic_across_jobs():
-    r1 = run_scenario(ScenarioConfig(scenario="bell_case2", trials=20000, jobs=1))
-    r3 = run_scenario(ScenarioConfig(scenario="bell_case2", trials=20000, jobs=3))
-    s1, s3 = r1.summary["statistics"], r3.summary["statistics"]
-    assert json.dumps(s1, sort_keys=True) == json.dumps(s3, sort_keys=True)
+def test_statistics_block_is_deterministic():
+    r1 = run_scenario(ScenarioConfig(scenario="bell_case2", trials=20000))
+    r2 = run_scenario(ScenarioConfig(scenario="bell_case2", trials=20000))
+    s1, s2 = r1.summary["statistics"], r2.summary["statistics"]
+    assert json.dumps(s1, sort_keys=True) == json.dumps(s2, sort_keys=True)
     assert s1["trials"] == 20000
     assert abs(sum(s1["frequencies"].values()) - 1.0) < 1e-12
 

@@ -54,6 +54,18 @@ def test_dumps_quotes_non_finite_floats():
     assert loaded == {"a": "Infinity", "b": "-Infinity", "c": "NaN"}
 
 
+# text with the characters JSON must escape, next to quotes, backslashes and non-ASCII
+_tricky = st.text(st.one_of(st.sampled_from('\x00\x01\x1f\n\r\t\b\f"\\/\x7f\u2028é€😀'), st.characters()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=st.dictionaries(_tricky, st.one_of(_tricky, st.lists(_tricky, max_size=3)), max_size=4))
+def test_dumps_escapes_text_as_json_does(obj):
+    assert json.loads(dumps(obj)) == obj
+    for key in obj:
+        assert dumps(key) == json.dumps(key, ensure_ascii=False) + "\n"
+
+
 def test_dumps_rejects_bad_input():
     with pytest.raises(TypeError):
         dumps({1: "non-string key"})

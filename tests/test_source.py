@@ -15,11 +15,12 @@ import wavefields
 from wavefields import boundary, cli
 
 MAX_LINE = 99
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def load_tracer():
     # the benchmark's tracer, loaded from its file as the benchmark loads it
-    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    path = ROOT / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("wavefields_bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -42,15 +43,28 @@ def test_no_source_line_is_longer_than_99_characters():
     assert long_lines == []
 
 
-def test_every_private_function_is_used_in_the_package():
-    # a private helper only the tests call is dead code in the package
-    trees = {path.name: ast.parse(path.read_text()) for path in sources()}
-    uses = [
+def name_uses(trees: dict) -> list[tuple[str, str, int]]:
+    """(file, name, line) of every name and attribute read in ``trees``."""
+    return [
         (name, getattr(node, "id", None) or node.attr, node.lineno)
         for name, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     ]
+
+
+def used_outside(node, name: str, uses) -> bool:
+    """Whether the function ``node`` of file ``name`` is used outside its own definition."""
+    return any(
+        used == node.name and (where != name or not node.lineno <= line <= node.end_lineno)
+        for where, used, line in uses
+    )
+
+
+def test_every_private_function_is_used_in_the_package():
+    # a private helper only the tests call is dead code in the package
+    trees = {path.name: ast.parse(path.read_text()) for path in sources()}
+    uses = name_uses(trees)
     unused = [
         f"{name}:{node.lineno}: {node.name}"
         for name, tree in trees.items()
@@ -58,10 +72,41 @@ def test_every_private_function_is_used_in_the_package():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and node.name.startswith("_")
         and not node.name.startswith("__")
-        and not any(
-            used == node.name and (where != name or not node.lineno <= line <= node.end_lineno)
-            for where, used, line in uses
-        )
+        and not used_outside(node, name, uses)
+    ]
+    assert unused == []
+
+
+# public functions that neither the package nor the benchmark calls, and why each stays
+UNCALLED_PUBLIC = {
+    "memory_from_json": "the reader of the ledger format docs/memory_format.md specifies",
+}
+
+
+def test_every_public_function_is_used_by_the_package_or_the_benchmark():
+    # a public function only the tests call belongs in the tests; the
+    # export list in __init__ is not a use, a @_scenario registration is
+    trees = {path.name: ast.parse(path.read_text()) for path in sources()}
+    uses = name_uses({k: v for k, v in trees.items() if k != "__init__.py"})
+    # the benchmark's tracer names the functions it wraps in strings
+    bench = [ast.parse(p.read_text()) for p in (ROOT / "bench").glob("*.py")]
+    bench_uses = {
+        getattr(node, "id", None) or getattr(node, "attr", None) or node.value
+        for tree in bench
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        or (isinstance(node, ast.Constant) and isinstance(node.value, str))
+    }
+    unused = [
+        f"{name}:{node.lineno}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in UNCALLED_PUBLIC
+        and node.name not in bench_uses
+        and not any("_scenario" in ast.unparse(d) for d in node.decorator_list)
+        and not used_outside(node, name, uses)
     ]
     assert unused == []
 
