@@ -72,7 +72,6 @@ from .serialize import dumps, write_run
 from .spatial import (
     Grid,
     Propagator,
-    WorldLine,
     current,
     gaussian_packet,
     norm_squared,
@@ -103,7 +102,6 @@ __all__ = [
     "ScenarioState",
     "TransferMatrix",
     "WaveField",
-    "WorldLine",
     "add_system",
     "advance",
     "apply",

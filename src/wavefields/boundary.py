@@ -229,7 +229,6 @@ def _missing_records(own: InternalMemory, merged: InternalMemory) -> list[Intera
 def transfer_matrices_synced(
     mem_pair: tuple[InternalMemory, InternalMemory],
     unitary: Operator,
-    acting: tuple[str, ...],
     index_bases=None,
     *,
     occupied,
@@ -237,29 +236,27 @@ def transfer_matrices_synced(
 ) -> tuple[TransferMatrix, ...]:
     """Transfer matrices of an interaction between systems with history.
 
-    ``mem_pair`` holds each acting system's memory as of the moment of
-    the interaction.  The matrices fold in the synchronization step:
-    branches of the partner's history unknown to a system are expanded
-    first (tensoring initial states of newly met systems and applying
-    the records it lacks), then the new unitary.  The in-branch space is
-    the system's own pre-interaction index space, the out-branch space
-    the merged one.  ``index_bases`` relabels chosen systems: each basis
-    is applied to its own system before the history and its adjoint
-    after it (neither, where nothing acts on the system), so no matrix
-    over the whole product basis is built.  Without bases the entries
-    are bit for bit those of building each column as a ``Ket``.
+    ``mem_pair`` holds each acting system's memory, in the order of
+    ``unitary.labels``, as of the moment of the interaction.  The matrices
+    fold in the synchronization step: branches of the partner's history
+    unknown to a system are expanded first (tensoring initial states of
+    newly met systems and applying the records it lacks), then the new
+    unitary.  The in-branch space is the system's own pre-interaction
+    index space, the out-branch space the merged one.  ``index_bases``
+    relabels chosen systems: each basis is applied to its own system
+    before the history and its adjoint after it (neither, where nothing
+    acts on the system), so no matrix over the whole product basis is
+    built.  Without bases the entries are bit for bit those of building
+    each column as a ``Ket``.
 
     ``occupied`` holds, per acting system, the in-labels its branches
     occupy.  Each matrix keeps only those columns and drops every out-row
     that is exactly zero on them.  ``merged`` must be
     ``memory.synchronize`` of ``mem_pair`` (the one memory for a local op).
     """
+    acting = tuple(unitary.labels)
     if len(acting) not in (1, 2) or len(mem_pair) != len(acting):
         raise ValueError("acting systems and memories must pair up, 1 or 2 each")
-    if tuple(unitary.labels) != tuple(acting):
-        raise ValueError(
-            f"unitary acts on {unitary.labels}, expected {tuple(acting)}"
-        )
     for sys_id in acting:
         if sys_id not in merged.initial_states:
             raise ValueError(f"acting system {sys_id!r} unknown to the memories")

@@ -85,7 +85,6 @@ class ScenarioState:
     step_count: int = 0
     wavefields: dict[str, WaveField] = field(default_factory=dict)
     links: list[boundary_mod.BoundaryLink] = field(default_factory=list)
-    potentials: dict[str, np.ndarray] = field(default_factory=dict)
     index_bases: dict[str, Operator] = field(default_factory=dict)
     _propagators: dict[bytes | None, Propagator] = field(default_factory=dict, repr=False)
     _resolved: dict[str, Propagator] = field(default_factory=dict, repr=False)  # by system
@@ -113,10 +112,8 @@ def new_state(grid: Grid) -> ScenarioState:
 
 
 def set_potential(state: ScenarioState, system: str, potential) -> None:
-    """Give the system a copy of ``potential`` and resolve its propagator once."""
-    v = np.array(potential, dtype=float)
-    state._resolved[system] = state._shared_propagator(v)
-    state.potentials[system] = v
+    """Resolve the system's propagator for ``potential`` once; the propagator holds it."""
+    state._resolved[system] = state._shared_propagator(np.asarray(potential, dtype=float))
 
 
 def add_system(state: ScenarioState, system: str, amplitudes, shape) -> WaveField:
@@ -131,10 +128,10 @@ def add_system(state: ScenarioState, system: str, amplitudes, shape) -> WaveFiel
         raise ValueError(f"system {system!r} already exists")
     shape = np.asarray(shape, dtype=np.complex128)
     mass = norm_squared(shape, state.grid)
-    if abs(mass - 1.0) > 1e-6:
+    if not abs(mass - 1.0) <= 1e-6:  # NaN fails too
         raise ValueError(f"packet shape has squared norm {mass!r}, expected 1")
     amps = np.asarray(amplitudes, dtype=np.complex128)
-    if abs(np.linalg.norm(amps) - 1.0) > 1e-6:
+    if not abs(np.linalg.norm(amps) - 1.0) <= 1e-6:
         raise ValueError("index amplitudes are not normalized")
     basis = state.index_bases.get(system)
     if basis is not None:
@@ -265,13 +262,14 @@ def meet(
             raise ValueError(f"crossing expects {a!r} to start left of {b!r}")
     mems = tuple(wf.memory for wf in fields)
     try:
+        if tuple(unitary.labels) != participants:
+            raise ValueError(f"unitary acts on {unitary.labels}, expected {participants}")
         if not unitary.is_unitary(tol=_NORM_SLACK):  # transfers build only occupied columns
             raise ValueError(f"{op_id!r} is not unitary: a state norm it gives is not 1")
         merged = mems[0] if b is None else memory_mod.synchronize(*mems)
         transfers = boundary_mod.transfer_matrices_synced(
             mems,
             unitary,
-            participants,
             index_bases=state.index_bases or None,
             occupied=tuple([p.index for p in wf.packets] for wf in fields),
             merged=merged,

@@ -63,7 +63,7 @@ class Ket:
             )
         real, imag = self.amplitudes.real, self.amplitudes.imag
         norm = math.sqrt(real.dot(real) + imag.dot(imag))  # np.linalg.norm's sum, undispatched
-        if abs(norm - 1.0) > _NORM_SLACK:
+        if not abs(norm - 1.0) <= _NORM_SLACK:  # NaN fails too
             raise ValueError(f"state norm {norm!r} is not 1")
         self.amplitudes = self.amplitudes / norm
 

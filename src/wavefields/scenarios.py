@@ -90,7 +90,7 @@ class ScenarioConfig:
         if a is None or b is None:
             raise ValueError(f"amplitude pair {which} needs both a{which} and b{which}")
         a, b = complex(a), complex(b)
-        if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-10:
+        if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-10:  # NaN fails too
             raise ValueError(f"amplitude pair {which} is not normalized")
         return a, b
 
@@ -775,8 +775,7 @@ def run_tunneling(run: _Run) -> ScenarioResult:
     cum = cumulative_mass(np.abs(initial) ** 2, grid)
     quantiles = np.linspace(0.025, 0.975, 50)
     seeds = np.interp(quantiles * cum[-1], cum, grid.x)
-    lines = streamlines(np.array(times), np.array(fields), seeds, grid, label="1")
-    positions = np.stack([w.positions for w in lines], axis=1)
+    positions = streamlines(np.array(times), np.array(fields), seeds, grid)
     min_gap = float(np.diff(positions, axis=1).min())
     run.check("fluid trajectories never cross", min_gap >= -1e-9, f"min ordered gap {min_gap:.3e}")
     run.rest_audits(state, mass=False)

@@ -28,7 +28,7 @@ import io
 import os
 import shutil
 import tempfile
-from dataclasses import fields
+from dataclasses import asdict
 from json.encoder import encode_basestring
 from types import SimpleNamespace
 
@@ -309,16 +309,6 @@ def write_boundary_csv(rows, path: str) -> None:
             fh.write(text[text != _PAD])
 
 
-def config_echo(cfg) -> dict:
-    echo = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, complex):
-            value = [value.real, value.imag]
-        echo[f.name] = value
-    return echo
-
-
 def write_run(result, out_dir: str) -> list[str]:
     """Write one run directory; returns the paths written."""
     os.makedirs(out_dir, exist_ok=True)
@@ -326,7 +316,7 @@ def write_run(result, out_dir: str) -> list[str]:
     paths = [os.path.join(out_dir, name) for name in names]
     write_snapshots_csv(result.frames, paths[0])
     write_boundary_csv(result.boundary_rows, paths[1])
-    for p, blob in zip(paths[2:], (result.summary, config_echo(result.config))):
+    for p, blob in zip(paths[2:], (result.summary, asdict(result.config))):
         with _replacing(p) as fh:
             fh.write(dumps(blob).encode())
     return paths

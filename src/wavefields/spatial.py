@@ -7,9 +7,9 @@ run on the spectrum S of the rows, end with rows = IFFT(S), keep the norm
 to FFT roundoff and act along the last axis, so a stack of rows steps as
 one array with the bits of each row stepped alone.  A step can hand back
 its last spectrum, and the next one can start from it instead of
-transforming the rows again.  The fluid quantities (density, current,
-velocity, streamlines) are what the rest of the package moves around at
-interaction boundaries.
+transforming the rows again.  Of the fluid quantities, the boundary law
+at interaction boundaries reads the density alone; the current and the
+streamlines integrated from it trace the fluid's world-lines.
 """
 
 from __future__ import annotations
@@ -45,15 +45,6 @@ class Grid:
         self.dx = (self.x_max - self.x_min) / self.n
         self.x = self.x_min + self.dx * np.arange(self.n)
         self.k = 2.0 * math.pi * np.fft.fftfreq(self.n, d=self.dx)
-
-
-@dataclass
-class WorldLine:
-    """One fluid trajectory x(t)."""
-
-    times: np.ndarray
-    positions: np.ndarray
-    label: object | None = None
 
 
 class Propagator:
@@ -129,9 +120,8 @@ def streamlines_from_fields(
     currents: np.ndarray,
     seeds,
     grid: Grid,
-    label=None,
-) -> list[WorldLine]:
-    """Integrate dx/dt = j/rho through tabulated fluid fields.
+) -> np.ndarray:
+    """Positions ``(len(times), len(seeds))`` from dx/dt = j/rho through tabulated fields.
 
     Classic RK4 with one step per stored interval; fields are linearly
     interpolated in both x and t.  At density nodes the velocity is
@@ -160,16 +150,14 @@ def streamlines_from_fields(
         k4 = velocity(t + h, pos + h * k3)
         pos = pos + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         track[i + 1] = pos
-    return [
-        WorldLine(times.copy(), track[:, s].copy(), label) for s in range(pos.size)
-    ]
+    return track
 
 
 def streamlines(
-    times: np.ndarray, fields: np.ndarray, seeds, grid: Grid, label=None
-) -> list[WorldLine]:
-    """Fluid trajectories of one wavefunction's stored evolution."""
+    times: np.ndarray, fields: np.ndarray, seeds, grid: Grid
+) -> np.ndarray:
+    """``streamlines_from_fields`` of one wavefunction's stored evolution."""
     fields = np.asarray(fields, dtype=np.complex128)
     densities = np.abs(fields) ** 2
     currents = current(fields, grid)
-    return streamlines_from_fields(times, densities, currents, seeds, grid, label)
+    return streamlines_from_fields(times, densities, currents, seeds, grid)

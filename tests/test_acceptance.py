@@ -63,7 +63,7 @@ def _fresh_transfers(unitary, left, right):
     mems = tuple(fresh_memory(name, amps) for name, amps in (left, right))
     occupied = tuple([IndexLabel(k, ()) for k in range(len(amps))] for _, amps in (left, right))
     return transfer_matrices_synced(
-        mems, unitary, unitary.labels, occupied=occupied, merged=synchronize(*mems)
+        mems, unitary, occupied=occupied, merged=synchronize(*mems)
     )
 
 
@@ -211,7 +211,6 @@ def test_criterion_06_transfer_isometries():
             t1, t3 = transfer_matrices_synced(
                 (mem12, mem3),
                 v13,
-                ("1", "3"),
                 occupied=(
                     [IndexLabel(i, (("2", j),)) for i in (0, 1) for j in (0, 1)],
                     [IndexLabel(0, ()), IndexLabel(1, ())],

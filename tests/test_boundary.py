@@ -79,12 +79,12 @@ def every_label(mem, system):
     return labels
 
 
-def synced(mem_pair, unitary, acting, index_bases=None, occupied=None):
+def synced(mem_pair, unitary, index_bases=None, occupied=None):
     """``transfer_matrices_synced`` with every in-label occupied unless given."""
-    occupied = occupied or tuple(every_label(m, s) for m, s in zip(mem_pair, acting))
+    occupied = occupied or tuple(every_label(m, s) for m, s in zip(mem_pair, unitary.labels))
     merged = functools.reduce(synchronize, mem_pair)
     return transfer_matrices_synced(
-        mem_pair, unitary, acting, index_bases, occupied=occupied, merged=merged
+        mem_pair, unitary, index_bases, occupied=occupied, merged=merged
     )
 
 
@@ -183,7 +183,7 @@ def test_synced_matches_plain_for_fresh_memories():
         plain_left, plain_right = transfer_matrices(
             u, hilbert.state_ket("1", s1), hilbert.state_ket("2", s2)
         )
-        t1, t2 = synced((fresh_memory("1", s1), fresh_memory("2", s2)), u, ("1", "2"))
+        t1, t2 = synced((fresh_memory("1", s1), fresh_memory("2", s2)), u)
         assert np.allclose(t1.matrix, plain_left, atol=1e-12)
         assert np.allclose(t2.matrix, plain_right, atol=1e-12)
         assert t1.in_labels == [IndexLabel(0, ()), IndexLabel(1, ())]
@@ -203,7 +203,7 @@ def test_synced_three_system_history():
         mem12 = record_interaction(
             fresh_memory("1", s1), fresh_memory("2", s2), u12, "u12"
         )
-        t1, t3 = synced((mem12, fresh_memory("3", s3)), v13, ("1", "3"))
+        t1, t3 = synced((mem12, fresh_memory("3", s3)), v13)
         assert t1.matrix.shape == (8, 4)
         assert t3.matrix.shape == (8, 2)
 
@@ -235,8 +235,8 @@ def test_synced_index_bases_rotate_the_matrix():
     mem3 = fresh_memory("3", s3)
     basis = Operator(random_unitary(rng, 2), (2,), ("1",))
 
-    t1_plain, _ = synced((mem12, mem3), v13, ("1", "3"))
-    t1_rot, _ = synced((mem12, mem3), v13, ("1", "3"), index_bases={"1": basis})
+    t1_plain, _ = synced((mem12, mem3), v13)
+    t1_rot, _ = synced((mem12, mem3), v13, index_bases={"1": basis})
     r_in = np.kron(basis.matrix, np.eye(2))
     r_out = np.kron(basis.matrix, np.eye(4))
     assert np.allclose(t1_rot.matrix, r_out.conj().T @ t1_plain.matrix @ r_in, atol=1e-12)
@@ -253,8 +253,8 @@ def test_a_basis_on_a_system_the_meet_does_not_touch_changes_nothing():
     mem3 = fresh_memory("3", s3)
     bystander = {"2": Operator(random_unitary(rng, 2), (2,), ("2",))}
     for occupied in (None, ([IndexLabel(1, (("2", 0),))], [IndexLabel(0, ())])):
-        plain = synced((mem12, mem3), v13, ("1", "3"), occupied=occupied)
-        rotated = synced((mem12, mem3), v13, ("1", "3"), index_bases=bystander, occupied=occupied)
+        plain = synced((mem12, mem3), v13, occupied=occupied)
+        rotated = synced((mem12, mem3), v13, index_bases=bystander, occupied=occupied)
         # system 1 already knows 2; for system 3, 2 is newly met and its rows are relabeled
         a, b = plain[0], rotated[0]
         assert a.matrix.tobytes() == b.matrix.tobytes()
@@ -272,7 +272,7 @@ def test_synced_single_system_op():
         "u12",
     )
     gate = Operator(random_unitary(rng, 2), (2,), ("1",))
-    (t,) = synced((mem,), gate, ("1",))
+    (t,) = synced((mem,), gate)
     assert t.matrix.shape == (4, 4)
     assert np.allclose(t.matrix, np.kron(gate.matrix, np.eye(2)), atol=1e-12)
 
@@ -284,12 +284,10 @@ def test_synced_rejects_mismatches():
     u = Operator(random_unitary(rng, 4), (2, 2), ("1", "2"))
     merged = synchronize(m1, m2)
     with pytest.raises(ValueError):
-        transfer_matrices_synced((m1, m2), u, ("2", "1"), occupied=((), ()), merged=merged)
-    with pytest.raises(ValueError):
-        transfer_matrices_synced((m1,), u, ("1", "2"), occupied=((),), merged=m1)
+        transfer_matrices_synced((m1,), u, occupied=((),), merged=m1)
     u13 = Operator(random_unitary(rng, 4), (2, 2), ("1", "3"))
     with pytest.raises(ValueError):
-        transfer_matrices_synced((m1, m2), u13, ("1", "3"), occupied=((), ()), merged=merged)
+        transfer_matrices_synced((m1, m2), u13, occupied=((), ()), merged=merged)
 
 
 def test_synced_occupied_rejects_labels_outside_the_index_space():
@@ -298,12 +296,12 @@ def test_synced_occupied_rejects_labels_outside_the_index_space():
     m2 = fresh_memory("2", random_amps(rng))
     u = Operator(CNOT, (2, 2), ("1", "2"))
     both = every_label(m2, "2")
-    (t1, t2) = synced((m1, m2), u, ("1", "2"), occupied=([IndexLabel(1, ())], both))
+    (t1, t2) = synced((m1, m2), u, occupied=([IndexLabel(1, ())], both))
     assert t1.in_labels == [IndexLabel(1, ())] and t1.matrix.shape == (2, 1)
     assert t2.matrix.shape == (4, 2)  # every row is nonzero on both columns
     for stray in (IndexLabel(2, ()), IndexLabel(0, (("3", 0),))):
         with pytest.raises(ValueError, match="of '1' lies outside"):
-            synced((m1, m2), u, ("1", "2"), occupied=([stray], both))
+            synced((m1, m2), u, occupied=([stray], both))
 
 
 def test_transfer_matrix_validates_labels_and_isometry():

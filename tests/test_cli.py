@@ -138,6 +138,13 @@ def test_malformed_pair_in_config_is_usage_error(tmp_path, capsys):
     assert "normalized" in capsys.readouterr().err
 
 
+def test_nan_amplitude_in_config_is_refused_by_name(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("a1 = nan\nb1 = 1.0\n")
+    assert main(["run", "two_spin_crossing", "--config", str(cfg)]) == 1
+    assert "amplitude pair 1 is not normalized" in capsys.readouterr().err
+
+
 def test_jobs_is_neither_a_key_nor_a_flag(tmp_path, capsys):
     cfg = tmp_path / "jobs.cfg"
     cfg.write_text("jobs = 2\n")

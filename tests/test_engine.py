@@ -23,7 +23,7 @@ from wavefields.engine import (
 )
 from wavefields.hilbert import Operator
 from wavefields.memory import IndexLabel
-from wavefields.spatial import Grid, gaussian_packet
+from wavefields.spatial import Grid, Propagator, gaussian_packet
 
 CZ = Operator(np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex), (2, 2), ("1", "2"))
 CNOT = Operator(
@@ -70,6 +70,19 @@ def test_add_system_validation():
         add_system(state, "2", [1, 0], 2.0 * shape)
     with pytest.raises(ValueError):
         add_system(state, "3", [1, 1], shape)
+
+
+def test_add_system_refuses_nan_amplitudes_and_shapes():
+    # a NaN norm compares false with every bound, so the checks must not read "> tol"
+    state, grid = small_state()
+    shape = gaussian_packet(grid, 0.0, 2.0)
+    with pytest.raises(ValueError, match="index amplitudes are not normalized"):
+        add_system(state, "1", [np.nan, 1.0], shape)
+    holed = shape.copy()
+    holed[grid.n // 2] = np.nan
+    with pytest.raises(ValueError, match="squared norm nan"):
+        add_system(state, "1", [1.0, 0.0], holed)
+    assert state.wavefields == {}
 
 
 def brute_force_chain(s1, s2, s3, u12, u13, u23):
@@ -575,7 +588,8 @@ def test_set_potential_keeps_a_copy_and_resolves_the_propagator_once():
     v[:] = 0.0  # the caller's array is not the system's potential
     advance(state)
     assert state.propagator("1") is prop and not prop.free
-    assert state.potentials["1"].any()
+    held = Propagator(grid, 0.01 * grid.x**2)
+    assert np.array_equal(prop._potential_phase, held._potential_phase)
 
 
 @pytest.mark.parametrize("potential", [False, True])
@@ -796,6 +810,21 @@ def test_meet_refuses_an_operator_that_does_not_keep_the_norm(rotated, scale):
         assert all(np.array_equal(p.field, f) for p, f in zip(wf.packets, fields[s]))
     meet(state, "1", "2", CNOT, "bad")
     assert "bad" in state.wavefields["2"].memory.ops
+
+
+def test_meet_refuses_an_operator_on_other_systems_or_in_another_order():
+    # the transfers pair each participant's memory with the unitary's labels
+    state, grid = small_state()
+    for i, s in enumerate(("1", "2")):
+        add_system(state, s, [0.6, 0.8], gaussian_packet(grid, -6.0 + 12.0 * i, 1.0))
+    memories = {s: wf.memory for s, wf in state.wavefields.items()}
+    for labels in (("2", "1"), ("1", "3")):
+        op = Operator(CNOT.matrix, (2, 2), labels)
+        with pytest.raises(ValueError, match=r"unitary acts on .* expected \('1', '2'\) at step 0"):
+            meet(state, "1", "2", op, "bad")
+    with pytest.raises(ValueError, match="unitary acts on"):
+        meet(state, "1", None, Operator(np.eye(2), (2,), ("2",)), "bad")
+    assert all(wf.memory is memories[s] for s, wf in state.wavefields.items())
 
 
 def test_meet_refuses_an_operator_unitary_only_on_the_occupied_columns():

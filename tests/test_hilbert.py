@@ -101,6 +101,8 @@ def brute_force_reduced(state, keep):
 def test_ket_validates_norm_and_shapes():
     with pytest.raises(ValueError):
         Ket([1.0, 1.0], (2,), ("1",))
+    with pytest.raises(ValueError, match="state norm nan is not 1"):
+        Ket([np.nan, 1.0], (2,), ("1",))
     with pytest.raises(ValueError):
         Ket([1.0, 0.0, 0.0], (2,), ("1",))
     with pytest.raises(ValueError):

@@ -192,7 +192,7 @@ def test_batched_transfer_is_the_column_by_column_one(ledger, data):
             data.draw(st.lists(st.sampled_from(labels), min_size=1, unique=True)) for labels in every
         )
     got = transfer_matrices_synced(
-        mem_pair, unitary, acting, index_bases=bases, occupied=occupied, merged=merged
+        mem_pair, unitary, index_bases=bases, occupied=occupied, merged=merged
     )
     for t, own, s, occ in zip(got, mem_pair, acting, occupied):
         matrix, in_labels, out_labels = reference_transfer(own, merged, unitary, s, bases, occ)
@@ -331,8 +331,13 @@ def sorted_list_linearize(ops):
     return order
 
 
-# ids that JSON must quote or escape, and some that it writes as \\u escapes
-AWKWARD_IDS = st.text(alphabet='ab0"[]{},: \\/\n\u00e9\u2603', min_size=1, max_size=6)
+# ids that JSON must quote or escape, and some that it writes as \\u escapes: control,
+# non-ASCII and astral characters (the last as a surrogate pair)
+AWKWARD_IDS = st.text(
+    alphabet='ab0"[]{},: \\/\n\t\x00\x1f\x7f\u00e9\u2603\U0001f600\U00010000',
+    min_size=1,
+    max_size=6,
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -342,9 +347,11 @@ def test_memory_json_is_the_indent_2_dump_byte_for_byte(ledger, data):
     mem = mems[data.draw(st.sampled_from(sorted(mems)))]
     text = memory_to_json(mem)
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2)
+    assert text.isascii() and not text.endswith("\n")
     back = memory_from_json(text)
     assert back.ops.keys() == mem.ops.keys() and back.initial_states.keys() == mem.initial_states.keys()
     assert all(back.ops[k].same_record(op) for k, op in mem.ops.items())
+    assert memory_to_json(back) == text  # read back, the ledger writes the same bytes
 
 
 @st.composite

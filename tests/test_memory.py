@@ -346,6 +346,16 @@ def test_memory_json_round_trip():
     assert memory_to_json(back) == text
 
 
+def test_a_loaded_memory_keeps_the_written_amplitudes_and_syncs_with_its_source():
+    # this unit vector's norm is 1 - 1.1e-16 in floating point, so dividing by it
+    # again moves the last bits: a loaded ledger would conflict with its source
+    amps = np.array([-0.30849493 + 0.75098079j, 0.20824458 + 0.54542913j])
+    mem = fresh_memory("0", amps)
+    back = memory_from_json(memory_to_json(mem))
+    assert np.array_equal(back.initial_states["0"].amplitudes, mem.initial_states["0"].amplitudes)
+    assert synchronize(back, mem).initial_states.keys() == {"0"}
+
+
 def test_memory_json_rejects_other_documents():
     with pytest.raises(ValueError):
         memory_from_json('{"format": "something-else", "version": 1}')

@@ -15,7 +15,6 @@ from wavefields.scenarios import SCENARIOS, ScenarioConfig, run_scenario
 from wavefields.serialize import (
     BOUNDARY_HEADER,
     SNAPSHOT_HEADER,
-    config_echo,
     dumps,
     format_float,
     write_boundary_csv,
@@ -100,9 +99,13 @@ def test_boundary_csv_format(tmp_path):
     assert float(parsed[2][1]) == -2.5e-7
 
 
-def test_config_echo_serializes_complex_pairs():
+def test_config_echo_serializes_complex_pairs(tmp_path):
+    # config.json echoes the config, each complex amplitude as [re, im]
     cfg = ScenarioConfig(scenario="two_spin_crossing", a1=complex(0.6, 0.0), b1=0.8j)
-    echo = config_echo(cfg)
+    write_run(run_scenario(cfg), str(tmp_path))
+    text = (tmp_path / "config.json").read_text()
+    assert '  "a1": [\n    0.59999999999999998,\n    0\n  ],\n  "a2": null,\n' in text
+    echo = json.loads(text)
     assert echo["a1"] == [0.6, 0.0]
     assert echo["b1"] == [0.0, 0.8]
     assert echo["scenario"] == "two_spin_crossing"

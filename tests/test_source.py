@@ -53,26 +53,40 @@ def name_uses(trees: dict) -> list[tuple[str, str, int]]:
     ]
 
 
-def used_outside(node, name: str, uses) -> bool:
-    """Whether the function ``node`` of file ``name`` is used outside its own definition."""
+def used_outside(node, name: str, uses, defined: str | None = None) -> bool:
+    """Whether ``defined`` (the name of ``node``) of file ``name`` is used outside ``node``."""
+    defined = defined or node.name
     return any(
-        used == node.name and (where != name or not node.lineno <= line <= node.end_lineno)
+        used == defined and (where != name or not node.lineno <= line <= node.end_lineno)
         for where, used, line in uses
     )
 
 
+def definitions(tree):
+    """(name, node) of every function, and of every module-level class and constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield node.name, node
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Name):
+                yield target.id, node
+
+
 def test_every_private_function_is_used_in_the_package():
-    # a private helper only the tests call is dead code in the package
+    # a private helper, class or constant only the tests use is dead code in the package
     trees = {path.name: ast.parse(path.read_text()) for path in sources()}
     uses = name_uses(trees)
     unused = [
-        f"{name}:{node.lineno}: {node.name}"
+        f"{name}:{node.lineno}: {defined}"
         for name, tree in trees.items()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and not used_outside(node, name, uses)
+        for defined, node in definitions(tree)
+        if defined.startswith("_")
+        and not defined.startswith("__")
+        and not used_outside(node, name, uses, defined)
     ]
     assert unused == []
 
@@ -178,7 +192,7 @@ def test_traced_meets_time_the_transfers_records_and_the_oracle(monkeypatch):
     original = boundary.transfer_matrices_synced
 
     def counted(*args, **kwargs):
-        built.append(args[2])
+        built.append(args[1].labels)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(boundary, "transfer_matrices_synced", counted)

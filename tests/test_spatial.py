@@ -206,11 +206,12 @@ def test_streamlines_scale_with_gaussian_width():
     grid = Grid(-30.0, 30.0, 512, 2e-3)
     times, fields = run_free_history(grid, gaussian_packet(grid, 0.0, 1.0, 0.0), 100, 10)
     seeds = np.array([-1.0, -0.5, 0.5, 1.0])
-    lines = streamlines(times, fields, seeds, grid)
+    track = streamlines(times, fields, seeds, grid)
+    assert track.shape == (len(times), len(seeds))
     scale = free_gaussian_width(times[-1], 1.0) / 1.0
-    for seed, line in zip(seeds, lines):
+    for seed, end in zip(seeds, track[-1]):
         want = seed * scale
-        assert abs(line.positions[-1] - want) / abs(want) < 0.01
+        assert abs(end - want) / abs(want) < 0.01
 
 
 def test_streamlines_do_not_cross():
@@ -218,8 +219,7 @@ def test_streamlines_do_not_cross():
     times, fields = run_free_history(grid, gaussian_packet(grid, -4.0, 1.0, 1.5), 80, 10)
     rng = np.random.default_rng(3)
     seeds = np.sort(-4.0 + 1.8 * rng.standard_normal(50))
-    lines = streamlines(times, fields, seeds, grid)
-    track = np.stack([line.positions for line in lines], axis=1)
+    track = streamlines(times, fields, seeds, grid)
     assert np.all(np.diff(track, axis=1) > 0.0)
 
 
@@ -229,9 +229,9 @@ def test_streamlines_clamp_at_nodes():
     times = np.array([0.0, 1.0])
     rho = np.stack([np.abs(psi) ** 2] * 2)
     j = np.zeros_like(rho)
-    lines = streamlines_from_fields(times, rho, j, [25.0], grid)
+    track = streamlines_from_fields(times, rho, j, [25.0], grid)
     # seeded in dead fluid: the trajectory just stays put
-    assert np.allclose(lines[0].positions, 25.0)
+    assert np.allclose(track[:, 0], 25.0)
 
 
 def test_streamlines_need_two_samples():
