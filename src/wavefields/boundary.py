@@ -26,7 +26,7 @@ import numpy as np
 from . import memory
 from .hilbert import _NORM_SLACK, Operator
 from .memory import IndexLabel, InteractionOp, InternalMemory
-from .spatial import Grid, cumulative_mass
+from .spatial import Grid
 
 ISOMETRY_TOL = 1e-12
 BALANCE_TOL = 1e-10  # a mass imbalance below this is a degenerate balance
@@ -50,35 +50,43 @@ def step_boundary_fields(
     Fluid is conserved and the boundary moves with the summed fluid, whose
     world-lines never cross, so it stays where the balance F(x) =
     int_{-inf}^{x} rho_left - int_{x}^{inf} rho_right is zero: the median
-    of the summed fluid when both masses are one.  F at the cells comes
-    from one trapezoid cumulative-mass pass per system.  F is
-    nondecreasing, so a ``searchsorted`` finds the cells where it passes
-    -BALANCE_TOL and +BALANCE_TOL and a linear solve the point in each; the
-    boundary is their centre.  That is the root where F rises through the
-    band within one cell, and the centre of the band where the balance is
-    degenerate (|F| < BALANCE_TOL between well-separated densities), which
-    keeps a symmetric collision's boundary on the symmetry point.  With no
-    fluid on either side ``x12`` holds.  The masses come from the same pass.
+    of the summed fluid when both masses are one.  F = C - R at the cells:
+    C from one trapezoid cumulative-mass pass over rho_left + rho_right, R
+    the right fluid's trapezoid total.  F is nondecreasing, so a
+    ``searchsorted`` finds the cells where it passes -BALANCE_TOL and
+    +BALANCE_TOL and a linear solve the point in each; the boundary is
+    their centre.  That is the root where F rises through the band within
+    one cell, and the centre of the band where the balance is degenerate
+    (|F| < BALANCE_TOL between well-separated densities), which keeps a
+    symmetric collision's boundary on the symmetry point.  With no fluid
+    on either side ``x12`` holds.  The crossed levels read C and one
+    partial sum of rho_right, up to the boundary's cell.
     """
-    dx = grid.dx
-    cum_left, cum_right = cumulative_mass(rho_left, grid), cumulative_mass(rho_right, grid)
-    f = cum_left - (cum_right[-1] - cum_right)
-    if f[0] <= -BALANCE_TOL or f[-1] >= BALANCE_TOL:
-        edges = [grid.x[0], grid.x[-1]]  # where F first exceeds -tol, first reaches +tol
+    dx, add_up = grid.dx, np.add.reduce  # ``ndarray.sum`` wraps this reduce in Python calls
+    cum, rho = np.zeros(grid.n), rho_left + rho_right  # C: the summed fluid's cumulative mass
+    np.add.accumulate((rho[:-1] + rho[1:]) * (0.5 * dx), out=cum[1:])
+    r0, rn = rho_right[0].item(), rho_right[-1].item()
+    total_right = (add_up(rho_right).item() - 0.5 * (r0 + rn)) * dx
+    if total_right >= BALANCE_TOL or cum[-1] - total_right >= BALANCE_TOL:
+        edges = [grid.x_min, grid.x[-1].item()]  # where F first exceeds -tol, first reaches +tol
         for e, level, side in ((0, -BALANCE_TOL, "right"), (1, BALANCE_TOL, "left")):
-            i = int(np.searchsorted(f, level, side=side))
+            i = int(cum.searchsorted(total_right + level, side=side))
             if 0 < i < grid.n:
-                edges[e] = grid.x[i - 1] + dx * (level - f[i - 1]) / (f[i] - f[i - 1])
+                lo, hi = cum[i - 1 : i + 1].tolist()
+                edges[e] = grid.x[i - 1].item() + dx * (total_right + level - lo) / (hi - lo)
         x12 = 0.5 * (edges[0] + edges[1])
-    post = int(np.searchsorted(grid.x, x12, side="right"))  # the first cell past x12
+    post = int(grid.x.searchsorted(x12, side="right"))  # the first cell past x12
     j = min(max(post - 1, 0), grid.n - 2)
-    w = (x12 - grid.x[j]) / dx
+    w = (x12 - grid.x[j].item()) / dx
+    (cj, ck), (rj, rk) = cum[j : j + 2].tolist(), rho_right[j : j + 2].tolist()
+    # the right fluid's cumulative mass at x12; the left fluid past it is C's rest less R's
+    right = (add_up(rho_right[: j + 1]).item() - 0.5 * (r0 + rj) + 0.5 * w * (rj + rk)) * dx
     return Balance(
         float(x12),
-        float(cum_left[-1] - (cum_left[j] + w * (cum_left[j + 1] - cum_left[j]))),
-        float(cum_right[j] + w * (cum_right[j + 1] - cum_right[j])),
-        float(rho_left[:post].sum() * dx),
-        float(rho_right[post:].sum() * dx),
+        (cum[-1].item() - (cj + w * (ck - cj))) - (total_right - right),
+        right,
+        add_up(rho_left[:post]).item() * dx,
+        add_up(rho_right[post:]).item() * dx,
     )
 
 

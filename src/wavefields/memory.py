@@ -60,7 +60,7 @@ class InteractionOp:
                 f"op {self.op_id!r} must have 1 or 2 participants, "
                 f"got {self.participants}"
             )
-        if len(self.unitary.labels) != len(self.participants):
+        if self.unitary.labels != tuple(self.participants):  # the axes the matrix acts along
             raise ValueError(
                 f"op {self.op_id!r}: unitary acts on {self.unitary.labels}, "
                 f"participants are {self.participants}"

@@ -8,15 +8,15 @@ CPU, to the same bytes.
 
 The CSV files format their floats with ``_format_column``, a numpy kernel
 that writes the bytes of ``format_float`` for a whole column at once.  For
-``1e-280 < |v| < 1e280`` it scales v by ``10**(16 - k)``, k the decimal
-exponent, as ``p + r``: ``p = fl(|v| * hi)`` is an integer (it exceeds
-2**53), and r is Dekker's exact error of that product plus ``|v| * lo``,
-where ``hi + lo`` is 10**(16 - k) to about 106 bits.  r is off by under
-1e-14, so rounding r gives the exact round-half-even 17-digit integer
-unless r lies within 1e-6 of a half.  Such a near tie, a scaled value
-outside ``[10**16, 10**17)`` (next to a power of ten), a value outside
-that range of magnitudes, and a non-finite value go through
-``format_float`` one by one; in real runs that is almost never.
+finite nonzero ``|v| < 1e280`` it scales v by ``10**(16 - k)``, k the
+decimal exponent, as ``p + r``: ``p = fl(|v| * hi)`` is an integer (it
+exceeds 2**53), and r is Dekker's exact error of that product plus
+``|v| * lo``, where ``hi + lo`` is 10**(16 - k) to about 106 bits (for
+k <= -281, 2**-1000 times that, with |v| scaled by the exact 2**1000).
+r is off by under 1e-14, so rounding r gives the exact round-half-even
+17-digit integer unless r lies within 1e-6 of a half.  Such a near tie,
+a scaled value outside ``[10**16, 10**17)`` (next to a power of ten),
+``|v| >= 1e280`` and a non-finite value go through ``format_float``.
 """
 
 from __future__ import annotations
@@ -104,16 +104,17 @@ def dumps(obj) -> str:
 _PAD = 0xFF  # fills the kernel's fixed-width cells; UTF-8 text never holds it
 _CELL = 32  # bytes per formatted value: sign, lead, d0, dot | d1..d16 | exponent
 _ROWS = 4096  # rows per kernel call, so the scratch arrays stay small
-_POW = range(-266, 300)  # the j of the 10**j table: 16 - k for every k of the fast range
-_EXP = range(-300, 300)  # the decimal exponents of the layout tables
+_POW = range(-266, 341)  # the j of the 10**j table: 16 - k for every k of the fast range
+_EXP = range(-324, 300)  # the decimal exponents of the layout tables
+_TINY = -281  # values of this decimal exponent or less are scaled by 2**1000 first
 
 
 @functools.cache
 def _tables() -> SimpleNamespace:
     """The kernel's lookup tables, built on first use so that importing stays cheap."""
     hi, lo = [], []
-    for j in _POW:  # 10**j = num / den; int true division rounds correctly
-        num, den = 10 ** max(j, 0), 10 ** max(-j, 0)
+    for j in _POW:  # 10**j = num / den, times 2**-1000 for tiny values; int division rounds right
+        num, den = 10 ** max(j, 0), 10 ** max(-j, 0) << (1000 if 16 - j <= _TINY else 0)
         hi.append(num / den)
         n, d = hi[-1].as_integer_ratio()
         lo.append((num * d - n * den) / (den * d))
@@ -154,11 +155,12 @@ def _format_column(values) -> np.ndarray:
     v = np.asarray(values, dtype=float).ravel()
     tab = _tables()
     a = np.abs(v)
-    fast = (a > 1e-280) & (a < 1e280)
+    fast = (a > 0.0) & (a < 1e280)
     a = np.where(fast, a, 1.0)
     k = np.floor(np.log10(a)).astype(np.int64)  # the decimal exponent, or one off next to 10**k
+    a = a * np.where(k > _TINY, 1.0, 2.0**1000)  # exact, and a subnormal comes out normal
     j = 16 - k - _POW.start
-    # a * 10**(16 - k) = p + r exactly, but for a rounding under 1e-14 in r
+    # a * (hi + lo) = p + r exactly, but for a rounding under 1e-14 in r
     p = a * tab.hi[j]
     split = a * 134217729.0
     ah = split - (split - a)

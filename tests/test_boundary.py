@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from wavefields import boundary, engine, hilbert
 from wavefields.boundary import (
+    BALANCE_TOL,
+    Balance,
     BoundaryLink,
     TransferMatrix,
     apply_boundary_transfer,
@@ -20,7 +22,7 @@ from wavefields.boundary import (
 )
 from wavefields.hilbert import Ket, Operator
 from wavefields.memory import IndexLabel, fresh_memory, record_interaction, synchronize, systems
-from wavefields.spatial import Grid, Propagator, current, gaussian_packet
+from wavefields.spatial import Grid, Propagator, cumulative_mass, current, gaussian_packet
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -463,6 +465,90 @@ def test_the_median_is_the_summed_fluids_world_line_to_second_order_in_dt():
 def test_boundary_holds_where_density_vanishes():
     grid = wide_grid()
     assert step_boundary_fields(5.0, np.zeros(grid.n), np.zeros(grid.n), grid).x12 == 5.0
+
+
+def two_pass_law(x12, rho_left, rho_right, grid):
+    """The boundary law from one trapezoid cumulative-mass pass per system.
+
+    The reference the one-pass law is held to.  Returns its balance and
+    the F at the cells it solved.
+    """
+    dx = grid.dx
+    cum_left, cum_right = cumulative_mass(rho_left, grid), cumulative_mass(rho_right, grid)
+    f = cum_left - (cum_right[-1] - cum_right)
+    if f[0] <= -BALANCE_TOL or f[-1] >= BALANCE_TOL:
+        edges = [grid.x[0], grid.x[-1]]
+        for e, level, side in ((0, -BALANCE_TOL, "right"), (1, BALANCE_TOL, "left")):
+            i = int(np.searchsorted(f, level, side=side))
+            if 0 < i < grid.n:
+                edges[e] = grid.x[i - 1] + dx * (level - f[i - 1]) / (f[i] - f[i - 1])
+        x12 = 0.5 * (edges[0] + edges[1])
+    post = int(np.searchsorted(grid.x, x12, side="right"))
+    j = min(max(post - 1, 0), grid.n - 2)
+    w = (x12 - grid.x[j]) / dx
+    balance = Balance(
+        float(x12),
+        float(cum_left[-1] - (cum_left[j] + w * (cum_left[j + 1] - cum_left[j]))),
+        float(cum_right[j] + w * (cum_right[j + 1] - cum_right[j])),
+        float(rho_left[:post].sum() * dx),
+        float(rho_right[post:].sum() * dx),
+    )
+    return balance, f
+
+
+PAIR_KINDS = ("overlapping", "separated", "asymmetric", "one side empty", "both empty")
+
+
+def density_pairs(rng, grid, count):
+    """Seeded density pairs of each kind the law meets, in turn, with a held x12."""
+    free = Propagator(grid)
+    for case in range(count):
+        kind = PAIR_KINDS[case % len(PAIR_KINDS)]
+        centre, (w1, w2), (k1, k2) = rng.uniform(-16, 16), rng.uniform(0.5, 3, 2), rng.normal(0, 3, 2)
+        gap = {"overlapping": 2.0, "separated": 16.0}.get(kind, 8.0) * rng.uniform(0.1, 1.0)
+        rows = np.array(
+            [gaussian_packet(grid, centre - gap, w1, k1), gaussian_packet(grid, centre + gap, w2, k2)]
+        )
+        rows = free.step(rows, int(rng.integers(0, 40)))  # with the FFT's noise in the tails
+        # separated unit masses balance to roundoff over the whole gap between them
+        masses = (1.0, 1.0) if kind == "separated" else rng.uniform(0.2, 1.0, 2)
+        rho_left, rho_right = np.abs(rows) ** 2 * np.asarray(masses)[:, None]
+        if kind == "one side empty":
+            rho_left, rho_right = (rho_left, 0 * rho_right) if case % 2 else (0 * rho_left, rho_right)
+        if kind == "both empty":
+            rho_left, rho_right = np.zeros(grid.n), np.zeros(grid.n)
+        yield kind, rng.uniform(grid.x[0], grid.x[-1]), rho_left, rho_right
+
+
+def test_the_one_pass_law_is_the_two_pass_law_to_roundoff():
+    # The two laws add the same masses in different orders, so their F differ by
+    # roundoff, under DF.  x12 is the centre of the points where F passes
+    # -BALANCE_TOL and +BALANCE_TOL, and DF moves each point by DF over F's slope
+    # there.  Where a point lies in a fluid's far tail (the band between separated
+    # unit masses, or the edge of a lone fluid) that slope is tiny and x12 is
+    # roundoff; elsewhere the x12 agree within 1e-11.
+    DF = 1e-14
+    rng = np.random.default_rng(97)
+    for grid in (Grid(-32.0, 32.0, 512, 0.01), Grid(-64.0, 64.0, 2048, 0.0125)):
+        met = set()  # (kind, whether x12 needed the tails' slack)
+        for kind, x12, rho_left, rho_right in density_pairs(rng, grid, 600):
+            new = step_boundary_fields(x12, rho_left, rho_right, grid)
+            old, f = two_pass_law(x12, rho_left, rho_right, grid)
+            slack = 0.0
+            for level, side in ((-BALANCE_TOL, "right"), (BALANCE_TOL, "left")):
+                i = int(np.searchsorted(f, level, side=side))
+                if 0 < i < grid.n:
+                    slack += 0.5 * DF * grid.dx / (f[i] - f[i - 1])
+            assert abs(new.x12 - old.x12) <= 1e-11 + slack, kind
+            assert abs(new.crossed_left - old.crossed_left) <= 1e-14, kind
+            assert abs(new.crossed_right - old.crossed_right) <= 1e-14, kind
+            assert abs(new.pre_left - old.pre_left) <= 1e-15, kind
+            assert abs(new.pre_right - old.pre_right) <= 1e-15, kind
+            if kind == "both empty":
+                assert new == old and new.x12 == x12
+            met.add((kind, slack > 1e-11))
+        assert {kind for kind, _ in met} == set(PAIR_KINDS)
+        assert ("separated", True) in met and ("overlapping", False) in met
 
 
 # ---------------------------------------------------------------------------

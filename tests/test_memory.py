@@ -245,10 +245,10 @@ def test_synchronize_checks_each_entry_it_adds():
     # entries slipped into a ledger after construction are caught on merge
     rng = np.random.default_rng(45)
     final, _, _ = chain_memory(rng)
-    u = pair_op(rng, "1", "2")
+    u, u19 = pair_op(rng, "1", "2"), pair_op(rng, "1", "9")
     cases = [
         ("ops", "x", InteractionOp("x", u, ("1", "2"), frozenset({"no"})), r"parents \['no'\]"),
-        ("ops", "x", InteractionOp("x", u, ("1", "9"), frozenset()), "unknown system '9'"),
+        ("ops", "x", InteractionOp("x", u19, ("1", "9"), frozenset()), "unknown system '9'"),
         ("initial_states", "5", hilbert.state_ket("6", [1, 0]), "'5' is labeled"),
     ]
     for where, key, entry, message in cases:
@@ -354,6 +354,22 @@ def test_a_loaded_memory_keeps_the_written_amplitudes_and_syncs_with_its_source(
     back = memory_from_json(memory_to_json(mem))
     assert np.array_equal(back.initial_states["0"].amplitudes, mem.initial_states["0"].amplitudes)
     assert synchronize(back, mem).initial_states.keys() == {"0"}
+
+
+def test_a_record_acts_along_its_unitarys_labels():
+    # a CNOT from 1 onto 2; with its participants swapped it would act along
+    # 2 then 1, and derive (0.6, 0, 0.8, 0) for the state (0.6, 0, 0, 0.8)
+    cnot = Operator(np.eye(4)[[0, 1, 3, 2]], (2, 2), ("1", "2"))
+    mem = record_interaction(
+        fresh_memory("1", [0.6, 0.8]), fresh_memory("2", [1.0, 0.0]), cnot, "cnot"
+    )
+    assert np.allclose(derive_state(mem).amplitudes, [0.6, 0, 0, 0.8], atol=1e-15)
+    doc = json.loads(memory_to_json(mem))
+    doc["ops"][0]["participants"] = ["2", "1"]
+    with pytest.raises(ValueError, match=r"unitary acts on \('1', '2'\), participants are"):
+        memory_from_json(json.dumps(doc))
+    with pytest.raises(ValueError, match="participants are"):
+        InteractionOp("x", cnot, ("2", "1"), frozenset())
 
 
 def test_memory_json_rejects_other_documents():

@@ -404,6 +404,9 @@ def test_the_kernel_writes_format_float_over_random_bits_and_magnitudes():
         (float(np.nextafter(1e280, 0.0)), format_float(np.nextafter(1e280, 0.0))),
         (float(np.nextafter(1e-280, 1.0)), format_float(np.nextafter(1e-280, 1.0))),
         (1e-280, "9.9999999999999996e-281"),
+        (float(np.nextafter(1e-280, 0.0)), "9.9999999999999984e-281"),
+        (2.2250738585072014e-308, "2.2250738585072014e-308"),
+        (-5e-324, "-4.9406564584124654e-324"),
         (-0.0, "-0"),
         (123.456, "123.456"),
     ],
@@ -411,6 +414,20 @@ def test_the_kernel_writes_format_float_over_random_bits_and_magnitudes():
 def test_the_kernel_on_ties_decade_edges_and_extremes(value, text):
     assert format_float(value) == text
     assert _kernel_text([value]) == [text]
+
+
+_TINY_BITS = int(np.float64(1e-280).view(np.uint64))  # positive doubles below it have lower bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bits=st.lists(st.integers(1, _TINY_BITS - 1), min_size=1, max_size=40),
+    signs=st.lists(st.booleans(), min_size=40, max_size=40),
+)
+def test_the_kernel_writes_format_float_below_1e_280(bits, signs):
+    # subnormals included: below 2**-1022 (bits under 2**52) the significand shrinks
+    values = np.array(bits, np.uint64).view(np.float64) * np.where(signs[: len(bits)], -1.0, 1.0)
+    assert _kernel_text(values) == [format_float(v) for v in values.tolist()]
 
 
 def _fallbacks(monkeypatch):
@@ -448,6 +465,19 @@ def test_a_real_run_formats_almost_every_value_in_the_kernel(monkeypatch):
     serialize._format_column(values)
     assert len(values) > 100_000
     assert len(calls) < 0.01 * len(values)
+
+
+def test_a_crossing_frame_and_its_gaussian_tails_never_fall_back(monkeypatch):
+    # the t = 0 frame holds Gaussian tails down to subnormals
+    result = run_scenario(ScenarioConfig(scenario="two_spin_crossing"))
+    frame = [block for block in result.frames if block[0] == 0.0]
+    values = np.concatenate(
+        [np.concatenate([x, f.real, f.imag, np.abs(f) ** 2]) for _, x, _, f in frame]
+    )
+    assert np.count_nonzero((values != 0) & (np.abs(values) < 1e-280)) > 1000
+    calls = _fallbacks(monkeypatch)
+    assert _kernel_text(values) == [format_float(v) for v in values.tolist()]
+    assert calls == []
 
 
 def test_importing_the_writer_builds_no_table():
