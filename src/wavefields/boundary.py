@@ -356,6 +356,7 @@ class BoundaryLink:
     active: bool = True
     crossed_left: float = 0.0
     crossed_right: float = 0.0
+    balance: Balance | None = None  # the last step's, with each system's pre-side mass
     trajectory: list[tuple[float, float, float, float]] = field(default_factory=list)
 
     def record(self, t: float) -> None:

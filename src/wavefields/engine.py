@@ -40,6 +40,7 @@ from .spatial import Grid, Propagator, current, norm_squared  # noqa: F401
 NORM_AUDIT_TOL = 1e-8
 COMPLETION_THRESHOLD = 1e-10
 DARK_MASS_THRESHOLD = 1e-16
+SHAPE_TOL = 1e-9  # the most 1 - |<psi_i|psi_j>| / (|psi_i| |psi_j|) of two in-rows of a crossing
 
 PRE = "pre"
 POST = "post"
@@ -238,10 +239,10 @@ def meet(
 
     ``instant`` re-expands the participants' branches in place, for
     interactions whose spatial development is not being studied.
-    ``crossing`` opens a moving boundary between the two fluids; the
-    branches keep evolving freely while the boundary moves through
-    them, and are re-expanded once the pre-interaction fluid has all
-    crossed.  Only the participants are touched.
+    ``crossing`` opens a moving boundary between the two fluids, each of
+    whose branches must share one shape (``SHAPE_TOL``); they evolve
+    freely while the boundary moves through them and are re-expanded once
+    the pre-interaction fluid has all crossed.  Only the participants are touched.
     """
     if mode not in ("instant", "crossing"):
         raise ValueError(f"unknown meet mode {mode!r}")
@@ -260,6 +261,16 @@ def meet(
             raise ValueError("a crossing needs two systems")
         if _centroid(fields[0], state.grid) >= _centroid(fields[1], state.grid):
             raise ValueError(f"crossing expects {a!r} to start left of {b!r}")
+        for wf in fields:  # a boundary on the summed fluid serves only branches of one shape
+            rows = np.array([p.field for p in wf.packets])
+            gram = np.abs(rows.conj() @ rows.T)
+            norms = np.sqrt(gram.diagonal())
+            for i, j in np.argwhere(gram < (1 - SHAPE_TOL) * np.outer(norms, norms))[:1].tolist():
+                raise ValueError(
+                    f"branches {wf.packets[i].index.text()!r} and {wf.packets[j].index.text()!r}"
+                    f" of {wf.system!r} differ in shape (1 - overlap = "
+                    f"{1 - gram[i, j] / norms[i] / norms[j]:.3g}): no crossing {_when(state)}"
+                )
     mems = tuple(wf.memory for wf in fields)
     try:
         if tuple(unitary.labels) != participants:
@@ -296,6 +307,7 @@ def _step_link(state: ScenarioState, link: boundary_mod.BoundaryLink, rho_left, 
     """
     balance = boundary_mod.step_boundary_fields(link.x12, rho_left, rho_right, state.grid)
     link.x12, link.crossed_left, link.crossed_right = balance[:3]
+    link.balance = balance
     link.record(t)
     if balance.pre_left < COMPLETION_THRESHOLD and balance.pre_right < COMPLETION_THRESHOLD:
         _expand_instant(state.wavefields[link.left_system], link.t_left, state)

@@ -355,7 +355,9 @@ def _crossing(run: _Run, spin1, spin2, unitary: Operator, op_id: str, frozen=())
         run.check(f"{side}-side boundary matrix is the frozen form", gap <= 1e-12, f"{gap:.3e}")
     cap = int(math.ceil(20.0 / state.grid.dt))
     run.evolve(state, cap, until=lambda: not link.active)
-    run.check("crossing completed", not link.active, f"{state.step_count} steps")
+    b, s1, s2 = link.balance, link.left_system, link.right_system  # a stall names what is left
+    stall = f"; pre-side mass {s1}={b.pre_left:.3e} {s2}={b.pre_right:.3e}" if link.active else ""
+    run.check("crossing completed", not link.active, f"{state.step_count} steps{stall}")
     return state, link
 
 

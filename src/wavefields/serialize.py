@@ -4,7 +4,8 @@ Identical runs must produce byte-identical files, so every float is written
 as ``format_float`` writes it (``'%.17g'``: 17 significant digits, enough to
 round-trip a double) with sorted JSON keys and fixed newlines.  Text is
 UTF-8.  ``snapshots.csv`` is formatted by up to one process per available
-CPU, to the same bytes.
+CPU, to the same bytes; blocks of one frame time whose fields hold the same
+bits share one formatting of their values.
 
 The CSV files format their floats with ``_format_column``, a numpy kernel
 that writes the bytes of ``format_float`` for a whole column at once.  For
@@ -21,10 +22,12 @@ a scaled value outside ``[10**16, 10**17)`` (next to a power of ten),
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import functools
 import io
+import itertools
 import os
 import shutil
 import tempfile
@@ -102,6 +105,7 @@ def dumps(obj) -> str:
 
 
 _PAD = 0xFF  # fills the kernel's fixed-width cells; UTF-8 text never holds it
+_PADS = bytes([_PAD])
 _CELL = 32  # bytes per formatted value: sign, lead, d0, dot | d1..d16 | exponent
 _ROWS = 4096  # rows per kernel call, so the scratch arrays stay small
 _POW = range(-266, 341)  # the j of the 10**j table: 16 - k for every k of the fast range
@@ -175,16 +179,19 @@ def _format_column(values) -> np.ndarray:
     d = np.where(ok, d, 0)  # zeros come out as "0" and "-0"; the rest are overwritten below
     k = np.where(ok, k, 0)
     e = k - _EXP.start
-    d0, frac = np.divmod(d, 10**16)
-    g1, rest = np.divmod(frac, 10**12)
-    g2, rest = np.divmod(rest, 10**8)
-    g3, g4 = np.divmod(rest, 10**4)
+    top = d // 10**8  # d0 and the digits d1..d8; the 8-digit halves fit uint32
+    low = (d - top * 10**8).astype(np.uint32)
+    top = top.astype(np.uint32)
+    d0 = top // 10**8
+    mid = top - d0 * 10**8
+    g1, g3 = mid // 10**4, low // 10**4
+    g2, g4 = mid - g1 * 10**4, low - g3 * 10**4
     # '%g' drops trailing zeros: a group loses its own when every later group is zero
     z3 = g4 == 0
     z2 = z3 & (g3 == 0)
     z1 = z2 & (g2 == 0)
     out = np.empty((len(v), _CELL), np.uint8)
-    head = ((tab.lead[e] * 2 + np.signbit(v)) * 10 + d0) * 2 + (frac != 0)
+    head = ((tab.lead[e] * 2 + np.signbit(v)) * 10 + d0) * 2 + ((mid | low) != 0)
     out.view(np.uint64)[:, 0] = tab.heads[head]
     for col, (g, zeros) in enumerate(((g1, z1), (g2, z2), (g3, z3), (g4, True)), start=2):
         out.view(np.uint32)[:, col] = tab.quads[g + 10000 * zeros]
@@ -192,9 +199,9 @@ def _format_column(values) -> np.ndarray:
     # fixed notation with X >= 1: d1..dX, untrimmed, move left over the dot
     for x in np.unique(k[(k > 0) & (k < 17)]).tolist():
         rows = np.flatnonzero(k == x)
-        digits = tab.quads[np.stack([g1[rows], g2[rows], g3[rows], g4[rows]], axis=1)]
-        out[rows, 7 : 7 + x] = digits.view(np.uint8)[:, :x]
-        out[rows, 7 + x] = np.where(frac[rows] % 10 ** (16 - x) != 0, ord("."), _PAD)
+        digits = tab.quads[np.column_stack([g[rows] for g in (g1, g2, g3, g4)])].view(np.uint8)
+        out[rows, 7 : 7 + x] = digits[:, :x]
+        out[rows, 7 + x] = np.where((digits[:, x:] != ord("0")).any(axis=1), ord("."), _PAD)
     for i in np.flatnonzero(~ok & (v != 0)).tolist():
         text = format_float(v[i]).encode()
         out[i] = _PAD
@@ -226,37 +233,56 @@ def _replacing(path: str):
 
 
 def _write_rows(pieces, fh) -> None:
-    """Write the rows of pieces ``(head, x_text, mid, field)`` with one kernel call."""
-    fields = np.concatenate([field for *_, field in pieces])
-    values = _text(np.stack([fields.real, fields.imag, np.abs(fields) ** 2], axis=1), b",,\n")
+    """Write the rows of pieces ``(head, x_text, mid, field, slot, first)``, one kernel call.
+
+    The ``first`` piece of a ``slot`` formats its values and leaves their text there for the rest.
+    """
     wh = max(len(head) for head, *_ in pieces)
-    wm = max(len(mid) for _, _, mid, _ in pieces)
-    start = wh + _CELL + 1 + wm  # of the values
-    out = np.empty((len(fields), start + values.shape[1]), np.uint8)
-    out[:, start:] = values
-    row = 0
-    for head, x_text, mid, field in pieces:
-        block = out[row : row + len(field)]
-        block[:, :wh] = np.frombuffer(head.ljust(wh, bytes([_PAD])), np.uint8)
-        block[:, wh : start - wm] = x_text
-        block[:, start - wm : start] = np.frombuffer(mid.ljust(wm, bytes([_PAD])), np.uint8)
+    start = wh + max(x_text.shape[1] + len(mid) for _, x_text, mid, *_ in pieces)  # of the values
+    out = np.empty((sum(len(p[3]) for p in pieces), start + 3 * (_CELL + 1)), np.uint8)
+    out[:, start + _CELL :: _CELL + 1] = np.frombuffer(b",,\n", np.uint8)
+    fields = np.concatenate([f for *_, f, _, first in pieces if first] or [np.empty(0, complex)])
+    cells = _format_column(np.stack([fields.real, fields.imag, np.abs(fields) ** 2], axis=1))
+    cells, row = cells.reshape(-1, 3, _CELL), 0
+    for head, x_text, mid, field, slot, first in pieces:
+        block, wx = out[row : row + len(field)], wh + x_text.shape[1]
+        block[:, :wh] = np.frombuffer(head.ljust(wh, _PADS), np.uint8)
+        block[:, wh:wx] = x_text
+        block[:, wx:start] = np.frombuffer(mid.rjust(start - wx, _PADS), np.uint8)
+        values = block[:, start:]
+        if first:  # the kernel's cells go straight into the row table
+            cells_in = values.reshape(-1, 3, _CELL + 1, copy=False)[..., :_CELL]
+            cells_in[...], cells = cells[: len(field)], cells[len(field) :]
+            if slot is not None:
+                slot.append(values.copy())
+        else:
+            values[...] = slot[0]
         row += len(field)
-    fh.write(out[out != _PAD])
+    fh.write(out.tobytes().translate(None, _PADS))
 
 
 def _write_blocks(frames, fh) -> None:
     """Write the blocks' rows, about _ROWS rows per kernel call."""
     x_text: dict = {}  # (id(x), start) -> (x, formatted); holding x keeps its id unique
     pieces, rows = [], 0
-    for t, x, label, field in frames:
-        quoted = io.StringIO()  # the label as csv.writer quotes a field that is not first
-        csv.writer(quoted, lineterminator="\n").writerow(("", label))
-        head, mid = (format_float(t) + ",").encode(), (quoted.getvalue()[1:-1] + ",").encode()
-        for lo in range(0, len(x), _ROWS):
-            if (id(x), lo) not in x_text:
-                x_text[id(x), lo] = (x, _text(np.asarray(x[lo : lo + _ROWS])[:, None], b","))
-            pieces.append((head, x_text[id(x), lo][1], mid, field[lo : lo + _ROWS]))
-            rows += len(pieces[-1][-1])
+    for _, frame in itertools.groupby(frames, lambda block: block[0]):
+        parts = []  # (head, x_text, mid, field) of each _ROWS rows of the frame's blocks
+        for t, x, label, field in frame:
+            quoted = io.StringIO()  # the label as csv.writer quotes a field that is not first
+            csv.writer(quoted, lineterminator="\n").writerow(("", label))
+            head, mid = (format_float(t) + ",").encode(), (quoted.getvalue()[1:-1] + ",").encode()
+            for lo in range(0, len(x), _ROWS):
+                if (id(x), lo) not in x_text:  # without the columns that are pad in every row
+                    text = _text(np.asarray(x[lo : lo + _ROWS])[:, None], b",")
+                    x_text[id(x), lo] = (x, text[:, (text != _PAD).any(axis=0)])
+                parts.append((head, x_text[id(x), lo][1], mid, field[lo : lo + _ROWS]))
+        keys = [(field.dtype, field.tobytes()) for *_, field in parts]  # -0.0, NaNs differ
+        uses = collections.Counter(keys)
+        slots: dict = {}  # bits that recur in this frame time -> the text of their values
+        for part, key in zip(parts, keys):
+            first, slot = key not in slots, slots.setdefault(key, []) if uses[key] > 1 else None
+            pieces.append((*part, slot, first))
+            rows += len(part[3])
             if rows >= _ROWS:
                 _write_rows(pieces, fh)
                 pieces, rows = [], 0
@@ -307,8 +333,7 @@ def write_boundary_csv(rows, path: str) -> None:
     with _replacing(path) as fh:
         fh.write((",".join(BOUNDARY_HEADER) + "\n").encode())
         for lo in range(0, len(table), _ROWS):
-            text = _text(table[lo : lo + _ROWS], b",,,\n")
-            fh.write(text[text != _PAD])
+            fh.write(_text(table[lo : lo + _ROWS], b",,,\n").tobytes().translate(None, _PADS))
 
 
 def write_run(result, out_dir: str) -> list[str]:

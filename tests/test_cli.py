@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import os
+import re
 
 import pytest
 
 from wavefields.cli import UsageError, main, parse_config_file, schema_path
+from wavefields.engine import COMPLETION_THRESHOLD
 from wavefields.scenarios import ScenarioConfig
 
 
@@ -82,8 +84,12 @@ def test_stalled_crossing_fails_a_named_check_and_writes(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["passed"] is False
     assert summary["boundaries"][0]["completed"] is False
-    failed = {c["name"] for c in summary["checks"] if not c["passed"]}
-    assert "crossing completed" in failed
+    failed = {c["name"]: c["detail"] for c in summary["checks"] if not c["passed"]}
+    # the stall is named: the fluid each system still holds on its pre side at the cap
+    detail = failed["crossing completed"]
+    stall = re.fullmatch(r"1600 steps; pre-side mass 1=(\S+) 2=(\S+)", detail)
+    masses = [float(m) for m in stall.groups()]
+    assert all(COMPLETION_THRESHOLD < m < 1.0 for m in masses)
     # the cause is named: k0 = 5 is past the Nyquist wavenumber pi/dx = pi/2
     assert "grid resolves packet momenta" in failed
     assert abs(sum(summary["index_distributions"]["1"].values()) - 1.0) < 1e-9

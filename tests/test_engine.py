@@ -410,6 +410,26 @@ def test_rejected_crossing_leaves_no_record():
     assert "cz" in state.wavefields["1"].memory.ops
 
 
+def test_a_which_path_crossing_is_refused_by_name():
+    # the spin's branches kicked apart by +-5, as stern_gerlach forks its paths, and a pointer
+    # flying in from +8: a boundary on the summed fluid would follow the branch that leaves
+    grid = Grid(-256.0, 256.0, 8192, dt=0.0125)
+    state = new_state(grid)
+    add_system(state, "1", [0.6, 0.8], gaussian_packet(grid, 0.0, 1.0))
+    add_system(state, "2", [1.0, 0.0], gaussian_packet(grid, 8.0, 1.0, k0=-5.0))
+    for p, sign in zip(state.wavefields["1"].packets, (1.0, -1.0)):
+        p.field = p.field * np.exp(5j * sign * grid.x)
+    advance(state, 4)
+    memories = {s: wf.memory for s, wf in state.wavefields.items()}
+    named = r"branches '0\|' and '1\|' of '1' differ in shape \(1 - overlap = 1\)"
+    with pytest.raises(ValueError, match=named + r".* at step 4, t=0\.05"):
+        meet(state, "1", "2", CNOT, "cnot", mode="crossing")
+    assert state.links == []
+    for s, wf in state.wavefields.items():
+        assert wf.memory is memories[s]
+        assert "cnot" not in wf.memory.ops
+
+
 def test_meet_rejected_mid_crossing():
     state, grid = crossing_state()
     meet(state, "1", "2", CZ, "cz", mode="crossing")

@@ -127,6 +127,9 @@ def test_snapshot_cadence_adds_frames():
 def test_crossing_ends_when_its_boundary_completes_at_any_cadence(name):
     base = run_scenario(ScenarioConfig(scenario=name))
     assert base.summary["steps"] == 407
+    # a crossing that completes names only its steps, so its summary keeps its bytes
+    completed = {"name": "crossing completed", "passed": True, "detail": "407 steps"}
+    assert completed in base.summary["checks"]
     frame_times = {}
     for every in (7, 8, 32):
         res = run_scenario(ScenarioConfig(scenario=name, snapshot_every=every))

@@ -182,19 +182,44 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 _labels = st.text(alphabet=st.sampled_from(list('1A:|=,"% ab\n\r')), max_size=12)
 
 
+# how a later block of the same frame time may hold an earlier block's field
+_REPEATS = ("same array", "equal bits", "signed zero", "nan payload")
+
+
+def _repeat(field, form, i):
+    if form == "same array":
+        return field
+    copy = field.copy()
+    if form == "signed zero":  # +0.0 in the earlier field, -0.0 in this one
+        field.real[i], copy.real[i] = 0.0, -0.0
+    elif form == "nan payload":  # quiet NaNs that differ only in their payload bits
+        field.view(np.uint64)[2 * i] = 0x7FF8000000000000
+        copy.view(np.uint64)[2 * i] = 0x7FF8000000000001
+    return copy
+
+
 @st.composite
 def _frames(draw):
     grids = [
         np.array(draw(st.lists(_finite, min_size=1, max_size=6))),
         np.linspace(-1.0, 1.0, draw(st.integers(1, 5))),
     ]
-    blocks = []
-    for _ in range(draw(st.integers(0, 6))):
+    blocks, frame = [], []  # frame: (grid, field) of each block at the time t
+    for _ in range(draw(st.integers(0, 8))):
         x = grids[draw(st.integers(0, 1))]
-        parts = st.one_of(_finite, _values) if draw(st.booleans()) else _finite
-        pairs = draw(st.lists(st.tuples(parts, parts), min_size=len(x), max_size=len(x)))
-        field = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-        blocks.append((draw(st.one_of(_finite, _values)), x, draw(_labels), field))
+        if not blocks or draw(st.booleans()):
+            t, frame = draw(st.one_of(_finite, _values)), []
+        earlier = [field for grid, field in frame if grid is x]
+        form = draw(st.sampled_from(("new",) + _REPEATS)) if earlier else "new"
+        if form == "new":
+            parts = st.one_of(_finite, _values) if draw(st.booleans()) else _finite
+            pairs = draw(st.lists(st.tuples(parts, parts), min_size=len(x), max_size=len(x)))
+            field = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+        else:
+            i = draw(st.integers(0, len(x) - 1))
+            field = _repeat(draw(st.sampled_from(earlier)), form, i)
+        frame.append((x, field))
+        blocks.append((t, x, draw(_labels), field))
     return blocks
 
 
@@ -441,6 +466,29 @@ def _fallbacks(monkeypatch):
     return calls
 
 
+# 17-digit integers whose 4-digit groups are zero in turn, at the edges of [10**16, 10**17)
+_DIGITS = [
+    10**16,
+    10**16 + 2,
+    10**16 + 2 * 10**4,
+    10**16 + 2 * 10**8,
+    10**16 + 10**8 + 2,
+    10**16 + 2 * 10**12,
+    17_000_000_000_000_000,
+    99_999_999_999_999_998,
+    10**17 - 1,
+]
+
+
+@pytest.mark.parametrize("digits", _DIGITS)
+def test_the_kernel_splits_17_digit_integers_with_zero_groups(digits):
+    # in fixed and scientific notation, and below 1e-280
+    values = [float(f"{s}{digits}e{e}") for s in "+-" for e in (0, 7, -16, -20, -40, -300)]
+    assert _kernel_text(values) == [format_float(v) for v in values]
+    if float(digits) == digits:  # the kernel's integer is these digits
+        assert _kernel_text([digits, -digits]) == [str(digits), f"-{digits}"]
+
+
 def test_near_ties_fall_back_to_format_float(monkeypatch):
     # exact ties where 10**(16 - k) is exact and where it is not, and one
     # value 2.1e-16 from a tie, closer than the kernel's error bound
@@ -454,6 +502,24 @@ def test_near_ties_fall_back_to_format_float(monkeypatch):
     calls = _fallbacks(monkeypatch)
     assert _kernel_text(ties) == [format_float(v) for v in ties]
     assert calls == ties
+
+
+def test_a_frame_formats_each_field_of_its_time_once(monkeypatch, tmp_path):
+    # the path modes I and II are two identical Gaussians at x = 0, stepped in one stack,
+    # so 77 of stern_gerlach's 232 blocks repeat a field of their frame time bit for bit
+    result = run_scenario(ScenarioConfig(scenario="stern_gerlach", snapshot_every=4))
+    _count_forks(monkeypatch, 1)
+    rows, format_column = [], serialize._format_column
+
+    def counted(values):
+        if np.shape(values)[1:] == (3,):  # the re, im and density of field rows
+            rows.append(len(values))
+        return format_column(values)
+
+    monkeypatch.setattr(serialize, "_format_column", counted)
+    write_snapshots_csv(result.frames, str(tmp_path / "snapshots.csv"))
+    assert (len(result.frames), sum(len(f) for *_, f in result.frames)) == (232, 237_568)
+    assert sum(rows) == 158_720
 
 
 def test_a_real_run_formats_almost_every_value_in_the_kernel(monkeypatch):
