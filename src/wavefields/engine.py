@@ -9,19 +9,21 @@ once the branch is fully formed.
 Interactions either complete instantly (the index spaces re-expand in
 place) or run as a crossing: the two fluids pass through a moving
 boundary whose transfer matrices re-index the crossed fluid.  A
-crossing in flight is the systems' freely evolving branch rows plus the
-boundary position; ``branches`` cuts the rows into their pre- and
-post-interaction parts when asked.  A step advances as one stack the rows
-of all systems that share a potential and are all at rest or all in a
-crossing.  ``advance`` stacks the rows once per call and steps that
-private stack for every step of the call, so free flight costs one
-inverse FFT per step.  A call continues from the stack's last spectrum
-while the stacked fields are bit for bit the rows that spectrum gave;
-anything else (a meet, a kick, a completed crossing, a write into a
-field) makes it transform the fields afresh.  The stack's densities feed
-the boundary law, which puts the boundary on the median of the summed
-fluid, and the norm audit.  Everything a system knows travels with it; a
-meet touches only the two participants.
+crossing's branches share one shape, so a crossing in flight is each
+system's freely evolving leading row psi_k, the ratios r_i of its branch
+rows to it, and the boundary position; ``branches`` cuts the rows into
+their pre- and post-interaction parts when asked.  A step advances as
+one stack the rows of all systems that share a potential and are all at
+rest or all in a crossing, one row per system in a crossing.
+``advance`` stacks the rows once per call and steps that private stack
+for every step of the call, so free flight costs one inverse FFT per
+step; the packets get their fields back when the call returns.  A call
+continues from the stack's last spectrum while the packets hold bit for
+bit the fields it gave them; anything else (a meet, a kick, a completed
+crossing, a write into a field) makes it transform the fields afresh.
+The stack's densities feed the boundary law, which puts the boundary on
+the median of the summed fluid, and the norm audit.  Everything a system
+knows travels with it; a meet touches only the two participants.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .spatial import Grid, Propagator, current, norm_squared  # noqa: F401
 NORM_AUDIT_TOL = 1e-8
 COMPLETION_THRESHOLD = 1e-10
 DARK_MASS_THRESHOLD = 1e-16
-SHAPE_TOL = 1e-9  # the most 1 - |<psi_i|psi_j>| / (|psi_i| |psi_j|) of two in-rows of a crossing
+SHAPE_TOL = 1e-12  # the most |psi_i - r_i psi_k| / |psi_i| of an in-row of a crossing (``_lead``)
 
 PRE = "pre"
 POST = "post"
@@ -89,7 +91,7 @@ class ScenarioState:
     index_bases: dict[str, Operator] = field(default_factory=dict)
     _propagators: dict[bytes | None, Propagator] = field(default_factory=dict, repr=False)
     _resolved: dict[str, Propagator] = field(default_factory=dict, repr=False)  # by system
-    # (propagator, in a crossing) -> a copy of the rows a call's last step gave, and their spectrum
+    # (propagator, in a crossing) -> a copy of the fields a call gave, its last spectrum, leads
     _spectra: dict[tuple, tuple] = field(default_factory=dict, repr=False)
 
     def active_links(self) -> list[boundary_mod.BoundaryLink]:
@@ -164,20 +166,6 @@ def _require_at_rest(state: ScenarioState, system: str) -> None:
         raise ValueError(f"system {system!r} is mid-crossing {_when(state)}")
 
 
-def _centroid(wf: WaveField, grid: Grid) -> float:
-    rho = aggregate_density(wf)
-    total = float(rho.sum())
-    if total <= 0.0:
-        raise ValueError(f"system {wf.system!r} has no fluid")
-    return float(np.dot(grid.x, rho) / total)
-
-
-def aggregate_density(wf: WaveField) -> np.ndarray:
-    if not wf.packets:
-        raise ValueError(f"system {wf.system!r} has no packets")
-    return np.sum([np.abs(p.field) ** 2 for p in wf.packets], axis=0)
-
-
 def total_mass(state: ScenarioState, system: str) -> float:
     return sum(p.mass(state.grid) for p in state.wavefields[system].packets)
 
@@ -209,22 +197,14 @@ def _expand_instant(wf: WaveField, transfer: boundary_mod.TransferMatrix, state:
     ]
 
 
-def _open_crossing(
-    state: ScenarioState,
-    left: WaveField,
-    right: WaveField,
-    op_id: str,
-    t_left: boundary_mod.TransferMatrix,
-    t_right: boundary_mod.TransferMatrix,
-) -> boundary_mod.BoundaryLink:
-    grid = state.grid
-    rho_left = aggregate_density(left)
-    rho_right = aggregate_density(right)
-    x12 = boundary_mod.find_initial_boundary(rho_left, rho_right, grid)
-    link = boundary_mod.BoundaryLink(left.system, right.system, x12, t_left, t_right, op_id)
-    _step_link(state, link, rho_left, rho_right, state.time)  # records the opening levels
-    state.links.append(link)
-    return link
+@np.errstate(invalid="ignore")  # NaN ratios from a NaN cell fail the norm audit, which names it
+def _lead(rows: np.ndarray):
+    """Of a crossing system's rows: the largest, k, each one's ratio r_i = <psi_k|psi_i> /
+    <psi_k|psi_k> to it, and w = sum |r_i|^2, so that the system's density is w |psi_k|^2."""
+    k = int(np.argmax(np.vecdot(rows, rows).real))
+    ratios = rows @ rows[k].conj() / np.vdot(rows[k], rows[k])
+    ratios[k] = 1.0
+    return k, ratios, np.vdot(ratios, ratios).real
 
 
 def meet(
@@ -259,18 +239,24 @@ def meet(
     if mode == "crossing":
         if b is None:
             raise ValueError("a crossing needs two systems")
-        if _centroid(fields[0], state.grid) >= _centroid(fields[1], state.grid):
-            raise ValueError(f"crossing expects {a!r} to start left of {b!r}")
-        for wf in fields:  # a boundary on the summed fluid serves only branches of one shape
+        densities = []  # a boundary on the summed fluid serves only branches of one shape
+        for wf in fields:
             rows = np.array([p.field for p in wf.packets])
-            gram = np.abs(rows.conj() @ rows.T)
-            norms = np.sqrt(gram.diagonal())
-            for i, j in np.argwhere(gram < (1 - SHAPE_TOL) * np.outer(norms, norms))[:1].tolist():
+            k, ratios, w = _lead(rows)
+            norms = np.linalg.norm(rows, axis=1)
+            residual = np.linalg.norm(rows - ratios[:, None] * rows[k], axis=1) / norms
+            for i in np.flatnonzero(residual > SHAPE_TOL)[:1].tolist():
+                i, j = sorted((i, k))
+                overlap = abs(np.vdot(rows[i], rows[j])) / norms[i] / norms[j]
                 raise ValueError(
                     f"branches {wf.packets[i].index.text()!r} and {wf.packets[j].index.text()!r}"
-                    f" of {wf.system!r} differ in shape (1 - overlap = "
-                    f"{1 - gram[i, j] / norms[i] / norms[j]:.3g}): no crossing {_when(state)}"
+                    f" of {wf.system!r} differ in shape (1 - overlap = {1 - overlap:.3g}): "
+                    f"no crossing {_when(state)}"
                 )
+            densities.append(w * (rows[k].real**2 + rows[k].imag**2))
+        left, right = (np.dot(state.grid.x, rho) / rho.sum() for rho in densities)  # centroids
+        if not left < right:  # a system with no fluid fails too
+            raise ValueError(f"crossing expects {a!r} to start left of {b!r}")
     mems = tuple(wf.memory for wf in fields)
     try:
         if tuple(unitary.labels) != participants:
@@ -296,20 +282,27 @@ def meet(
         for wf, transfer in zip(fields, transfers):
             _expand_instant(wf, transfer, state)
         return None
-    return _open_crossing(state, fields[0], fields[1], op_id, *transfers)
+    x12 = boundary_mod.find_initial_boundary(*densities, state.grid)
+    link = boundary_mod.BoundaryLink(a, b, x12, *transfers, op_id)
+    _step_link(state, link, *densities, state.time)  # records the opening levels
+    state.links.append(link)
+    return link
 
 
-def _step_link(state: ScenarioState, link: boundary_mod.BoundaryLink, rho_left, rho_right, t):
+def _step_link(state: ScenarioState, link, rho_left, rho_right, t, stacks=()):
     """Move the boundary to where the fluids balance and record it at ``t``.
 
     The crossing completes once neither system has fluid left on its pre
-    side; returns whether it has.
+    side, re-expanding the packets once ``stacks`` gave them their fields;
+    returns whether it has.
     """
     balance = boundary_mod.step_boundary_fields(link.x12, rho_left, rho_right, state.grid)
     link.x12, link.crossed_left, link.crossed_right = balance[:3]
     link.balance = balance
     link.record(t)
     if balance.pre_left < COMPLETION_THRESHOLD and balance.pre_right < COMPLETION_THRESHOLD:
+        for stack in stacks:
+            _fields(stack)
         _expand_instant(state.wavefields[link.left_system], link.t_left, state)
         _expand_instant(state.wavefields[link.right_system], link.t_right, state)
         link.active = False
@@ -353,11 +346,14 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _stacks(state: ScenarioState) -> dict:
-    """Each group's wave-fields, packets, rows and the spectrum to step them from.
+    """Each group's wave-fields, packets, leads, rows and the spectrum to step them from.
 
     A group is the systems that share a propagator and are all at rest or
-    all in a crossing.  Its spectrum is the one the last call kept while
-    the stacked fields are bit for bit the rows it gave, else None.
+    all in a crossing.  At rest it steps every packet's row; in a crossing
+    it steps each system's leading row, and ``leads`` holds each system's
+    ``_lead``.  A group keeps the leads and spectrum of the last call while
+    its packets hold bit for bit the fields that call gave them, else
+    derives both afresh.
     """
     groups: dict = {}  # (propagator, in a crossing) -> wave-fields
     for wf in state.wavefields.values():
@@ -367,11 +363,25 @@ def _stacks(state: ScenarioState) -> dict:
     for key, wfs in groups.items():
         packets = [p for wf in wfs for p in wf.packets]
         rows = np.array([p.field for p in packets])
-        last, spectrum = state._spectra.get(key, (None, None))
+        starts = np.cumsum([0] + [len(wf.packets) for wf in wfs])
+        last, spectrum, leads = state._spectra.get(key, (None, None, None))
         if last is None or not _same_bits(rows, last):
-            spectrum = None  # the fields moved since the last call: transform afresh
-        stacks[key] = [wfs, packets, rows, spectrum]
+            spectrum = None  # the fields moved since the last call: derive afresh
+            leads = [_lead(rows[a:b]) for a, b in zip(starts, starts[1:])] if key[1] else None
+        if leads is not None:  # a system in a crossing steps its leading row alone
+            rows = rows[starts[:-1] + [k for k, _, _ in leads]]
+        stacks[key] = [wfs, packets, leads, rows, spectrum]
     return stacks
+
+
+def _fields(stack) -> np.ndarray:
+    """Give the stack's packets their fields from its rows; returns the fields stacked."""
+    _, packets, leads, rows, _ = stack
+    if leads is not None:  # a system in a crossing holds r_i psi_k, with r_k = 1
+        rows = np.concatenate([ratios[:, None] * row for (_, ratios, _), row in zip(leads, rows)])
+    for p, row in zip(packets, rows):
+        p.field = row
+    return rows
 
 
 def _step(state: ScenarioState, stacks: dict) -> bool:
@@ -379,21 +389,19 @@ def _step(state: ScenarioState, stacks: dict) -> bool:
     grid = state.grid
     densities = {}  # per system, from the stepped rows
     for key, stack in stacks.items():
-        wfs, packets, rows, spectrum = stack
+        wfs, _, leads, rows, spectrum = stack
         rows, spectrum = key[0].step(rows, spectrum=spectrum, keep=True)
-        stack[2:] = rows, spectrum
-        for p, row in zip(packets, rows):
-            p.field = row
-        rho = rows.real**2 + rows.imag**2
-        start = 0
-        for wf in wfs:
-            densities[wf.system] = rho[start : start + len(wf.packets)].sum(axis=0)
-            start += len(wf.packets)
+        stack[3:] = rows, spectrum
+        rho, start = rows.real**2 + rows.imag**2, 0
+        for i, wf in enumerate(wfs):  # in a crossing, w times the leading row's density
+            stop = start + len(wf.packets)
+            rho_s = rho[start:stop].sum(axis=0) if leads is None else leads[i][2] * rho[i]
+            densities[wf.system], start = rho_s, stop
     masses = {s: float(rho.sum()) * grid.dx for s, rho in densities.items()}
     completed = False
     for link in state.active_links():
         rho_left, rho_right = densities[link.left_system], densities[link.right_system]
-        if _step_link(state, link, rho_left, rho_right, state.time + grid.dt):
+        if _step_link(state, link, rho_left, rho_right, state.time + grid.dt, stacks.values()):
             completed = True  # packets re-expanded: audit those
             for s in (link.left_system, link.right_system):
                 masses[s] = total_mass(state, s)
@@ -414,8 +422,8 @@ def advance(state: ScenarioState, steps: int = 1, until=None) -> ScenarioState:
     ``until``, if given, ends the call after the first step on which it
     holds.  The rows are stacked once per call, and again after a
     crossing completes; in between each stack steps on from its own
-    spectrum, and the packets hold views of the rows each step gives, so
-    ``until`` must not write into a field.
+    spectrum, and the packets get their fields when the call returns, so
+    ``until`` may read the links and the clock but not the fields.
     """
     taken = 0
     while taken < steps:
@@ -427,8 +435,8 @@ def advance(state: ScenarioState, steps: int = 1, until=None) -> ScenarioState:
                 taken += 1
                 if until is not None and until():
                     return state
-        finally:  # a private copy of the rows, to tell a later write into a field
-            state._spectra = {k: (rows.copy(), spec) for k, (_, _, rows, spec) in stacks.items()}
+        finally:  # a private copy of the fields, to tell a later write into one
+            state._spectra = {k: (_fields(s).copy(), s[4], s[2]) for k, s in stacks.items()}
     return state
 
 

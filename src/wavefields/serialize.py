@@ -290,17 +290,28 @@ def _write_blocks(frames, fh) -> None:
         _write_rows(pieces, fh)
 
 
+def _cut(frames, cut: int) -> int:
+    """``cut``, or the nearer end of its frame time if a field of that time repeats across it."""
+    same = [i for i, (t, *_) in enumerate(frames) if t == frames[cut][0]]  # a run: in time order
+    lo, hi = (same[0], same[-1] + 1) if same else (cut, cut)
+    keys = [(frames[i][3].dtype, frames[i][3].tobytes()) for i in range(lo, hi)]
+    if (lo, hi) == (0, len(frames)) or set(keys[: cut - lo]).isdisjoint(keys[cut - lo :]):
+        return cut  # a single frame time is cut all the same
+    return lo if lo and (cut - lo <= hi - cut or hi == len(frames)) else hi
+
+
 def write_snapshots_csv(frames, path: str) -> None:
     """One row per grid point of each frame block ``(t, x, label, field)``.
 
     A forked child formats each frame range after the first (about equal grid
-    points, one per CPU) into an unlinked file; the parts are appended in order.
+    points, one per CPU, and no field of a frame time in two) into an unlinked
+    file; the parts are appended in order.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     n = min(cpus or 1, len(frames)) if hasattr(os, "fork") else 1
     points = np.cumsum([0] + [len(x) for _, x, _, _ in frames])
-    cuts = np.searchsorted(points, points[-1] * np.arange(1, n) / n)
-    bounds = [0, *np.unique(np.clip(cuts, 1, len(frames) - 1)).tolist(), len(frames)]
+    cuts = np.clip(np.searchsorted(points, points[-1] * np.arange(1, n) / n), 1, len(frames) - 1)
+    bounds = [0, *sorted({_cut(frames, cut) for cut in cuts.tolist()}), len(frames)]
     pids, parts = [], []  # of each range after the first; a pid leaves once reaped
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavefields import boundary, engine, memory
 from wavefields.engine import (
@@ -457,22 +459,106 @@ def test_advance_audit_catches_corruption():
 
 def test_boundary_law_gets_the_densities_of_the_stepped_rows(monkeypatch):
     # At every step the law gets each system's density as the engine forms
-    # it: re^2 + im^2 of the rows the step left, summed over its packets.
+    # it: w (re^2 + im^2) of the system's stepped leading row, its largest
+    # in-row psi_k, with w = sum |r_i|^2 over the ratios r_i = <psi_k|psi_i> /
+    # <psi_k|psi_k> of its in-rows, and the crossing steps only those rows.
     state, grid = crossing_state()
     link = meet(state, "1", "2", CNOT, "cnot", mode="crossing")
-    law = boundary.step_boundary_fields
-    fed = []
+    weights = []
+    for wf in state.wavefields.values():
+        rows = np.array([p.field for p in wf.packets])
+        k = int(np.argmax([np.vdot(row, row).real for row in rows]))
+        ratios = rows @ rows[k].conj() / np.vdot(rows[k], rows[k])
+        ratios[k] = 1.0
+        weights.append(np.vdot(ratios, ratios).real)
+    law, step = boundary.step_boundary_fields, Propagator.step
+    stepped, fed = [], []
+
+    def step_spy(self, psi, *args, **kwargs):
+        out = step(self, psi, *args, **kwargs)
+        stepped.append(out[0])
+        return out
 
     def spy(x12, rho_left, rho_right, grid):
-        for s, rho in zip("12", (rho_left, rho_right)):
-            rows = np.array([p.field for p in state.wavefields[s].packets])
-            fed.append(np.array_equal(rho, (rows.real**2 + rows.imag**2).sum(axis=0)))
+        for w, row, rho in zip(weights, stepped[-1], (rho_left, rho_right)):
+            fed.append(np.array_equal(rho, w * (row.real**2 + row.imag**2)))
         return law(x12, rho_left, rho_right, grid)
 
+    monkeypatch.setattr(Propagator, "step", step_spy)
     monkeypatch.setattr(boundary, "step_boundary_fields", spy)
     advance(state, 2000, until=lambda: not link.active)
     assert not link.active
     assert len(fed) == 2 * state.step_count and all(fed)
+    assert len(stepped) == state.step_count
+    assert all(rows.shape == (2, grid.n) for rows in stepped)
+
+
+def _per_row_crossing(amps_left, amps_right, unitary):
+    """The oracle: each in-row stepped alone, the law fed each system's summed densities.
+
+    Returns the balance of every step from the opening to the completion and
+    the packets the transfers make of the rows on the completion step.
+    """
+    state, grid = crossing_state(amps_left=amps_left, amps_right=amps_right)
+    link = meet(state, "1", "2", unitary, "u", mode="crossing")  # for its transfers only
+    transfers = {"1": link.t_left, "2": link.t_right}
+    rows = {}
+    for s, t in transfers.items():
+        fields = {p.index: p.field for p in state.wavefields[s].packets}
+        rows[s] = [fields.get(label, np.zeros(grid.n, complex)) for label in t.in_labels]
+    spectra = {s: [None] * len(r) for s, r in rows.items()}
+    prop = Propagator(grid)
+
+    def densities():
+        return [np.sum([r.real**2 + r.imag**2 for r in rows[s]], axis=0) for s in "12"]
+
+    balances = [boundary.step_boundary_fields(
+        boundary.find_initial_boundary(*densities(), grid), *densities(), grid
+    )]
+    while max(balances[-1].pre_left, balances[-1].pre_right) >= engine.COMPLETION_THRESHOLD:
+        assert len(balances) <= 2000
+        for s in rows:
+            for i, row in enumerate(rows[s]):
+                rows[s][i], spectra[s][i] = prop.step(row, spectrum=spectra[s][i], keep=True)
+        balances.append(boundary.step_boundary_fields(balances[-1].x12, *densities(), grid))
+    packets = {s: dict(zip(t.out_labels, t.matrix @ np.array(rows[s]))) for s, t in transfers.items()}
+    return balances, packets
+
+
+def amplitude_pairs():
+    """Normalized pairs (cos a e^{i p}, sin a e^{i q}), a single branch included."""
+    angle = st.floats(0.0, np.pi / 2)
+    phase = st.floats(0.0, 2.0 * np.pi)
+    return st.tuples(angle, phase, phase).map(
+        lambda v: (np.cos(v[0]) * np.exp(1j * v[1]), np.sin(v[0]) * np.exp(1j * v[2]))
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(left=amplitude_pairs(), right=amplitude_pairs(), unitary=st.sampled_from([CZ, CNOT]))
+def test_stepping_leading_rows_is_stepping_every_in_row(left, right, unitary):
+    # the engine steps one leading row per system and holds the in-rows as
+    # its multiples; the oracle steps every in-row alone and sums their densities
+    balances, packets = _per_row_crossing(left, right, unitary)
+    state, grid = crossing_state(amps_left=left, amps_right=right)
+    link = meet(state, "1", "2", unitary, "u", mode="crossing")
+    advance(state, 2000, until=lambda: not link.active)
+    assert not link.active and state.step_count == len(balances) - 1
+    _, x12, crossed_left, crossed_right = np.array(link.trajectory).T
+    want = np.array([b[:3] for b in balances]).T
+    assert np.abs(crossed_left - want[1]).max() <= 1e-13
+    assert np.abs(crossed_right - want[2]).max() <= 1e-13
+    mid = (np.minimum(want[1], want[2]) >= 1e-4) & (np.maximum(want[1], want[2]) <= 1 - 1e-4)
+    assert mid.sum() > 50
+    assert np.abs(x12 - want[0])[mid].max() <= 1e-11
+    for s in "12":
+        got = {p.index: p.field for p in state.wavefields[s].packets}
+        for label, row in packets[s].items():
+            if label in got:
+                assert np.abs(got.pop(label) - row).max() <= 1e-13
+            else:  # a dark row the engine drops
+                assert engine.norm_squared(row, grid) <= engine.DARK_MASS_THRESHOLD
+        assert got == {}
 
 
 def test_audit_catches_corruption_right_after_a_crossing_step():

@@ -16,7 +16,7 @@ from wavefields.scenarios import (
     run_scenario,
 )
 from wavefields.serialize import dumps
-from wavefields.spatial import Grid, gaussian_packet
+from wavefields.spatial import Grid, Propagator, gaussian_packet
 
 ALL_NAMES = [
     "two_spin_crossing",
@@ -139,6 +139,24 @@ def test_crossing_ends_when_its_boundary_completes_at_any_cadence(name):
         frame_times[every] = len(times)
     # the first frame, one every K steps while the boundary moves, the last
     assert frame_times == {7: 60, 8: 52, 32: 14}
+
+
+def test_a_crossing_steps_one_leading_row_per_system(monkeypatch):
+    # the branches of each system share one shape, so the crossing steps one
+    # row per system: 407 steps of a (2, 2048) stack in each scenario, where
+    # stepping every in-row would take 4 rows in one and 3 in the other
+    shapes = []
+    step = Propagator.step
+
+    def spy(self, psi, steps=1, **kwargs):
+        shapes.append((np.shape(psi), steps))
+        return step(self, psi, steps, **kwargs)
+
+    monkeypatch.setattr(Propagator, "step", spy)
+    for name in ("two_spin_crossing", "von_neumann"):
+        assert run_scenario(ScenarioConfig(scenario=name)).summary["steps"] == 407
+    assert set(shapes) == {((2, 2048), 1)}
+    assert sum(shape[0] * steps for shape, steps in shapes) == 1628
 
 
 @pytest.mark.parametrize(

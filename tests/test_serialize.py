@@ -322,6 +322,43 @@ def test_snapshots_fork_only_when_the_split_can_help(
     assert sorted(os.listdir(tmp_path)) == ["ours.csv", "reference.csv"]
 
 
+@pytest.mark.parametrize(
+    "config, cpus, forks, split",
+    [
+        # the cut by grid points alone parts the path modes' two copies of a field
+        (dict(scenario="stern_gerlach"), 2, 1, False),
+        (dict(scenario="stern_gerlach", snapshot_every=8), 2, 1, False),
+        (dict(scenario="stern_gerlach", snapshot_every=4), 3, 2, False),
+        # no field repeats across a cut, which stays inside its frame time
+        (dict(scenario="three_spin_chain"), 3, 2, True),  # one cut moves, one stays
+        (dict(scenario="two_spin_crossing"), 2, 1, True),
+        (dict(scenario="von_neumann", a1=0.6, b1=0.8j), 2, 1, True),
+        (dict(scenario="bell_case1"), 2, 1, True),  # one frame time
+    ],
+)
+def test_no_field_of_a_frame_time_is_formatted_in_two_processes(
+    config, cpus, forks, split, monkeypatch, tmp_path
+):
+    # each process writes the time and bits of each block it got in place of its rows
+    frames = run_scenario(ScenarioConfig(**config)).frames
+    forked = _count_forks(monkeypatch, cpus)
+
+    def keys_of(part, fh):
+        fh.write((json.dumps([[t, f.tobytes().hex()] for t, *_, f in part]) + "\n").encode())
+
+    monkeypatch.setattr(serialize, "_write_blocks", keys_of)
+    write_snapshots_csv(frames, str(tmp_path / "keys.csv"))
+    parts = [json.loads(line) for line in (tmp_path / "keys.csv").read_text().splitlines()[1:]]
+    assert len(parts) == len(forked) + 1 == forks + 1
+    assert all(parts) and sum(map(len, parts)) == len(frames)
+    owner, times = {}, {}
+    for k, part in enumerate(parts):
+        for t, bits in part:
+            assert owner.setdefault((t, bits), k) == k
+            times.setdefault(t, set()).add(k)
+    assert any(len(ks) > 1 for ks in times.values()) is split
+
+
 def test_a_failing_snapshot_worker_is_an_io_error(monkeypatch, tmp_path, capsys):
     _count_forks(monkeypatch, 2)
     parent, write_blocks = os.getpid(), serialize._write_blocks
