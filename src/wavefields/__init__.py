@@ -32,7 +32,6 @@ from .engine import (
 from .ensemble import (
     FluidParticle,
     PairingReport,
-    ensemble_statistics,
     pair_particles,
     sample_particles,
     statistics_report,
@@ -110,7 +109,6 @@ __all__ = [
     "current",
     "derive_state",
     "dumps",
-    "ensemble_statistics",
     "expand_product_terms",
     "external_memories",
     "find_initial_boundary",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from . import memory
 from .hilbert import _NORM_SLACK, Operator
 from .memory import IndexLabel, InteractionOp, InternalMemory
-from .spatial import Grid
+from .spatial import Grid, cumulative_mass
 
 ISOMETRY_TOL = 1e-12
 BALANCE_TOL = 1e-10  # a mass imbalance below this is a degenerate balance
@@ -51,20 +51,19 @@ def step_boundary_fields(
     world-lines never cross, so it stays where the balance F(x) =
     int_{-inf}^{x} rho_left - int_{x}^{inf} rho_right is zero: the median
     of the summed fluid when both masses are one.  F = C - R at the cells:
-    C from one trapezoid cumulative-mass pass over rho_left + rho_right, R
-    the right fluid's trapezoid total.  F is nondecreasing, so a
-    ``searchsorted`` finds the cells where it passes -BALANCE_TOL and
-    +BALANCE_TOL and a linear solve the point in each; the boundary is
-    their centre.  That is the root where F rises through the band within
-    one cell, and the centre of the band where the balance is degenerate
-    (|F| < BALANCE_TOL between well-separated densities), which keeps a
-    symmetric collision's boundary on the symmetry point.  With no fluid
-    on either side ``x12`` holds.  The crossed levels read C and one
-    partial sum of rho_right, up to the boundary's cell.
+    C the ``cumulative_mass`` of rho_left + rho_right, R the right fluid's
+    trapezoid total.  F is nondecreasing, so a ``searchsorted`` finds the
+    cells where it passes -BALANCE_TOL and +BALANCE_TOL and a linear solve
+    the point in each; the boundary is their centre.  That is the root
+    where F rises through the band within one cell, and the centre of the
+    band where the balance is degenerate (|F| < BALANCE_TOL between
+    well-separated densities), which keeps a symmetric collision's
+    boundary on the symmetry point.  With no fluid on either side ``x12``
+    holds.  The crossed levels read C and one partial sum of rho_right, up
+    to the boundary's cell.
     """
     dx, add_up = grid.dx, np.add.reduce  # ``ndarray.sum`` wraps this reduce in Python calls
-    cum, rho = np.zeros(grid.n), rho_left + rho_right  # C: the summed fluid's cumulative mass
-    np.add.accumulate((rho[:-1] + rho[1:]) * (0.5 * dx), out=cum[1:])
+    cum = cumulative_mass(rho_left + rho_right, grid)  # C
     r0, rn = rho_right[0].item(), rho_right[-1].item()
     total_right = (add_up(rho_right).item() - 0.5 * (r0 + rn)) * dx
     if total_right >= BALANCE_TOL or cum[-1] - total_right >= BALANCE_TOL:
@@ -342,22 +341,19 @@ def apply_boundary_transfer(
 class BoundaryLink:
     """Live interface between two wave-fields mid-interaction.
 
-    ``crossed_left`` and ``crossed_right`` track the coherent fluid
-    mass of each system already past the boundary; the boundary sits
-    where the two are equal while the link runs.
+    ``trajectory`` holds each step's time and ``Balance``, from the
+    opening one: the boundary sits where the coherent fluid masses the two
+    systems have crossed are equal while the link runs.
     """
 
     left_system: str
     right_system: str
-    x12: float
     t_left: TransferMatrix
     t_right: TransferMatrix
     op_id: str
+    trajectory: list[tuple[float, Balance]]
     active: bool = True
-    crossed_left: float = 0.0
-    crossed_right: float = 0.0
-    balance: Balance | None = None  # the last step's, with each system's pre-side mass
-    trajectory: list[tuple[float, float, float, float]] = field(default_factory=list)
 
-    def record(self, t: float) -> None:
-        self.trajectory.append((t, self.x12, self.crossed_left, self.crossed_right))
+    @property
+    def balance(self) -> Balance:
+        return self.trajectory[-1][1]

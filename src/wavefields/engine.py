@@ -20,10 +20,11 @@ for every step of the call, so free flight costs one inverse FFT per
 step; the packets get their fields back when the call returns.  A call
 continues from the stack's last spectrum while the packets hold bit for
 bit the fields it gave them; anything else (a meet, a kick, a completed
-crossing, a write into a field) makes it transform the fields afresh.
-The stack's densities feed the boundary law, which puts the boundary on
-the median of the summed fluid, and the norm audit.  Everything a system
-knows travels with it; a meet touches only the two participants.
+crossing, a write into a field) makes it transform the fields and check
+a crossing's shape afresh.  The stack's densities feed the boundary law,
+which puts the boundary on the median of the summed fluid, and the norm
+audit.  Everything a system knows travels with it; a meet touches only
+the two participants.
 """
 
 from __future__ import annotations
@@ -198,12 +199,28 @@ def _expand_instant(wf: WaveField, transfer: boundary_mod.TransferMatrix, state:
 
 
 @np.errstate(invalid="ignore")  # NaN ratios from a NaN cell fail the norm audit, which names it
-def _lead(rows: np.ndarray):
+def _lead(rows: np.ndarray, wf: WaveField, state: ScenarioState, opening: bool = False):
     """Of a crossing system's rows: the largest, k, each one's ratio r_i = <psi_k|psi_i> /
-    <psi_k|psi_k> to it, and w = sum |r_i|^2, so that the system's density is w |psi_k|^2."""
+    <psi_k|psi_k> to it, and w = sum |r_i|^2, so that the system's density is w |psi_k|^2.
+
+    A boundary on the summed fluid serves only branches of one shape, so a
+    row further than ``SHAPE_TOL`` from r_i psi_k is refused: a ValueError
+    when a crossing would open, a RuntimeError once one is in flight.
+    """
     k = int(np.argmax(np.vecdot(rows, rows).real))
     ratios = rows @ rows[k].conj() / np.vdot(rows[k], rows[k])
     ratios[k] = 1.0
+    norms = np.linalg.norm(rows, axis=1)
+    residual = np.linalg.norm(rows - ratios[:, None] * rows[k], axis=1) / norms
+    for i in np.flatnonzero(residual > SHAPE_TOL)[:1].tolist():
+        i, j = sorted((i, k))
+        overlap = abs(np.vdot(rows[i], rows[j])) / norms[i] / norms[j]
+        error, outcome = (ValueError, "no crossing") if opening else (RuntimeError, "mid-crossing")
+        raise error(
+            f"branches {wf.packets[i].index.text()!r} and {wf.packets[j].index.text()!r}"
+            f" of {wf.system!r} differ in shape (1 - overlap = {1 - overlap:.3g}): "
+            f"{outcome} {_when(state)}"
+        )
     return k, ratios, np.vdot(ratios, ratios).real
 
 
@@ -239,20 +256,10 @@ def meet(
     if mode == "crossing":
         if b is None:
             raise ValueError("a crossing needs two systems")
-        densities = []  # a boundary on the summed fluid serves only branches of one shape
+        densities = []
         for wf in fields:
             rows = np.array([p.field for p in wf.packets])
-            k, ratios, w = _lead(rows)
-            norms = np.linalg.norm(rows, axis=1)
-            residual = np.linalg.norm(rows - ratios[:, None] * rows[k], axis=1) / norms
-            for i in np.flatnonzero(residual > SHAPE_TOL)[:1].tolist():
-                i, j = sorted((i, k))
-                overlap = abs(np.vdot(rows[i], rows[j])) / norms[i] / norms[j]
-                raise ValueError(
-                    f"branches {wf.packets[i].index.text()!r} and {wf.packets[j].index.text()!r}"
-                    f" of {wf.system!r} differ in shape (1 - overlap = {1 - overlap:.3g}): "
-                    f"no crossing {_when(state)}"
-                )
+            k, _, w = _lead(rows, wf, state, opening=True)
             densities.append(w * (rows[k].real**2 + rows[k].imag**2))
         left, right = (np.dot(state.grid.x, rho) / rho.sum() for rho in densities)  # centroids
         if not left < right:  # a system with no fluid fails too
@@ -282,9 +289,10 @@ def meet(
         for wf, transfer in zip(fields, transfers):
             _expand_instant(wf, transfer, state)
         return None
+    # no completion test: that needs each fluid wholly past x12, which the centroids rule out
     x12 = boundary_mod.find_initial_boundary(*densities, state.grid)
-    link = boundary_mod.BoundaryLink(a, b, x12, *transfers, op_id)
-    _step_link(state, link, *densities, state.time)  # records the opening levels
+    balance = boundary_mod.step_boundary_fields(x12, *densities, state.grid)
+    link = boundary_mod.BoundaryLink(a, b, *transfers, op_id, [(state.time, balance)])
     state.links.append(link)
     return link
 
@@ -296,10 +304,8 @@ def _step_link(state: ScenarioState, link, rho_left, rho_right, t, stacks=()):
     side, re-expanding the packets once ``stacks`` gave them their fields;
     returns whether it has.
     """
-    balance = boundary_mod.step_boundary_fields(link.x12, rho_left, rho_right, state.grid)
-    link.x12, link.crossed_left, link.crossed_right = balance[:3]
-    link.balance = balance
-    link.record(t)
+    balance = boundary_mod.step_boundary_fields(link.balance.x12, rho_left, rho_right, state.grid)
+    link.trajectory.append((t, balance))
     if balance.pre_left < COMPLETION_THRESHOLD and balance.pre_right < COMPLETION_THRESHOLD:
         for stack in stacks:
             _fields(stack)
@@ -325,7 +331,7 @@ def branches(state: ScenarioState, system: str) -> list[Packet]:
     if link is None:
         return wf.packets
     grid = state.grid
-    post_side = grid.x > link.x12
+    post_side = grid.x > link.balance.x12
     transfer = link.t_left
     if system == link.right_system:
         post_side, transfer = ~post_side, link.t_right
@@ -353,7 +359,7 @@ def _stacks(state: ScenarioState) -> dict:
     it steps each system's leading row, and ``leads`` holds each system's
     ``_lead``.  A group keeps the leads and spectrum of the last call while
     its packets hold bit for bit the fields that call gave them, else
-    derives both afresh.
+    derives both afresh, and ``_lead`` checks each crossing system's shape.
     """
     groups: dict = {}  # (propagator, in a crossing) -> wave-fields
     for wf in state.wavefields.values():
@@ -367,7 +373,8 @@ def _stacks(state: ScenarioState) -> dict:
         last, spectrum, leads = state._spectra.get(key, (None, None, None))
         if last is None or not _same_bits(rows, last):
             spectrum = None  # the fields moved since the last call: derive afresh
-            leads = [_lead(rows[a:b]) for a, b in zip(starts, starts[1:])] if key[1] else None
+            spans = zip(wfs, starts, starts[1:])
+            leads = [_lead(rows[a:b], wf, state) for wf, a, b in spans] if key[1] else None
         if leads is not None:  # a system in a crossing steps its leading row alone
             rows = rows[starts[:-1] + [k for k, _, _ in leads]]
         stacks[key] = [wfs, packets, leads, rows, spectrum]

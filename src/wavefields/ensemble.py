@@ -144,37 +144,24 @@ def pair_particles(
     return PairingReport(pairs, len(a))
 
 
-def _normalized(probs: dict) -> tuple[list, np.ndarray]:
-    keys = sorted(probs)
-    p = np.array([probs[k] for k in keys], dtype=float)
-    clipped = np.clip(p, 0.0, None)  # roundoff below zero is no weight
-    if np.any(p < -1e-12) or clipped.sum() <= 0.0:
-        raise ValueError("outcome weights must be nonnegative with positive sum")
-    return keys, clipped / clipped.sum()
-
-
-def ensemble_statistics(outcomes: dict, trials: int, seed: int) -> dict:
-    """Empirical outcome frequencies over independent trials.
+def statistics_report(scenario: str, outcomes: dict, trials: int, seed: int, jobs=1) -> dict:
+    """Frequencies of independent trials next to Born expectations, with binomial z-scores.
 
     ``outcomes`` is the scenario's final label distribution.  The counts
     of independent trials are Multinomial(trials, p), so they come from
     one multinomial draw keyed (seed, 0) and depend on the seed alone;
-    the cost does not grow with ``trials``.
+    the cost does not grow with ``trials``.  ``jobs`` is ignored; it
+    stays because the benchmark's ``ledger`` workload passes it.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    keys, p = _normalized(outcomes)
+    keys = sorted(outcomes)
+    weights = np.array([outcomes[k] for k in keys], dtype=float)
+    clipped = np.clip(weights, 0.0, None)  # roundoff below zero is no weight
+    if np.any(weights < -1e-12) or clipped.sum() <= 0.0:
+        raise ValueError("outcome weights must be nonnegative with positive sum")
+    p = clipped / clipped.sum()
     counts = np.random.default_rng((seed, 0)).multinomial(trials, p)
-    return {k: int(c) / trials for k, c in zip(keys, counts)}
-
-
-def statistics_report(scenario: str, outcomes: dict, trials: int, seed: int, jobs=1) -> dict:
-    """Frequencies next to Born expectations with binomial z-scores.
-
-    ``jobs`` is ignored; it stays because the benchmark's ``ledger`` workload passes it.
-    """
-    freqs = ensemble_statistics(outcomes, trials, seed)
-    keys, p = _normalized(outcomes)
     report = {
         "scenario": scenario,
         "trials": trials,
@@ -183,9 +170,9 @@ def statistics_report(scenario: str, outcomes: dict, trials: int, seed: int, job
         "expected": {},
         "z_scores": {},
     }
-    for k, prob in zip(keys, p):
+    for k, prob, count in zip(keys, p, counts.tolist()):
         name = ",".join(str(part) for part in k) if isinstance(k, tuple) else str(k)
-        freq = freqs[k]
+        freq = count / trials
         sigma = float(np.sqrt(prob * (1.0 - prob) / trials))
         if sigma == 0.0:
             z = 0.0 if freq == prob else float("inf")

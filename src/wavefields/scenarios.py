@@ -268,11 +268,13 @@ class _Run:
                     "right": link.right_system,
                     "op": link.op_id,
                     "completed": not link.active,
-                    "final_x12": float(link.x12),
-                    "max_abs_x12": float(max(abs(t[1]) for t in link.trajectory)),
-                    "crossed_left": float(link.crossed_left),
-                    "crossed_right": float(link.crossed_right),
-                    "max_crossed_gap": float(max(abs(t[2] - t[3]) for t in link.trajectory)),
+                    "final_x12": link.balance.x12,
+                    "max_abs_x12": max(abs(b.x12) for _, b in link.trajectory),
+                    "crossed_left": link.balance.crossed_left,
+                    "crossed_right": link.balance.crossed_right,
+                    "max_crossed_gap": max(
+                        abs(b.crossed_left - b.crossed_right) for _, b in link.trajectory
+                    ),
                 }
                 for link in state.links
             ],
@@ -282,11 +284,7 @@ class _Run:
             summary.update(extra)
         passed = all(c["passed"] for c in self.checks)
         summary["passed"] = passed
-        boundary_rows = [
-            (float(t), float(x), float(cl), float(cr))
-            for link in state.links
-            for t, x, cl, cr in link.trajectory
-        ]
+        boundary_rows = [(t, *b[:3]) for link in state.links for t, b in link.trajectory]
         result = ScenarioResult(name, cfg, state, summary, self.frames, boundary_rows, passed)
         if not passed:
             raise CheckFailure(result)
@@ -357,6 +355,9 @@ def _crossing(run: _Run, spin1, spin2, unitary: Operator, op_id: str, frozen=())
     run.evolve(state, cap, until=lambda: not link.active)
     b, s1, s2 = link.balance, link.left_system, link.right_system  # a stall names what is left
     stall = f"; pre-side mass {s1}={b.pre_left:.3e} {s2}={b.pre_right:.3e}" if link.active else ""
+    if link.active:  # and when the larger pre-side mass was lowest
+        low = min(link.trajectory, key=lambda step: max(step[1].pre_left, step[1].pre_right))[0]
+        stall += f", lowest at t={low:.6g}"
     run.check("crossing completed", not link.active, f"{state.step_count} steps{stall}")
     return state, link
 
@@ -376,11 +377,10 @@ def run_two_spin_crossing(run: _Run) -> ScenarioResult:
     spin1, spin2 = run.cfg.pair(1, _R, _R), run.cfg.pair(2, _R, _R)
     cz = _gate("cz", "1", "2")
     state, link = _crossing(run, spin1, spin2, cz, "phase-exchange")
-    traj = np.array(link.trajectory)
-    moved, dx = np.abs(traj[:, 1]).max(), state.grid.dx
+    moved, dx = max(abs(b.x12) for _, b in link.trajectory), state.grid.dx
     name = "boundary stays within one cell of the symmetry point"
     run.check(name, moved <= dx, f"max |x12| {moved:.3e}, dx {dx}")
-    gap = float(np.abs(traj[:, 2] - traj[:, 3]).max())
+    gap = max(abs(b.crossed_left - b.crossed_right) for _, b in link.trajectory)
     run.check("crossed fluid levels agree", gap <= 1e-6, f"max gap {gap:.3e}")
     if link.active:  # the audits below need both systems at rest
         return run.finish(state)

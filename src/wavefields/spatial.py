@@ -7,8 +7,9 @@ run on the spectrum S of the rows, end with rows = IFFT(S), keep the norm
 to FFT roundoff and act along the last axis, so a stack of rows steps as
 one array with the bits of each row stepped alone.  A step can hand back
 its last spectrum, and the next one can start from it instead of
-transforming the rows again.  Of the fluid quantities, the boundary law
-at interaction boundaries reads the density alone; the current and the
+transforming the rows again; units have hbar = m = 1.  The boundary law
+reads the density alone, through the trapezoid cumulative mass that also
+places sampled particles and streamline seeds; the current and the
 streamlines integrated from it trace the fluid's world-lines.
 """
 
@@ -32,16 +33,14 @@ class Grid:
     x_max: float
     n: int
     dt: float
-    mass: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self):
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
         if self.n < 64 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 64, got {self.n}")
-        if self.dt <= 0 or self.mass <= 0 or self.hbar <= 0:
-            raise ValueError("dt, mass and hbar must be positive")
+        if self.dt <= 0:
+            raise ValueError("dt must be positive")
         self.dx = (self.x_max - self.x_min) / self.n
         self.x = self.x_min + self.dx * np.arange(self.n)
         self.k = 2.0 * math.pi * np.fft.fftfreq(self.n, d=self.dx)
@@ -55,11 +54,11 @@ class Propagator:
         v = np.zeros(grid.n) if potential is None else np.asarray(potential, float)
         if v.shape != (grid.n,):
             raise ValueError(f"potential shape {v.shape} does not match grid")
-        half = -1j * grid.hbar * grid.k**2 * grid.dt / (4.0 * grid.mass)
+        half = -1j * grid.k**2 * grid.dt / 4.0
         self.free = not v.any()
         # the whole kinetic factor in free flight, half of it on each side of V otherwise
         self._kinetic = np.exp(2.0 * half) if self.free else np.exp(half)
-        self._potential_phase = np.exp(-1j * v * grid.dt / grid.hbar)
+        self._potential_phase = np.exp(-1j * v * grid.dt)
 
     def step(self, psi: np.ndarray, steps: int = 1, spectrum=None, keep: bool = False):
         """Advance one row or a ``(rows, n)`` stack by ``steps`` steps.
@@ -86,8 +85,9 @@ def norm_squared(psi: np.ndarray, grid: Grid) -> float:
 
 def cumulative_mass(rho: np.ndarray, grid: Grid) -> np.ndarray:
     """Trapezoid cumulative mass of a density at each grid point, starting at 0."""
-    inner = 0.5 * (rho[:-1] + rho[1:]) * grid.dx
-    return np.concatenate([[0.0], np.cumsum(inner)])
+    cum = np.zeros(grid.n)
+    np.add.accumulate((rho[:-1] + rho[1:]) * (0.5 * grid.dx), out=cum[1:])
+    return cum
 
 
 def gaussian_packet(grid: Grid, x0: float, sigma: float, k0: float = 0.0) -> np.ndarray:
@@ -99,9 +99,9 @@ def gaussian_packet(grid: Grid, x0: float, sigma: float, k0: float = 0.0) -> np.
 
 
 def current(psi: np.ndarray, grid: Grid) -> np.ndarray:
-    """Current (hbar/m) Im(psi* dpsi/dx) of each row, with the spectral derivative."""
+    """Current Im(psi* dpsi/dx) of each row, with the spectral derivative."""
     dpsi = np.fft.ifft(1j * grid.k * np.fft.fft(psi))
-    return grid.hbar / grid.mass * np.imag(np.conj(psi) * dpsi)
+    return np.imag(np.conj(psi) * dpsi)
 
 
 def _sample(times, fields, t, x, grid):

@@ -611,7 +611,7 @@ def test_boundary_link_rejects_broken_isometry():
     t = TransferMatrix(
         "1", np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex), labels2, labels4
     )
-    BoundaryLink("1", "2", 0.0, t, t, "op")
+    BoundaryLink("1", "2", t, t, "op", [])
     with pytest.raises(ValueError):
         TransferMatrix("1", np.ones((4, 2), dtype=complex), labels2, labels4)
 

@@ -85,11 +85,14 @@ def test_stalled_crossing_fails_a_named_check_and_writes(tmp_path, capsys):
     assert summary["passed"] is False
     assert summary["boundaries"][0]["completed"] is False
     failed = {c["name"]: c["detail"] for c in summary["checks"] if not c["passed"]}
-    # the stall is named: the fluid each system still holds on its pre side at the cap
+    # the stall is named: the fluid each system still holds on its pre side at
+    # the cap, and when the larger of the two was lowest: t = 18.85, before
+    # the cap at t = 20, so the crossing had stopped, not slowed
     detail = failed["crossing completed"]
-    stall = re.fullmatch(r"1600 steps; pre-side mass 1=(\S+) 2=(\S+)", detail)
-    masses = [float(m) for m in stall.groups()]
+    stall = re.fullmatch(r"1600 steps; pre-side mass 1=(\S+) 2=(\S+), lowest at t=(\S+)", detail)
+    masses = [float(m) for m in stall.groups()[:2]]
     assert all(COMPLETION_THRESHOLD < m < 1.0 for m in masses)
+    assert float(stall[3]) == 18.85
     # the cause is named: k0 = 5 is past the Nyquist wavenumber pi/dx = pi/2
     assert "grid resolves packet momenta" in failed
     assert abs(sum(summary["index_distributions"]["1"].values()) - 1.0) < 1e-9

@@ -248,6 +248,11 @@ def crossing_state(k0=5.0, amps_left=(0.6, 0.8), amps_right=None):
     return state, grid
 
 
+def trajectory(link):
+    """The link's trajectory as rows of (t, x12, crossed_left, crossed_right)."""
+    return np.array([(t, *b[:3]) for t, b in link.trajectory])
+
+
 def test_crossing_completes_and_matches_oracle():
     state, grid = crossing_state()
     link = meet(state, "1", "2", CZ, "cz", mode="crossing")
@@ -255,7 +260,7 @@ def test_crossing_completes_and_matches_oracle():
     # with well-separated packets any point between them balances the
     # masses, so the start is only pinned to a cell; the dynamics then
     # hold it on the symmetry point
-    assert abs(link.x12) <= grid.dx
+    assert abs(link.balance.x12) <= grid.dx
 
     steps = 0
     while link.active and steps < 800:
@@ -279,11 +284,11 @@ def test_crossing_completes_and_matches_oracle():
     for key, p in expected.items():
         assert abs(table[key] - p) < 1e-8
     # the boundary stays on the symmetry point to within a cell
-    traj = np.array(link.trajectory)
+    traj = trajectory(link)
     assert np.abs(traj[:, 1]).max() <= grid.dx
     # crossed fluid of the two systems agrees at every sample
     assert np.abs(traj[:, 2] - traj[:, 3]).max() < 1e-6
-    assert link.crossed_left > 1.0 - 1e-6
+    assert link.balance.crossed_left > 1.0 - 1e-6
 
 
 def test_an_asymmetric_crossing_sits_on_the_free_gaussians_balance():
@@ -300,7 +305,7 @@ def test_an_asymmetric_crossing_sits_on_the_free_gaussians_balance():
     link = meet(state, "1", "2", CZ, "cz", mode="crossing")
     advance(state, round(3.0 / grid.dt))
     assert link.active
-    t, x12, crossed_left, crossed_right = np.array(link.trajectory).T
+    t, x12, crossed_left, crossed_right = trajectory(link).T
     assert np.abs(crossed_left - crossed_right).max() <= 1e-6
 
     def spread(sigma):
@@ -320,7 +325,7 @@ def test_crossing_preserves_own_marginals_midway():
     assert abs(sum(dist.values()) - 1.0) < 1e-9
     assert abs(dist[0] - 0.36) < 1e-6
     assert abs(dist[1] - 0.64) < 1e-6
-    assert 0.05 < state.links[0].crossed_left < 0.95
+    assert 0.05 < state.links[0].balance.crossed_left < 0.95
 
 
 def test_crossing_view_matches_eager_reindexing():
@@ -343,7 +348,7 @@ def test_crossing_view_matches_eager_reindexing():
         steps += 1
         if not link.active:
             break
-        post_side_left = grid.x > link.x12
+        post_side_left = grid.x > link.balance.x12
         for sys_id, post_side in (("1", post_side_left), ("2", ~post_side_left)):
             transfer, pre, post = eager[sys_id]
             prop = state.propagator(sys_id)
@@ -544,7 +549,7 @@ def test_stepping_leading_rows_is_stepping_every_in_row(left, right, unitary):
     link = meet(state, "1", "2", unitary, "u", mode="crossing")
     advance(state, 2000, until=lambda: not link.active)
     assert not link.active and state.step_count == len(balances) - 1
-    _, x12, crossed_left, crossed_right = np.array(link.trajectory).T
+    _, x12, crossed_left, crossed_right = trajectory(link).T
     want = np.array([b[:3] for b in balances]).T
     assert np.abs(crossed_left - want[1]).max() <= 1e-13
     assert np.abs(crossed_right - want[2]).max() <= 1e-13
@@ -569,6 +574,26 @@ def test_audit_catches_corruption_right_after_a_crossing_step():
     state.wavefields["2"].packets[0].field *= 2.0
     with pytest.raises(RuntimeError, match=r"norm audit failed for '2' at step 2"):
         advance(state)
+
+
+def test_a_shape_change_mid_crossing_is_refused_by_name():
+    # in flight an in-row is held as its multiple of the leading row, so a
+    # write that changes one branch's shape is refused where the leads are
+    # derived afresh, not projected away; the mass it moves is far below
+    # the norm audit's tolerance
+    state, grid = crossing_state()
+    link = meet(state, "1", "2", CNOT, "cnot", mode="crossing")
+    advance(state, 5)
+    assert link.active
+    packet = state.wavefields["1"].packets[0]
+    assert abs(packet.coefficient - 0.6) < 1e-15
+    packet.field *= np.exp(1e-5j * grid.x**2)
+    with pytest.raises(
+        RuntimeError,
+        match=r"branches '0\|' and '1\|' of '1' differ in shape .*: mid-crossing at step 5, t=0\.0625",
+    ):
+        advance(state)
+    assert state.step_count == 5
 
 
 def _crossing_completion_step():

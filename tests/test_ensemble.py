@@ -9,7 +9,6 @@ from wavefields.engine import Packet, WaveField
 from wavefields.ensemble import (
     FluidParticle,
     PairingReport,
-    ensemble_statistics,
     largest_remainder,
     pair_particles,
     sample_particles,
@@ -171,17 +170,23 @@ def test_pairing_rejects_infeasible_marginals():
         pair_particles(a, b[:4], {(0, 0): 1.0})
 
 
+def trial_frequencies(outcomes, trials, seed):
+    """The trial frequencies of ``statistics_report``, keyed as ``outcomes`` is."""
+    freqs = statistics_report("x", outcomes, trials, seed)["frequencies"]
+    return dict(zip(sorted(outcomes), freqs.values()))
+
+
 def test_ensemble_statistics_deterministic_and_near_born():
     probs = {(0, 0): 0.375, (0, 1): 0.125, (1, 0): 0.125, (1, 1): 0.375}
-    one = ensemble_statistics(probs, 100_000, 13)
-    again = ensemble_statistics(probs, 100_000, 13)
+    one = trial_frequencies(probs, 100_000, 13)
+    again = trial_frequencies(probs, 100_000, 13)
     assert one == again
     for k, p in probs.items():
         assert abs(one[k] - p) < 0.005
 
 
 def test_ensemble_statistics_deterministic_outcome():
-    stats = ensemble_statistics({(1,): 1.0}, 1000, 3)
+    stats = trial_frequencies({(1,): 1.0}, 1000, 3)
     assert stats == {(1,): 1.0}
 
 
@@ -195,27 +200,27 @@ weights = st.lists(
 @given(w=weights, trials=st.integers(1, 10**13), seed=st.integers(0, 2**63))
 def test_ensemble_statistics_counts_are_whole_and_seeded(w, trials, seed):
     probs = dict(enumerate(w))
-    freqs = ensemble_statistics(probs, trials, seed)
+    freqs = trial_frequencies(probs, trials, seed)
     # below 2^51 a count comes back from its frequency exactly
     counts = [round(freqs[k] * trials) for k in sorted(probs)]
     assert [c / trials for c in counts] == [freqs[k] for k in sorted(probs)]
     assert sum(counts) == trials
     assert all(freqs[k] == 0.0 for k, p in probs.items() if p == 0.0)
-    assert ensemble_statistics(probs, trials, seed) == freqs
+    assert trial_frequencies(probs, trials, seed) == freqs
 
 
 def test_trials_up_to_4096_keep_the_counts_of_the_first_generator():
     # the draws of one trial chunk keyed (seed, 0), as recorded before
     probs = {"a": 0.2, "b": 0.3, "c": 0.5}
-    assert ensemble_statistics(probs, 1000, 11) == {"a": 0.193, "b": 0.326, "c": 0.481}
-    assert ensemble_statistics(probs, 4096, 11) == {
+    assert trial_frequencies(probs, 1000, 11) == {"a": 0.193, "b": 0.326, "c": 0.481}
+    assert trial_frequencies(probs, 4096, 11) == {
         "a": 802 / 4096, "b": 1281 / 4096, "c": 2013 / 4096
     }
 
 
 def test_a_trillion_trials_take_one_draw():
     start = time.perf_counter()
-    freqs = ensemble_statistics({(0, 0): 0.5, (1, 1): 0.5}, 10**12, 3)
+    freqs = trial_frequencies({(0, 0): 0.5, (1, 1): 0.5}, 10**12, 3)
     assert time.perf_counter() - start < 0.25
     assert abs(freqs[(0, 0)] - 0.5) < 1e-5
 

@@ -38,7 +38,7 @@ def madelung(psi, grid):
     """Fluid form of a wavefunction.
 
     The action is the phase unwrapped outward from the global density
-    maximum times hbar; the velocity is j / rho, nan below the node
+    maximum (hbar = 1); the velocity is j / rho, nan below the node
     threshold.
     """
     density = np.abs(psi) ** 2
@@ -50,7 +50,7 @@ def madelung(psi, grid):
     velocity = np.full(grid.n, np.nan)
     ok = density > NODE_THRESHOLD * float(density.max())
     velocity[ok] = current(psi, grid)[ok] / density[ok]
-    return MadelungFields(density, grid.hbar * unwrapped, velocity)
+    return MadelungFields(density, unwrapped, velocity)
 
 
 def analytic_transmission(k, v0, width, mass=1.0, hbar=1.0):
@@ -296,8 +296,8 @@ def test_current_of_a_stack_equals_row_currents():
 
 def _kinetic_potential_kinetic(grid, potential, psi, steps):
     """The split step written out on the spectrum: half kinetic, potential, half kinetic."""
-    half = np.exp(-1j * grid.hbar * grid.k**2 * grid.dt / (4.0 * grid.mass))
-    phase = np.exp(-1j * np.asarray(potential, float) * grid.dt / grid.hbar)
+    half = np.exp(-1j * grid.k**2 * grid.dt / 4.0)
+    phase = np.exp(-1j * np.asarray(potential, float) * grid.dt)
     spectrum = np.fft.fft(psi)
     for _ in range(steps):
         spectrum = half * np.fft.fft(np.fft.ifft(half * spectrum) * phase)
