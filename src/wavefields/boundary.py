@@ -11,6 +11,9 @@ opposite.
 A transfer is one batched contraction over its occupied columns, one
 stack for both participants where their axis orders agree, and calls no
 ``hilbert`` function, so the dense ``hilbert`` route stays the oracle.
+The axes and permutations of a contraction are planned once per labels,
+dims and targets; a meet reads its product bases from the memories'
+cached layouts.
 """
 
 from __future__ import annotations
@@ -129,6 +132,12 @@ def _label(viewpoint: str, order: tuple, dims: tuple, flat: int) -> IndexLabel:
     return IndexLabel(own, tuple(sorted(assignment.items())))
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _labels(viewpoint: str, order: tuple, dims: tuple, flats: tuple) -> tuple[IndexLabel, ...]:
+    """The labels at several flat indices, as one tuple per index set."""
+    return tuple(_label(viewpoint, order, dims, f) for f in flats)
+
+
 @functools.lru_cache(maxsize=1 << 14)
 def _flat(label: IndexLabel, viewpoint: str, order: tuple, dims: tuple) -> int:
     """Position of a label in the product basis; raises outside it."""
@@ -152,22 +161,36 @@ def _unit_rows(batch: np.ndarray) -> np.ndarray:
     return batch / norms[:, None]
 
 
-def _contract(batch, labels, dims, unitary: Operator, targets) -> np.ndarray:
+@functools.lru_cache(maxsize=1 << 10)
+def _plan(labels: tuple, dims: tuple, targets: tuple):
+    """The dims of ``targets``, the row axes that bring them to the front, and the inverse."""
+    axes = [labels.index(t) for t in targets]
+    perm = (0, *(1 + i for i in axes), *(1 + i for i in range(len(dims)) if i not in axes))
+    back = [0] * len(perm)
+    for i, p in enumerate(perm):
+        back[p] = i
+    return tuple(dims[i] for i in axes), perm, tuple(back)
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _reorder(labels: tuple, order: tuple):
+    """The row axes that take a product basis over ``labels`` to one over ``order``."""
+    return (0, *(1 + labels.index(s) for s in order))
+
+
+def _contract(batch, labels: tuple, dims: tuple, unitary: Operator, targets: tuple) -> np.ndarray:
     """``unitary`` on the named systems of each row of ``batch``.
 
     A stacked matmul gives each row the BLAS call it would get alone; one
     gemm over all rows would round differently with the row count.
     """
-    axes = [labels.index(t) for t in targets]
-    if tuple(dims[i] for i in axes) != unitary.dims:
-        raise ValueError(f"operator dims {unitary.dims} do not match systems {tuple(targets)}")
-    perm = [0] + [1 + i for i in axes] + [1 + i for i in range(len(dims)) if i not in axes]
-    back = [0] * len(perm)
-    for i, p in enumerate(perm):
-        back[p] = i
+    sub, perm, back = _plan(labels, dims, targets)
+    if sub != unitary.dims:
+        raise ValueError(f"operator dims {unitary.dims} do not match systems {targets}")
     u = np.ascontiguousarray(unitary.matrix)
-    view = batch.reshape([len(batch)] + dims).transpose(perm)
-    out = u @ view.reshape(len(batch), len(u), batch.shape[1] // len(u))
+    n = len(batch)
+    view = batch.reshape((n, *dims)).transpose(perm)
+    out = u @ view.reshape(n, len(u), batch.shape[1] // len(u))
     return _unit_rows(out.reshape(view.shape).transpose(back).reshape(batch.shape))
 
 
@@ -175,8 +198,8 @@ class _Columns(NamedTuple):
     """A system's in-columns brought up to the merged memory, short of the new unitary."""
 
     rows: np.ndarray  # one per in-column, over the product basis of ``labels``
-    labels: list[str]
-    dims: list[int]
+    labels: tuple[str, ...]
+    dims: tuple[int, ...]
     bases: dict  # index bases to undo after the unitary
     in_labels: list[IndexLabel]
 
@@ -188,36 +211,42 @@ def _in_columns(
 
     A row starts as a unit vector of own's product basis, is turned into
     the index bases, tensored with the initial states of newly met
-    systems and taken through the records own lacks.
+    systems and taken through the records own lacks.  Occupied labels
+    already in column order are the in-labels as they are.
     """
-    pre_order = memory.systems(own)
-    pre_dims = [own.initial_states[s].dims[0] for s in pre_order]
-    new_systems = sorted(s for s in merged.initial_states if s not in own.initial_states)
-    missing = _missing_records(own, merged)
-    bases = {s: b for s, b in (bases or {}).items() if s in merged.initial_states}
-    for sys_id, basis in bases.items():
-        memory.check_index_basis(sys_id, basis, merged.initial_states[sys_id].dims[0])
-    if bases:  # on a known system that nothing below acts on, a basis cancels with its adjoint
+    order, shape = memory.layout(own)
+    labels, dims = memory.layout(merged)
+    new_systems = ()
+    if len(labels) > len(order):  # rows run over own's systems, then the ones merged adds
+        new_systems = tuple(s for s in labels if s not in own.initial_states)
+        dims = shape + tuple(merged.initial_states[s].dims[0] for s in new_systems)
+        labels = order + new_systems
+    missing = () if merged is own else _missing_records(own, merged)
+    if bases:
+        bases = {s: b for s, b in bases.items() if s in merged.initial_states}
+        for sys_id, basis in bases.items():
+            memory.check_index_basis(sys_id, basis, merged.initial_states[sys_id].dims[0])
+        # on a known system that nothing below acts on, a basis cancels with its adjoint
         acted = {s for op in missing for s in op.participants} | {*unitary.labels, *new_systems}
         bases = {s: b for s, b in bases.items() if s in acted}
 
-    order, shape = tuple(pre_order), tuple(pre_dims)
-    cols = sorted({_flat(lb, system, order, shape) for lb in occupied})
+    flats = [_flat(lb, system, order, shape) for lb in occupied]
+    cols = sorted(set(flats))
+    in_labels = list(occupied if cols == flats else _labels(system, order, shape, tuple(cols)))
     n = len(cols)
-    batch = np.zeros((n, math.prod(pre_dims)), dtype=np.complex128)
+    batch = np.zeros((n, math.prod(shape)), dtype=np.complex128)
     for row, col in enumerate(cols):
         batch[row, col] = 1.0
-    for sys_id in pre_order:
-        if sys_id in bases:
-            batch = _contract(batch, pre_order, pre_dims, bases[sys_id], [sys_id])
-    labels = pre_order + new_systems
-    dims = pre_dims + [merged.initial_states[s].dims[0] for s in new_systems]
+    if bases:
+        for sys_id in order:
+            if sys_id in bases:
+                batch = _contract(batch, order, shape, bases[sys_id], (sys_id,))
     for sys_id in new_systems:
         amps = merged.initial_states[sys_id].amplitudes
         batch = _unit_rows((batch[:, :, None] * amps).reshape(n, batch.shape[1] * amps.size))
     for op in missing:
         batch = _contract(batch, labels, dims, op.unitary, op.participants)
-    return _Columns(batch, labels, dims, bases, [_label(system, order, shape, f) for f in cols])
+    return _Columns(batch, labels, dims, bases or {}, in_labels)
 
 
 def _missing_records(own: InternalMemory, merged: InternalMemory) -> list[InteractionOp]:
@@ -261,14 +290,13 @@ def transfer_matrices_synced(
     that is exactly zero on them.  ``merged`` must be
     ``memory.synchronize`` of ``mem_pair`` (the one memory for a local op).
     """
-    acting = tuple(unitary.labels)
+    acting = unitary.labels
     if len(acting) not in (1, 2) or len(mem_pair) != len(acting):
         raise ValueError("acting systems and memories must pair up, 1 or 2 each")
     for sys_id in acting:
         if sys_id not in merged.initial_states:
             raise ValueError(f"acting system {sys_id!r} unknown to the memories")
-    post_order = memory.systems(merged)
-    post_dims = [merged.initial_states[s].dims[0] for s in post_order]
+    post = memory.layout(merged)
     columns = [
         _in_columns(own, merged, unitary, sys_id, index_bases, occ)
         for own, sys_id, occ in zip(mem_pair, acting, occupied, strict=True)
@@ -277,37 +305,36 @@ def transfer_matrices_synced(
     # unitary as one stack: each row rounds as it would alone
     stacks: dict = {}
     for k, col in enumerate(columns):
-        stacks.setdefault((tuple(col.labels), tuple(col.bases)), []).append(k)
+        stacks.setdefault((col.labels, *col.bases), []).append(k)
     transfers = [None] * len(columns)
     for ks in stacks.values():
-        first = columns[ks[0]]
-        batch = np.concatenate([columns[k].rows for k in ks])
-        batch = _contract(batch, first.labels, first.dims, unitary, unitary.labels)
-        to_post = [0] + [1 + first.labels.index(s) for s in post_order]
-        batch = batch.reshape([len(batch)] + first.dims).transpose(to_post)
-        batch = batch.reshape(len(batch), math.prod(post_dims))
-        for sys_id in post_order:
-            if sys_id in first.bases:
-                basis = first.bases[sys_id].dagger()
-                batch = _contract(batch, post_order, post_dims, basis, [sys_id])
+        rows = [columns[k].rows for k in ks]
+        labels, dims, bases = columns[ks[0]][1:4]
+        batch = rows[0] if len(rows) == 1 else np.concatenate(rows)
+        batch = _contract(batch, labels, dims, unitary, acting)
+        if labels != post[0]:  # to the merged order
+            batch = batch.reshape((len(batch), *dims)).transpose(_reorder(labels, post[0]))
+            batch = batch.reshape(len(batch), math.prod(post[1]))
+        if bases:
+            for sys_id in post[0]:
+                if sys_id in bases:
+                    batch = _contract(batch, *post, bases[sys_id].dagger(), (sys_id,))
         batch = _unit_rows(batch)
         start = 0
         for k in ks:
             rows = batch[start : start + len(columns[k].rows)]
             start += len(rows)
-            transfers[k] = _transfer(acting[k], rows, columns[k].in_labels, post_order, post_dims)
+            transfers[k] = _transfer(acting[k], rows, columns[k].in_labels, post)
     return tuple(transfers)
 
 
-def _transfer(system, batch, in_labels, post_order, post_dims) -> TransferMatrix:
+def _transfer(system, batch, in_labels, post) -> TransferMatrix:
     """The transfer with ``batch``'s rows as columns and the out-rows nonzero on them."""
-    keep = batch.any(axis=0).nonzero()[0]
-    order, shape = tuple(post_order), tuple(post_dims)
+    keep = tuple(batch.any(axis=0).nonzero()[0].tolist())
+    if len(keep) < batch.shape[1]:
+        batch = batch[:, keep]
     return TransferMatrix(
-        system,
-        np.ascontiguousarray(batch[:, keep].T),
-        in_labels,
-        [_label(system, order, shape, int(f)) for f in keep],
+        system, np.ascontiguousarray(batch.T), in_labels, list(_labels(system, *post, keep))
     )
 
 

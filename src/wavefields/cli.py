@@ -1,7 +1,9 @@
 """Command line for running prepared scenarios.
 
 Exit codes: 0 on success, 1 for usage or configuration errors, 2 when a
-scenario runs but fails one of its audits, 3 for I/O failures.
+scenario runs but fails one of its audits, 3 for I/O failures.  A run
+that fails a check, or that an engine audit stops mid-run, still writes
+its outputs.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ import sys
 import typing
 from importlib import resources
 
-from .scenarios import SCENARIOS, CheckFailure, ScenarioConfig, list_scenarios, run_scenario
+from .scenarios import SCENARIOS, CheckFailure, ScenarioConfig, aborted, list_scenarios
+from .scenarios import run_scenario
 from .serialize import write_run
 
 # each config key parses to its ScenarioConfig field's type, None stripped
@@ -123,6 +126,11 @@ def _cmd_run(args) -> int:
         _report(exc.result)
         _write(exc.result)
         return 2
+    except RuntimeError as exc:
+        # an engine audit tripped mid-run, the same class of failure as a check
+        print(f"wavefields: run failed: {exc}", file=sys.stderr)
+        _write(aborted(cfg, exc))
+        return 2
     _report(result)
     _write(result)
     return 0
@@ -150,9 +158,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"wavefields: i/o error: {exc}", file=sys.stderr)
         return 3
-    except RuntimeError as exc:
-        # an engine audit tripped mid-run, same class of failure as a check
-        print(f"wavefields: run failed: {exc}", file=sys.stderr)
+    except RuntimeError as exc:  # one raised outside a run, as by writing its outputs
+        print(f"wavefields: failed: {exc}", file=sys.stderr)
         return 2
 
 

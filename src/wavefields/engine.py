@@ -152,8 +152,8 @@ def add_system(state: ScenarioState, system: str, amplitudes, shape) -> WaveFiel
 
 
 def _active_link(state: ScenarioState, system: str) -> boundary_mod.BoundaryLink | None:
-    for ln in state.active_links():
-        if system in (ln.left_system, ln.right_system):
+    for ln in state.links:
+        if ln.active and system in (ln.left_system, ln.right_system):
             return ln
     return None
 
@@ -172,27 +172,34 @@ def total_mass(state: ScenarioState, system: str) -> float:
 
 
 def _in_rows(wf: WaveField, transfer: boundary_mod.TransferMatrix, state: ScenarioState):
-    """Fields and coefficients of the branches, one row per in-label."""
-    packets = {p.index: p for p in wf.packets}
-    rows = [packets.get(label) for label in transfer.in_labels]
-    if len(packets) > sum(p is not None for p in rows):  # a branch with no in-label
-        unknown = sorted(label.text() for label in set(packets) - set(transfer.in_labels))
-        raise RuntimeError(
-            f"branches {unknown} of {wf.system!r} missing from the transfer matrix {_when(state)}"
-        )
-    raw = np.array([np.zeros(state.grid.n, complex) if p is None else p.field for p in rows])
-    coeff = np.array([0j if p is None else p.coefficient for p in rows], dtype=np.complex128)
+    """Fields and coefficients of the branches, one row per in-label.
+
+    The packets are mostly the in-labels in order already, as the last
+    meet left them, and are read as they stand.
+    """
+    rows = wf.packets
+    if transfer.in_labels != [p.index for p in rows]:
+        packets = {p.index: p for p in rows}
+        rows = [packets.get(label) for label in transfer.in_labels]
+        if len(packets) > sum(p is not None for p in rows):  # a branch with no in-label
+            unknown = sorted(label.text() for label in set(packets) - set(transfer.in_labels))
+            raise RuntimeError(
+                f"branches {unknown} of {wf.system!r} missing from the transfer matrix "
+                f"{_when(state)}"
+            )
+        empty = Packet(None, 0j, np.zeros(state.grid.n, complex))
+        rows = [empty if p is None else p for p in rows]
+    raw = np.array([p.field for p in rows])
+    coeff = np.array([p.coefficient for p in rows], dtype=np.complex128)
     return raw, coeff
 
 
 def _expand_instant(wf: WaveField, transfer: boundary_mod.TransferMatrix, state: ScenarioState):
     raw, coeff = _in_rows(wf, transfer, state)
-    raw_out = transfer.matrix @ raw
-    coeff_out = transfer.matrix @ coeff
-    grid = state.grid
+    matrix, grid = transfer.matrix, state.grid
     wf.packets = [
         Packet(label, c, row)
-        for label, c, row in zip(transfer.out_labels, coeff_out.tolist(), raw_out)
+        for label, c, row in zip(transfer.out_labels, (matrix @ coeff).tolist(), matrix @ raw)
         # a row's mass is read only where its coefficient is at or under the threshold
         if not (abs(c) <= COEFFICIENT_THRESHOLD and norm_squared(row, grid) <= DARK_MASS_THRESHOLD)
     ]
@@ -249,10 +256,10 @@ def meet(
         if b == a:
             raise ValueError("a system cannot meet itself")
         _require_at_rest(state, b)
-    for s in participants:
-        if s not in state.wavefields:
+    fields = [state.wavefields.get(s) for s in participants]
+    for s, wf in zip(participants, fields):
+        if wf is None:
             raise ValueError(f"unknown system {s!r}")
-    fields = tuple(state.wavefields[s] for s in participants)
     if mode == "crossing":
         if b is None:
             raise ValueError("a crossing needs two systems")
@@ -264,9 +271,9 @@ def meet(
         left, right = (np.dot(state.grid.x, rho) / rho.sum() for rho in densities)  # centroids
         if not left < right:  # a system with no fluid fails too
             raise ValueError(f"crossing expects {a!r} to start left of {b!r}")
-    mems = tuple(wf.memory for wf in fields)
+    mems = [wf.memory for wf in fields]
     try:
-        if tuple(unitary.labels) != participants:
+        if unitary.labels != participants:
             raise ValueError(f"unitary acts on {unitary.labels}, expected {participants}")
         if not unitary.is_unitary(tol=_NORM_SLACK):  # transfers build only occupied columns
             raise ValueError(f"{op_id!r} is not unitary: a state norm it gives is not 1")
@@ -274,8 +281,8 @@ def meet(
         transfers = boundary_mod.transfer_matrices_synced(
             mems,
             unitary,
-            index_bases=state.index_bases or None,
-            occupied=tuple([p.index for p in wf.packets] for wf in fields),
+            index_bases=state.index_bases,
+            occupied=[[p.index for p in wf.packets] for wf in fields],
             merged=merged,
         )
     except ValueError as err:

@@ -11,6 +11,7 @@ row-major over the systems in the order carried by ``labels``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -30,6 +31,15 @@ def _as_complex_vector(values) -> np.ndarray:
     if out.size == 0:
         raise ValueError("empty amplitude vector")
     return out
+
+
+def _unit(amplitudes: np.ndarray) -> np.ndarray:
+    """``amplitudes`` over their norm; a norm further than the slack from 1 is refused."""
+    real, imag = amplitudes.real, amplitudes.imag
+    norm = math.sqrt(real.dot(real) + imag.dot(imag))  # np.linalg.norm's sum, undispatched
+    if not abs(norm - 1.0) <= _NORM_SLACK:  # NaN fails too
+        raise ValueError(f"state norm {norm!r} is not 1")
+    return amplitudes / norm
 
 
 @dataclass
@@ -61,11 +71,7 @@ class Ket:
                 f"amplitude vector of length {self.amplitudes.size} does not "
                 f"match dims {self.dims}"
             )
-        real, imag = self.amplitudes.real, self.amplitudes.imag
-        norm = math.sqrt(real.dot(real) + imag.dot(imag))  # np.linalg.norm's sum, undispatched
-        if not abs(norm - 1.0) <= _NORM_SLACK:  # NaN fails too
-            raise ValueError(f"state norm {norm!r} is not 1")
-        self.amplitudes = self.amplitudes / norm
+        self.amplitudes = _unit(self.amplitudes)
 
     def dim(self, system: str) -> int:
         return self.dims[self.labels.index(system)]
@@ -142,37 +148,47 @@ def permute_systems(state: Ket, order) -> Ket:
     return Ket(amps, tuple(state.dims[p] for p in perm), order)
 
 
+@functools.lru_cache(maxsize=1 << 10)
+def _apply_plan(labels: tuple, dims: tuple, targets: tuple, op_dims: tuple):
+    """The axis order that brings ``targets`` to the front, its inverse and the moved shape."""
+    if len(targets) != len(op_dims):
+        raise ValueError(f"operator expects {len(op_dims)} targets, got {targets}")
+    missing = [t for t in targets if t not in labels]
+    if missing:
+        raise ValueError(f"state has no systems {missing}")
+    axes = [labels.index(t) for t in targets]
+    for ax, d in zip(axes, op_dims):
+        if dims[ax] != d:
+            raise ValueError(
+                f"operator dim {d} does not match system {labels[ax]!r} dim {dims[ax]}"
+            )
+    rest = [i for i in range(len(dims)) if i not in axes]
+    order = axes + rest
+    back = [0] * len(order)
+    for i, axis in enumerate(order):
+        back[axis] = i
+    return tuple(order), tuple(back), op_dims + tuple(dims[i] for i in rest)
+
+
 def apply(op: Operator, state: Ket, targets=None) -> Ket:
     """Apply an operator to the named target systems of a state.
 
     ``targets`` binds the operator's subsystem slots, in order, to
     systems of the state; it defaults to the operator's own labels.
-    The result keeps the state's original system ordering.
+    The result keeps the state's original system ordering, and its norm
+    is checked and divided out as construction does.
     """
-    targets = tuple(op.labels) if targets is None else tuple(str(t) for t in targets)
-    if len(targets) != len(op.dims):
-        raise ValueError(f"operator expects {len(op.dims)} targets, got {targets}")
-    missing = [t for t in targets if t not in state.labels]
-    if missing:
-        raise ValueError(f"state has no systems {missing}")
-    axes = [state.labels.index(t) for t in targets]
-    for ax, d in zip(axes, op.dims):
-        if state.dims[ax] != d:
-            raise ValueError(
-                f"operator dim {d} does not match system {state.labels[ax]!r} "
-                f"dim {state.dims[ax]}"
-            )
+    targets = op.labels if targets is None else tuple(map(str, targets))
+    order, back, moved = _apply_plan(state.labels, state.dims, targets, op.dims)
     # ``np.tensordot``'s own transpose, reshape and dot, then its axes moved back
-    rest = [i for i in range(len(state.dims)) if i not in axes]
-    order = axes + rest
     d = len(op.matrix)
     mat = op.matrix.reshape(op.dims + op.dims).reshape(d, d)
-    psi = state.tensor_view().transpose(order).reshape(d, state.amplitudes.size // d)
-    out = np.dot(mat, psi).reshape(op.dims + tuple(state.dims[i] for i in rest))
-    back = [0] * len(order)
-    for i, axis in enumerate(order):
-        back[axis] = i
-    return Ket(out.transpose(back).reshape(-1), state.dims, state.labels)
+    amps = state.amplitudes
+    psi = amps.reshape(state.dims).transpose(order).reshape(d, amps.size // d)
+    out = np.dot(mat, psi).reshape(moved).transpose(back).reshape(-1)
+    ket = object.__new__(Ket)  # over the state's systems, already checked
+    ket.amplitudes, ket.dims, ket.labels = _unit(out), state.dims, state.labels
+    return ket
 
 
 def expand_product_terms(state: Ket) -> list[ProductTerm]:

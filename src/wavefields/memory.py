@@ -16,7 +16,8 @@ participants, parents present, self-labeled initial states).
 
 Memories are treated as immutable: every operation returns a new one
 and never mutates its inputs.  That is what makes it safe for a memory to
-cache its derived state: ``derive_state`` computes it once per memory.
+cache what its entries fix: ``derive_state`` computes the derived state
+once per memory, and ``layout`` the product basis of its systems.
 
 A memory built from another by appends alone keeps a weak reference to
 the memory it extends: ``record_interaction``'s result extends the merged
@@ -83,15 +84,16 @@ class InternalMemory:
     initial_states: dict[SystemId, Ket]
     ops: dict[str, InteractionOp]
     _state: Ket | None = field(default=None, init=False, compare=False, repr=False)
+    _layout: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _base: weakref.ref | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for sys_id, ket in self.initial_states.items():
             _check_state(sys_id, ket)
-        seen: set[str] = set()
+        seen: dict[str, InteractionOp] = {}
         for op in self.ops.values():
             _check_record(op, self.initial_states, seen)
-            seen.add(op.op_id)
+            seen[op.op_id] = op
 
 
 def _check_state(sys_id: SystemId, ket: Ket) -> None:
@@ -104,18 +106,24 @@ def _check_record(op: InteractionOp, states, present) -> None:
     for p in op.participants:
         if p not in states:
             raise ValueError(f"op {op.op_id!r} references unknown system {p!r}")
-    late = sorted(p for p in op.parents if p not in present)
-    if late:  # an unknown parent, or a late one as in a cycle
+    if not present.keys() >= op.parents:  # an unknown parent, or a late one as in a cycle
+        late = sorted(p for p in op.parents if p not in present)
         raise ValueError(f"op {op.op_id!r} lists parents {late} that do not come before it")
 
 
 def _appended(
     base: InternalMemory, states: dict[SystemId, Ket], ops: dict[str, InteractionOp]
 ) -> InternalMemory:
-    """``base`` with entries appended that the caller checked: no full pass."""
+    """``base`` with entries appended that the caller checked: no full pass.
+
+    With no initial state appended, ``states`` may be base's own dict and
+    the layout is base's.
+    """
     mem = object.__new__(InternalMemory)
     mem.initial_states, mem.ops = states, ops
     mem._base = weakref.ref(base)
+    if states is base.initial_states:
+        mem._layout = base._layout
     return mem
 
 
@@ -171,8 +179,16 @@ def fresh_memory(system: SystemId, amplitudes) -> InternalMemory:
     return InternalMemory({system: hilbert.state_ket(system, amplitudes)}, {})
 
 
+def layout(mem: InternalMemory) -> tuple[tuple[SystemId, ...], tuple[int, ...]]:
+    """The memory's product basis: its systems in sorted order and their dims, computed once."""
+    if mem._layout is None:
+        order = tuple(sorted(mem.initial_states))
+        mem._layout = order, tuple(mem.initial_states[s].dims[0] for s in order)
+    return mem._layout
+
+
 def systems(mem: InternalMemory) -> list[SystemId]:
-    return sorted(mem.initial_states)
+    return list(layout(mem)[0])
 
 
 def linearize(mem: InternalMemory) -> list[str]:
@@ -217,7 +233,7 @@ def derive_state(mem: InternalMemory) -> Ket:
     if not mem.initial_states:
         raise ValueError("memory has no systems")
     state: Ket | None = None
-    for sys_id in systems(mem):
+    for sys_id in layout(mem)[0]:
         ket = mem.initial_states[sys_id]
         state = ket if state is None else hilbert.tensor(state, ket)
     for op_id in linearize(mem):
@@ -280,13 +296,14 @@ def record_interaction(
     participants hold the identical returned memory afterwards.
     """
     merged = a if b is None else synchronize(a, b)
-    participants = tuple(unitary.labels)
     if op_id in merged.ops:
         raise ValueError(f"op id {op_id!r} already recorded")
-    parents = frozenset(t for t in (_tip(merged, p) for p in participants) if t is not None)
-    op = InteractionOp(op_id, unitary, participants, parents)
+    tips = [_tip(merged, p) for p in unitary.labels]
+    op = InteractionOp(op_id, unitary, unitary.labels, frozenset(tips).difference((None,)))
     _check_record(op, merged.initial_states, merged.ops)
-    return _appended(merged, dict(merged.initial_states), {**merged.ops, op_id: op})
+    ops = merged.ops.copy()
+    ops[op_id] = op
+    return _appended(merged, merged.initial_states, ops)
 
 
 def check_index_basis(system: SystemId, basis: Operator, dim: int) -> None:
@@ -376,7 +393,8 @@ def memory_to_json(mem: InternalMemory) -> str:
             for op in (mem.ops[op_id] for op_id in linearize(mem))
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=2)
+    # the document is a fresh tree of dicts and lists: no container can hold itself
+    return json.dumps(doc, sort_keys=True, indent=2, check_circular=False)
 
 
 def memory_from_json(text: str) -> InternalMemory:

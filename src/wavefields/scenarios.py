@@ -99,7 +99,7 @@ class ScenarioConfig:
 class ScenarioResult:
     name: str
     config: ScenarioConfig
-    state: ScenarioState
+    state: ScenarioState | None  # None for a run an engine audit stopped (``aborted``)
     summary: dict
     frames: list  # blocks (t, x, label, field), one per packet per frame
     boundary_rows: list
@@ -172,6 +172,7 @@ class _Run:
     cfg: ScenarioConfig
     checks: list = field(default_factory=list)
     frames: list = field(default_factory=list)  # blocks (t, x, label, field)
+    peaks: dict = field(default_factory=dict)  # (id, steps) of a link -> its ``extremes``
 
     def check(self, name: str, passed, detail="") -> None:
         self.checks.append({"name": name, "passed": bool(passed), "detail": str(detail)})
@@ -195,6 +196,19 @@ class _Run:
         display = {(p.index.own, p.index.partners): complex(p.coefficient) for p in packets}
         near = (abs(display[k] - expected[k]) <= EXACT_TOL for k in expected)
         self.check(name, set(display) == set(expected) and all(near))
+
+    def extremes(self, link) -> tuple[float, float]:
+        """The largest |x12| and the largest crossed-level gap of ``link``'s trajectory.
+
+        Taken once per trajectory: the checks and the summary read the same pair.
+        """
+        key = (id(link), len(link.trajectory))
+        if key not in self.peaks:
+            self.peaks[key] = (
+                max(abs(b.x12) for _, b in link.trajectory),
+                max(abs(b.crossed_left - b.crossed_right) for _, b in link.trajectory),
+            )
+        return self.peaks[key]
 
     def resolves(self, grid: Grid, k0: float) -> None:
         # A momentum at or past pi/dx aliases and voids the run.  Listed only
@@ -269,12 +283,10 @@ class _Run:
                     "op": link.op_id,
                     "completed": not link.active,
                     "final_x12": link.balance.x12,
-                    "max_abs_x12": max(abs(b.x12) for _, b in link.trajectory),
+                    "max_abs_x12": self.extremes(link)[0],
                     "crossed_left": link.balance.crossed_left,
                     "crossed_right": link.balance.crossed_right,
-                    "max_crossed_gap": max(
-                        abs(b.crossed_left - b.crossed_right) for _, b in link.trajectory
-                    ),
+                    "max_crossed_gap": self.extremes(link)[1],
                 }
                 for link in state.links
             ],
@@ -377,10 +389,9 @@ def run_two_spin_crossing(run: _Run) -> ScenarioResult:
     spin1, spin2 = run.cfg.pair(1, _R, _R), run.cfg.pair(2, _R, _R)
     cz = _gate("cz", "1", "2")
     state, link = _crossing(run, spin1, spin2, cz, "phase-exchange")
-    moved, dx = max(abs(b.x12) for _, b in link.trajectory), state.grid.dx
+    (moved, gap), dx = run.extremes(link), state.grid.dx
     name = "boundary stays within one cell of the symmetry point"
     run.check(name, moved <= dx, f"max |x12| {moved:.3e}, dx {dx}")
-    gap = max(abs(b.crossed_left - b.crossed_right) for _, b in link.trajectory)
     run.check("crossed fluid levels agree", gap <= 1e-6, f"max gap {gap:.3e}")
     if link.active:  # the audits below need both systems at rest
         return run.finish(state)
@@ -795,6 +806,16 @@ def run_tunneling(run: _Run) -> ScenarioResult:
 
 def list_scenarios() -> list[tuple[str, str]]:
     return [(name, blurb) for name, (_, blurb) in SCENARIOS.items()]
+
+
+def aborted(cfg: ScenarioConfig, error: Exception) -> ScenarioResult:
+    """The result of a run an engine audit stopped: one failed check, whose detail is the error.
+
+    It holds no frame and no boundary row, so its CSV files hold their headers alone.
+    """
+    check = {"name": "engine audits pass", "passed": False, "detail": str(error)}
+    summary = {"scenario": cfg.scenario, "checks": [check], "passed": False}
+    return ScenarioResult(cfg.scenario, cfg, None, summary, [], [], False)
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:

@@ -179,3 +179,25 @@ def test_every_config_key_parses_to_its_field_type(tmp_path):
     values = parse_config_file(str(path))
     assert values == {key: kind(SAMPLES[kind]) for key, kind in KEY_TYPES.items()}
     assert all(type(values[key]) is kind for key, kind in KEY_TYPES.items())
+
+
+def test_an_engine_audit_that_stops_a_run_still_writes(tmp_path, monkeypatch, capsys):
+    # a RuntimeError mid-run fails like a check: exit 2, and --out holds the
+    # config, a summary with one failed check naming the error, and empty CSVs
+    from wavefields import engine
+
+    monkeypatch.setattr(engine, "NORM_AUDIT_TOL", 0.0)
+    out = tmp_path / "run"
+    assert main(["run", "two_spin_crossing", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "run failed: norm audit failed for '1' at step 1" in err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["passed"] is False
+    (check,) = summary["checks"]
+    assert check["passed"] is False
+    assert check["detail"].startswith("norm audit failed for '1' at step 1")
+    assert check["detail"] in err
+    assert json.loads((out / "config.json").read_text())["scenario"] == "two_spin_crossing"
+    assert (out / "snapshots.csv").read_text() == "t,x,index_label,re,im,density\n"
+    header = "t,x12,crossed_fraction_left,crossed_fraction_right\n"
+    assert (out / "boundary.csv").read_text() == header

@@ -1,8 +1,11 @@
-"""Golden bytes of a seeded mini-ledger: meets and the oracle replay keep every bit.
+"""Golden bytes of seeded ledgers: meets and the oracle replay keep every bit.
 
 The digests were recorded before the meet and replay paths were tuned for
 speed; a change that moves any transfer entry, packet field, memory
-document or derived amplitude by one bit fails here.
+document or derived amplitude by one bit fails here.  The mini-ledger
+meets systems whose memories extend one another; the crossed ledger adds
+an index basis and meets of systems that each hold records the other
+lacks, so a meet takes the full union.
 """
 
 import cmath
@@ -57,6 +60,28 @@ def amplitude_pair(rng):
     )
 
 
+def recording_transfers(monkeypatch):
+    """A digest that every transfer ``transfer_matrices_synced`` returns from now on feeds."""
+    transfers = hashlib.sha256()
+    original = boundary.transfer_matrices_synced
+
+    def recording(*args, **kwargs):
+        out = original(*args, **kwargs)
+        for t in out:
+            feed(transfers, t.system, [lb.text() for lb in t.in_labels], t.matrix)
+            feed(transfers, [lb.text() for lb in t.out_labels])
+        return out
+
+    monkeypatch.setattr(boundary, "transfer_matrices_synced", recording)
+    return transfers
+
+
+def feed_packets(h, state, targets):
+    for s in targets:
+        for p in state.wavefields[s].packets:
+            feed(h, s, p.index.text(), np.complex128(p.coefficient), p.field)
+
+
 def run_mini_ledger(monkeypatch):
     """A CNOT chain over 4 spins and 40 alternating phase and CZ gates on a pair."""
     rng = random.Random(17)
@@ -69,17 +94,7 @@ def run_mini_ledger(monkeypatch):
     for i, (name, amps) in enumerate(initial.items()):
         add_system(state, name, amps, gaussian_packet(grid, -10.0 + 4.0 * i, 1.0))
 
-    transfers, packets = hashlib.sha256(), hashlib.sha256()
-    original = boundary.transfer_matrices_synced
-
-    def recording(*args, **kwargs):
-        out = original(*args, **kwargs)
-        for t in out:
-            feed(transfers, t.system, [lb.text() for lb in t.in_labels], t.matrix)
-            feed(transfers, [lb.text() for lb in t.out_labels])
-        return out
-
-    monkeypatch.setattr(boundary, "transfer_matrices_synced", recording)
+    transfers, packets = recording_transfers(monkeypatch), hashlib.sha256()
     gates = [(CNOT, (a, b), f"chain-{i}") for i, (a, b) in enumerate(zip(CHAIN, CHAIN[1:]))]
     for k in range(PAIR_GATES):
         if k % 2:
@@ -90,9 +105,7 @@ def run_mini_ledger(monkeypatch):
     for matrix, targets, op_id in gates:
         b = targets[1] if len(targets) == 2 else None
         meet(state, targets[0], b, Operator(matrix, (2,) * len(targets), targets), op_id)
-        for s in targets:
-            for p in state.wavefields[s].packets:
-                feed(packets, s, p.index.text(), np.complex128(p.coefficient), p.field)
+        feed_packets(packets, state, targets)
     return state, transfers, packets
 
 
@@ -135,3 +148,81 @@ def test_an_unpickled_label_hashes_as_a_fresh_one_under_another_hash_seed():
         env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
     )
     assert out.stdout.decode().split() == ["found", "found", "True"]
+
+
+CROSSED = ("a", "b", "c", "d", "h")  # "h" is labeled in a rotated index basis
+CROSSED_GATES = 30
+
+CROSSED_GOLDEN = {
+    "transfers": "0a75778068944cfda77b95b51227538f9c5d8b439ea328ca9a2e9ae114fcab5a",
+    "packets": "f5dde808dd87d2350cbbde15659fd889ad9352528aea2de915a9523b9149d0b1",
+    "memories": "2ca13d958b597506cf7e6ccde7f1310080d4c06d38499ffd5a5f4cd781b528df",
+    "states": "0b8144121bf6c44dcce651d53cc1645c2841a4f0e25a4131bb2ebbfb512945a8",
+}
+
+
+def rotation(rng):
+    """A 2x2 unitary from three seeded angles and a global phase."""
+    t, a, b, g = (rng.uniform(0, 2 * math.pi) for _ in range(4))
+    c, s = math.cos(t), math.sin(t)
+    m = np.array(
+        [[c * cmath.exp(1j * a), -s * cmath.exp(1j * b)],
+         [s * cmath.exp(-1j * b), c * cmath.exp(-1j * a)]]
+    )
+    return cmath.exp(1j * g) * m
+
+
+def run_crossed_ledger(monkeypatch):
+    """Pairs built apart and then crossed, over five spins, one of them in a rotated basis.
+
+    ``a``-``c`` and ``b``-``d`` meet first, so the meet of ``a`` and ``b``
+    unites two memories that each hold a record the other lacks; ``h``
+    meets ``c`` and then ``d`` the same way.  Seeded random one- and
+    two-system gates follow.
+    """
+    rng = random.Random(29)
+    grid = Grid(-16.0, 16.0, 256, 0.01)
+    state = new_state(grid)
+    state.index_bases["h"] = Operator(rotation(rng), (2,), ("h",))
+    for i, name in enumerate(CROSSED):
+        amps = amplitude_pair(rng) if name in ("a", "b", "h") else (1.0, 0.0)
+        add_system(state, name, amps, gaussian_packet(grid, -10.0 + 5.0 * i, 1.0))
+    transfers, packets = recording_transfers(monkeypatch), hashlib.sha256()
+    gates = [
+        (CNOT, ("a", "c"), "ac"),
+        (CNOT, ("b", "d"), "bd"),
+        (CZ, ("a", "b"), "ab"),
+        (CNOT, ("c", "h"), "ch"),
+        (CZ, ("h", "d"), "hd"),
+        (np.kron(rotation(rng), rotation(rng)) @ CZ, ("a", "h"), "ah"),
+    ]
+    for k in range(CROSSED_GATES):
+        targets = tuple(rng.sample(CROSSED, rng.choice((1, 2))))
+        if len(targets) == 1:
+            gates.append((rotation(rng), targets, f"one-{k}"))
+        else:
+            matrix = rng.choice((CNOT, CZ, np.kron(rotation(rng), rotation(rng)) @ CNOT))
+            gates.append((matrix, targets, f"two-{k}"))
+    for matrix, targets, op_id in gates:
+        b = targets[1] if len(targets) == 2 else None
+        meet(state, targets[0], b, Operator(matrix, (2,) * len(targets), targets), op_id)
+        feed_packets(packets, state, targets)
+    return state, transfers, packets
+
+
+def test_crossed_ledger_keeps_its_golden_bytes(monkeypatch):
+    state, transfers, packets = run_crossed_ledger(monkeypatch)
+    memories, states = hashlib.sha256(), hashlib.sha256()
+    for s in CROSSED:
+        mem = state.wavefields[s].memory
+        feed(memories, s, memory_to_json(mem))
+        feed(states, s, derive_state(mem).amplitudes)
+    digests = {
+        "transfers": transfers.hexdigest(),
+        "packets": packets.hexdigest(),
+        "memories": memories.hexdigest(),
+        "states": states.hexdigest(),
+    }
+    assert digests == CROSSED_GOLDEN
+    for s in state.wavefields:
+        assert validate_against_memory(state, s, atol=1e-10) < 1e-10

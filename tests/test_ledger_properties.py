@@ -372,3 +372,61 @@ def test_linearize_with_a_heap_keeps_the_sorted_list_order(parents):
 
     mem = SimpleNamespace(ops={op_id: SimpleNamespace(parents=ps) for op_id, ps in parents.items()})
     assert memory.linearize(mem) == sorted_list_linearize(parents)
+
+
+def cleared_rebuild(mem_pair, unitary, index_bases, occupied):
+    """The transfers again with every layout and plan cache cleared, from memories read back.
+
+    Each memory goes through ``memory_to_json`` and ``memory_from_json``
+    and keeps its records in its own insertion order, so the rebuilt memories
+    share no object, cached layout or link with the ones the meet used.
+    """
+    for cached in (boundary._plan, boundary._reorder, boundary._labels, boundary._label,
+                   boundary._flat, hilbert._apply_plan):
+        cached.cache_clear()
+    fresh = []
+    for mem in mem_pair:
+        back = memory_from_json(memory_to_json(mem))
+        fresh.append(InternalMemory(back.initial_states, {k: back.ops[k] for k in mem.ops}))
+    merged = functools.reduce(synchronize, fresh)
+    return transfer_matrices_synced(
+        tuple(fresh), unitary, index_bases=index_bases, occupied=occupied, merged=merged
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cached_layouts_and_plans_never_go_stale(data):
+    from wavefields import engine
+    from wavefields.spatial import Grid, gaussian_packet
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    names = [str(i) for i in range(data.draw(st.integers(3, 4)))]
+    grid = Grid(-16.0, 16.0, 64, 0.01)
+    state = engine.new_state(grid)
+    if data.draw(st.booleans()):
+        for s in data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True)):
+            state.index_bases[s] = Operator(random_unitary(rng, 2), (2,), (s,))
+    for i, s in enumerate(names):
+        engine.add_system(state, s, random_amps(rng, 2), gaussian_packet(grid, 6.0 * i - 9.0, 1.0))
+    original, compared = boundary.transfer_matrices_synced, []
+
+    def checked(mem_pair, unitary, index_bases=None, *, occupied, merged):
+        got = original(mem_pair, unitary, index_bases, occupied=occupied, merged=merged)
+        again = cleared_rebuild(mem_pair, unitary, index_bases, occupied)
+        for t, u in zip(got, again, strict=True):
+            assert (t.system, t.in_labels, t.out_labels) == (u.system, u.in_labels, u.out_labels)
+            assert t.matrix.shape == u.matrix.shape
+            assert t.matrix.tobytes() == u.matrix.tobytes()
+        compared.append(len(got))
+        return got
+
+    boundary.transfer_matrices_synced = checked
+    try:
+        for k in range(data.draw(st.integers(1, 10))):
+            acting = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+            b = acting[1] if len(acting) == 2 else None
+            engine.meet(state, acting[0], b, random_op(rng, dict.fromkeys(names, 2), acting), f"op{k}")
+    finally:
+        boundary.transfer_matrices_synced = original
+    assert compared
