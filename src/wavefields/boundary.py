@@ -222,11 +222,7 @@ def _in_columns(
         dims = shape + tuple(merged.initial_states[s].dims[0] for s in new_systems)
         labels = order + new_systems
     missing = () if merged is own else _missing_records(own, merged)
-    if bases:
-        bases = {s: b for s, b in bases.items() if s in merged.initial_states}
-        for sys_id, basis in bases.items():
-            memory.check_index_basis(sys_id, basis, merged.initial_states[sys_id].dims[0])
-        # on a known system that nothing below acts on, a basis cancels with its adjoint
+    if bases:  # on a known system that nothing below acts on, a basis cancels with its adjoint
         acted = {s for op in missing for s in op.participants} | {*unitary.labels, *new_systems}
         bases = {s: b for s, b in bases.items() if s in acted}
 
@@ -297,8 +293,12 @@ def transfer_matrices_synced(
         if sys_id not in merged.initial_states:
             raise ValueError(f"acting system {sys_id!r} unknown to the memories")
     post = memory.layout(merged)
+    known = merged.initial_states
+    bases = {s: b for s, b in index_bases.items() if s in known} if index_bases else {}
+    for sys_id, basis in bases.items():  # once per call: the participants share them
+        memory.check_index_basis(sys_id, basis, known[sys_id].dims[0])
     columns = [
-        _in_columns(own, merged, unitary, sys_id, index_bases, occ)
+        _in_columns(own, merged, unitary, sys_id, bases, occ)
         for own, sys_id, occ in zip(mem_pair, acting, occupied, strict=True)
     ]
     # systems whose rows share an axis order and the bases to undo take the

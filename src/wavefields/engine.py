@@ -8,28 +8,26 @@ once the branch is fully formed.
 
 Interactions either complete instantly (the index spaces re-expand in
 place) or run as a crossing: the two fluids pass through a moving
-boundary whose transfer matrices re-index the crossed fluid.  A
-crossing's branches share one shape, so a crossing in flight is each
-system's freely evolving leading row psi_k, the ratios r_i of its branch
-rows to it, and the boundary position; ``branches`` cuts the rows into
-their pre- and post-interaction parts when asked.  A step advances as
-one stack the rows of all systems that share a potential and are all at
-rest or all in a crossing, one row per system in a crossing.
-``advance`` stacks the rows once per call and steps that private stack
-for every step of the call, so free flight costs one inverse FFT per
-step; the packets get their fields back when the call returns.  A call
-continues from the stack's last spectrum while the packets hold bit for
-bit the fields it gave them; anything else (a meet, a kick, a completed
-crossing, a write into a field) makes it transform the fields and check
-a crossing's shape afresh.  The stack's densities feed the boundary law,
-which puts the boundary on the median of the summed fluid, and the norm
-audit.  Everything a system knows travels with it; a meet touches only
-the two participants.
+boundary whose transfer matrices re-index the crossed fluid, and
+``branches`` cuts the rows into their pre- and post-interaction parts
+when asked.  A wave-field steps as a few shapes and their coefficients:
+its rows fall into shape groups, each a leading row psi_k and the ratios
+r_i of its rows to it, one group per system in a crossing.  ``advance``
+stacks the leading rows of the systems that share a potential once per
+call and steps that private stack for every step of the call; the
+packets get r_i psi_k when it returns.  A call continues from the last
+spectrum while the packets hold bit for bit the fields it gave them, so
+k one-step calls are one k-step call; anything else (a meet, a kick, a
+write into a field) makes it derive the groups afresh.  The densities,
+sum w |psi_k|^2, feed the boundary law, which puts the boundary on the
+median of the summed fluid, and the norm audit.  Everything a system
+knows travels with it; a meet touches only the two participants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +41,7 @@ from .spatial import Grid, Propagator, current, norm_squared  # noqa: F401
 NORM_AUDIT_TOL = 1e-8
 COMPLETION_THRESHOLD = 1e-10
 DARK_MASS_THRESHOLD = 1e-16
-SHAPE_TOL = 1e-12  # the most |psi_i - r_i psi_k| / |psi_i| of an in-row of a crossing (``_lead``)
+SHAPE_TOL = 1e-12  # the most |psi_i - r_i psi_k| / |psi_i| of a row in psi_k's group (``_lead``)
 
 PRE = "pre"
 POST = "post"
@@ -92,8 +90,8 @@ class ScenarioState:
     index_bases: dict[str, Operator] = field(default_factory=dict)
     _propagators: dict[bytes | None, Propagator] = field(default_factory=dict, repr=False)
     _resolved: dict[str, Propagator] = field(default_factory=dict, repr=False)  # by system
-    # (propagator, in a crossing) -> a copy of the fields a call gave, its last spectrum, leads
-    _spectra: dict[tuple, tuple] = field(default_factory=dict, repr=False)
+    # propagator -> the bytes of the fields a call gave, its groups, last rows and spectrum
+    _spectra: dict[Propagator, tuple] = field(default_factory=dict, repr=False)
 
     def active_links(self) -> list[boundary_mod.BoundaryLink]:
         return [ln for ln in self.links if ln.active]
@@ -205,30 +203,59 @@ def _expand_instant(wf: WaveField, transfer: boundary_mod.TransferMatrix, state:
     ]
 
 
-@np.errstate(invalid="ignore")  # NaN ratios from a NaN cell fail the norm audit, which names it
-def _lead(rows: np.ndarray, wf: WaveField, state: ScenarioState, opening: bool = False):
-    """Of a crossing system's rows: the largest, k, each one's ratio r_i = <psi_k|psi_i> /
-    <psi_k|psi_k> to it, and w = sum |r_i|^2, so that the system's density is w |psi_k|^2.
+class _Groups(NamedTuple):  # the shape groups of some systems' stacked rows (``_lead``)
+    leads: np.ndarray  # each group's leading row psi_k, among the rows
+    member: np.ndarray  # each row's group
+    ratios: np.ndarray  # each row's r_i, as a column: the row is r_i psi_k
+    weights: np.ndarray  # each group's w = sum |r_i|^2, as a column
+    spans: list  # each system's (first, end) group
 
-    A boundary on the summed fluid serves only branches of one shape, so a
-    row further than ``SHAPE_TOL`` from r_i psi_k is refused: a ValueError
-    when a crossing would open, a RuntimeError once one is in flight.
+
+@np.errstate(invalid="ignore")  # NaN ratios from a NaN cell fail the norm audit, which names it
+def _lead(rows: np.ndarray, wfs: list, state: ScenarioState, errors) -> _Groups:
+    """Split each system's rows, stacked in ``rows`` in the order of ``wfs``, into shape groups.
+
+    A group leads with the system's largest row psi_k left and takes every
+    row left within ``SHAPE_TOL`` of r_i psi_k, r_i = <psi_k|psi_i> / <psi_k|psi_k>.
+    A boundary serves one shape, so a second group is refused with the
+    system's ``errors`` entry: ValueError as a crossing opens, RuntimeError in one.
     """
-    k = int(np.argmax(np.vecdot(rows, rows).real))
-    ratios = rows @ rows[k].conj() / np.vdot(rows[k], rows[k])
-    ratios[k] = 1.0
-    norms = np.linalg.norm(rows, axis=1)
-    residual = np.linalg.norm(rows - ratios[:, None] * rows[k], axis=1) / norms
-    for i in np.flatnonzero(residual > SHAPE_TOL)[:1].tolist():
-        i, j = sorted((i, k))
-        overlap = abs(np.vdot(rows[i], rows[j])) / norms[i] / norms[j]
-        error, outcome = (ValueError, "no crossing") if opening else (RuntimeError, "mid-crossing")
-        raise error(
-            f"branches {wf.packets[i].index.text()!r} and {wf.packets[j].index.text()!r}"
-            f" of {wf.system!r} differ in shape (1 - overlap = {1 - overlap:.3g}): "
-            f"{outcome} {_when(state)}"
-        )
-    return k, ratios, np.vdot(ratios, ratios).real
+    leads, w, spans, start = [], [], [], 0
+    member, ratios = np.zeros(len(rows), np.intp), np.zeros((len(rows), 1), complex)
+    for wf, error in zip(wfs, errors):
+        span, first = slice(start, start + len(wf.packets)), len(leads)
+        sub = rows[span]
+        mass, norms = np.vecdot(sub, sub).real, np.linalg.norm(sub, axis=1)
+        left = np.ones(len(sub), dtype=bool)  # rows in no group yet
+        while left.any():
+            k = int(np.argmax(np.where(left, mass, -1.0)))
+            r = sub @ sub[k].conj() / np.vdot(sub[k], sub[k])
+            r[k] = 1.0
+            near = left & ~(np.linalg.norm(sub - r[:, None] * sub[k], axis=1) / norms > SHAPE_TOL)
+            stray = np.flatnonzero(left & ~near)
+            if error is not None and stray.size:
+                i, j = sorted((int(stray[0]), k))
+                overlap = abs(np.vdot(sub[i], sub[j])) / norms[i] / norms[j]
+                raise error(
+                    f"branches {wf.packets[i].index.text()!r} and {wf.packets[j].index.text()!r}"
+                    f" of {wf.system!r} differ in shape (1 - overlap = {1 - overlap:.3g}): "
+                    f"{'no crossing' if error is ValueError else 'mid-crossing'} {_when(state)}"
+                )
+            r[~near] = 0.0
+            member[span][near], ratios[span, 0][near], left = len(leads), r[near], left & ~near
+            leads.append(start + k)
+            w.append(np.vdot(r, r).real)
+        spans.append((first, len(leads)))
+        start = span.stop
+    return _Groups(np.array(leads, np.intp), member, ratios, np.array(w).reshape(-1, 1), spans)
+
+
+def _densities(rows: np.ndarray, groups: _Groups) -> list:
+    """Each system's density from its groups' leading rows: sum w |psi_k|^2."""
+    rho = rows.real**2
+    rho += rows.imag**2
+    rho *= groups.weights
+    return [rho[a] if b == a + 1 else rho[a:b].sum(axis=0) for a, b in groups.spans]
 
 
 def meet(
@@ -263,11 +290,9 @@ def meet(
     if mode == "crossing":
         if b is None:
             raise ValueError("a crossing needs two systems")
-        densities = []
-        for wf in fields:
-            rows = np.array([p.field for p in wf.packets])
-            k, _, w = _lead(rows, wf, state, opening=True)
-            densities.append(w * (rows[k].real**2 + rows[k].imag**2))
+        rows = np.array([p.field for wf in fields for p in wf.packets]).reshape(-1, state.grid.n)
+        groups = _lead(rows, fields, state, (ValueError, ValueError))
+        densities = _densities(rows[groups.leads], groups)
         left, right = (np.dot(state.grid.x, rho) / rho.sum() for rho in densities)  # centroids
         if not left < right:  # a system with no fluid fails too
             raise ValueError(f"crossing expects {a!r} to start left of {b!r}")
@@ -354,45 +379,35 @@ def branches(state: ScenarioState, system: str) -> list[Packet]:
     ]
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
 def _stacks(state: ScenarioState) -> dict:
-    """Each group's wave-fields, packets, leads, rows and the spectrum to step them from.
+    """Each propagator's wave-fields, packets, shape groups, leading rows and spectrum.
 
-    A group is the systems that share a propagator and are all at rest or
-    all in a crossing.  At rest it steps every packet's row; in a crossing
-    it steps each system's leading row, and ``leads`` holds each system's
-    ``_lead``.  A group keeps the leads and spectrum of the last call while
-    its packets hold bit for bit the fields that call gave them, else
-    derives both afresh, and ``_lead`` checks each crossing system's shape.
+    A stack steps one leading row per shape group of each system that
+    shares its propagator, at rest or in a crossing alike.  It keeps the
+    groups and spectrum of the last call while its packets hold bit for
+    bit the fields that call gave them, else derives both afresh, and
+    ``_lead`` refuses a crossing system's second group.
     """
-    groups: dict = {}  # (propagator, in a crossing) -> wave-fields
+    by_propagator: dict = {}
     for wf in state.wavefields.values():
-        key = (state.propagator(wf.system), _active_link(state, wf.system) is not None)
-        groups.setdefault(key, []).append(wf)
+        by_propagator.setdefault(state.propagator(wf.system), []).append(wf)
     stacks = {}
-    for key, wfs in groups.items():
+    for prop, wfs in by_propagator.items():
         packets = [p for wf in wfs for p in wf.packets]
-        rows = np.array([p.field for p in packets])
-        starts = np.cumsum([0] + [len(wf.packets) for wf in wfs])
-        last, spectrum, leads = state._spectra.get(key, (None, None, None))
-        if last is None or not _same_bits(rows, last):
-            spectrum = None  # the fields moved since the last call: derive afresh
-            spans = zip(wfs, starts, starts[1:])
-            leads = [_lead(rows[a:b], wf, state) for wf, a, b in spans] if key[1] else None
-        if leads is not None:  # a system in a crossing steps its leading row alone
-            rows = rows[starts[:-1] + [k for k, _, _ in leads]]
-        stacks[key] = [wfs, packets, leads, rows, spectrum]
+        given, groups, rows, spectrum = state._spectra.get(prop, (None,) * 4)
+        if given != b"".join(p.field.tobytes() for p in packets):  # a field moved: derive afresh
+            rows = np.array([p.field for p in packets]).reshape(len(packets), state.grid.n)
+            errors = [RuntimeError if _active_link(state, wf.system) else None for wf in wfs]
+            groups, spectrum = _lead(rows, wfs, state, errors), None
+            rows = rows[groups.leads]
+        stacks[prop] = [wfs, packets, groups, rows, spectrum]
     return stacks
 
 
 def _fields(stack) -> np.ndarray:
-    """Give the stack's packets their fields from its rows; returns the fields stacked."""
-    _, packets, leads, rows, _ = stack
-    if leads is not None:  # a system in a crossing holds r_i psi_k, with r_k = 1
-        rows = np.concatenate([ratios[:, None] * row for (_, ratios, _), row in zip(leads, rows)])
+    """Give the stack's packets their fields r_i psi_k, with r_k = 1; returns them stacked."""
+    _, packets, groups, rows, _ = stack
+    rows = groups.ratios * rows[groups.member]
     for p, row in zip(packets, rows):
         p.field = row
     return rows
@@ -402,15 +417,11 @@ def _step(state: ScenarioState, stacks: dict) -> bool:
     """One step of every stack, the boundaries and the norm audit; whether a crossing completed."""
     grid = state.grid
     densities = {}  # per system, from the stepped rows
-    for key, stack in stacks.items():
-        wfs, _, leads, rows, spectrum = stack
-        rows, spectrum = key[0].step(rows, spectrum=spectrum, keep=True)
+    for prop, stack in stacks.items():
+        wfs, _, groups, rows, spectrum = stack
+        rows, spectrum = prop.step(rows, spectrum=spectrum, keep=True)
         stack[3:] = rows, spectrum
-        rho, start = rows.real**2 + rows.imag**2, 0
-        for i, wf in enumerate(wfs):  # in a crossing, w times the leading row's density
-            stop = start + len(wf.packets)
-            rho_s = rho[start:stop].sum(axis=0) if leads is None else leads[i][2] * rho[i]
-            densities[wf.system], start = rho_s, stop
+        densities.update(zip([wf.system for wf in wfs], _densities(rows, groups)))
     masses = {s: float(rho.sum()) * grid.dx for s, rho in densities.items()}
     completed = False
     for link in state.active_links():
@@ -421,12 +432,10 @@ def _step(state: ScenarioState, stacks: dict) -> bool:
                 masses[s] = total_mass(state, s)
     state.time += grid.dt
     state.step_count += 1
-    for sys_id in state.wavefields:
-        m = masses[sys_id]
+    for s in state.wavefields:
+        m = masses[s]
         if not abs(m - 1.0) <= NORM_AUDIT_TOL:  # a NaN mass fails too
-            raise RuntimeError(
-                f"norm audit failed for {sys_id!r} {_when(state)}: total mass {m!r}"
-            )
+            raise RuntimeError(f"norm audit failed for {s!r} {_when(state)}: total mass {m!r}")
     return completed
 
 
@@ -450,7 +459,7 @@ def advance(state: ScenarioState, steps: int = 1, until=None) -> ScenarioState:
                 if until is not None and until():
                     return state
         finally:  # a private copy of the fields, to tell a later write into one
-            state._spectra = {k: (_fields(s).copy(), s[4], s[2]) for k, s in stacks.items()}
+            state._spectra = {k: (_fields(s).tobytes(), *s[2:]) for k, s in stacks.items()}
     return state
 
 
@@ -465,9 +474,7 @@ def index_distribution(state: ScenarioState, system: str) -> dict[int, float]:
     return {k: v / total for k, v in sorted(out.items())}
 
 
-def correlation_table(
-    state: ScenarioState, a: str, b: str
-) -> dict[tuple[int, int], float]:
+def correlation_table(state: ScenarioState, a: str, b: str) -> dict[tuple[int, int], float]:
     """Joint index probabilities of two systems that have met.
 
     Read from system ``a``'s branches: its own index against the
@@ -484,9 +491,7 @@ def correlation_table(
     for p in wf.packets:
         partners = p.index.partner_map()
         if b not in partners:
-            raise ValueError(
-                f"branch {p.index.text()!r} of {a!r} carries no label for {b!r}"
-            )
+            raise ValueError(f"branch {p.index.text()!r} of {a!r} carries no label for {b!r}")
         key = (p.index.own, partners[b])
         m = p.mass(state.grid)
         out[key] = out.get(key, 0.0) + m
@@ -494,9 +499,7 @@ def correlation_table(
     return {k: v / total for k, v in sorted(out.items())}
 
 
-def validate_against_memory(
-    state: ScenarioState, system: str, atol: float = 1e-8
-) -> float:
+def validate_against_memory(state: ScenarioState, system: str, atol: float = 1e-8) -> float:
     """Dual-route check: packets versus the memory-derived expansion.
 
     Compares each at-rest branch coefficient, and the fluid norm of its
@@ -507,9 +510,7 @@ def validate_against_memory(
     """
     wf = state.wavefields[system]
     _require_at_rest(state, system)
-    entries = memory_mod.external_memories(
-        wf.memory, system, bases=state.index_bases or None
-    )
+    entries = memory_mod.external_memories(wf.memory, system, bases=state.index_bases or None)
     expected: dict[IndexLabel, ExternalMemory] = {e.index: e for e in entries}
     packets = {p.index: p for p in wf.packets}
     worst = 0.0
@@ -530,7 +531,5 @@ def validate_against_memory(
                 f"with weight {leftover!r} that its memory does not predict"
             )
     if worst > atol:
-        raise AssertionError(
-            f"wave-field {system!r} deviates from its memory route by {worst!r}"
-        )
+        raise AssertionError(f"wave-field {system!r} deviates from its memory route by {worst!r}")
     return worst

@@ -726,16 +726,19 @@ def test_set_potential_keeps_a_copy_and_resolves_the_propagator_once():
 @pytest.mark.parametrize("potential", [False, True])
 def test_advance_calls_on_a_lone_system_are_one_multi_step(potential):
     # each advance continues from the spectrum the last one kept, so k calls
-    # give the bits of one k-step Propagator.step of the starting rows
+    # give the bits of r_i times one k-step Propagator.step of the leading row
     state, grid = small_state()
     add_system(state, "1", random_amps(np.random.default_rng(4)), gaussian_packet(grid, -2.0, 1.5, 1.0))
     if potential:
         engine.set_potential(state, "1", 0.01 * grid.x**2)
-    rows = np.array([p.field for p in state.wavefields["1"].packets])
+    wf = state.wavefields["1"]
+    rows = np.array([p.field for p in wf.packets])
+    groups = engine._lead(rows, [wf], state, [None])
+    assert len(groups.leads) == 1
     for _ in range(6):
         advance(state)
-    want = state.propagator("1").step(rows, 6)
-    assert np.array_equal(np.array([p.field for p in state.wavefields["1"].packets]), want)
+    want = groups.ratios * state.propagator("1").step(rows[groups.leads[0]], 6)
+    assert np.array_equal(np.array([p.field for p in wf.packets]), want)
 
 
 @pytest.mark.parametrize("write", ["kick", "in_place"])
@@ -757,6 +760,72 @@ def test_a_write_into_a_field_forces_a_fresh_transform(monkeypatch, write):
     assert calls == [1]
     want = state.propagator("1").step(rows)
     assert np.array_equal(np.array([p.field for p in packets]), want)
+
+
+KICKS = (0.0, 0.8, -1.5)
+
+
+def kicked_state(amps, kicks, potential):
+    """One system whose branch i carries momentum kick kicks[i], in a potential or free."""
+    state, grid = small_state()
+    add_system(state, "1", amps, gaussian_packet(grid, -2.0, 1.5, 1.0))
+    for p, k0 in zip(state.wavefields["1"].packets, kicks, strict=True):
+        p.field = p.field * np.exp(1j * k0 * grid.x)
+    if potential:
+        engine.set_potential(state, "1", 0.01 * grid.x**2)
+    return state
+
+
+def kicked_branches():
+    """2-4 random amplitudes and a kick from ``KICKS`` for each."""
+    branch = st.tuples(st.floats(0.1, 1.0), st.floats(0.0, 2.0 * np.pi), st.sampled_from(KICKS))
+    return st.lists(branch, min_size=2, max_size=4).map(
+        lambda bs: (
+            np.array([m * np.exp(1j * p) for m, p, _ in bs]) / np.linalg.norm([m for m, _, _ in bs]),
+            [k0 for _, _, k0 in bs],
+        )
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(branches=kicked_branches(), potential=st.booleans(), steps=st.integers(1, 12))
+def test_each_shape_group_steps_as_its_rows_would_alone(branches, potential, steps):
+    # a wave-field at rest steps one leading row per distinct kick and holds
+    # each branch as its multiple of that row
+    amps, kicks = branches
+    state = kicked_state(amps, kicks, potential)
+    rows = [p.field for p in state.wavefields["1"].packets]
+    shapes, step = [], Propagator.step
+
+    def spy(self, psi, *args, **kwargs):
+        shapes.append(np.shape(psi))
+        return step(self, psi, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Propagator, "step", spy)
+        advance(state, steps)
+    assert shapes == [(len(set(kicks)), state.grid.n)] * steps
+    prop = state.propagator("1")
+    for p, row in zip(state.wavefields["1"].packets, rows, strict=True):
+        want = prop.step(row, steps)
+        assert np.abs(p.field - want).max() <= 1e-13 * np.abs(want).max()
+    one_at_a_time = kicked_state(amps, kicks, potential)
+    for _ in range(steps):
+        advance(one_at_a_time)
+    for p, q in zip(state.wavefields["1"].packets, one_at_a_time.wavefields["1"].packets):
+        assert p.field.tobytes() == q.field.tobytes()
+
+
+@pytest.mark.parametrize("beside", [False, True], ids=["lone", "beside_another"])
+def test_a_wave_field_with_no_packets_fails_the_norm_audit_by_name(beside):
+    state, grid = small_state()
+    add_system(state, "1", [0.6, 0.8], gaussian_packet(grid, -2.0, 1.5))
+    if beside:
+        add_system(state, "2", [1.0, 0.0], gaussian_packet(grid, 6.0, 1.5))
+    state.wavefields["1"].packets = []
+    with pytest.raises(RuntimeError, match=r"norm audit failed for '1' at step 1, t=0\.01: total mass 0\.0$"):
+        advance(state, 3)
+    assert state.step_count == 1
 
 
 def test_dark_branch_keeps_interference_fluid():

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 import wavefields
-from wavefields import boundary
+from wavefields import boundary, memory
 from wavefields.engine import add_system, meet, new_state, validate_against_memory
 from wavefields.hilbert import Operator
 from wavefields.memory import IndexLabel, derive_state, memory_to_json
@@ -226,3 +226,19 @@ def test_crossed_ledger_keeps_its_golden_bytes(monkeypatch):
     assert digests == CROSSED_GOLDEN
     for s in state.wavefields:
         assert validate_against_memory(state, s, atol=1e-10) < 1e-10
+
+
+def test_a_meet_checks_each_index_basis_once(monkeypatch):
+    # a meet's participants share its index bases, so "h"'s is checked once
+    # as it is added and once per meet whose merged memory knows "h": 33 of
+    # the crossed ledger's 36 meets (44 checks when each participant made one)
+    checked = []
+    check = memory.check_index_basis
+
+    def counting(system, basis, dim):
+        checked.append(system)
+        return check(system, basis, dim)
+
+    monkeypatch.setattr(memory, "check_index_basis", counting)
+    run_crossed_ledger(monkeypatch)
+    assert checked == ["h"] * 34

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wavefields import engine
 from wavefields.engine import add_system, advance, new_state
 from wavefields.scenarios import (
     SCENARIOS,
@@ -141,22 +142,39 @@ def test_crossing_ends_when_its_boundary_completes_at_any_cadence(name):
     assert frame_times == {7: 60, 8: 52, 32: 14}
 
 
-def test_a_crossing_steps_one_leading_row_per_system(monkeypatch):
-    # the branches of each system share one shape, so the crossing steps one
-    # row per system: 407 steps of a (2, 2048) stack in each scenario, where
-    # stepping every in-row would take 4 rows in one and 3 in the other
-    shapes = []
-    step = Propagator.step
+def test_every_system_steps_one_leading_row_per_shape_group(monkeypatch):
+    # a system steps one leading row per shape group, at rest as in a
+    # crossing: one per system but stern_gerlach's spin, whose branches carry
+    # opposite kicks.  Stepping every packet's row took 240 row-steps in
+    # three_spin_chain and 900 in stern_gerlach; the crossings stepped 2,849
+    # before they stepped one row per system.
+    want = {  # steps, row-steps, shape groups per system
+        "two_spin_crossing": (407, 814, {"1": 1, "2": 1}),
+        "von_neumann": (407, 814, {"1": 1, "2": 1}),
+        "three_spin_chain": (20, 60, {"1": 1, "2": 1, "3": 1}),
+        "stern_gerlach": (150, 600, {"s": 2, "I": 1, "II": 1}),
+        "tunneling": (1400, 1400, {"1": 1}),
+    }
+    shapes, groups = [], {}
+    step, lead = Propagator.step, engine._lead
 
-    def spy(self, psi, steps=1, **kwargs):
+    def spy_step(self, psi, steps=1, **kwargs):
         shapes.append((np.shape(psi), steps))
         return step(self, psi, steps, **kwargs)
 
-    monkeypatch.setattr(Propagator, "step", spy)
-    for name in ("two_spin_crossing", "von_neumann"):
-        assert run_scenario(ScenarioConfig(scenario=name)).summary["steps"] == 407
-    assert set(shapes) == {((2, 2048), 1)}
-    assert sum(shape[0] * steps for shape, steps in shapes) == 1628
+    def spy_lead(rows, wfs, state, errors):
+        out = lead(rows, wfs, state, errors)
+        groups.update((wf.system, b - a) for wf, (a, b) in zip(wfs, out.spans))
+        return out
+
+    monkeypatch.setattr(Propagator, "step", spy_step)
+    monkeypatch.setattr(engine, "_lead", spy_lead)
+    for name, (steps, row_steps, per_system) in want.items():
+        shapes.clear()
+        groups.clear()
+        assert run_scenario(ScenarioConfig(scenario=name)).summary["steps"] == steps
+        assert {k for _, k in shapes} == {1}
+        assert (sum(shape[0] for shape, _ in shapes), groups) == (row_steps, per_system), name
 
 
 @pytest.mark.parametrize(
