@@ -33,10 +33,12 @@ memory is gone, the full union and scan are taken instead.
 from __future__ import annotations
 
 import base64
+import functools
 import heapq
 import json
 import weakref
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -352,15 +354,6 @@ def external_memories(
 # ---------------------------------------------------------------------------
 # JSON round trip.  Schema: docs/memory_format.md in the repository.
 
-def _encode_array(arr: np.ndarray) -> dict:
-    data = np.ascontiguousarray(arr, dtype=np.complex128)
-    return {
-        "shape": list(data.shape),
-        "dtype": "complex128",
-        "data_b64": base64.b64encode(data.tobytes()).decode("ascii"),
-    }
-
-
 def _decode_array(blob: dict) -> np.ndarray:
     if blob.get("dtype") != "complex128":
         raise ValueError(f"unsupported dtype {blob.get('dtype')!r}")
@@ -368,33 +361,51 @@ def _decode_array(blob: dict) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.complex128).reshape(blob["shape"]).copy()
 
 
+def _seq(texts, pad: str, brackets: str = "[]") -> str:
+    """Encoded ``texts`` as json.dumps(indent=2) lays out a container closed at indent ``pad``."""
+    if not texts:
+        return brackets
+    return f"{brackets[0]}\n{pad}  " + f",\n{pad}  ".join(texts) + f"\n{pad}{brackets[1]}"
+
+
+@functools.lru_cache(maxsize=1024)
+def _list(values: tuple, pad: str) -> str:
+    """``_seq`` of a tuple of ints or strings, kept: a ledger repeats a few dims and labels."""
+    return _seq([_quote(v) if isinstance(v, str) else str(v) for v in values], pad)
+
+
+def _blob(arr: np.ndarray, pad: str) -> str:
+    """The array's JSON object (its C-order complex128 bytes in base64), closed at ``pad``."""
+    data = np.ascontiguousarray(arr, dtype=np.complex128)
+    b64 = base64.b64encode(data.tobytes()).decode("ascii")  # letters, digits, + / =: no escapes
+    return (
+        f'{{\n{pad}  "data_b64": "{b64}",\n{pad}  "dtype": "complex128",\n'
+        f'{pad}  "shape": {_list(data.shape, pad + "  ")}\n{pad}}}'
+    )
+
+
 def memory_to_json(mem: InternalMemory) -> str:
-    doc = {
-        "format": "wavefields-memory",
-        "version": 1,
-        "initial_states": {
-            sys_id: {
-                "dims": list(ket.dims),
-                "amplitudes": _encode_array(ket.amplitudes),
-            }
-            for sys_id, ket in sorted(mem.initial_states.items())
-        },
-        "ops": [
-            {
-                "op_id": op.op_id,
-                "participants": list(op.participants),
-                "parents": sorted(op.parents),
-                "unitary": {
-                    "dims": list(op.unitary.dims),
-                    "labels": list(op.unitary.labels),
-                    "matrix": _encode_array(op.unitary.matrix),
-                },
-            }
-            for op in (mem.ops[op_id] for op_id in linearize(mem))
-        ],
-    }
-    # the document is a fresh tree of dicts and lists: no container can hold itself
-    return json.dumps(doc, sort_keys=True, indent=2, check_circular=False)
+    """``json.dumps(doc, sort_keys=True, indent=2)`` of the record's document
+    (docs/memory_format.md), written in one pass from the template of its sorted layout."""
+    p6, p8 = " " * 6, " " * 8
+    states = [
+        f'{_quote(sys_id)}: {{\n{p6}"amplitudes": {_blob(ket.amplitudes, p6)},\n'
+        f'{p6}"dims": {_list(ket.dims, p6)}\n    }}'
+        for sys_id, ket in sorted(mem.initial_states.items())
+    ]
+    ops = [
+        f'{{\n{p6}"op_id": {_quote(op.op_id)},\n'
+        f'{p6}"parents": {_seq(list(map(_quote, sorted(op.parents))), p6)},\n'
+        f'{p6}"participants": {_list(tuple(op.participants), p6)},\n'
+        f'{p6}"unitary": {{\n{p8}"dims": {_list(op.unitary.dims, p8)},\n'
+        f'{p8}"labels": {_list(op.unitary.labels, p8)},\n'
+        f'{p8}"matrix": {_blob(op.unitary.matrix, p8)}\n{p6}}}\n    }}'
+        for op in map(mem.ops.__getitem__, linearize(mem))
+    ]
+    return (
+        f'{{\n  "format": "wavefields-memory",\n  "initial_states": {_seq(states, "  ", "{}")},\n'
+        f'  "ops": {_seq(ops, "  ")},\n  "version": 1\n}}'
+    )
 
 
 def memory_from_json(text: str) -> InternalMemory:

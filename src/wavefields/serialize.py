@@ -4,8 +4,9 @@ Identical runs must produce byte-identical files, so every float is written
 as ``format_float`` writes it (``'%.17g'``: 17 significant digits, enough to
 round-trip a double) with sorted JSON keys and fixed newlines.  Text is
 UTF-8.  ``snapshots.csv`` is formatted by up to one process per available
-CPU, to the same bytes; blocks of one frame time whose fields hold the same
-bits share one formatting of their values.
+CPU and per ``_FORK_ROWS`` grid points, to the same bytes; blocks of one
+frame time whose fields hold the same bits share one formatting of their
+values.
 
 The CSV files format their floats with ``_format_column``, a numpy kernel
 that writes the bytes of ``format_float`` for a whole column at once.  For
@@ -108,6 +109,7 @@ _PAD = 0xFF  # fills the kernel's fixed-width cells; UTF-8 text never holds it
 _PADS = bytes([_PAD])
 _CELL = 32  # bytes per formatted value: sign, lead, d0, dot | d1..d16 | exponent
 _ROWS = 4096  # rows per kernel call, so the scratch arrays stay small
+_FORK_ROWS = 32768  # least grid points per snapshot process: a fork costs more on fewer
 _POW = range(-266, 341)  # the j of the 10**j table: 16 - k for every k of the fast range
 _EXP = range(-324, 300)  # the decimal exponents of the layout tables
 _TINY = -281  # values of this decimal exponent or less are scaled by 2**1000 first
@@ -304,12 +306,12 @@ def write_snapshots_csv(frames, path: str) -> None:
     """One row per grid point of each frame block ``(t, x, label, field)``.
 
     A forked child formats each frame range after the first (about equal grid
-    points, one per CPU, and no field of a frame time in two) into an unlinked
-    file; the parts are appended in order.
+    points, one per ``_FORK_ROWS`` of them up to one per CPU, and no field of a
+    frame time in two) into an unlinked file; the parts are appended in order.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n = min(cpus or 1, len(frames)) if hasattr(os, "fork") else 1
     points = np.cumsum([0] + [len(x) for _, x, _, _ in frames])
+    n = min(cpus or 1, len(frames), max(1, points[-1] // _FORK_ROWS)) if hasattr(os, "fork") else 1
     cuts = np.clip(np.searchsorted(points, points[-1] * np.arange(1, n) / n), 1, len(frames) - 1)
     bounds = [0, *sorted({_cut(frames, cut) for cut in cuts.tolist()}), len(frames)]
     pids, parts = [], []  # of each range after the first; a pid leaves once reaped

@@ -1,15 +1,16 @@
-"""Cost guard: the Python calls one instant meet makes into the package.
+"""Cost guard: the Python calls one instant meet, and writing its ledger, make.
 
 A meet's wall time drifts with the host, its call count does not.  The
 counts below are of one phase meet and then one CZ meet on a two-system
 ledger of 200 records, so the CZ meet takes the phase record into the
-partner's columns, as most meets of a long ledger do.  A change that adds
-overhead back to a meet fails here by the function it calls, not as a
-timing that may or may not move.
+partner's columns, as most meets of a long ledger do, and of writing that
+ledger's JSON.  A change that adds overhead back fails here by the
+function it calls, not as a timing that may or may not move.
 """
 
 import cmath
 import collections
+import json.encoder
 import sys
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import numpy as np
 import wavefields
 from wavefields.engine import add_system, meet, new_state
 from wavefields.hilbert import Operator
+from wavefields.memory import memory_to_json
 from wavefields.spatial import Grid, gaussian_packet
 
 CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
@@ -30,7 +32,14 @@ RECORDS = 200
 CALLS = {"phase": 38, "cz": 66}
 CALLS_BEFORE = {"phase": 75, "cz": 135}
 
+# Python-level calls of memory_to_json on that ledger into the package: the
+# budget, and beside it the count when it built a tree for json.dumps(indent=2),
+# whose encoder then made 65,146 calls to the pure-Python walk of json/encoder.py
+JSON_CALLS = 450
+JSON_CALLS_BEFORE = 410
+
 PACKAGE = str(Path(wavefields.__file__).parent)
+ENCODER = json.encoder.__file__
 
 
 def phase(k):
@@ -51,12 +60,12 @@ def ledger():
     return state
 
 
-def calls_of(fn) -> collections.Counter:
-    """The calls ``fn()`` makes into functions defined in the package, by name."""
+def calls_of(fn, where: str = PACKAGE) -> collections.Counter:
+    """The calls ``fn()`` makes into functions defined under ``where``, by name."""
     seen: collections.Counter = collections.Counter()
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
+        if event == "call" and frame.f_code.co_filename.startswith(where):
             seen[frame.f_code.co_name] += 1
 
     sys.setprofile(profile)
@@ -81,3 +90,20 @@ def test_an_instant_meet_makes_no_more_calls_than_its_budget():
             f"{kind} meet: {total} calls, budget {CALLS[kind]} ({CALLS_BEFORE[kind]} before "
             f"caching): {dict(seen.most_common())}"
         )
+
+
+def test_writing_a_ledger_makes_no_more_calls_than_its_budget():
+    memory = ledger().wavefields["p"].memory
+    assert len(memory.ops) == RECORDS
+    walk = {
+        name: n
+        for name, n in calls_of(lambda: memory_to_json(memory), ENCODER).items()
+        if name.startswith("_iterencode")
+    }
+    assert walk == {}, f"memory_to_json walks its document in json's Python encoder: {walk}"
+    seen = calls_of(lambda: memory_to_json(memory))
+    total = sum(seen.values())
+    assert total <= JSON_CALLS, (
+        f"memory_to_json: {total} calls, budget {JSON_CALLS} ({JSON_CALLS_BEFORE} before the "
+        f"template, besides the encoder's): {dict(seen.most_common())}"
+    )

@@ -1,10 +1,13 @@
 """Tests for interaction ledgers and their synchronization."""
 
+import base64
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavefields import hilbert
 from wavefields.hilbert import Ket, Operator
@@ -370,6 +373,70 @@ def test_a_record_acts_along_its_unitarys_labels():
         memory_from_json(json.dumps(doc))
     with pytest.raises(ValueError, match="participants are"):
         InteractionOp("x", cnot, ("2", "1"), frozenset())
+
+
+def _reference_json(mem):
+    """The record's document (docs/memory_format.md) built as a tree and laid out by json.dumps."""
+
+    def array(arr):
+        data = np.ascontiguousarray(arr, dtype=np.complex128)
+        raw = base64.b64encode(data.tobytes()).decode("ascii")
+        return {"shape": list(data.shape), "dtype": "complex128", "data_b64": raw}
+
+    doc = {
+        "format": "wavefields-memory",
+        "version": 1,
+        "initial_states": {
+            sys_id: {"dims": list(ket.dims), "amplitudes": array(ket.amplitudes)}
+            for sys_id, ket in mem.initial_states.items()
+        },
+        "ops": [
+            {
+                "op_id": op.op_id,
+                "participants": list(op.participants),
+                "parents": sorted(op.parents),
+                "unitary": {
+                    "dims": list(op.unitary.dims),
+                    "labels": list(op.unitary.labels),
+                    "matrix": array(op.unitary.matrix),
+                },
+            }
+            for op in (mem.ops[op_id] for op_id in linearize(mem))
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+# ids with what the encoder escapes: quotes, backslashes, control characters,
+# non-ASCII, a lone surrogate and characters above U+FFFF (surrogate pairs)
+_ESCAPED = list('"\\\n\t\x00\x1f\x7f\xe9\u2028\ud800\U0001F600')
+_ids = st.text(st.one_of(st.sampled_from(_ESCAPED), st.characters()), max_size=6)
+
+
+@st.composite
+def _ledgers(draw):
+    """A valid ledger of 0-4 systems of dim 2 or 3 and 0-6 one- and two-system records."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    names = draw(st.lists(_ids, max_size=4, unique=True))
+    dims = {s: draw(st.sampled_from((2, 3))) for s in names}
+    states = {s: Ket(random_amps(rng, d), (d,), (s,)) for s, d in dims.items()}
+    ops = {}
+    for _ in range(draw(st.integers(0, 6)) if dims else 0):
+        on = tuple(draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True)))
+        d = tuple(dims[s] for s in on)
+        op_id = draw(_ids.filter(lambda t: t not in ops))
+        parents = frozenset(draw(st.sets(st.sampled_from(sorted(ops))))) if ops else frozenset()
+        unitary = Operator(random_unitary(rng, math.prod(d)), d, on)
+        ops[op_id] = InteractionOp(op_id, unitary, on, parents)
+    return InternalMemory(states, ops)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mem=_ledgers())
+def test_memory_json_is_json_dumps_of_the_document(mem):
+    text = memory_to_json(mem)
+    assert text == _reference_json(mem)
+    assert memory_to_json(memory_from_json(text)) == text
 
 
 def test_memory_json_rejects_other_documents():

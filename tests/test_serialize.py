@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -232,10 +233,11 @@ def _same_bytes(writer, reference, data, tmp_path):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @settings(max_examples=150, deadline=None)
-@given(frames=_frames())
-def test_snapshot_blocks_match_the_row_writer(frames, tmp_path_factory):
+@given(frames=_frames(), fork_rows=st.sampled_from([1, serialize._FORK_ROWS]))
+def test_snapshot_blocks_match_the_row_writer(frames, fork_rows, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("snap")
-    assert _same_bytes(write_snapshots_csv, _reference_snapshots, frames, tmp)
+    with mock.patch.object(serialize, "_FORK_ROWS", fork_rows):  # split as the CPUs allow, or not
+        assert _same_bytes(write_snapshots_csv, _reference_snapshots, frames, tmp)
 
 
 @settings(max_examples=150, deadline=None)
@@ -273,11 +275,14 @@ def test_rows_cut_into_kernel_calls_match_the_row_writer(monkeypatch, tmp_path):
 
 
 # The writer splits the frames across the CPUs it may run on, one forked
-# child per range after the first.  The bytes must not depend on the split.
+# child per range after the first, and gives each process at least
+# _FORK_ROWS grid points.  The bytes must not depend on the split.  The
+# tests of the split on small tables lower _FORK_ROWS to 1 point.
 
 
-def _count_forks(monkeypatch, cpus):
+def _count_forks(monkeypatch, cpus, fork_rows=1):
     forks = []
+    monkeypatch.setattr(serialize, "_FORK_ROWS", fork_rows)
     fork = os.fork
 
     def counted():
@@ -320,6 +325,39 @@ def test_snapshots_fork_only_when_the_split_can_help(
     assert _same_bytes(write_snapshots_csv, _reference_snapshots, frames, tmp_path)
     assert len(forks) == expected_forks
     assert sorted(os.listdir(tmp_path)) == ["ours.csv", "reference.csv"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize(
+    "cpus, fork_rows, expected_forks", [(2, 16, 0), (2, 15, 1), (3, 11, 1), (3, 10, 2)]
+)
+def test_each_snapshot_process_gets_fork_rows_points(
+    cpus, fork_rows, expected_forks, monkeypatch, tmp_path
+):
+    forks = _count_forks(monkeypatch, cpus, fork_rows)  # of the 30 grid points
+    assert _same_bytes(write_snapshots_csv, _reference_snapshots, _split_frames(), tmp_path)
+    assert len(forks) == expected_forks
+
+
+def test_a_table_under_the_fork_threshold_is_written_in_one_process(monkeypatch, tmp_path):
+    # two_spin_crossing's table: 12 blocks of 2,048 points
+    frames = run_scenario(ScenarioConfig(scenario="two_spin_crossing")).frames
+    assert sum(len(x) for _, x, _, _ in frames) < 2 * serialize._FORK_ROWS
+    forks = _count_forks(monkeypatch, 2, fork_rows=serialize._FORK_ROWS)
+    assert _same_bytes(write_snapshots_csv, _reference_snapshots, frames, tmp_path)
+    assert forks == []
+
+
+def test_a_table_over_the_fork_threshold_splits_to_the_same_bytes(monkeypatch, tmp_path):
+    # stern_gerlach's table at a frame every 4 steps: 232 blocks of 1,024 points
+    frames = run_scenario(ScenarioConfig(scenario="stern_gerlach", snapshot_every=4)).frames
+    forks = _count_forks(monkeypatch, 2, fork_rows=serialize._FORK_ROWS)
+    write_snapshots_csv(frames, str(tmp_path / "split.csv"))
+    assert len(forks) == 1
+    monkeypatch.setattr(serialize, "_FORK_ROWS", sum(len(x) for _, x, _, _ in frames) + 1)
+    write_snapshots_csv(frames, str(tmp_path / "whole.csv"))
+    assert len(forks) == 1
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 @pytest.mark.parametrize(
