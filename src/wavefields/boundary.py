@@ -278,8 +278,9 @@ def transfer_matrices_synced(
     relabels chosen systems: each basis is applied to its own system
     before the history and its adjoint after it (neither, where nothing
     acts on the system), so no matrix over the whole product basis is
-    built.  Without bases the entries are bit for bit those of building
-    each column as a ``Ket``.
+    built.  Without bases the entries are bit for bit those of taking
+    each column through ``hilbert.apply`` and permuting its amplitudes,
+    normalized once per operation.
 
     ``occupied`` holds, per acting system, the in-labels its branches
     occupy.  Each matrix keeps only those columns and drops every out-row
@@ -312,14 +313,14 @@ def transfer_matrices_synced(
         labels, dims, bases = columns[ks[0]][1:4]
         batch = rows[0] if len(rows) == 1 else np.concatenate(rows)
         batch = _contract(batch, labels, dims, unitary, acting)
-        if labels != post[0]:  # to the merged order
+        if labels != post[0]:  # to the merged order; a reorder keeps each row's norm
             batch = batch.reshape((len(batch), *dims)).transpose(_reorder(labels, post[0]))
             batch = batch.reshape(len(batch), math.prod(post[1]))
         if bases:
             for sys_id in post[0]:
                 if sys_id in bases:
                     batch = _contract(batch, *post, bases[sys_id].dagger(), (sys_id,))
-        batch = _unit_rows(batch)
+            batch = _unit_rows(batch)
         start = 0
         for k in ks:
             rows = batch[start : start + len(columns[k].rows)]

@@ -114,8 +114,8 @@ def reference_transfer(own, merged, unitary, system, index_bases=None, occupied=
 
     Each needed in-branch becomes a basis ket, is tensored with the
     initial states of newly met systems, takes every record ``own``
-    lacks and then ``unitary`` by ``hilbert.apply``, and is permuted to
-    the merged system order.  Index bases rotate the dense matrix on
+    lacks and then ``unitary`` by ``hilbert.apply``, and its amplitudes
+    are permuted to the merged system order.  Index bases rotate the dense matrix on
     both sides.  Returns (matrix, in_labels, out_labels).
     """
     pre_order = memory.systems(own)
@@ -151,7 +151,9 @@ def reference_transfer(own, merged, unitary, system, index_bases=None, occupied=
             op = merged.ops[op_id]
             ket = hilbert.apply(op.unitary, ket, op.participants)
         ket = hilbert.apply(unitary, ket)
-        t[:, col] = hilbert.permute_systems(ket, post_order).amplitudes
+        # the amplitudes permuted, not a permuted Ket, which would normalize them again
+        perm = [ket.labels.index(s) for s in post_order]
+        t[:, col] = ket.tensor_view().transpose(perm).reshape(-1)
     if index_bases:
         t = r_out.conj().T @ t @ r_in
     t = t[:, cols]
