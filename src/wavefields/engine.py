@@ -329,14 +329,15 @@ def meet(
     return link
 
 
-def _step_link(state: ScenarioState, link, rho_left, rho_right, t, stacks=()):
+def _step_link(state: ScenarioState, link, rho_left, rho_right, t, stacks=(), sum_right=None):
     """Move the boundary to where the fluids balance and record it at ``t``.
 
     The crossing completes once neither system has fluid left on its pre
     side, re-expanding the packets once ``stacks`` gave them their fields;
-    returns whether it has.
+    returns whether it has.  ``sum_right`` is the norm audit's sum of rho_right.
     """
-    balance = boundary_mod.step_boundary_fields(link.balance.x12, rho_left, rho_right, state.grid)
+    x12 = link.balance.x12
+    balance = boundary_mod.step_boundary_fields(x12, rho_left, rho_right, state.grid, sum_right)
     link.trajectory.append((t, balance))
     if balance.pre_left < COMPLETION_THRESHOLD and balance.pre_right < COMPLETION_THRESHOLD:
         for stack in stacks:
@@ -422,11 +423,13 @@ def _step(state: ScenarioState, stacks: dict) -> bool:
         rows, spectrum = prop.step(rows, spectrum=spectrum, keep=True)
         stack[3:] = rows, spectrum
         densities.update(zip([wf.system for wf in wfs], _densities(rows, groups)))
-    masses = {s: float(rho.sum()) * grid.dx for s, rho in densities.items()}
+    sums = {s: np.add.reduce(rho).item() for s, rho in densities.items()}  # one reduce each
+    masses = {s: total * grid.dx for s, total in sums.items()}
     completed = False
     for link in state.active_links():
         rho_left, rho_right = densities[link.left_system], densities[link.right_system]
-        if _step_link(state, link, rho_left, rho_right, state.time + grid.dt, stacks.values()):
+        t, right = state.time + grid.dt, sums[link.right_system]
+        if _step_link(state, link, rho_left, rho_right, t, stacks.values(), right):
             completed = True  # packets re-expanded: audit those
             for s in (link.left_system, link.right_system):
                 masses[s] = total_mass(state, s)

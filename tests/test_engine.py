@@ -484,10 +484,10 @@ def test_boundary_law_gets_the_densities_of_the_stepped_rows(monkeypatch):
         stepped.append(out[0])
         return out
 
-    def spy(x12, rho_left, rho_right, grid):
+    def spy(x12, rho_left, rho_right, grid, *sums):
         for w, row, rho in zip(weights, stepped[-1], (rho_left, rho_right)):
             fed.append(np.array_equal(rho, w * (row.real**2 + row.imag**2)))
-        return law(x12, rho_left, rho_right, grid)
+        return law(x12, rho_left, rho_right, grid, *sums)
 
     monkeypatch.setattr(Propagator, "step", step_spy)
     monkeypatch.setattr(boundary, "step_boundary_fields", spy)
