@@ -63,14 +63,13 @@ def step_boundary_fields(
     well-separated densities), which keeps a symmetric collision's
     boundary on the symmetry point.  With no fluid on either side ``x12``
     holds.  The crossed levels read C and one partial sum of rho_right, up
-    to the boundary's cell.  ``sum_right``, if given, is rho_right's sum as
-    ``np.add.reduce`` gives it, taken once for the norm audit as well.
+    to the boundary's cell.  ``sum_right`` is rho_right's ``np.add.reduce``, if taken.
     """
     dx, add_up = grid.dx, np.add.reduce  # ``ndarray.sum`` wraps this reduce in Python calls
     cum = cumulative_mass(rho_left + rho_right, grid)  # C
     r0, rn = rho_right[0].item(), rho_right[-1].item()
-    total = add_up(rho_right).item() if sum_right is None else sum_right
-    total_right = (total - 0.5 * (r0 + rn)) * dx
+    total_right = add_up(rho_right).item() if sum_right is None else sum_right
+    total_right = (total_right - 0.5 * (r0 + rn)) * dx
     if total_right >= BALANCE_TOL or cum[-1] - total_right >= BALANCE_TOL:
         edges = [grid.x_min, grid.x[-1].item()]  # where F first exceeds -tol, first reaches +tol
         for e, level, side in ((0, -BALANCE_TOL, "right"), (1, BALANCE_TOL, "left")):

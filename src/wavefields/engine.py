@@ -1,33 +1,32 @@
 """Simulation engine for interacting indexed wave-fields.
 
-Each quantum system is one wave-field: a set of spatial packets, one
-per index branch, plus the record of interactions that produced those
-branches.  Packets hold raw coefficient-weighted amplitude, so the
-squared norm of a packet's field integrates to the branch probability
-once the branch is fully formed.
+Each quantum system is one wave-field: indexed piece-wise single-particle
+wavefunctions, each with its own coefficient, and the record of the
+interactions that produced them.  It is stored as its shape groups, at
+rest and in a crossing alike: one row per group and, per packet, its
+label, coefficient, group and amplitude.  A packet's field, the raw
+amplitude whose squared norm integrates to the branch probability once
+the branch is fully formed, is its amplitude times its group's row, built
+when read.  Writing one puts the packet in the group of its shape
+(``SHAPE_TOL``), else a new row; a group left empty goes at the next meet or step.
 
-Interactions either complete instantly (the index spaces re-expand in
-place) or run as a crossing: the two fluids pass through a moving
-boundary whose transfer matrices re-index the crossed fluid, and
-``branches`` cuts the rows into their pre- and post-interaction parts
-when asked.  A wave-field steps as a few shapes and their coefficients:
-its rows fall into shape groups, each a leading row psi_k and the ratios
-r_i of its rows to it, one group per system in a crossing.  ``advance``
-stacks the leading rows of the systems that share a potential once per
-call and steps that private stack for every step of the call; the
-packets get r_i psi_k when it returns.  A call continues from the last
-spectrum while the packets hold bit for bit the fields it gave them, so
-k one-step calls are one k-step call; anything else (a meet, a kick, a
-write into a field) makes it derive the groups afresh.  The densities,
-sum w |psi_k|^2, feed the boundary law, which puts the boundary on the
-median of the summed fluid, and the norm audit.  Everything a system
-knows travels with it; a meet touches only the two participants.
+An instant meet multiplies the coefficient and amplitude vectors by the
+transfer matrix; an out-branch keeps its in-branches' group, and only one
+drawing on several groups gets a row of its own, their combination.  A
+crossing runs a moving boundary between two one-group fluids, whose
+transfer matrices re-index the crossed fluid: ``branches`` cuts the rows
+at the boundary when asked, and the same expansion completes it once the
+pre-interaction fluid has crossed.  ``advance`` steps the stacked group
+rows of the systems that share a potential, each system on from its own
+last spectrum.  The densities, w |psi_g|^2 summed over a system's groups
+with w = sum |amplitude|^2, feed the boundary law, which puts the
+boundary on the median of the summed fluid, and the norm audit.  A meet
+touches only its participants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,41 +40,88 @@ from .spatial import Grid, Propagator, current, norm_squared  # noqa: F401
 NORM_AUDIT_TOL = 1e-8
 COMPLETION_THRESHOLD = 1e-10
 DARK_MASS_THRESHOLD = 1e-16
-SHAPE_TOL = 1e-12  # the most |psi_i - r_i psi_k| / |psi_i| of a row in psi_k's group (``_lead``)
+SHAPE_TOL = 1e-12  # the most |psi - r row| / |psi| of a field psi in a row's group (``_place``)
 
 PRE = "pre"
 POST = "post"
 
 
-@dataclass
-class Packet:
-    """One index branch of a wave-field.
+@dataclass(eq=False)
+class ShapeGroups:
+    """A wave-field's group rows, which its packets read, and the spectrum that gave them."""
 
-    ``field`` is the raw amplitude: branch coefficient times the branch
-    wavefunction.  ``coefficient`` tracks the algebraic value from the
-    transfer matrices.  Packets stored in a wave-field are whole
-    branches and carry no ``region``; only the packets ``branches``
-    builds for a crossing in flight are tagged, with the side of the
-    boundary they lie on, and hold just the fluid on that side.
+    rows: np.ndarray
+    spectrum: np.ndarray | None = field(default=None, repr=False)
+
+    def write(self, packet: Packet, psi) -> None:
+        """Give ``packet`` the field ``psi``: the group of its shape, else a new row."""
+        rows, packet.group, packet.amplitude = _place(self.rows, np.asarray(psi, np.complex128))
+        if rows is not self.rows:
+            self.rows, self.spectrum = rows, None
+
+
+@dataclass(eq=False, slots=True)
+class Packet:
+    """One index branch: its label, coefficient from the transfers and raw amplitude ``field``.
+
+    A stored packet's field is ``amplitude`` times row ``group`` of its
+    wave-field's ``shapes``.  One built with a field holds it, as the
+    ``branches`` of a crossing in flight do, each on one side (``region``).
     """
 
     index: IndexLabel
     coefficient: complex
-    field: np.ndarray
+    _field: np.ndarray | None = None
     region: str | None = None
+    shapes: ShapeGroups | None = field(default=None, repr=False)
+    amplitude: complex = 0j
+    group: int = 0
+
+    @property
+    def field(self) -> np.ndarray:
+        shapes = self.shapes
+        return self._field if shapes is None else self.amplitude * shapes.rows[self.group]
+
+    @field.setter
+    def field(self, value) -> None:
+        if self.shapes is None:
+            self._field = value
+        else:
+            self.shapes.write(self, value)
 
     def mass(self, grid: Grid) -> float:
         return norm_squared(self.field, grid)
 
-    def fluid_norm(self, grid: Grid) -> float:
-        return float(np.sqrt(self.mass(grid)))
 
-
-@dataclass
+@dataclass(eq=False)
 class WaveField:
+    """A system's packets, their shape groups and its record."""
+
     system: str
     packets: list[Packet]
     memory: InternalMemory
+    shapes: ShapeGroups
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Hold ``rows`` less the groups no packet is in; other rows need a fresh spectrum."""
+        used = sorted({p.group for p in self.packets})
+        if len(used) < len(rows):
+            rows = rows[used]
+            for p in self.packets:
+                p.group = used.index(p.group)
+        if rows is not self.shapes.rows:
+            self.shapes.rows, self.shapes.spectrum = rows, None
+
+
+@np.errstate(invalid="ignore")  # a NaN cell gives a NaN amplitude, which fails the norm audit
+def _place(rows: np.ndarray, psi: np.ndarray):
+    """``rows`` with a row of ``psi``'s shape, that row, and ``psi`` over it: the first row
+    within ``SHAPE_TOL`` of r row, r = <row|psi> / <row|row>, takes it as r, a new row as 1."""
+    for g, row in enumerate(rows):
+        r = np.vdot(row, psi) / np.vdot(row, row)
+        if not np.linalg.norm(psi - r * row) > SHAPE_TOL * np.linalg.norm(psi):
+            return rows, g, complex(r)
+    return np.vstack([*rows, psi]), len(rows), 1 + 0j
 
 
 @dataclass
@@ -90,8 +136,6 @@ class ScenarioState:
     index_bases: dict[str, Operator] = field(default_factory=dict)
     _propagators: dict[bytes | None, Propagator] = field(default_factory=dict, repr=False)
     _resolved: dict[str, Propagator] = field(default_factory=dict, repr=False)  # by system
-    # propagator -> the bytes of the fields a call gave, its groups, last rows and spectrum
-    _spectra: dict[Propagator, tuple] = field(default_factory=dict, repr=False)
 
     def active_links(self) -> list[boundary_mod.BoundaryLink]:
         return [ln for ln in self.links if ln.active]
@@ -119,16 +163,14 @@ def set_potential(state: ScenarioState, system: str, potential) -> None:
 
 
 def add_system(state: ScenarioState, system: str, amplitudes, shape) -> WaveField:
-    """Create a wave-field with one packet per nonzero index amplitude.
+    """A wave-field of one group, the unit-norm ``shape``, with a packet per nonzero amplitude.
 
-    ``amplitudes`` is the internal state in the computational basis and
-    ``shape`` the shared unit-norm wavefunction.  If the scenario uses a
-    different index basis for this system, the branches are labeled in
-    that basis.
+    ``amplitudes`` is the internal state in the computational basis; the
+    branches are labeled in the system's index basis, if the scenario sets one.
     """
     if system in state.wavefields:
         raise ValueError(f"system {system!r} already exists")
-    shape = np.asarray(shape, dtype=np.complex128)
+    shape = np.array(shape, dtype=np.complex128, ndmin=2)  # a copy: the caller's array may change
     mass = norm_squared(shape, state.grid)
     if not abs(mass - 1.0) <= 1e-6:  # NaN fails too
         raise ValueError(f"packet shape has squared norm {mass!r}, expected 1")
@@ -139,12 +181,12 @@ def add_system(state: ScenarioState, system: str, amplitudes, shape) -> WaveFiel
     if basis is not None:
         memory_mod.check_index_basis(system, basis, amps.size)
     coeffs = amps if basis is None else basis.matrix.conj().T @ amps
-    packets = [
-        Packet(IndexLabel(int(i), ()), complex(c), complex(c) * shape)
+    wf = WaveField(system, [], memory_mod.fresh_memory(system, amps), ShapeGroups(shape))
+    wf.packets = [
+        Packet(IndexLabel(int(i), ()), complex(c), None, None, wf.shapes, complex(c))
         for i, c in enumerate(coeffs)
         if abs(c) > COEFFICIENT_THRESHOLD
     ]
-    wf = WaveField(system, packets, memory_mod.fresh_memory(system, amps))
     state.wavefields[system] = wf
     return wf
 
@@ -160,102 +202,91 @@ def _when(state: ScenarioState) -> str:
     return f"at step {state.step_count}, t={state.time:.6g}"
 
 
-def _require_at_rest(state: ScenarioState, system: str) -> None:
-    if _active_link(state, system) is not None:
-        raise ValueError(f"system {system!r} is mid-crossing {_when(state)}")
+def _require_at_rest(state: ScenarioState, *systems: str) -> None:
+    for ln in state.links:
+        for s in (ln.left_system, ln.right_system):
+            if ln.active and s in systems:
+                raise ValueError(f"system {s!r} is mid-crossing {_when(state)}")
 
 
 def total_mass(state: ScenarioState, system: str) -> float:
     return sum(p.mass(state.grid) for p in state.wavefields[system].packets)
 
 
-def _in_rows(wf: WaveField, transfer: boundary_mod.TransferMatrix, state: ScenarioState):
-    """Fields and coefficients of the branches, one row per in-label.
+def _expand(wf: WaveField, transfer: boundary_mod.TransferMatrix, state: ScenarioState):
+    """The in-branches, and the out-branches' coefficients, amplitudes and groups with the rows.
 
-    The packets are mostly the in-labels in order already, as the last
-    meet left them, and are read as they stand.
+    Both vectors are the transfer times the in-branches'.  An out-branch
+    takes the group its nonzero entries draw on; one that draws on several
+    gets their combination, the row ``transfer.matrix @ fields`` gives it.
     """
-    rows = wf.packets
-    if transfer.in_labels != [p.index for p in rows]:
-        packets = {p.index: p for p in rows}
-        rows = [packets.get(label) for label in transfer.in_labels]
-        if len(packets) > sum(p is not None for p in rows):  # a branch with no in-label
-            unknown = sorted(label.text() for label in set(packets) - set(transfer.in_labels))
-            raise RuntimeError(
-                f"branches {unknown} of {wf.system!r} missing from the transfer matrix "
-                f"{_when(state)}"
-            )
-        empty = Packet(None, 0j, np.zeros(state.grid.n, complex))
-        rows = [empty if p is None else p for p in rows]
-    raw = np.array([p.field for p in rows])
-    coeff = np.array([p.coefficient for p in rows], dtype=np.complex128)
-    return raw, coeff
+    matrix, rows, packets = transfer.matrix, wf.shapes.rows, wf.packets
+    if transfer.in_labels != [p.index for p in packets]:  # as a meet left them, mostly
+        stored = {p.index: p for p in packets}
+        unknown = sorted(label.text() for label in set(stored) - set(transfer.in_labels))
+        if unknown:
+            raise RuntimeError(f"branches {unknown} of {wf.system!r} missing from the transfer "
+                               f"matrix {_when(state)}")
+        zero = Packet(None, 0j, None, None, wf.shapes)  # zero amplitude: no field
+        packets = [stored.get(label, zero) for label in transfer.in_labels]
+    coeffs = (matrix @ np.array([p.coefficient for p in packets], np.complex128)).tolist()
+    amps = np.array([p.amplitude for p in packets], np.complex128)
+    out = matrix @ amps
+    if len(rows) == 1:
+        return packets, coeffs, out.tolist(), [0] * len(coeffs), rows
+    group = np.array([p.group for p in packets], np.intp)
+    drawn = matrix != 0
+    first = group[drawn.argmax(axis=1)]
+    groups = first.tolist()
+    for i in np.flatnonzero((drawn & (group != first[:, None])).any(axis=1)).tolist():
+        rows, groups[i], out[i] = _place(rows, (matrix[i] * amps) @ rows[group])
+    return packets, coeffs, out.tolist(), groups, rows
 
 
 def _expand_instant(wf: WaveField, transfer: boundary_mod.TransferMatrix, state: ScenarioState):
-    raw, coeff = _in_rows(wf, transfer, state)
-    matrix, grid = transfer.matrix, state.grid
+    _, coeffs, amps, groups, rows = _expand(wf, transfer, state)
     wf.packets = [
-        Packet(label, c, row)
-        for label, c, row in zip(transfer.out_labels, (matrix @ coeff).tolist(), matrix @ raw)
-        # a row's mass is read only where its coefficient is at or under the threshold
-        if not (abs(c) <= COEFFICIENT_THRESHOLD and norm_squared(row, grid) <= DARK_MASS_THRESHOLD)
+        Packet(label, c, None, None, wf.shapes, a, g)
+        for label, c, a, g in zip(transfer.out_labels, coeffs, amps, groups)
+        # a field's mass is read only where its coefficient is at or under the threshold
+        if not abs(c) <= COEFFICIENT_THRESHOLD
+        or not norm_squared(a * rows[g], state.grid) <= DARK_MASS_THRESHOLD
     ]
+    if rows is not wf.shapes.rows or len(rows) > 1:  # one group, the same row: nothing to drop
+        wf.keep(rows)
 
 
-class _Groups(NamedTuple):  # the shape groups of some systems' stacked rows (``_lead``)
-    leads: np.ndarray  # each group's leading row psi_k, among the rows
-    member: np.ndarray  # each row's group
-    ratios: np.ndarray  # each row's r_i, as a column: the row is r_i psi_k
-    weights: np.ndarray  # each group's w = sum |r_i|^2, as a column
-    spans: list  # each system's (first, end) group
+def _one_group(wf: WaveField, error, state: ScenarioState) -> None:
+    """A boundary serves one shape: refuse ``wf``'s second group (ValueError as one opens)."""
+    wf.keep(wf.shapes.rows)
+    if len(wf.shapes.rows) == 1:
+        return
+    p = wf.packets[0]
+    q = next(q for q in wf.packets if q.group != p.group)
+    f, g = p.field, q.field
+    overlap = abs(np.vdot(f, g)) / np.linalg.norm(f) / np.linalg.norm(g)
+    where = "no crossing" if error is ValueError else "mid-crossing"
+    raise error(
+        f"branches {p.index.text()!r} and {q.index.text()!r} of {wf.system!r} differ in shape "
+        f"(1 - overlap = {1 - overlap:.3g}): {where} {_when(state)}"
+    )
 
 
-@np.errstate(invalid="ignore")  # NaN ratios from a NaN cell fail the norm audit, which names it
-def _lead(rows: np.ndarray, wfs: list, state: ScenarioState, errors) -> _Groups:
-    """Split each system's rows, stacked in ``rows`` in the order of ``wfs``, into shape groups.
-
-    A group leads with the system's largest row psi_k left and takes every
-    row left within ``SHAPE_TOL`` of r_i psi_k, r_i = <psi_k|psi_i> / <psi_k|psi_k>.
-    A boundary serves one shape, so a second group is refused with the
-    system's ``errors`` entry: ValueError as a crossing opens, RuntimeError in one.
-    """
-    leads, w, spans, start = [], [], [], 0
-    member, ratios = np.zeros(len(rows), np.intp), np.zeros((len(rows), 1), complex)
-    for wf, error in zip(wfs, errors):
-        span, first = slice(start, start + len(wf.packets)), len(leads)
-        sub = rows[span]
-        mass, norms = np.vecdot(sub, sub).real, np.linalg.norm(sub, axis=1)
-        left = np.ones(len(sub), dtype=bool)  # rows in no group yet
-        while left.any():
-            k = int(np.argmax(np.where(left, mass, -1.0)))
-            r = sub @ sub[k].conj() / np.vdot(sub[k], sub[k])
-            r[k] = 1.0
-            near = left & ~(np.linalg.norm(sub - r[:, None] * sub[k], axis=1) / norms > SHAPE_TOL)
-            stray = np.flatnonzero(left & ~near)
-            if error is not None and stray.size:
-                i, j = sorted((int(stray[0]), k))
-                overlap = abs(np.vdot(sub[i], sub[j])) / norms[i] / norms[j]
-                raise error(
-                    f"branches {wf.packets[i].index.text()!r} and {wf.packets[j].index.text()!r}"
-                    f" of {wf.system!r} differ in shape (1 - overlap = {1 - overlap:.3g}): "
-                    f"{'no crossing' if error is ValueError else 'mid-crossing'} {_when(state)}"
-                )
-            r[~near] = 0.0
-            member[span][near], ratios[span, 0][near], left = len(leads), r[near], left & ~near
-            leads.append(start + k)
-            w.append(np.vdot(r, r).real)
-        spans.append((first, len(leads)))
-        start = span.stop
-    return _Groups(np.array(leads, np.intp), member, ratios, np.array(w).reshape(-1, 1), spans)
+def _weights(wfs: list) -> np.ndarray:
+    """Each group's w, the sum of its packets' |amplitude|^2, down ``wfs``' stacked rows."""
+    w = [np.zeros(len(wf.shapes.rows)) for wf in wfs]
+    for wf, wg in zip(wfs, w):
+        for p in wf.packets:
+            wg[p.group] += p.amplitude.real**2 + p.amplitude.imag**2
+    return np.concatenate(w).reshape(-1, 1)
 
 
-def _densities(rows: np.ndarray, groups: _Groups) -> list:
-    """Each system's density from its groups' leading rows: sum w |psi_k|^2."""
+def _densities(rows: np.ndarray, weights: np.ndarray, ends) -> list:
+    """Each system's density, sum w |psi_g|^2 over its rows; ``ends`` ends each system's rows."""
     rho = rows.real**2
     rho += rows.imag**2
-    rho *= groups.weights
-    return [rho[a] if b == a + 1 else rho[a:b].sum(axis=0) for a, b in groups.spans]
+    rho *= weights
+    return [rho[a] if b == a + 1 else rho[a:b].sum(axis=0) for a, b in zip([0, *ends], ends)]
 
 
 def meet(
@@ -271,18 +302,16 @@ def meet(
     ``instant`` re-expands the participants' branches in place, for
     interactions whose spatial development is not being studied.
     ``crossing`` opens a moving boundary between the two fluids, each of
-    whose branches must share one shape (``SHAPE_TOL``); they evolve
-    freely while the boundary moves through them and are re-expanded once
-    the pre-interaction fluid has all crossed.  Only the participants are touched.
+    one shape group; they evolve freely while the boundary moves through
+    them and are re-expanded once the pre-interaction fluid has all
+    crossed.  Only the participants are touched.
     """
     if mode not in ("instant", "crossing"):
         raise ValueError(f"unknown meet mode {mode!r}")
-    _require_at_rest(state, a)
+    if b == a:
+        raise ValueError("a system cannot meet itself")
     participants = (a,) if b is None else (a, b)
-    if b is not None:
-        if b == a:
-            raise ValueError("a system cannot meet itself")
-        _require_at_rest(state, b)
+    _require_at_rest(state, *participants)
     fields = [state.wavefields.get(s) for s in participants]
     for s, wf in zip(participants, fields):
         if wf is None:
@@ -290,9 +319,10 @@ def meet(
     if mode == "crossing":
         if b is None:
             raise ValueError("a crossing needs two systems")
-        rows = np.array([p.field for wf in fields for p in wf.packets]).reshape(-1, state.grid.n)
-        groups = _lead(rows, fields, state, (ValueError, ValueError))
-        densities = _densities(rows[groups.leads], groups)
+        for wf in fields:
+            _one_group(wf, ValueError, state)
+        rows = np.concatenate([wf.shapes.rows for wf in fields])
+        densities = _densities(rows, _weights(fields), [1, 2])
         left, right = (np.dot(state.grid.x, rho) / rho.sum() for rho in densities)  # centroids
         if not left < right:  # a system with no fluid fails too
             raise ValueError(f"crossing expects {a!r} to start left of {b!r}")
@@ -329,30 +359,11 @@ def meet(
     return link
 
 
-def _step_link(state: ScenarioState, link, rho_left, rho_right, t, stacks=(), sum_right=None):
-    """Move the boundary to where the fluids balance and record it at ``t``.
-
-    The crossing completes once neither system has fluid left on its pre
-    side, re-expanding the packets once ``stacks`` gave them their fields;
-    returns whether it has.  ``sum_right`` is the norm audit's sum of rho_right.
-    """
-    x12 = link.balance.x12
-    balance = boundary_mod.step_boundary_fields(x12, rho_left, rho_right, state.grid, sum_right)
-    link.trajectory.append((t, balance))
-    if balance.pre_left < COMPLETION_THRESHOLD and balance.pre_right < COMPLETION_THRESHOLD:
-        for stack in stacks:
-            _fields(stack)
-        _expand_instant(state.wavefields[link.left_system], link.t_left, state)
-        _expand_instant(state.wavefields[link.right_system], link.t_right, state)
-        link.active = False
-    return not link.active
-
-
 def branches(state: ScenarioState, system: str) -> list[Packet]:
     """The system's branches as they stand, split at an active boundary.
 
     At rest these are the stored packets.  While a crossing is in
-    flight, the pre-interaction branches are the stored rows J on the
+    flight, the pre-interaction branches are the stored fields J on the
     pre side of the boundary and the post-interaction ones are T·J on
     the post side, tagged PRE and POST.  Re-indexing the crossed cells
     through the transfer T (``boundary.apply_boundary_transfer``) would
@@ -363,118 +374,109 @@ def branches(state: ScenarioState, system: str) -> list[Packet]:
     link = _active_link(state, system)
     if link is None:
         return wf.packets
-    grid = state.grid
-    post_side = grid.x > link.balance.x12
+    post_side = state.grid.x > link.balance.x12
     transfer = link.t_left
     if system == link.right_system:
         post_side, transfer = ~post_side, link.t_right
-    raw, coeff = _in_rows(wf, transfer, state)
-    pre = np.where(post_side, 0.0, raw)
-    post = np.where(post_side, transfer.matrix @ raw, 0.0)
+    packets, coeffs, amps, groups, rows = _expand(wf, transfer, state)
     return [
-        Packet(label, complex(c), row, PRE)
-        for label, c, row in zip(transfer.in_labels, coeff, pre)
+        Packet(label, p.coefficient, np.where(post_side, 0.0, p.field), PRE)
+        for label, p in zip(transfer.in_labels, packets)
     ] + [
-        Packet(label, complex(c), row, POST)
-        for label, c, row in zip(transfer.out_labels, transfer.matrix @ coeff, post)
+        Packet(label, c, np.where(post_side, a * rows[g], 0.0), POST)
+        for label, c, a, g in zip(transfer.out_labels, coeffs, amps, groups)
     ]
 
 
-def _stacks(state: ScenarioState) -> dict:
-    """Each propagator's wave-fields, packets, shape groups, leading rows and spectrum.
+def _stacks(state: ScenarioState) -> list:
+    """Per propagator: it, its wave-fields, where their rows end, w, the rows and spectrum.
 
-    A stack steps one leading row per shape group of each system that
-    shares its propagator, at rest or in a crossing alike.  It keeps the
-    groups and spectrum of the last call while its packets hold bit for
-    bit the fields that call gave them, else derives both afresh, and
-    ``_lead`` refuses a crossing system's second group.
+    A system's spectrum is the one it kept, else a fresh transform of its
+    rows; a system in a crossing must be one group.
     """
     by_propagator: dict = {}
     for wf in state.wavefields.values():
+        wf.keep(wf.shapes.rows)
+        if _active_link(state, wf.system):
+            _one_group(wf, RuntimeError, state)
         by_propagator.setdefault(state.propagator(wf.system), []).append(wf)
-    stacks = {}
+    stacks = []
     for prop, wfs in by_propagator.items():
-        packets = [p for wf in wfs for p in wf.packets]
-        given, groups, rows, spectrum = state._spectra.get(prop, (None,) * 4)
-        if given != b"".join(p.field.tobytes() for p in packets):  # a field moved: derive afresh
-            rows = np.array([p.field for p in packets]).reshape(len(packets), state.grid.n)
-            errors = [RuntimeError if _active_link(state, wf.system) else None for wf in wfs]
-            groups, spectrum = _lead(rows, wfs, state, errors), None
-            rows = rows[groups.leads]
-        stacks[prop] = [wfs, packets, groups, rows, spectrum]
+        groups = [wf.shapes for wf in wfs]
+        spectra = [np.fft.fft(g.rows) if g.spectrum is None else g.spectrum for g in groups]
+        rows, spectrum = groups[0].rows, spectra[0]
+        if len(wfs) > 1:
+            rows, spectrum = np.concatenate([g.rows for g in groups]), np.concatenate(spectra)
+        ends = np.cumsum([len(g.rows) for g in groups]).tolist()
+        stacks.append([prop, wfs, ends, _weights(wfs), rows, spectrum])
     return stacks
 
 
-def _fields(stack) -> np.ndarray:
-    """Give the stack's packets their fields r_i psi_k, with r_k = 1; returns them stacked."""
-    _, packets, groups, rows, _ = stack
-    rows = groups.ratios * rows[groups.member]
-    for p, row in zip(packets, rows):
-        p.field = row
-    return rows
+def _step(state: ScenarioState, stacks: list) -> None:
+    """One step of every stack, the boundaries and the norm audit.
 
-
-def _step(state: ScenarioState, stacks: dict) -> bool:
-    """One step of every stack, the boundaries and the norm audit; whether a crossing completed."""
+    A boundary moves to where the fluids balance; the crossing completes,
+    re-expanding both systems, once neither has fluid left on its pre side.
+    """
     grid = state.grid
     densities = {}  # per system, from the stepped rows
-    for prop, stack in stacks.items():
-        wfs, _, groups, rows, spectrum = stack
+    for stack in stacks:
+        prop, wfs, ends, weights, rows, spectrum = stack
         rows, spectrum = prop.step(rows, spectrum=spectrum, keep=True)
-        stack[3:] = rows, spectrum
-        densities.update(zip([wf.system for wf in wfs], _densities(rows, groups)))
+        stack[4:] = rows, spectrum
+        for wf, a, b in zip(wfs, [0, *ends], ends):
+            wf.shapes.rows, wf.shapes.spectrum = rows[a:b], spectrum[a:b]
+        densities.update(zip([wf.system for wf in wfs], _densities(rows, weights, ends)))
     sums = {s: np.add.reduce(rho).item() for s, rho in densities.items()}  # one reduce each
     masses = {s: total * grid.dx for s, total in sums.items()}
-    completed = False
     for link in state.active_links():
-        rho_left, rho_right = densities[link.left_system], densities[link.right_system]
-        t, right = state.time + grid.dt, sums[link.right_system]
-        if _step_link(state, link, rho_left, rho_right, t, stacks.values(), right):
-            completed = True  # packets re-expanded: audit those
-            for s in (link.left_system, link.right_system):
-                masses[s] = total_mass(state, s)
+        x12, rho_right = link.balance.x12, densities[link.right_system]
+        balance = boundary_mod.step_boundary_fields(
+            x12, densities[link.left_system], rho_right, grid, sums[link.right_system]
+        )
+        link.trajectory.append((state.time + grid.dt, balance))
+        if balance.pre_left < COMPLETION_THRESHOLD and balance.pre_right < COMPLETION_THRESHOLD:
+            link.active = False
+            for s, t in ((link.left_system, link.t_left), (link.right_system, link.t_right)):
+                _expand_instant(state.wavefields[s], t, state)
+                masses[s] = total_mass(state, s)  # audit the re-expanded packets
+            for stack in stacks:  # the groups hold, their amplitudes moved
+                stack[3] = _weights(stack[1])
     state.time += grid.dt
     state.step_count += 1
     for s in state.wavefields:
         m = masses[s]
         if not abs(m - 1.0) <= NORM_AUDIT_TOL:  # a NaN mass fails too
             raise RuntimeError(f"norm audit failed for {s!r} {_when(state)}: total mass {m!r}")
-    return completed
 
 
 def advance(state: ScenarioState, steps: int = 1, until=None) -> ScenarioState:
     """Run the world forward ``steps`` steps, evolving packets and moving boundaries.
 
     ``until``, if given, ends the call after the first step on which it
-    holds.  The rows are stacked once per call, and again after a
-    crossing completes; in between each stack steps on from its own
-    spectrum, and the packets get their fields when the call returns, so
-    ``until`` may read the links and the clock but not the fields.
+    holds; it may read the state but not write a field.  Each system keeps
+    its spectrum, so k one-step calls are one k-step call.
     """
-    taken = 0
-    while taken < steps:
-        stacks = _stacks(state)
-        try:
-            completed = False
-            while taken < steps and not completed:
-                completed = _step(state, stacks)
-                taken += 1
-                if until is not None and until():
-                    return state
-        finally:  # a private copy of the fields, to tell a later write into one
-            state._spectra = {k: (_fields(s).tobytes(), *s[2:]) for k, s in stacks.items()}
+    stacks = _stacks(state)
+    for _ in range(steps):
+        _step(state, stacks)
+        if until is not None and until():
+            break
     return state
+
+
+def _shares(masses) -> dict:
+    """Each key's share of the masses of its (key, mass) pairs, in key order."""
+    out, total = {}, 0.0
+    for key, m in masses:
+        out[key] = out.get(key, 0.0) + m
+        total += m
+    return {k: v / total for k, v in sorted(out.items())}
 
 
 def index_distribution(state: ScenarioState, system: str) -> dict[int, float]:
     """Probability of each own index, by fluid mass."""
-    out: dict[int, float] = {}
-    total = 0.0
-    for p in branches(state, system):
-        m = p.mass(state.grid)
-        out[p.index.own] = out.get(p.index.own, 0.0) + m
-        total += m
-    return {k: v / total for k, v in sorted(out.items())}
+    return _shares((p.index.own, p.mass(state.grid)) for p in branches(state, system))
 
 
 def correlation_table(state: ScenarioState, a: str, b: str) -> dict[tuple[int, int], float]:
@@ -484,22 +486,17 @@ def correlation_table(state: ScenarioState, a: str, b: str) -> dict[tuple[int, i
     partner label it carries for ``b``.  Requires both systems at rest
     and sharing the interaction record.
     """
-    _require_at_rest(state, a)
-    _require_at_rest(state, b)
+    _require_at_rest(state, a, b)
     wf = state.wavefields[a]
     if b not in memory_mod.systems(wf.memory):
         raise ValueError(f"systems {a!r} and {b!r} have not met")
-    out: dict[tuple[int, int], float] = {}
-    total = 0.0
+    keys = []
     for p in wf.packets:
         partners = p.index.partner_map()
         if b not in partners:
             raise ValueError(f"branch {p.index.text()!r} of {a!r} carries no label for {b!r}")
-        key = (p.index.own, partners[b])
-        m = p.mass(state.grid)
-        out[key] = out.get(key, 0.0) + m
-        total += m
-    return {k: v / total for k, v in sorted(out.items())}
+        keys.append((p.index.own, partners[b]))
+    return _shares((key, p.mass(state.grid)) for key, p in zip(keys, wf.packets))
 
 
 def validate_against_memory(state: ScenarioState, system: str, atol: float = 1e-8) -> float:
@@ -520,14 +517,12 @@ def validate_against_memory(state: ScenarioState, system: str, atol: float = 1e-
     for label, entry in expected.items():
         p = packets.pop(label, None)
         if p is None:
-            raise AssertionError(
-                f"memory of {system!r} expects branch {label.text()!r}, "
-                "but the wave-field has none"
-            )
-        worst = max(worst, abs(p.coefficient - entry.coefficient))
-        worst = max(worst, abs(p.fluid_norm(state.grid) - abs(entry.coefficient)))
+            raise AssertionError(f"memory of {system!r} expects branch {label.text()!r}, "
+                                 "but the wave-field has none")
+        c, norm = entry.coefficient, float(np.sqrt(p.mass(state.grid)))
+        worst = max(worst, abs(p.coefficient - c), abs(norm - abs(c)))
     for label, p in packets.items():
-        leftover = max(abs(p.coefficient), p.fluid_norm(state.grid))
+        leftover = max(abs(p.coefficient), float(np.sqrt(p.mass(state.grid))))
         if leftover > atol:
             raise AssertionError(
                 f"wave-field {system!r} carries branch {label.text()!r} "

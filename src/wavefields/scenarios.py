@@ -143,7 +143,7 @@ def _frame(state: ScenarioState, frames: list, prefix: str = "") -> None:
         ordered = sorted(branches(state, name), key=lambda p: (p.region or "", p.index.text()))
         for p in ordered:
             label = f"{prefix}{name}:{p.index.text()}"
-            frames.append((state.time, state.grid.x, label, p.field.copy()))
+            frames.append((state.time, state.grid.x, label, p.field))  # a fresh array
 
 
 def _world(cfg: ScenarioConfig, bounds, systems, sigma: float = 1.5, bases=None):
@@ -638,9 +638,9 @@ def run_stern_gerlach(run: _Run) -> ScenarioResult:
 
     kick = 6.0
     spin = state.wavefields["s"]
-    for p in spin.packets:
+    for p in spin.packets:  # a kick is a write: each branch's shape becomes a group of its own
         sign = 1.0 if p.index.own == 0 else -1.0
-        p.field = p.field * np.exp(1j * sign * kick * grid.x)
+        spin.shapes.write(p, p.field * np.exp(1j * sign * kick * grid.x))
 
     run.evolve(state, 150)
 

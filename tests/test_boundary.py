@@ -360,6 +360,19 @@ def test_initial_boundary_identical_densities_is_median():
     assert abs(x12 - 2.5) < grid.dx
 
 
+def test_a_given_sum_of_the_right_density_leaves_the_balance_bit_for_bit():
+    # a crossing step hands the law the norm audit's reduce of rho_right
+    grid = Grid(-16.0, 16.0, 256, 0.01)
+    rng = np.random.default_rng(23)
+    for x0, x12 in ((-2.0, 0.0), (-9.0, 3.0), (0.0, -1.5)):
+        rho_left = np.abs(gaussian_packet(grid, x0, 1.0)) ** 2 * rng.uniform(0.5, 1.0)
+        rho_right = np.abs(gaussian_packet(grid, -x0 + 1.0, 1.5)) ** 2
+        total = np.add.reduce(rho_right).item()
+        assert step_boundary_fields(x12, rho_left, rho_right, grid, total) == step_boundary_fields(
+            x12, rho_left, rho_right, grid
+        )
+
+
 def test_initial_boundary_balances_both_ways():
     # mass of the left system below the point equals mass of the right
     # system above it, and with unit masses also the other way around

@@ -464,18 +464,18 @@ def test_advance_audit_catches_corruption():
 
 def test_boundary_law_gets_the_densities_of_the_stepped_rows(monkeypatch):
     # At every step the law gets each system's density as the engine forms
-    # it: w (re^2 + im^2) of the system's stepped leading row, its largest
-    # in-row psi_k, with w = sum |r_i|^2 over the ratios r_i = <psi_k|psi_i> /
-    # <psi_k|psi_k> of its in-rows, and the crossing steps only those rows.
+    # it: w (re^2 + im^2) of the system's stepped group row, with w = sum
+    # |a_i|^2 over the amplitudes a_i of its packets on that row, and the
+    # crossing steps only those rows.
     state, grid = crossing_state()
     link = meet(state, "1", "2", CNOT, "cnot", mode="crossing")
     weights = []
     for wf in state.wavefields.values():
-        rows = np.array([p.field for p in wf.packets])
-        k = int(np.argmax([np.vdot(row, row).real for row in rows]))
-        ratios = rows @ rows[k].conj() / np.vdot(rows[k], rows[k])
-        ratios[k] = 1.0
-        weights.append(np.vdot(ratios, ratios).real)
+        assert len(wf.shapes.rows) == 1
+        w = 0.0
+        for p in wf.packets:
+            w += p.amplitude.real**2 + p.amplitude.imag**2
+        weights.append(w)
     law, step = boundary.step_boundary_fields, Propagator.step
     stepped, fed = [], []
 
@@ -487,13 +487,14 @@ def test_boundary_law_gets_the_densities_of_the_stepped_rows(monkeypatch):
     def spy(x12, rho_left, rho_right, grid, *sums):
         for w, row, rho in zip(weights, stepped[-1], (rho_left, rho_right)):
             fed.append(np.array_equal(rho, w * (row.real**2 + row.imag**2)))
+        fed.append(sums == (np.add.reduce(rho_right).item(),))  # the norm audit's one reduce
         return law(x12, rho_left, rho_right, grid, *sums)
 
     monkeypatch.setattr(Propagator, "step", step_spy)
     monkeypatch.setattr(boundary, "step_boundary_fields", spy)
     advance(state, 2000, until=lambda: not link.active)
     assert not link.active
-    assert len(fed) == 2 * state.step_count and all(fed)
+    assert len(fed) == 3 * state.step_count and all(fed)
     assert len(stepped) == state.step_count
     assert all(rows.shape == (2, grid.n) for rows in stepped)
 
@@ -542,7 +543,7 @@ def amplitude_pairs():
 @settings(max_examples=12, deadline=None)
 @given(left=amplitude_pairs(), right=amplitude_pairs(), unitary=st.sampled_from([CZ, CNOT]))
 def test_stepping_leading_rows_is_stepping_every_in_row(left, right, unitary):
-    # the engine steps one leading row per system and holds the in-rows as
+    # the engine steps one group row per system and holds the in-rows as
     # its multiples; the oracle steps every in-row alone and sums their densities
     balances, packets = _per_row_crossing(left, right, unitary)
     state, grid = crossing_state(amps_left=left, amps_right=right)
@@ -577,10 +578,10 @@ def test_audit_catches_corruption_right_after_a_crossing_step():
 
 
 def test_a_shape_change_mid_crossing_is_refused_by_name():
-    # in flight an in-row is held as its multiple of the leading row, so a
-    # write that changes one branch's shape is refused where the leads are
-    # derived afresh, not projected away; the mass it moves is far below
-    # the norm audit's tolerance
+    # in flight an in-row is held as its multiple of the group row, so a
+    # write that changes one branch's shape starts a second group, which the
+    # next step refuses rather than project it away; the mass it moves is
+    # far below the norm audit's tolerance
     state, grid = crossing_state()
     link = meet(state, "1", "2", CNOT, "cnot", mode="crossing")
     advance(state, 5)
@@ -636,7 +637,10 @@ def test_norm_audit_fails_a_nan_cell(crossing):
         link = meet(state, "1", "2", CNOT, "cnot", mode="crossing")
         advance(state, 5)
         assert link.active
-    state.wavefields["2"].packets[0].field[grid.n // 2] = np.nan
+    packet = state.wavefields["2"].packets[0]
+    psi = packet.field  # a read builds the field; the write below stores it
+    psi[grid.n // 2] = np.nan
+    packet.field = psi
     step = state.step_count + 1
     with pytest.raises(RuntimeError, match=rf"norm audit failed for '2' at step {step}, .*nan"):
         advance(state, 3)
@@ -710,6 +714,78 @@ def test_stacked_systems_step_as_if_alone(potential):
     assert len(shared) == (2 if potential else 1)
 
 
+def test_a_bystander_keeps_its_spectrum_through_a_crossing():
+    # a crossing's completion re-expands its own two systems on their
+    # coefficients; a free system on the same propagator steps on from its
+    # own spectrum and keeps the bits it gets stepped alone
+    def world(crossing):
+        state, grid = crossing_state()
+        if not crossing:
+            state = new_state(grid)
+        add_system(state, "3", [0.6, 0.8j], gaussian_packet(grid, 40.0, 1.5, 0.5))
+        return state
+
+    together, alone = world(True), world(False)
+    link = meet(together, "1", "2", CNOT, "cnot", mode="crossing")
+    advance(together, 1500)
+    advance(alone, 1500)
+    assert not link.active and together.step_count == alone.step_count == 1500
+    got, want = together.wavefields["3"].packets, alone.wavefields["3"].packets
+    assert [p.index for p in got] == [p.index for p in want]
+    assert all(p.field.tobytes() == q.field.tobytes() for p, q in zip(got, want))
+
+
+def block_unitaries():
+    """(dim, unitary, kicks): a random unitary on a random block of 2-4 indices, phases elsewhere,
+    and each branch's kick, 0 or 0.7, so the branches fall into one or two shape groups."""
+    def build(args):
+        dim, seed, block, kicks = args
+        rng = np.random.default_rng(seed)
+        u = np.diag(np.exp(2j * np.pi * rng.random(dim)))
+        idx = np.flatnonzero(block[:dim]) if any(block[:dim]) else np.arange(dim)
+        u[np.ix_(idx, idx)] = random_unitary(rng, len(idx))
+        return dim, u, random_amps(rng, dim), list(kicks[:dim])
+
+    draw = st.tuples(
+        st.integers(2, 4), st.integers(0, 2**32 - 1),
+        st.lists(st.booleans(), min_size=4, max_size=4),
+        st.lists(st.sampled_from((0.0, 0.7)), min_size=4, max_size=4),
+    )
+    return draw.map(build)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=block_unitaries())
+def test_an_instant_meet_on_coefficients_gives_the_transfer_of_the_fields(case):
+    # an out-branch keeps its in-branches' group row and its amplitude is the
+    # transfer times theirs; one whose column entries draw on both groups gets
+    # a row of its own.  Either way its field is matrix @ raw of the in-fields.
+    dim, u, amps, kicks = case
+    state, grid = small_state()
+    add_system(state, "1", amps, gaussian_packet(grid, -2.0, 1.5, 1.0))
+    wf = state.wavefields["1"]
+    for p in wf.packets:
+        p.field = p.field * np.exp(1j * kicks[p.index.own] * grid.x)
+    wf.keep(wf.shapes.rows)  # as the meet does: the group the kicked branches left goes
+    assert len(wf.shapes.rows) == len({kicks[p.index.own] for p in wf.packets})
+    raw = np.array([p.field for p in wf.packets])
+    coeffs = np.array([p.coefficient for p in wf.packets])
+    rows_before = wf.shapes.rows
+    meet(state, "1", None, Operator(u, (dim,), ("1",)), "u")
+    want, want_c = u @ raw, u @ coeffs
+    got = {p.index.own: p for p in wf.packets}
+    for i in range(dim):
+        if i not in got:  # a dark branch the meet drops
+            assert engine.norm_squared(want[i], grid) <= engine.DARK_MASS_THRESHOLD
+            continue
+        assert np.abs(got[i].field - want[i]).max() <= 1e-13 * np.abs(raw).max()
+        assert abs(got[i].coefficient - want_c[i]) <= 1e-13
+    assert sorted({p.group for p in wf.packets}) == list(range(len(wf.shapes.rows)))
+    mixed = [i for i in range(dim) if len({kicks[j] for j in np.flatnonzero(u[i])}) > 1]
+    if not mixed:
+        assert wf.shapes.rows is rows_before
+
+
 def test_set_potential_keeps_a_copy_and_resolves_the_propagator_once():
     state, grid = small_state()
     add_system(state, "1", [0.6, 0.8], gaussian_packet(grid, -2.0, 1.5, 1.0))
@@ -726,18 +802,18 @@ def test_set_potential_keeps_a_copy_and_resolves_the_propagator_once():
 @pytest.mark.parametrize("potential", [False, True])
 def test_advance_calls_on_a_lone_system_are_one_multi_step(potential):
     # each advance continues from the spectrum the last one kept, so k calls
-    # give the bits of r_i times one k-step Propagator.step of the leading row
+    # give the bits of a_i times one k-step Propagator.step of the group row
     state, grid = small_state()
     add_system(state, "1", random_amps(np.random.default_rng(4)), gaussian_packet(grid, -2.0, 1.5, 1.0))
     if potential:
         engine.set_potential(state, "1", 0.01 * grid.x**2)
     wf = state.wavefields["1"]
-    rows = np.array([p.field for p in wf.packets])
-    groups = engine._lead(rows, [wf], state, [None])
-    assert len(groups.leads) == 1
+    assert len(wf.shapes.rows) == 1
+    row = wf.shapes.rows[0]
     for _ in range(6):
         advance(state)
-    want = groups.ratios * state.propagator("1").step(rows[groups.leads[0]], 6)
+    stepped = state.propagator("1").step(row, 6)
+    want = np.array([p.amplitude * stepped for p in wf.packets])
     assert np.array_equal(np.array([p.field for p in wf.packets]), want)
 
 
@@ -754,11 +830,15 @@ def test_a_write_into_a_field_forces_a_fresh_transform(monkeypatch, write):
     if write == "kick":
         packets[0].field = packets[0].field * np.exp(0.5j * grid.x)
     else:
-        packets[1].field[grid.n // 2] *= 1.0 + 1e-9  # too little for the norm audit
-    rows = np.array([p.field for p in packets])
+        psi = packets[1].field  # a read builds the field; the write below stores it
+        psi[grid.n // 2] *= 1.0 + 1e-9  # too little for the norm audit
+        packets[1].field = psi
+    rows = state.wavefields["1"].shapes.rows
+    assert len(rows) == 2  # the written packet's shape is a group of its own
     advance(state)
     assert calls == [1]
-    want = state.propagator("1").step(rows)
+    stepped = state.propagator("1").step(rows)
+    want = np.array([p.amplitude * stepped[p.group] for p in packets])
     assert np.array_equal(np.array([p.field for p in packets]), want)
 
 
@@ -790,7 +870,7 @@ def kicked_branches():
 @settings(max_examples=25, deadline=None)
 @given(branches=kicked_branches(), potential=st.booleans(), steps=st.integers(1, 12))
 def test_each_shape_group_steps_as_its_rows_would_alone(branches, potential, steps):
-    # a wave-field at rest steps one leading row per distinct kick and holds
+    # a wave-field at rest steps one group row per distinct kick and holds
     # each branch as its multiple of that row
     amps, kicks = branches
     state = kicked_state(amps, kicks, potential)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavefields.engine import Packet, WaveField
+from wavefields.engine import Packet, ShapeGroups, WaveField
 from wavefields.ensemble import (
     FluidParticle,
     PairingReport,
@@ -25,12 +25,12 @@ def make_grid():
 def make_field(amps, centers=None, grid=None):
     grid = grid or make_grid()
     centers = centers or [0.0] * len(amps)
-    packets = [
-        Packet(IndexLabel(i, ()), complex(a), a * gaussian_packet(grid, c, 2.0, 0.0))
-        for i, (a, c) in enumerate(zip(amps, centers))
-        if abs(a) > 0
-    ]
-    return WaveField("1", packets, fresh_memory("1", (1.0, 0.0))), grid
+    wf = WaveField("1", [], fresh_memory("1", (1.0, 0.0)), ShapeGroups(np.zeros((0, grid.n))))
+    for i, (a, c) in enumerate(zip(amps, centers)):
+        if abs(a) > 0:  # each branch's field written into the groups: one per center
+            wf.packets.append(Packet(IndexLabel(i, ()), complex(a), shapes=wf.shapes))
+            wf.packets[-1].field = a * gaussian_packet(grid, c, 2.0, 0.0)
+    return wf, grid
 
 
 def particle(own, n_partner=None):

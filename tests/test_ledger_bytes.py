@@ -3,8 +3,10 @@
 The digests were recorded before the meet and replay paths were tuned for
 speed, but for the transfers and packets, re-pinned when a transfer with no
 index basis to undo stopped being normalized a second time (entries moved
-by at most 2.5e-16); a change that moves any transfer entry, packet field,
-memory document or derived amplitude by one bit fails here.  The mini-ledger
+by at most 2.5e-16), and the packets again when a packet's field became
+its amplitude times its shape group's row (fields moved by at most
+2.3e-16); a change that moves any transfer entry, packet field, memory
+document or derived amplitude by one bit fails here.  The mini-ledger
 meets systems whose memories extend one another; the crossed ledger adds
 an index basis and meets of systems that each hold records the other
 lacks, so a meet takes the full union.
@@ -37,7 +39,7 @@ PAIR_GATES = 40
 
 GOLDEN = {
     "transfers": "cabcf34b4d077c53584cdcf4ae0078c63284458c485683e7d00e5b721263ea20",
-    "packets": "be4b50a8a97a909e143cddb9ec8ffcfaa74e2971f17243ff0f288d1eac676bee",
+    "packets": "8d5c830063931e0baacb3a0070e2f8eb0be7c39b3393a77f2e41a04631e5def1",
     "chain_memory": "01d59d8c6bf0f5cc42a6dcfe030989aab2fc245f3ccdb1bdb6cf33a1ad4f4234",
     "pair_memory": "dbf39fff453e2bd46bc7b25934c6a92e7338d710955fe382c50dc84836c9fdf2",
     "chain_state": "8dcec0a6d5fbc39dbaf655c1a229f8b7760640caae4f7925fa1beeac3db92c30",
@@ -157,7 +159,7 @@ CROSSED_GATES = 30
 
 CROSSED_GOLDEN = {
     "transfers": "2170159ed4bab5a8b843669c22b74fd53f244b1b0b529e48c7d5d366bd2e12b3",
-    "packets": "9132dde5d680cc7cecb22aeb7dfea5d5432c5083b7562b08be1fc8e3af79e7d6",
+    "packets": "2eb6f555c6ded85221e3b998bb1354e3e46de5dfede594fc50cbeaa2e4d2ce58",
     "memories": "2ca13d958b597506cf7e6ccde7f1310080d4c06d38499ffd5a5f4cd781b528df",
     "states": "0b8144121bf6c44dcce651d53cc1645c2841a4f0e25a4131bb2ebbfb512945a8",
 }

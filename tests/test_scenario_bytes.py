@@ -5,12 +5,15 @@ of a run by one bit fails here and has to name the files it changes.
 Every file but config.json, which holds the ``--out`` path, is pinned at
 the default frame cadence and at a frame every 8 steps, which catches a
 crossing's fields in mid-flight; boundary.csv and summary.json do not
-depend on the cadence.  The two crossing scenarios' digests were recorded
-when the crossing began to step one leading row per system;
-stern_gerlach's and three_spin_chain's snapshots.csv and summary.json
-when every system at rest began to step one leading row per shape group,
-which moved their fields by roundoff (at most 1.7e-16); the others' when
-every scenario's files were first pinned.
+depend on the cadence.  The digests of bell_case2, stern_gerlach,
+student_demo, three_spin_chain, two_spin_crossing and von_neumann that
+moved were recorded when a wave-field began to store its shape groups,
+so that a field is its amplitude times its group's row and an instant
+meet multiplies coefficient vectors: fields moved by roundoff (at most
+2.6e-16), and in the crossings' mid-flight frames the boundary, which is
+roundoff where the balance is degenerate, moved the cell at x = 0 from
+one side to the other.  The others' when every scenario's files were
+first pinned.
 """
 
 import hashlib
@@ -35,27 +38,27 @@ GOLDEN = {
     },
     "bell_case2": {
         "boundary.csv": "da58a9931776e7ebe1b6c6d89927da56fd69683176fe81f3cc506609f79769ac",
-        "summary.json": "4d4f12ed9da3a3e2379f87f673b8a280ba9fafaf9e6e58d55fd46c0bb747ce2e",
-        "snapshots.csv": "4b13be5a5e6e3b4b3f758870a348162862c46e0b4c1917181b038644f529a786",
-        "snapshots.csv every 8": "4b13be5a5e6e3b4b3f758870a348162862c46e0b4c1917181b038644f529a786",
+        "summary.json": "62356db41496686878ad2fd3f7ad40330ce7606767203a6285cd587ed5e8d8e1",
+        "snapshots.csv": "4a293fd18b27954d6e5e932e700c7fddccdad1e208d580c4eb026711b780f10a",
+        "snapshots.csv every 8": "4a293fd18b27954d6e5e932e700c7fddccdad1e208d580c4eb026711b780f10a",
     },
     "stern_gerlach": {
         "boundary.csv": "da58a9931776e7ebe1b6c6d89927da56fd69683176fe81f3cc506609f79769ac",
         "summary.json": "eaaf903d0214c6460e4fe2e0b9ad7d5cd378141525f93d48e92aaa3396eabb66",
-        "snapshots.csv": "c29947d7a0cf35f144487ac23917daa3e7c5aa9744e42dffb726bece06565e68",
-        "snapshots.csv every 8": "985d91d1a23a74b2e9f84639d5767e576176810a910ed058a6990d5eb9a103e6",
+        "snapshots.csv": "66643757dfc1b98df238bf481b19737c465ccb6c60a66cfa0a6b713fb88ac5f5",
+        "snapshots.csv every 8": "db4113409525d0ba373c0a3c6d0d9c629c76838a6216d0120f6b32ab06c163b8",
     },
     "student_demo": {
         "boundary.csv": "da58a9931776e7ebe1b6c6d89927da56fd69683176fe81f3cc506609f79769ac",
-        "summary.json": "c0c5f9fddf49149e647d500e72683de5f6dd36b188307644c5ef0ee1defab5ea",
-        "snapshots.csv": "ed4661f07142a937f96808b74f5aa8274f7a0d3206ebb5a1e23d7c91864b316a",
-        "snapshots.csv every 8": "ed4661f07142a937f96808b74f5aa8274f7a0d3206ebb5a1e23d7c91864b316a",
+        "summary.json": "1c89c457d29be3a5a098c1cf7804856b34409b2b2e482432ae4aa500da8bd9fc",
+        "snapshots.csv": "3447d20d205a992dbbf118ad1d98feb13fbc0c43bdb03f78558a2b731b67d2f4",
+        "snapshots.csv every 8": "3447d20d205a992dbbf118ad1d98feb13fbc0c43bdb03f78558a2b731b67d2f4",
     },
     "three_spin_chain": {
         "boundary.csv": "da58a9931776e7ebe1b6c6d89927da56fd69683176fe81f3cc506609f79769ac",
-        "summary.json": "c404fd4c5109fbb3ebeb760183f9732a78c8defe846761338b64f9d6624a2661",
-        "snapshots.csv": "c59c375762d3a7419aed7257d4550e8ab89c73b7e5f59730a20bae3cc1ae695e",
-        "snapshots.csv every 8": "9d95b71d771c9dc139996639827d6ac6eb35a4ef97b5e68eb88cd47dd7893222",
+        "summary.json": "0479fac70c122afccccbaa401edb8316055760ea4d34477bcc2dc508c20334ca",
+        "snapshots.csv": "9b471f2877dc339999b0fd80cf59673c2732e7404e1c87d0ff8dda01818e15b4",
+        "snapshots.csv every 8": "848cc069ad5ad7499c1a0a8dcacbb2c641ef91b9c7cb35f12446f609d3afd655",
     },
     "tunneling": {
         "boundary.csv": "da58a9931776e7ebe1b6c6d89927da56fd69683176fe81f3cc506609f79769ac",
@@ -64,16 +67,16 @@ GOLDEN = {
         "snapshots.csv every 8": "4a91352db3e64c2be4269c2012bb34b4563ef11115c77e1b1227b8cfb14bc63d",
     },
     "two_spin_crossing": {
-        "boundary.csv": "c0c4b5be58529dfedcda28726b4fdd4a48bf2e191032fa408b932cf2100f8455",
-        "summary.json": "a0588a3d99ec18e99c1032d2da2eb4cb99237362df28bdb072973c6f7e41a6fe",
-        "snapshots.csv": "f53485a3dc60f66864b679abf9a1b823e09c7dc892f99ef2cad457abf97677aa",
-        "snapshots.csv every 8": "1cc8e482d29c5cf6f15ea7325d400ba63d8743b9dbb72edec3f851d76128e9a7",
+        "boundary.csv": "6c16bfa6fb07bbabbe6e5a6deca7456f698af85e1e1ada0ec3c068b42cc00ada",
+        "summary.json": "e0a42bfe82bcf21779dd68a84d80caeca65f7cd032e01699432053d6799b64ae",
+        "snapshots.csv": "a283aef13faa3889dbd17080e451f31e270d2f41ba0eb54b7d445ebfcaeedfe5",
+        "snapshots.csv every 8": "eb521a6a6ea3f6927a6732230ff9bce5c225f7ecadb047e80ab87e5e66c63eec",
     },
     "von_neumann": {
-        "boundary.csv": "ec5770f5e761fcabde3c885b7d346b291993b58b38452b167128530e1a267d2b",
-        "summary.json": "d6e7dae0e6cabd0de779527a43702b5a0dd4645bf764122e1e1a73b3520257ac",
-        "snapshots.csv": "12d9a8f236ac57ca08aa892826935dfba1b972a1c885e08c297e4c9ef37037ce",
-        "snapshots.csv every 8": "27f168db8b2aa74425c99b15405d9e01d88ae77c954439d06d1047932a7f46b8",
+        "boundary.csv": "879b1a584c7430cfedc89c5c9a335b77d551cbc0057db26a0ebddb1229ed2c2e",
+        "summary.json": "fe4e98b9893f792ed5458d6d3f831bdc8f8c346a671d9409f4bcd651d2b6f6a4",
+        "snapshots.csv": "c1d59c99a12a75fdbbd577ff7c98e4197296049df8e2efe9855faf5ac2371c1a",
+        "snapshots.csv every 8": "1c60f19d2f4e6def83adb47f2919271053af48e262bad6c6d387092a14e1bf6e",
     },
     "weak_entanglement": {
         "boundary.csv": "da58a9931776e7ebe1b6c6d89927da56fd69683176fe81f3cc506609f79769ac",

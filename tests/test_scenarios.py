@@ -143,9 +143,9 @@ def test_crossing_ends_when_its_boundary_completes_at_any_cadence(name):
 
 
 def test_every_system_steps_one_leading_row_per_shape_group(monkeypatch):
-    # a system steps one leading row per shape group, at rest as in a
-    # crossing: one per system but stern_gerlach's spin, whose branches carry
-    # opposite kicks.  Stepping every packet's row took 240 row-steps in
+    # a system steps one row per shape group, at rest as in a crossing: one
+    # per system but stern_gerlach's spin, whose branches carry opposite
+    # kicks.  Stepping every packet's row took 240 row-steps in
     # three_spin_chain and 900 in stern_gerlach; the crossings stepped 2,849
     # before they stepped one row per system.
     want = {  # steps, row-steps, shape groups per system
@@ -155,26 +155,47 @@ def test_every_system_steps_one_leading_row_per_shape_group(monkeypatch):
         "stern_gerlach": (150, 600, {"s": 2, "I": 1, "II": 1}),
         "tunneling": (1400, 1400, {"1": 1}),
     }
-    shapes, groups = [], {}
-    step, lead = Propagator.step, engine._lead
+    shapes = []
+    step = Propagator.step
 
     def spy_step(self, psi, steps=1, **kwargs):
         shapes.append((np.shape(psi), steps))
         return step(self, psi, steps, **kwargs)
 
-    def spy_lead(rows, wfs, state, errors):
-        out = lead(rows, wfs, state, errors)
-        groups.update((wf.system, b - a) for wf, (a, b) in zip(wfs, out.spans))
-        return out
-
     monkeypatch.setattr(Propagator, "step", spy_step)
-    monkeypatch.setattr(engine, "_lead", spy_lead)
     for name, (steps, row_steps, per_system) in want.items():
         shapes.clear()
-        groups.clear()
-        assert run_scenario(ScenarioConfig(scenario=name)).summary["steps"] == steps
+        res = run_scenario(ScenarioConfig(scenario=name))
+        assert res.summary["steps"] == steps
         assert {k for _, k in shapes} == {1}
+        groups = {s: len(wf.shapes.rows) for s, wf in res.state.wavefields.items()}
         assert (sum(shape[0] for shape, _ in shapes), groups) == (row_steps, per_system), name
+
+
+def test_every_scenario_stores_exactly_the_rows_it_steps(monkeypatch):
+    # a wave-field stores one row per shape group and a step steps those
+    # rows, no more: stern_gerlach's spin stores two, every other system one
+    stepped, steps = [], []
+    step, one_step = Propagator.step, engine._step
+
+    def spy_step(self, psi, *args, **kwargs):
+        stepped.append(len(psi))
+        return step(self, psi, *args, **kwargs)
+
+    def spy(state, stacks):
+        stored = [len(wf.shapes.rows) for wf in state.wavefields.values()]
+        stepped.clear()
+        one_step(state, stacks)
+        steps.append(sum(stepped) == sum(stored))
+
+    monkeypatch.setattr(Propagator, "step", spy_step)
+    monkeypatch.setattr(engine, "_step", spy)
+    for name in SCENARIOS:
+        steps.clear()
+        res = run_scenario(ScenarioConfig(scenario=name))
+        assert steps == [True] * res.summary["steps"], name
+        groups = {s: len(wf.shapes.rows) for s, wf in res.state.wavefields.items()}
+        assert groups == {s: 1 + ((name, s) == ("stern_gerlach", "s")) for s in groups}, name
 
 
 @pytest.mark.parametrize(

@@ -43,6 +43,16 @@ def test_no_source_line_is_longer_than_99_characters():
     assert long_lines == []
 
 
+# lines of src/wavefields/*.py: a change that grows the package on purpose raises
+# this and says why in CHANGES.md
+PACKAGE_LINES = 3431
+
+
+def test_package_does_not_grow_past_its_tracked_line_count():
+    lines = sum(len(path.read_text().splitlines()) for path in sources())
+    assert lines <= PACKAGE_LINES
+
+
 def name_uses(trees: dict) -> list[tuple[str, str, int]]:
     """(file, name, line) of every name and attribute read in ``trees``."""
     return [
