@@ -13,15 +13,13 @@ when read.  Writing one puts the packet in the group of its shape
 An instant meet multiplies the coefficient and amplitude vectors by the
 transfer matrix; an out-branch keeps its in-branches' group, and only one
 drawing on several groups gets a row of its own, their combination.  A
-crossing runs a moving boundary between two one-group fluids, whose
-transfer matrices re-index the crossed fluid: ``branches`` cuts the rows
-at the boundary when asked, and the same expansion completes it once the
-pre-interaction fluid has crossed.  ``advance`` steps the stacked group
-rows of the systems that share a potential, each system on from its own
-last spectrum.  The densities, w |psi_g|^2 summed over a system's groups
-with w = sum |amplitude|^2, feed the boundary law, which puts the
-boundary on the median of the summed fluid, and the norm audit.  A meet
-touches only its participants.
+crossing runs a moving boundary between two one-group fluids: ``branches``
+cuts the rows there when asked, and the same expansion completes it.
+``advance`` steps the stacked group rows of the systems that share a
+potential, each on from its own last spectrum.  The densities, w |psi_g|^2
+summed over a system's groups with w = sum |amplitude|^2, feed the boundary
+law, which puts the boundary on the median of the summed fluid, and the
+norm audit.  A meet touches only its participants.
 """
 
 from __future__ import annotations
@@ -360,15 +358,12 @@ def meet(
 
 
 def branches(state: ScenarioState, system: str) -> list[Packet]:
-    """The system's branches as they stand, split at an active boundary.
+    """The system's branches as they stand: the stored packets, or split at an active boundary.
 
-    At rest these are the stored packets.  While a crossing is in
-    flight, the pre-interaction branches are the stored fields J on the
-    pre side of the boundary and the post-interaction ones are T·J on
-    the post side, tagged PRE and POST.  Re-indexing the crossed cells
-    through the transfer T (``boundary.apply_boundary_transfer``) would
-    leave pre + T†·post equal to J, because T is an isometry, so this
-    view is exactly the re-indexed state.
+    In flight the PRE branches are the stored fields J on the pre side and
+    the POST ones T·J on the post side.  Re-indexing the crossed cells through
+    the transfer T (``boundary.apply_boundary_transfer``) would leave
+    pre + T†·post equal to J, as T is an isometry, so this is that state.
     """
     wf = state.wavefields[system]
     link = _active_link(state, system)
@@ -389,11 +384,8 @@ def branches(state: ScenarioState, system: str) -> list[Packet]:
 
 
 def _stacks(state: ScenarioState) -> list:
-    """Per propagator: it, its wave-fields, where their rows end, w, the rows and spectrum.
-
-    A system's spectrum is the one it kept, else a fresh transform of its
-    rows; a system in a crossing must be one group.
-    """
+    """Per propagator: it, its wave-fields, where their rows end, w, the rows and spectrum,
+    each system's the one it kept or a fresh transform; a system in a crossing is one group."""
     by_propagator: dict = {}
     for wf in state.wavefields.values():
         wf.keep(wf.shapes.rows)
@@ -412,20 +404,22 @@ def _stacks(state: ScenarioState) -> list:
     return stacks
 
 
-def _step(state: ScenarioState, stacks: list) -> None:
-    """One step of every stack, the boundaries and the norm audit.
+def _give(stacks: list) -> None:
+    """Give each system its rows and their spectrum as the stacks hold them."""
+    for _, wfs, ends, _, rows, spectrum in stacks:
+        for wf, a, b in zip(wfs, [0, *ends], ends):
+            wf.shapes.rows, wf.shapes.spectrum = rows[a:b], spectrum[a:b]
 
-    A boundary moves to where the fluids balance; the crossing completes,
-    re-expanding both systems, once neither has fluid left on its pre side.
-    """
+
+def _step(state: ScenarioState, stacks: list) -> None:
+    """One step of every stack, the boundaries and the norm audit; a boundary moves to where
+    the fluids balance, and completes, re-expanding both systems, once no pre side has fluid."""
     grid = state.grid
     densities = {}  # per system, from the stepped rows
     for stack in stacks:
         prop, wfs, ends, weights, rows, spectrum = stack
         rows, spectrum = prop.step(rows, spectrum=spectrum, keep=True)
         stack[4:] = rows, spectrum
-        for wf, a, b in zip(wfs, [0, *ends], ends):
-            wf.shapes.rows, wf.shapes.spectrum = rows[a:b], spectrum[a:b]
         densities.update(zip([wf.system for wf in wfs], _densities(rows, weights, ends)))
     sums = {s: np.add.reduce(rho).item() for s, rho in densities.items()}  # one reduce each
     masses = {s: total * grid.dx for s, total in sums.items()}
@@ -437,6 +431,7 @@ def _step(state: ScenarioState, stacks: list) -> None:
         link.trajectory.append((state.time + grid.dt, balance))
         if balance.pre_left < COMPLETION_THRESHOLD and balance.pre_right < COMPLETION_THRESHOLD:
             link.active = False
+            _give(stacks)
             for s, t in ((link.left_system, link.t_left), (link.right_system, link.t_right)):
                 _expand_instant(state.wavefields[s], t, state)
                 masses[s] = total_mass(state, s)  # audit the re-expanded packets
@@ -454,14 +449,18 @@ def advance(state: ScenarioState, steps: int = 1, until=None) -> ScenarioState:
     """Run the world forward ``steps`` steps, evolving packets and moving boundaries.
 
     ``until``, if given, ends the call after the first step on which it
-    holds; it may read the state but not write a field.  Each system keeps
-    its spectrum, so k one-step calls are one k-step call.
+    holds; it may read the links and the clock, not the fields, which the
+    systems get when the call ends (and before a crossing completes).
+    Each system keeps its spectrum, so k one-step calls are one k-step call.
     """
     stacks = _stacks(state)
-    for _ in range(steps):
-        _step(state, stacks)
-        if until is not None and until():
-            break
+    try:
+        for _ in range(steps):
+            _step(state, stacks)
+            if until is not None and until():
+                break
+    finally:
+        _give(stacks)
     return state
 
 
