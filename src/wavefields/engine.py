@@ -384,8 +384,8 @@ def branches(state: ScenarioState, system: str) -> list[Packet]:
 
 
 def _stacks(state: ScenarioState) -> list:
-    """Per propagator: it, its wave-fields, where their rows end, w, the rows and spectrum,
-    each system's the one it kept or a fresh transform; a system in a crossing is one group."""
+    """Per propagator: it, its wave-fields, where their rows end, w, the rows and spectra (the
+    ones the systems kept, or fresh transforms); a system in a crossing must be one group."""
     by_propagator: dict = {}
     for wf in state.wavefields.values():
         wf.keep(wf.shapes.rows)
