@@ -2,13 +2,14 @@
 
 Each quantum system is one wave-field: indexed piece-wise single-particle
 wavefunctions, each with its own coefficient, and the record of the
-interactions that produced them.  It is stored as its shape groups, at
-rest and in a crossing alike: one row per group and, per packet, its
-label, coefficient, group and amplitude.  A packet's field, the raw
-amplitude whose squared norm integrates to the branch probability once
-the branch is fully formed, is its amplitude times its group's row, built
-when read.  Writing one puts the packet in the group of its shape
-(``SHAPE_TOL``), else a new row; a group left empty goes at the next meet or step.
+interactions that produced them.  It holds its branches as four vectors,
+one entry per branch (label, coefficient, amplitude and group), over one
+row per group, at rest and in a crossing alike.  A branch's field, the raw
+amplitude whose squared norm integrates to the branch probability once the
+branch is fully formed, is its amplitude times its group's row.  Packets
+are read-only views of the branches, built when read.  ``WaveField.write``
+is the one write: it puts a branch in the group of its shape (``SHAPE_TOL``),
+else a new row; a group left empty goes at the next meet or step.
 
 An instant meet multiplies the coefficient and amplitude vectors by the
 transfer matrix; an out-branch keeps its in-branches' group, and only one
@@ -16,7 +17,7 @@ drawing on several groups gets a row of its own, their combination.  A
 crossing runs a moving boundary between two one-group fluids: ``branches``
 cuts the rows there when asked, and the same expansion completes it.
 ``advance`` steps the stacked group rows of the systems that share a
-potential, each on from its own last spectrum.  The densities, w |psi_g|^2
+propagator, each on from its own last spectrum.  The densities, w |psi_g|^2
 summed over a system's groups with w = sum |amplitude|^2, feed the boundary
 law, which puts the boundary on the median of the summed fluid, and the
 norm audit.  A meet touches only its participants.
@@ -44,48 +45,18 @@ PRE = "pre"
 POST = "post"
 
 
-@dataclass(eq=False)
-class ShapeGroups:
-    """A wave-field's group rows, which its packets read, and the spectrum that gave them."""
-
-    rows: np.ndarray
-    spectrum: np.ndarray | None = field(default=None, repr=False)
-
-    def write(self, packet: Packet, psi) -> None:
-        """Give ``packet`` the field ``psi``: the group of its shape, else a new row."""
-        rows, packet.group, packet.amplitude = _place(self.rows, np.asarray(psi, np.complex128))
-        if rows is not self.rows:
-            self.rows, self.spectrum = rows, None
-
-
-@dataclass(eq=False, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Packet:
-    """One index branch: its label, coefficient from the transfers and raw amplitude ``field``.
-
-    A stored packet's field is ``amplitude`` times row ``group`` of its
-    wave-field's ``shapes``.  One built with a field holds it, as the
-    ``branches`` of a crossing in flight do, each on one side (``region``).
-    """
+    """A read-only view of one index branch: its label, coefficient from the transfers and raw
+    amplitude ``field``; in a crossing in flight, the side it is cut to (``region``)."""
 
     index: IndexLabel
     coefficient: complex
-    _field: np.ndarray | None = None
+    field: np.ndarray
     region: str | None = None
-    shapes: ShapeGroups | None = field(default=None, repr=False)
-    amplitude: complex = 0j
-    group: int = 0
 
-    @property
-    def field(self) -> np.ndarray:
-        shapes = self.shapes
-        return self._field if shapes is None else self.amplitude * shapes.rows[self.group]
-
-    @field.setter
-    def field(self, value) -> None:
-        if self.shapes is None:
-            self._field = value
-        else:
-            self.shapes.write(self, value)
+    def __post_init__(self):
+        self.field.flags.writeable = False  # a write through a view would be lost
 
     def mass(self, grid: Grid) -> float:
         return norm_squared(self.field, grid)
@@ -93,22 +64,45 @@ class Packet:
 
 @dataclass(eq=False)
 class WaveField:
-    """A system's packets, their shape groups and its record."""
+    """A system's branches, one entry each in ``labels``, ``coefficients``, ``amplitudes`` and
+    ``groups``, over its group ``rows`` and the ``spectrum`` that gave them, and its record."""
 
     system: str
-    packets: list[Packet]
     memory: InternalMemory
-    shapes: ShapeGroups
+    labels: list[IndexLabel]
+    coefficients: np.ndarray
+    amplitudes: np.ndarray
+    groups: np.ndarray
+    rows: np.ndarray
+    spectrum: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def packets(self) -> list[Packet]:
+        return _views(self.labels, (self.coefficients, self.amplitudes, self.groups), self.rows)
+
+    def write(self, i: int, psi) -> None:
+        """Give branch ``i`` the field ``psi``: the group of its shape, else a new row."""
+        rows, self.groups[i], self.amplitudes[i] = _place(self.rows, np.asarray(psi, complex))
+        if rows is not self.rows:
+            self.rows, self.spectrum = rows, None
 
     def keep(self, rows: np.ndarray) -> None:
-        """Hold ``rows`` less the groups no packet is in; other rows need a fresh spectrum."""
-        used = sorted({p.group for p in self.packets})
+        """Hold ``rows`` less the groups no branch is in; other rows need a fresh spectrum."""
+        used = sorted(set(self.groups.tolist()))
         if len(used) < len(rows):
-            rows = rows[used]
-            for p in self.packets:
-                p.group = used.index(p.group)
-        if rows is not self.shapes.rows:
-            self.shapes.rows, self.shapes.spectrum = rows, None
+            rows, self.groups = rows[used], np.searchsorted(used, self.groups)
+        if rows is not self.rows:
+            self.rows, self.spectrum = rows, None
+
+
+def _views(labels, vectors, rows, region=None, inside=None) -> list[Packet]:
+    """Packets of ``labels`` whose coefficients, amplitudes and groups over ``rows`` are
+    ``vectors``; each field is zero outside ``inside``, if given."""
+    coeffs, amps, groups = (v.tolist() for v in vectors)
+    fields = [a * rows[g] for a, g in zip(amps, groups)]
+    if inside is not None:
+        fields = [np.where(inside, f, 0.0) for f in fields]
+    return [Packet(label, c, f, region) for label, c, f in zip(labels, coeffs, fields)]
 
 
 @np.errstate(invalid="ignore")  # a NaN cell gives a NaN amplitude, which fails the norm audit
@@ -132,23 +126,18 @@ class ScenarioState:
     wavefields: dict[str, WaveField] = field(default_factory=dict)
     links: list[boundary_mod.BoundaryLink] = field(default_factory=list)
     index_bases: dict[str, Operator] = field(default_factory=dict)
-    _propagators: dict[bytes | None, Propagator] = field(default_factory=dict, repr=False)
+    free_propagator: Propagator = field(init=False, repr=False)  # of systems with no potential
     _resolved: dict[str, Propagator] = field(default_factory=dict, repr=False)  # by system
+
+    def __post_init__(self):
+        self.free_propagator = Propagator(self.grid)
 
     def active_links(self) -> list[boundary_mod.BoundaryLink]:
         return [ln for ln in self.links if ln.active]
 
     def propagator(self, system: str) -> Propagator:
-        """The system's propagator as ``set_potential`` resolved it; free systems share one."""
-        if system not in self._resolved:
-            self._resolved[system] = self._shared_propagator(None)
-        return self._resolved[system]
-
-    def _shared_propagator(self, v: np.ndarray | None) -> Propagator:
-        key = None if v is None or not v.any() else v.tobytes()
-        if key not in self._propagators:
-            self._propagators[key] = Propagator(self.grid, v)
-        return self._propagators[key]
+        """The system's propagator as ``set_potential`` resolved it, else the free one."""
+        return self._resolved.get(system, self.free_propagator)
 
 
 def new_state(grid: Grid) -> ScenarioState:
@@ -156,12 +145,13 @@ def new_state(grid: Grid) -> ScenarioState:
 
 
 def set_potential(state: ScenarioState, system: str, potential) -> None:
-    """Resolve the system's propagator for ``potential`` once; the propagator holds it."""
-    state._resolved[system] = state._shared_propagator(np.asarray(potential, dtype=float))
+    """Give the system a propagator that holds ``potential``; an all-zero one is the free one."""
+    v = np.asarray(potential, dtype=float)
+    state._resolved[system] = Propagator(state.grid, v) if v.any() else state.free_propagator
 
 
 def add_system(state: ScenarioState, system: str, amplitudes, shape) -> WaveField:
-    """A wave-field of one group, the unit-norm ``shape``, with a packet per nonzero amplitude.
+    """A wave-field of one group, the unit-norm ``shape``, with a branch per nonzero amplitude.
 
     ``amplitudes`` is the internal state in the computational basis; the
     branches are labeled in the system's index basis, if the scenario sets one.
@@ -179,12 +169,10 @@ def add_system(state: ScenarioState, system: str, amplitudes, shape) -> WaveFiel
     if basis is not None:
         memory_mod.check_index_basis(system, basis, amps.size)
     coeffs = amps if basis is None else basis.matrix.conj().T @ amps
-    wf = WaveField(system, [], memory_mod.fresh_memory(system, amps), ShapeGroups(shape))
-    wf.packets = [
-        Packet(IndexLabel(int(i), ()), complex(c), None, None, wf.shapes, complex(c))
-        for i, c in enumerate(coeffs)
-        if abs(c) > COEFFICIENT_THRESHOLD
-    ]
+    lit = np.flatnonzero(np.abs(coeffs) > COEFFICIENT_THRESHOLD)
+    labels = [IndexLabel(i, ()) for i in lit.tolist()]
+    wf = WaveField(system, memory_mod.fresh_memory(system, amps), labels, coeffs[lit],
+                   coeffs[lit], np.zeros(lit.size, np.intp), shape)
     state.wavefields[system] = wf
     return wf
 
@@ -212,55 +200,55 @@ def total_mass(state: ScenarioState, system: str) -> float:
 
 
 def _expand(wf: WaveField, transfer: boundary_mod.TransferMatrix, state: ScenarioState):
-    """The in-branches, and the out-branches' coefficients, amplitudes and groups with the rows.
+    """The in-branches' coefficients, amplitudes and groups in the transfer's column order, the
+    out-branches', and the rows.
 
-    Both vectors are the transfer times the in-branches'.  An out-branch
+    The out-vectors are the transfer times the in-vectors.  An out-branch
     takes the group its nonzero entries draw on; one that draws on several
     gets their combination, the row ``transfer.matrix @ fields`` gives it.
     """
-    matrix, rows, packets = transfer.matrix, wf.shapes.rows, wf.packets
-    if transfer.in_labels != [p.index for p in packets]:  # as a meet left them, mostly
-        stored = {p.index: p for p in packets}
-        unknown = sorted(label.text() for label in set(stored) - set(transfer.in_labels))
+    matrix, rows = transfer.matrix, wf.rows
+    ins = wf.coefficients, wf.amplitudes, wf.groups
+    if transfer.in_labels != wf.labels:  # as a meet left them, mostly
+        at = {label: i for i, label in enumerate(wf.labels)}
+        unknown = sorted(label.text() for label in set(at) - set(transfer.in_labels))
         if unknown:
             raise RuntimeError(f"branches {unknown} of {wf.system!r} missing from the transfer "
                                f"matrix {_when(state)}")
-        zero = Packet(None, 0j, None, None, wf.shapes)  # zero amplitude: no field
-        packets = [stored.get(label, zero) for label in transfer.in_labels]
-    coeffs = (matrix @ np.array([p.coefficient for p in packets], np.complex128)).tolist()
-    amps = np.array([p.amplitude for p in packets], np.complex128)
+        take = [at.get(label, -1) for label in transfer.in_labels]  # -1: a zero branch
+        ins = tuple(np.append(v, 0)[take] for v in ins)
+    coeffs, amps, group = ins
     out = matrix @ amps
     if len(rows) == 1:
-        return packets, coeffs, out.tolist(), [0] * len(coeffs), rows
-    group = np.array([p.group for p in packets], np.intp)
+        return ins, (matrix @ coeffs, out, np.zeros(len(out), np.intp)), rows
     drawn = matrix != 0
-    first = group[drawn.argmax(axis=1)]
-    groups = first.tolist()
-    for i in np.flatnonzero((drawn & (group != first[:, None])).any(axis=1)).tolist():
+    groups = group[drawn.argmax(axis=1)]
+    for i in np.flatnonzero((drawn & (group != groups[:, None])).any(axis=1)).tolist():
         rows, groups[i], out[i] = _place(rows, (matrix[i] * amps) @ rows[group])
-    return packets, coeffs, out.tolist(), groups, rows
+    return ins, (matrix @ coeffs, out, groups), rows
 
 
 def _expand_instant(wf: WaveField, transfer: boundary_mod.TransferMatrix, state: ScenarioState):
-    _, coeffs, amps, groups, rows = _expand(wf, transfer, state)
-    wf.packets = [
-        Packet(label, c, None, None, wf.shapes, a, g)
-        for label, c, a, g in zip(transfer.out_labels, coeffs, amps, groups)
-        # a field's mass is read only where its coefficient is at or under the threshold
-        if not abs(c) <= COEFFICIENT_THRESHOLD
-        or not norm_squared(a * rows[g], state.grid) <= DARK_MASS_THRESHOLD
-    ]
-    if rows is not wf.shapes.rows or len(rows) > 1:  # one group, the same row: nothing to drop
+    _, (coeffs, amps, groups), rows = _expand(wf, transfer, state)
+    # a field's mass is read only where its coefficient is at or under the threshold
+    lit = [i for i, c in enumerate(coeffs.tolist()) if not abs(c) <= COEFFICIENT_THRESHOLD
+           or not norm_squared(amps[i] * rows[groups[i]], state.grid) <= DARK_MASS_THRESHOLD]
+    labels = transfer.out_labels
+    if len(lit) < len(labels):
+        labels = [labels[i] for i in lit]
+        coeffs, amps, groups = coeffs[lit], amps[lit], groups[lit]
+    wf.labels, wf.coefficients, wf.amplitudes, wf.groups = list(labels), coeffs, amps, groups
+    if rows is not wf.rows or len(rows) > 1:  # one group, the same row: nothing to drop
         wf.keep(rows)
 
 
 def _one_group(wf: WaveField, error, state: ScenarioState) -> None:
     """A boundary serves one shape: refuse ``wf``'s second group (ValueError as one opens)."""
-    wf.keep(wf.shapes.rows)
-    if len(wf.shapes.rows) == 1:
+    wf.keep(wf.rows)
+    if len(wf.rows) == 1:
         return
-    p = wf.packets[0]
-    q = next(q for q in wf.packets if q.group != p.group)
+    packets = wf.packets
+    p, q = packets[0], packets[np.flatnonzero(wf.groups != wf.groups[0])[0]]
     f, g = p.field, q.field
     overlap = abs(np.vdot(f, g)) / np.linalg.norm(f) / np.linalg.norm(g)
     where = "no crossing" if error is ValueError else "mid-crossing"
@@ -271,12 +259,12 @@ def _one_group(wf: WaveField, error, state: ScenarioState) -> None:
 
 
 def _weights(wfs: list) -> np.ndarray:
-    """Each group's w, the sum of its packets' |amplitude|^2, down ``wfs``' stacked rows."""
-    w = [np.zeros(len(wf.shapes.rows)) for wf in wfs]
-    for wf, wg in zip(wfs, w):
-        for p in wf.packets:
-            wg[p.group] += p.amplitude.real**2 + p.amplitude.imag**2
-    return np.concatenate(w).reshape(-1, 1)
+    """Each group's w, the sum of its branches' |amplitude|^2, down ``wfs``' stacked rows."""
+    return np.concatenate([
+        np.bincount(wf.groups, [a.real**2 + a.imag**2 for a in wf.amplitudes.tolist()],
+                    len(wf.rows))
+        for wf in wfs
+    ]).reshape(-1, 1)
 
 
 def _densities(rows: np.ndarray, weights: np.ndarray, ends) -> list:
@@ -319,7 +307,7 @@ def meet(
             raise ValueError("a crossing needs two systems")
         for wf in fields:
             _one_group(wf, ValueError, state)
-        rows = np.concatenate([wf.shapes.rows for wf in fields])
+        rows = np.concatenate([wf.rows for wf in fields])
         densities = _densities(rows, _weights(fields), [1, 2])
         left, right = (np.dot(state.grid.x, rho) / rho.sum() for rho in densities)  # centroids
         if not left < right:  # a system with no fluid fails too
@@ -335,7 +323,7 @@ def meet(
             mems,
             unitary,
             index_bases=state.index_bases,
-            occupied=[[p.index for p in wf.packets] for wf in fields],
+            occupied=[wf.labels for wf in fields],
             merged=merged,
         )
     except ValueError as err:
@@ -358,9 +346,9 @@ def meet(
 
 
 def branches(state: ScenarioState, system: str) -> list[Packet]:
-    """The system's branches as they stand: the stored packets, or split at an active boundary.
+    """The system's branches as views: as they stand, or split at an active boundary.
 
-    In flight the PRE branches are the stored fields J on the pre side and
+    In flight the PRE branches are the branches' fields J on the pre side and
     the POST ones T·J on the post side.  Re-indexing the crossed cells through
     the transfer T (``boundary.apply_boundary_transfer``) would leave
     pre + T†·post equal to J, as T is an isometry, so this is that state.
@@ -373,14 +361,9 @@ def branches(state: ScenarioState, system: str) -> list[Packet]:
     transfer = link.t_left
     if system == link.right_system:
         post_side, transfer = ~post_side, link.t_right
-    packets, coeffs, amps, groups, rows = _expand(wf, transfer, state)
-    return [
-        Packet(label, p.coefficient, np.where(post_side, 0.0, p.field), PRE)
-        for label, p in zip(transfer.in_labels, packets)
-    ] + [
-        Packet(label, c, np.where(post_side, a * rows[g], 0.0), POST)
-        for label, c, a, g in zip(transfer.out_labels, coeffs, amps, groups)
-    ]
+    ins, outs, rows = _expand(wf, transfer, state)
+    return (_views(transfer.in_labels, ins, rows, PRE, ~post_side)
+            + _views(transfer.out_labels, outs, rows, POST, post_side))
 
 
 def _stacks(state: ScenarioState) -> list:
@@ -388,18 +371,17 @@ def _stacks(state: ScenarioState) -> list:
     ones the systems kept, or fresh transforms); a system in a crossing must be one group."""
     by_propagator: dict = {}
     for wf in state.wavefields.values():
-        wf.keep(wf.shapes.rows)
+        wf.keep(wf.rows)
         if _active_link(state, wf.system):
             _one_group(wf, RuntimeError, state)
         by_propagator.setdefault(state.propagator(wf.system), []).append(wf)
     stacks = []
     for prop, wfs in by_propagator.items():
-        groups = [wf.shapes for wf in wfs]
-        spectra = [np.fft.fft(g.rows) if g.spectrum is None else g.spectrum for g in groups]
-        rows, spectrum = groups[0].rows, spectra[0]
+        spectra = [np.fft.fft(wf.rows) if wf.spectrum is None else wf.spectrum for wf in wfs]
+        rows, spectrum = wfs[0].rows, spectra[0]
         if len(wfs) > 1:
-            rows, spectrum = np.concatenate([g.rows for g in groups]), np.concatenate(spectra)
-        ends = np.cumsum([len(g.rows) for g in groups]).tolist()
+            rows, spectrum = np.concatenate([wf.rows for wf in wfs]), np.concatenate(spectra)
+        ends = np.cumsum([len(wf.rows) for wf in wfs]).tolist()
         stacks.append([prop, wfs, ends, _weights(wfs), rows, spectrum])
     return stacks
 
@@ -408,7 +390,7 @@ def _give(stacks: list) -> None:
     """Give each system its rows and their spectrum as the stacks hold them."""
     for _, wfs, ends, _, rows, spectrum in stacks:
         for wf, a, b in zip(wfs, [0, *ends], ends):
-            wf.shapes.rows, wf.shapes.spectrum = rows[a:b], spectrum[a:b]
+            wf.rows, wf.spectrum = rows[a:b], spectrum[a:b]
 
 
 def _step(state: ScenarioState, stacks: list) -> None:
@@ -490,11 +472,11 @@ def correlation_table(state: ScenarioState, a: str, b: str) -> dict[tuple[int, i
     if b not in memory_mod.systems(wf.memory):
         raise ValueError(f"systems {a!r} and {b!r} have not met")
     keys = []
-    for p in wf.packets:
-        partners = p.index.partner_map()
+    for label in wf.labels:
+        partners = label.partner_map()
         if b not in partners:
-            raise ValueError(f"branch {p.index.text()!r} of {a!r} carries no label for {b!r}")
-        keys.append((p.index.own, partners[b]))
+            raise ValueError(f"branch {label.text()!r} of {a!r} carries no label for {b!r}")
+        keys.append((label.own, partners[b]))
     return _shares((key, p.mass(state.grid)) for key, p in zip(keys, wf.packets))
 
 

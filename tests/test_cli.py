@@ -98,6 +98,42 @@ def test_stalled_crossing_fails_a_named_check_and_writes(tmp_path, capsys):
     assert abs(sum(summary["index_distributions"]["1"].values()) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("scenario", ["two_spin_crossing", "von_neumann"])
+def test_a_grid_too_coarse_for_the_packets_fails_named_checks_and_writes(
+    tmp_path, capsys, scenario
+):
+    # 2,048 points over 2e6 length units put both packets, at -8 and +8, in the
+    # cell at x = 0, so the crossing cannot open: the run fails, the command was used right
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("x_min = -1e6\nx_max = 1e6\n")
+    out = tmp_path / "run"
+    assert main(["run", scenario, "--config", str(cfg), "--out", str(out)]) == 2
+    printed = capsys.readouterr().out
+    assert "FAIL  grid resolves packet momenta" in printed
+    assert "FAIL  crossing opens (crossing expects '1' to start left of '2')" in printed
+    for name in ("snapshots.csv", "boundary.csv", "summary.json", "config.json"):
+        assert (out / name).exists()
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["passed"], summary["steps"], summary["boundaries"]) == (False, 0, [])
+
+
+@pytest.mark.parametrize("scenario", ["two_spin_crossing", "von_neumann"])
+@pytest.mark.parametrize(
+    "text, error",
+    [("a1 = 0.9\nb1 = 0.9\n", "not normalized"), ("n_points = 1000\n", "power of two")],
+    ids=["unnormalized_pair", "n_points_not_a_power_of_two"],
+)
+def test_a_malformed_config_of_a_crossing_is_a_usage_error(
+    tmp_path, capsys, scenario, text, error
+):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    assert main(["run", scenario, "--config", str(cfg), "--out", str(out)]) == 1
+    assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _coarse(tmp_path):
     path = tmp_path / "coarse.cfg"
     path.write_text("n_points = 256\n")

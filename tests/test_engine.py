@@ -424,8 +424,9 @@ def test_a_which_path_crossing_is_refused_by_name():
     state = new_state(grid)
     add_system(state, "1", [0.6, 0.8], gaussian_packet(grid, 0.0, 1.0))
     add_system(state, "2", [1.0, 0.0], gaussian_packet(grid, 8.0, 1.0, k0=-5.0))
-    for p, sign in zip(state.wavefields["1"].packets, (1.0, -1.0)):
-        p.field = p.field * np.exp(5j * sign * grid.x)
+    wf = state.wavefields["1"]
+    for i, (p, sign) in enumerate(zip(wf.packets, (1.0, -1.0))):
+        wf.write(i, p.field * np.exp(5j * sign * grid.x))
     advance(state, 4)
     memories = {s: wf.memory for s, wf in state.wavefields.items()}
     named = r"branches '0\|' and '1\|' of '1' differ in shape \(1 - overlap = 1\)"
@@ -457,7 +458,8 @@ def test_correlation_requires_shared_record():
 def test_advance_audit_catches_corruption():
     state, grid = small_state()
     add_system(state, "1", [0.6, 0.8], gaussian_packet(grid, 0.0, 2.0))
-    state.wavefields["1"].packets[0].field *= 2.0
+    wf = state.wavefields["1"]
+    wf.write(0, wf.packets[0].field * 2.0)
     with pytest.raises(RuntimeError):
         advance(state)
 
@@ -471,10 +473,10 @@ def test_boundary_law_gets_the_densities_of_the_stepped_rows(monkeypatch):
     link = meet(state, "1", "2", CNOT, "cnot", mode="crossing")
     weights = []
     for wf in state.wavefields.values():
-        assert len(wf.shapes.rows) == 1
+        assert len(wf.rows) == 1
         w = 0.0
-        for p in wf.packets:
-            w += p.amplitude.real**2 + p.amplitude.imag**2
+        for a in wf.amplitudes.tolist():
+            w += a.real**2 + a.imag**2
         weights.append(w)
     law, step = boundary.step_boundary_fields, Propagator.step
     stepped, fed = [], []
@@ -572,7 +574,8 @@ def test_audit_catches_corruption_right_after_a_crossing_step():
     link = meet(state, "1", "2", CNOT, "cnot", mode="crossing")
     advance(state, 1)
     assert link.active
-    state.wavefields["2"].packets[0].field *= 2.0
+    wf = state.wavefields["2"]
+    wf.write(0, wf.packets[0].field * 2.0)
     with pytest.raises(RuntimeError, match=r"norm audit failed for '2' at step 2"):
         advance(state)
 
@@ -586,9 +589,10 @@ def test_a_shape_change_mid_crossing_is_refused_by_name():
     link = meet(state, "1", "2", CNOT, "cnot", mode="crossing")
     advance(state, 5)
     assert link.active
-    packet = state.wavefields["1"].packets[0]
+    wf = state.wavefields["1"]
+    packet = wf.packets[0]
     assert abs(packet.coefficient - 0.6) < 1e-15
-    packet.field *= np.exp(1e-5j * grid.x**2)
+    wf.write(0, packet.field * np.exp(1e-5j * grid.x**2))
     with pytest.raises(
         RuntimeError,
         match=r"branches '0\|' and '1\|' of '1' differ in shape .*: mid-crossing at step 5, t=0\.0625",
@@ -619,8 +623,9 @@ def test_norm_audit_names_the_system_mid_crossing_and_on_completion(completing, 
     link = meet(state, "1", "2", CNOT, "cnot", mode="crossing")
     advance(state, last - 1 if completing else 5)
     assert link.active
-    for p in state.wavefields["2"].packets:
-        p.field *= 1.0 + 1e-6  # too little to move the boundary, enough for the audit
+    wf = state.wavefields["2"]
+    for i, p in enumerate(wf.packets):  # too little to move the boundary, enough for the audit
+        wf.write(i, p.field * (1.0 + 1e-6))
     step = state.step_count + 1
     with pytest.raises(RuntimeError, match=rf"norm audit failed for '2' at step {step}, t={step * grid.dt:.6g}:"):
         advance(state, steps)
@@ -637,10 +642,10 @@ def test_norm_audit_fails_a_nan_cell(crossing):
         link = meet(state, "1", "2", CNOT, "cnot", mode="crossing")
         advance(state, 5)
         assert link.active
-    packet = state.wavefields["2"].packets[0]
-    psi = packet.field  # a read builds the field; the write below stores it
+    wf = state.wavefields["2"]
+    psi = wf.packets[0].field.copy()  # a view's field is read-only; the write below stores it
     psi[grid.n // 2] = np.nan
-    packet.field = psi
+    wf.write(0, psi)
     step = state.step_count + 1
     with pytest.raises(RuntimeError, match=rf"norm audit failed for '2' at step {step}, .*nan"):
         advance(state, 3)
@@ -764,13 +769,13 @@ def test_an_instant_meet_on_coefficients_gives_the_transfer_of_the_fields(case):
     state, grid = small_state()
     add_system(state, "1", amps, gaussian_packet(grid, -2.0, 1.5, 1.0))
     wf = state.wavefields["1"]
-    for p in wf.packets:
-        p.field = p.field * np.exp(1j * kicks[p.index.own] * grid.x)
-    wf.keep(wf.shapes.rows)  # as the meet does: the group the kicked branches left goes
-    assert len(wf.shapes.rows) == len({kicks[p.index.own] for p in wf.packets})
+    for i, p in enumerate(wf.packets):
+        wf.write(i, p.field * np.exp(1j * kicks[p.index.own] * grid.x))
+    wf.keep(wf.rows)  # as the meet does: the group the kicked branches left goes
+    assert len(wf.rows) == len({kicks[label.own] for label in wf.labels})
     raw = np.array([p.field for p in wf.packets])
     coeffs = np.array([p.coefficient for p in wf.packets])
-    rows_before = wf.shapes.rows
+    rows_before = wf.rows
     meet(state, "1", None, Operator(u, (dim,), ("1",)), "u")
     want, want_c = u @ raw, u @ coeffs
     got = {p.index.own: p for p in wf.packets}
@@ -780,10 +785,10 @@ def test_an_instant_meet_on_coefficients_gives_the_transfer_of_the_fields(case):
             continue
         assert np.abs(got[i].field - want[i]).max() <= 1e-13 * np.abs(raw).max()
         assert abs(got[i].coefficient - want_c[i]) <= 1e-13
-    assert sorted({p.group for p in wf.packets}) == list(range(len(wf.shapes.rows)))
+    assert sorted(set(wf.groups.tolist())) == list(range(len(wf.rows)))
     mixed = [i for i in range(dim) if len({kicks[j] for j in np.flatnonzero(u[i])}) > 1]
     if not mixed:
-        assert wf.shapes.rows is rows_before
+        assert wf.rows is rows_before
 
 
 def test_set_potential_keeps_a_copy_and_resolves_the_propagator_once():
@@ -808,12 +813,12 @@ def test_advance_calls_on_a_lone_system_are_one_multi_step(potential):
     if potential:
         engine.set_potential(state, "1", 0.01 * grid.x**2)
     wf = state.wavefields["1"]
-    assert len(wf.shapes.rows) == 1
-    row = wf.shapes.rows[0]
+    assert len(wf.rows) == 1
+    row = wf.rows[0]
     for _ in range(6):
         advance(state)
     stepped = state.propagator("1").step(row, 6)
-    want = np.array([p.amplitude * stepped for p in wf.packets])
+    want = np.array([a * stepped for a in wf.amplitudes.tolist()])
     assert np.array_equal(np.array([p.field for p in wf.packets]), want)
 
 
@@ -821,25 +826,25 @@ def test_advance_calls_on_a_lone_system_are_one_multi_step(potential):
 def test_a_write_into_a_field_forces_a_fresh_transform(monkeypatch, write):
     state, grid = small_state()
     add_system(state, "1", [0.6, 0.8], gaussian_packet(grid, -2.0, 1.5, 1.0))
-    packets = state.wavefields["1"].packets
+    wf = state.wavefields["1"]
     advance(state, 2)
     calls, fft = [], np.fft.fft
     monkeypatch.setattr(np.fft, "fft", lambda a, *args, **kw: calls.append(1) or fft(a, *args, **kw))
     advance(state)
     assert calls == []  # free flight from the kept spectrum: no forward transform
     if write == "kick":
-        packets[0].field = packets[0].field * np.exp(0.5j * grid.x)
+        wf.write(0, wf.packets[0].field * np.exp(0.5j * grid.x))
     else:
-        psi = packets[1].field  # a read builds the field; the write below stores it
+        psi = wf.packets[1].field.copy()  # a view's field is read-only; the write stores it
         psi[grid.n // 2] *= 1.0 + 1e-9  # too little for the norm audit
-        packets[1].field = psi
-    rows = state.wavefields["1"].shapes.rows
+        wf.write(1, psi)
+    rows = wf.rows
     assert len(rows) == 2  # the written packet's shape is a group of its own
     advance(state)
     assert calls == [1]
     stepped = state.propagator("1").step(rows)
-    want = np.array([p.amplitude * stepped[p.group] for p in packets])
-    assert np.array_equal(np.array([p.field for p in packets]), want)
+    want = np.array([a * stepped[g] for a, g in zip(wf.amplitudes.tolist(), wf.groups.tolist())])
+    assert np.array_equal(np.array([p.field for p in wf.packets]), want)
 
 
 KICKS = (0.0, 0.8, -1.5)
@@ -849,8 +854,9 @@ def kicked_state(amps, kicks, potential):
     """One system whose branch i carries momentum kick kicks[i], in a potential or free."""
     state, grid = small_state()
     add_system(state, "1", amps, gaussian_packet(grid, -2.0, 1.5, 1.0))
-    for p, k0 in zip(state.wavefields["1"].packets, kicks, strict=True):
-        p.field = p.field * np.exp(1j * k0 * grid.x)
+    wf = state.wavefields["1"]
+    for i, (p, k0) in enumerate(zip(wf.packets, kicks, strict=True)):
+        wf.write(i, p.field * np.exp(1j * k0 * grid.x))
     if potential:
         engine.set_potential(state, "1", 0.01 * grid.x**2)
     return state
@@ -902,7 +908,9 @@ def test_a_wave_field_with_no_packets_fails_the_norm_audit_by_name(beside):
     add_system(state, "1", [0.6, 0.8], gaussian_packet(grid, -2.0, 1.5))
     if beside:
         add_system(state, "2", [1.0, 0.0], gaussian_packet(grid, 6.0, 1.5))
-    state.wavefields["1"].packets = []
+    wf, none = state.wavefields["1"], np.zeros(0, np.intp)
+    wf.labels, wf.groups = [], none
+    wf.coefficients, wf.amplitudes = wf.coefficients[none], wf.amplitudes[none]
     with pytest.raises(RuntimeError, match=r"norm audit failed for '1' at step 1, t=0\.01: total mass 0\.0$"):
         advance(state, 3)
     assert state.step_count == 1
@@ -915,7 +923,7 @@ def test_dark_branch_keeps_interference_fluid():
     rt2 = 1.0 / np.sqrt(2.0)
     add_system(state, "1", [rt2, rt2], gaussian_packet(grid, -3.0, 2.0))
     wf = state.wavefields["1"]
-    wf.packets[1].field = wf.packets[1].coefficient * gaussian_packet(grid, 3.0, 2.0)
+    wf.write(1, wf.packets[1].coefficient * gaussian_packet(grid, 3.0, 2.0))
     hadamard = Operator(np.array([[1, 1], [1, -1]]) * rt2, (2,), ("1",))
     meet(state, "1", None, hadamard, "h")
     assert abs(total_mass(state, "1") - 1.0) < 1e-12
@@ -932,7 +940,8 @@ def test_norm_audit_names_system_step_and_time():
     state, grid = small_state()
     add_system(state, "1", [0.6, 0.8], gaussian_packet(grid, 0.0, 2.0))
     advance(state, 3)
-    state.wavefields["1"].packets[0].field *= 2.0
+    wf = state.wavefields["1"]
+    wf.write(0, wf.packets[0].field * 2.0)
     with pytest.raises(RuntimeError, match=r"'1' at step 4, t=0\.04: total mass"):
         advance(state)
 
@@ -940,16 +949,16 @@ def test_norm_audit_names_system_step_and_time():
 def test_unknown_branch_errors_name_system_step_and_time():
     state, grid = crossing_state()
     advance(state, 2)
-    stray = state.wavefields["2"].packets[0]
-    stray.index = IndexLabel(0, (("9", 1),))
+    labels = state.wavefields["2"].labels
+    labels[0] = IndexLabel(0, (("9", 1),))
     with pytest.raises(ValueError, match=r"'0\|9=1' of '2' lies outside .* at step 2, t=0\.025"):
         meet(state, "1", "2", CZ, "cz")
     assert "cz" not in state.wavefields["1"].memory.ops
     # mid-crossing the stored labels must stay the transfer's in-labels
-    stray.index = IndexLabel(0, ())
+    labels[0] = IndexLabel(0, ())
     meet(state, "1", "2", CZ, "cz", mode="crossing")
     advance(state, 3)
-    stray.index = IndexLabel(0, (("9", 1),))
+    labels[0] = IndexLabel(0, (("9", 1),))
     with pytest.raises(RuntimeError, match=r"\['0\|9=1'\] of '2' missing .* at step 5, t=0\.0625"):
         branches(state, "2")
 

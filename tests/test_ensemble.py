@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavefields.engine import Packet, ShapeGroups, WaveField
+from wavefields.engine import WaveField
 from wavefields.ensemble import (
     FluidParticle,
     PairingReport,
@@ -25,11 +25,13 @@ def make_grid():
 def make_field(amps, centers=None, grid=None):
     grid = grid or make_grid()
     centers = centers or [0.0] * len(amps)
-    wf = WaveField("1", [], fresh_memory("1", (1.0, 0.0)), ShapeGroups(np.zeros((0, grid.n))))
-    for i, (a, c) in enumerate(zip(amps, centers)):
-        if abs(a) > 0:  # each branch's field written into the groups: one per center
-            wf.packets.append(Packet(IndexLabel(i, ()), complex(a), shapes=wf.shapes))
-            wf.packets[-1].field = a * gaussian_packet(grid, c, 2.0, 0.0)
+    lit = [i for i, a in enumerate(amps) if abs(a) > 0]
+    n = len(lit)
+    coeffs = np.array([amps[i] for i in lit], complex)
+    wf = WaveField("1", fresh_memory("1", (1.0, 0.0)), [IndexLabel(i, ()) for i in lit], coeffs,
+                   np.zeros(n, complex), np.zeros(n, np.intp), np.zeros((0, grid.n)))
+    for k, i in enumerate(lit):  # each branch's field written into the groups: one per center
+        wf.write(k, amps[i] * gaussian_packet(grid, centers[i], 2.0, 0.0))
     return wf, grid
 
 

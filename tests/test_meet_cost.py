@@ -27,10 +27,10 @@ RECORDS = 200
 
 # Python-level calls into ``wavefields`` of one meet, by kind (CPython 3.11,
 # where each comprehension and each resumed generator counts): the budget,
-# measured once a meet multiplied coefficient vectors rather than field rows
-# (38 and 66 before), and beside it the count before memories cached their
-# layouts and contractions their plans
-CALLS = {"phase": 36, "cz": 62}
+# measured once a wave-field held its branches as vectors (36 and 62 when it
+# held packets, 38 and 66 when a meet multiplied field rows), and beside it the
+# count before memories cached their layouts and contractions their plans
+CALLS = {"phase": 32, "cz": 54}
 CALLS_BEFORE = {"phase": 75, "cz": 135}
 
 # Python-level calls of memory_to_json on that ledger into the package: the
@@ -97,12 +97,14 @@ def test_an_instant_meet_leaves_every_group_row_the_same_object():
     # a meet multiplies coefficient and amplitude vectors; it builds no field
     # row, so each system keeps the row add_system gave it
     state = ledger()
-    rows = {s: wf.shapes.rows for s, wf in state.wavefields.items()}
+    rows = {s: wf.rows for s, wf in state.wavefields.items()}
     assert all(len(r) == 1 for r in rows.values())
     meet(state, "q", None, Operator(phase(RECORDS), (2,), ("q",)), "phase-last")
     meet(state, "p", "q", Operator(CZ, (2, 2), ("p", "q")), "cz-last")
-    assert all(wf.shapes.rows is rows[s] for s, wf in state.wavefields.items())
-    assert all(p.shapes is wf.shapes for wf in state.wavefields.values() for p in wf.packets)
+    assert all(wf.rows is rows[s] for s, wf in state.wavefields.items())
+    for s, wf in state.wavefields.items():  # and every branch reads that row
+        for p, a in zip(wf.packets, wf.amplitudes.tolist(), strict=True):
+            assert p.field.tobytes() == (a * rows[s][0]).tobytes()
 
 
 def test_writing_a_ledger_makes_no_more_calls_than_its_budget():

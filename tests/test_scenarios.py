@@ -168,7 +168,7 @@ def test_every_system_steps_one_leading_row_per_shape_group(monkeypatch):
         res = run_scenario(ScenarioConfig(scenario=name))
         assert res.summary["steps"] == steps
         assert {k for _, k in shapes} == {1}
-        groups = {s: len(wf.shapes.rows) for s, wf in res.state.wavefields.items()}
+        groups = {s: len(wf.rows) for s, wf in res.state.wavefields.items()}
         assert (sum(shape[0] for shape, _ in shapes), groups) == (row_steps, per_system), name
 
 
@@ -183,7 +183,7 @@ def test_every_scenario_stores_exactly_the_rows_it_steps(monkeypatch):
         return step(self, psi, *args, **kwargs)
 
     def spy(state, stacks):
-        stored = [len(wf.shapes.rows) for wf in state.wavefields.values()]
+        stored = [len(wf.rows) for wf in state.wavefields.values()]
         stepped.clear()
         one_step(state, stacks)
         steps.append(sum(stepped) == sum(stored))
@@ -194,7 +194,7 @@ def test_every_scenario_stores_exactly_the_rows_it_steps(monkeypatch):
         steps.clear()
         res = run_scenario(ScenarioConfig(scenario=name))
         assert steps == [True] * res.summary["steps"], name
-        groups = {s: len(wf.shapes.rows) for s, wf in res.state.wavefields.items()}
+        groups = {s: len(wf.rows) for s, wf in res.state.wavefields.items()}
         assert groups == {s: 1 + ((name, s) == ("stern_gerlach", "s")) for s in groups}, name
 
 
