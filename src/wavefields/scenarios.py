@@ -199,8 +199,8 @@ class _Run:
     def extremes(self, link) -> tuple[float, float]:
         """The largest |x12| and the largest crossed-level gap of ``link``'s trajectory."""
         return (
-            max(abs(b.x12) for _, b in link.trajectory),
-            max(abs(b.crossed_left - b.crossed_right) for _, b in link.trajectory),
+            max([abs(b.x12) for _, b in link.trajectory]),
+            max([abs(b.crossed_left - b.crossed_right) for _, b in link.trajectory]),
         )
 
     def resolves(self, grid: Grid, k0: float) -> None:
