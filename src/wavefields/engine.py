@@ -9,7 +9,7 @@ amplitude whose squared norm integrates to the branch probability once the
 branch is fully formed, is its amplitude times its group's row.  Packets
 are read-only views of the branches, built when read.  ``WaveField.write``
 is the one write: it puts a branch in the group of its shape (``SHAPE_TOL``),
-else a new row; a group left empty goes at the next meet or step.
+else a new row, and drops a group it leaves empty.
 
 An instant meet multiplies the coefficient and amplitude vectors by the
 transfer matrix; an out-branch keeps its in-branches' group, and only one
@@ -81,10 +81,9 @@ class WaveField:
         return _views(self.labels, (self.coefficients, self.amplitudes, self.groups), self.rows)
 
     def write(self, i: int, psi) -> None:
-        """Give branch ``i`` the field ``psi``: the group of its shape, else a new row."""
+        """Give branch ``i`` the field ``psi`` in the group of its shape, else a new row."""
         rows, self.groups[i], self.amplitudes[i] = _place(self.rows, np.asarray(psi, complex))
-        if rows is not self.rows:
-            self.rows, self.spectrum = rows, None
+        self.keep(rows)
 
     def keep(self, rows: np.ndarray) -> None:
         """Hold ``rows`` less the groups no branch is in; other rows need a fresh spectrum."""
@@ -244,7 +243,6 @@ def _expand_instant(wf: WaveField, transfer: boundary_mod.TransferMatrix, state:
 
 def _one_group(wf: WaveField, error, state: ScenarioState) -> None:
     """A boundary serves one shape: refuse ``wf``'s second group (ValueError as one opens)."""
-    wf.keep(wf.rows)
     if len(wf.rows) == 1:
         return
     packets = wf.packets
@@ -371,7 +369,6 @@ def _stacks(state: ScenarioState) -> list:
     ones the systems kept, or fresh transforms); a system in a crossing must be one group."""
     by_propagator: dict = {}
     for wf in state.wavefields.values():
-        wf.keep(wf.rows)
         if _active_link(state, wf.system):
             _one_group(wf, RuntimeError, state)
         by_propagator.setdefault(state.propagator(wf.system), []).append(wf)

@@ -45,7 +45,7 @@ def test_no_source_line_is_longer_than_99_characters():
 
 # lines of src/wavefields/*.py: a change that grows the package on purpose raises
 # this and says why in CHANGES.md
-PACKAGE_LINES = 3410
+PACKAGE_LINES = 3407
 
 
 def test_package_does_not_grow_past_its_tracked_line_count():
