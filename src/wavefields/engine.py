@@ -199,24 +199,22 @@ def total_mass(state: ScenarioState, system: str) -> float:
 
 
 def _expand(wf: WaveField, transfer: boundary_mod.TransferMatrix, state: ScenarioState):
-    """The in-branches' coefficients, amplitudes and groups in the transfer's column order, the
-    out-branches', and the rows.
+    """The in-branches' coefficients, amplitudes and groups, the out-branches', and the rows.
 
-    The out-vectors are the transfer times the in-vectors.  An out-branch
-    takes the group its nonzero entries draw on; one that draws on several
-    gets their combination, the row ``transfer.matrix @ fields`` gives it.
+    A meet builds the transfer on ``wf.labels`` as they stand, so they are its
+    in-labels in its column order: ``add_system`` lists them in ascending index
+    order, and every expansion keeps its out-labels in the ascending flat order
+    of the merged layout, the layout the next meet builds on.  The out-vectors
+    are the transfer times the in-vectors.  An out-branch takes the group its
+    nonzero entries draw on; one that draws on several gets their combination,
+    the row ``transfer.matrix @ fields`` gives it.
     """
+    if transfer.in_labels != wf.labels:
+        stray = sorted(label.text() for label in set(wf.labels) - set(transfer.in_labels))
+        raise RuntimeError(f"branches {stray} of {wf.system!r} missing from the transfer matrix, "
+                           f"or out of its column order, {_when(state)}")
     matrix, rows = transfer.matrix, wf.rows
-    ins = wf.coefficients, wf.amplitudes, wf.groups
-    if transfer.in_labels != wf.labels:  # as a meet left them, mostly
-        at = {label: i for i, label in enumerate(wf.labels)}
-        unknown = sorted(label.text() for label in set(at) - set(transfer.in_labels))
-        if unknown:
-            raise RuntimeError(f"branches {unknown} of {wf.system!r} missing from the transfer "
-                               f"matrix {_when(state)}")
-        take = [at.get(label, -1) for label in transfer.in_labels]  # -1: a zero branch
-        ins = tuple(np.append(v, 0)[take] for v in ins)
-    coeffs, amps, group = ins
+    ins = coeffs, amps, group = wf.coefficients, wf.amplitudes, wf.groups
     out = matrix @ amps
     if len(rows) == 1:
         return ins, (matrix @ coeffs, out, np.zeros(len(out), np.intp)), rows

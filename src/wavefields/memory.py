@@ -44,6 +44,7 @@ import numpy as np
 
 from . import hilbert
 from .hilbert import Ket, Operator
+from .serialize import _seq
 
 SystemId = str
 
@@ -359,13 +360,6 @@ def _decode_array(blob: dict) -> np.ndarray:
         raise ValueError(f"unsupported dtype {blob.get('dtype')!r}")
     raw = base64.b64decode(blob["data_b64"])
     return np.frombuffer(raw, dtype=np.complex128).reshape(blob["shape"]).copy()
-
-
-def _seq(texts, pad: str, brackets: str = "[]") -> str:
-    """Encoded ``texts`` as json.dumps(indent=2) lays out a container closed at indent ``pad``."""
-    if not texts:
-        return brackets
-    return f"{brackets[0]}\n{pad}  " + f",\n{pad}  ".join(texts) + f"\n{pad}{brackets[1]}"
 
 
 @functools.lru_cache(maxsize=1024)

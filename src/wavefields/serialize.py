@@ -53,56 +53,42 @@ def format_float(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _encode(obj, out: list, indent: int) -> None:
-    pad = "  " * indent
+def _seq(texts, pad: str, brackets: str = "[]") -> str:
+    """Encoded ``texts`` as json.dumps(indent=2) lays out a container closed at indent ``pad``."""
+    if not texts:
+        return brackets
+    return f"{brackets[0]}\n{pad}  " + f",\n{pad}  ".join(texts) + f"\n{pad}{brackets[1]}"
+
+
+def _encode(obj, pad: str) -> str:
+    """The JSON text of ``obj`` as json.dumps(indent=2) lays it out at indent ``pad``."""
     if obj is None:
-        out.append("null")
-    elif obj is True or obj is False:
-        out.append("true" if obj else "false")
-    elif isinstance(obj, str):
-        out.append(encode_basestring(obj))  # json.dumps's escaper with ensure_ascii=False
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, str):
+        return encode_basestring(obj)  # json.dumps's escaper with ensure_ascii=False
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
         rendered = format_float(obj)
         # JSON has no literal for non-finite numbers; quote them
-        out.append(rendered if rendered[-1].isdigit() else f'"{rendered}"')
-    elif isinstance(obj, (complex, np.complexfloating)):
-        _encode([obj.real, obj.imag], out, indent)
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
+        return rendered if rendered[-1].isdigit() else f'"{rendered}"'
+    if isinstance(obj, (complex, np.complexfloating)):
+        return _encode([obj.real, obj.imag], pad)
+    if isinstance(obj, dict):
         items = sorted(obj.items())
-        for i, (key, value) in enumerate(items):
+        for key, _ in items:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out.append(pad + "  ")
-            _encode(key, out, indent + 1)
-            out.append(": ")
-            _encode(value, out, indent + 1)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(seq):
-            out.append(pad + "  ")
-            _encode(value, out, indent + 1)
-            out.append(",\n" if i + 1 < len(seq) else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        return _seq([f"{_encode(k, '')}: {_encode(v, pad + '  ')}" for k, v in items], pad, "{}")
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return _seq([_encode(value, pad + "  ") for value in obj], pad)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj) -> str:
-    out: list = []
-    _encode(obj, out, 0)
-    return "".join(out) + "\n"
+    return _encode(obj, "") + "\n"
 
 
 _PAD = 0xFF  # fills the kernel's fixed-width cells; UTF-8 text never holds it

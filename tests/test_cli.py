@@ -117,6 +117,29 @@ def test_a_grid_too_coarse_for_the_packets_fails_named_checks_and_writes(
     assert (summary["passed"], summary["steps"], summary["boundaries"]) == (False, 0, [])
 
 
+@pytest.mark.parametrize(
+    "scenario",
+    ["three_spin_chain", "bell_case1", "bell_case2", "student_demo", "beam_splitter_einstein",
+     "weak_entanglement"],
+)
+def test_a_grid_coarser_than_the_packets_fails_a_named_check_and_writes(
+    tmp_path, capsys, scenario
+):
+    # 512 points over 2e6 length units make every packet one cell wide: nothing moves and
+    # every other audit passes, so the width check is what fails the run
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("x_min = -1e6\nx_max = 1e6\n")
+    out = tmp_path / "run"
+    assert main(["run", scenario, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "FAIL  grid resolves packet widths (dx 3906 > sigma 1.5)" in capsys.readouterr().out
+    for name in ("snapshots.csv", "boundary.csv", "summary.json", "config.json"):
+        assert (out / name).exists()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["scenario"] == scenario and summary["passed"] is False
+    failed = [c["name"] for c in summary["checks"] if not c["passed"]]
+    assert failed == ["grid resolves packet widths"]
+
+
 @pytest.mark.parametrize("scenario", ["two_spin_crossing", "von_neumann"])
 @pytest.mark.parametrize(
     "text, error",

@@ -66,6 +66,23 @@ def test_dumps_escapes_text_as_json_does(obj):
         assert dumps(key) == json.dumps(key, ensure_ascii=False) + "\n"
 
 
+# float-free documents: floats are written with format_float, json.dumps writes repr
+_documents = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _tricky),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(_tricky, inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_documents)
+def test_dumps_lays_out_nested_documents_as_json_does(doc):
+    # nesting, empty containers at any depth and key order, byte for byte
+    assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
 def test_dumps_rejects_bad_input():
     with pytest.raises(TypeError):
         dumps({1: "non-string key"})
