@@ -110,47 +110,34 @@ def is_isometry(t: np.ndarray, tol: float = ISOMETRY_TOL) -> bool:
 
 @dataclass
 class TransferMatrix:
-    """Isometry from one system's pre-interaction branches to post ones."""
+    """Isometry from one system's pre-interaction branches to post ones.
+
+    Its columns are the in-branches at the flat indices ``ins`` of the product
+    basis ``in_layout`` (``memory.layout`` of the system's pre-meet memory), its
+    rows the out-branches at ``outs`` of ``out_layout``, the merged memory's.
+    """
 
     system: str
     matrix: np.ndarray
-    in_labels: list[IndexLabel]
-    out_labels: list[IndexLabel]
+    ins: np.ndarray
+    outs: np.ndarray
+    in_layout: tuple
+    out_layout: tuple
 
     def __post_init__(self):
         n_out, n_in = self.matrix.shape
-        if len(self.in_labels) != n_in or len(self.out_labels) != n_out:
-            raise ValueError("label lists do not match matrix shape")
+        if len(self.ins) != n_in or len(self.outs) != n_out:
+            raise ValueError("branch lists do not match matrix shape")
         if not is_isometry(self.matrix):
             raise ValueError(f"transfer matrix for {self.system!r} is not an isometry")
 
+    @property
+    def in_labels(self) -> list[IndexLabel]:
+        return memory.index_labels(self.in_layout, self.system, self.ins)
 
-@functools.lru_cache(maxsize=1 << 14)
-def _label(viewpoint: str, order: tuple, dims: tuple, flat: int) -> IndexLabel:
-    """The label at one flat index of the product basis; built once per label."""
-    assignment = dict(zip(order, (int(i) for i in np.unravel_index(flat, dims))))
-    own = assignment.pop(viewpoint)
-    return IndexLabel(own, tuple(sorted(assignment.items())))
-
-
-@functools.lru_cache(maxsize=1 << 12)
-def _labels(viewpoint: str, order: tuple, dims: tuple, flats: tuple) -> tuple[IndexLabel, ...]:
-    """The labels at several flat indices, as one tuple per index set."""
-    return tuple(_label(viewpoint, order, dims, f) for f in flats)
-
-
-@functools.lru_cache(maxsize=1 << 14)
-def _flat(label: IndexLabel, viewpoint: str, order: tuple, dims: tuple) -> int:
-    """Position of a label in the product basis; raises outside it."""
-    bits = dict(label.partners)
-    idx = [label.own if s == viewpoint else bits.get(s, -1) for s in order]
-    if list(bits) != [s for s in order if s != viewpoint] or not all(
-        0 <= i < d for i, d in zip(idx, dims)
-    ):
-        raise ValueError(
-            f"branch {label.text()!r} of {viewpoint!r} lies outside its index space {list(order)}"
-        )
-    return int(np.ravel_multi_index(idx, dims))
+    @property
+    def out_labels(self) -> list[IndexLabel]:
+        return memory.index_labels(self.out_layout, self.system, self.outs)
 
 
 def _unit_rows(batch: np.ndarray) -> np.ndarray:
@@ -202,7 +189,7 @@ class _Columns(NamedTuple):
     labels: tuple[str, ...]
     dims: tuple[int, ...]
     bases: dict  # index bases to undo after the unitary
-    in_labels: list[IndexLabel]
+    ins: np.ndarray  # the in-columns' flat indices over own's layout, ascending
 
 
 def _in_columns(
@@ -212,8 +199,8 @@ def _in_columns(
 
     A row starts as a unit vector of own's product basis, is turned into
     the index bases, tensored with the initial states of newly met
-    systems and taken through the records own lacks.  Occupied labels
-    already in column order are the in-labels as they are.
+    systems and taken through the records own lacks.  The in-columns are
+    the occupied flat indices, ascending; one outside own's layout is refused.
     """
     order, shape = memory.layout(own)
     labels, dims = memory.layout(merged)
@@ -227,11 +214,14 @@ def _in_columns(
         acted = {s for op in missing for s in op.participants} | {*unitary.labels, *new_systems}
         bases = {s: b for s, b in bases.items() if s in acted}
 
-    flats = [_flat(lb, system, order, shape) for lb in occupied]
-    cols = sorted(set(flats))
-    in_labels = list(occupied if cols == flats else _labels(system, order, shape, tuple(cols)))
+    # a few flats: Python's sort and loop beat numpy's calls
+    cols, size = sorted(set(np.asarray(occupied, dtype=np.intp).tolist())), math.prod(shape)
+    if cols and not (0 <= cols[0] and cols[-1] < size):
+        stray = [c for c in cols if not 0 <= c < size]
+        raise ValueError(f"branches {stray} of {system!r} lie outside its index space "
+                         f"{list(order)} of {size} states")
     n = len(cols)
-    batch = np.zeros((n, math.prod(shape)), dtype=np.complex128)
+    batch = np.zeros((n, size), dtype=np.complex128)
     for row, col in enumerate(cols):
         batch[row, col] = 1.0
     if bases:
@@ -243,7 +233,7 @@ def _in_columns(
         batch = _unit_rows((batch[:, :, None] * amps).reshape(n, batch.shape[1] * amps.size))
     for op in missing:
         batch = _contract(batch, labels, dims, op.unitary, op.participants)
-    return _Columns(batch, labels, dims, bases or {}, in_labels)
+    return _Columns(batch, labels, dims, bases or {}, np.array(cols, dtype=np.intp))
 
 
 def _missing_records(own: InternalMemory, merged: InternalMemory) -> list[InteractionOp]:
@@ -283,9 +273,9 @@ def transfer_matrices_synced(
     each column through ``hilbert.apply`` and permuting its amplitudes,
     normalized once per operation.
 
-    ``occupied`` holds, per acting system, the in-labels its branches
-    occupy.  Each matrix keeps only those columns and drops every out-row
-    that is exactly zero on them.  ``merged`` must be
+    ``occupied`` holds, per acting system, the flat indices its branches
+    occupy in its memory's ``memory.layout``.  Each matrix keeps only those
+    columns and drops every out-row that is exactly zero on them.  ``merged`` must be
     ``memory.synchronize`` of ``mem_pair`` (the one memory for a local op).
     """
     acting = unitary.labels
@@ -326,18 +316,17 @@ def transfer_matrices_synced(
         for k in ks:
             rows = batch[start : start + len(columns[k].rows)]
             start += len(rows)
-            transfers[k] = _transfer(acting[k], rows, columns[k].in_labels, post)
+            pre = memory.layout(mem_pair[k])
+            transfers[k] = _transfer(acting[k], rows, columns[k].ins, pre, post)
     return tuple(transfers)
 
 
-def _transfer(system, batch, in_labels, post) -> TransferMatrix:
+def _transfer(system, batch, ins, pre, post) -> TransferMatrix:
     """The transfer with ``batch``'s rows as columns and the out-rows nonzero on them."""
-    keep = tuple(batch.any(axis=0).nonzero()[0].tolist())
-    if len(keep) < batch.shape[1]:
-        batch = batch[:, keep]
-    return TransferMatrix(
-        system, np.ascontiguousarray(batch.T), in_labels, list(_labels(system, *post, keep))
-    )
+    outs = batch.any(axis=0).nonzero()[0]
+    if len(outs) < batch.shape[1]:
+        batch = batch[:, outs]
+    return TransferMatrix(system, np.ascontiguousarray(batch.T), ins, outs, pre, post)
 
 
 def apply_boundary_transfer(

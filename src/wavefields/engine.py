@@ -3,13 +3,16 @@
 Each quantum system is one wave-field: indexed piece-wise single-particle
 wavefunctions, each with its own coefficient, and the record of the
 interactions that produced them.  It holds its branches as four vectors,
-one entry per branch (label, coefficient, amplitude and group), over one
-row per group, at rest and in a crossing alike.  A branch's field, the raw
-amplitude whose squared norm integrates to the branch probability once the
-branch is fully formed, is its amplitude times its group's row.  Packets
-are read-only views of the branches, built when read.  ``WaveField.write``
-is the one write: it puts a branch in the group of its shape (``SHAPE_TOL``),
-else a new row, and drops a group it leaves empty.
+one entry per branch (flat index, coefficient, amplitude and group), over
+one row per group, at rest and in a crossing alike.  A branch's label is its
+flat index over ``layout``, the product basis of the memory the branches
+were built on: one basis state per orthogonal outcome.  A branch's field,
+the raw amplitude whose squared norm integrates to the branch probability
+once the branch is fully formed, is its amplitude times its group's row.
+Packets are read-only views of the branches, built when read, and only they
+carry ``IndexLabel``s.  ``WaveField.write`` is the one write: it puts a
+branch in the group of its shape (``SHAPE_TOL``), else a new row, and drops
+a group it leaves empty.
 
 An instant meet multiplies the coefficient and amplitude vectors by the
 transfer matrix; an out-branch keeps its in-branches' group, and only one
@@ -32,7 +35,7 @@ import numpy as np
 from . import boundary as boundary_mod
 from . import memory as memory_mod
 from .hilbert import _NORM_SLACK, COEFFICIENT_THRESHOLD, Operator
-from .memory import ExternalMemory, IndexLabel, InternalMemory
+from .memory import ExternalMemory, IndexLabel, InternalMemory, index_labels
 # ``current`` stays bound here: bench/test_bench.py checks that the tracer wraps this binding
 from .spatial import Grid, Propagator, current, norm_squared  # noqa: F401
 
@@ -64,12 +67,14 @@ class Packet:
 
 @dataclass(eq=False)
 class WaveField:
-    """A system's branches, one entry each in ``labels``, ``coefficients``, ``amplitudes`` and
-    ``groups``, over its group ``rows`` and the ``spectrum`` that gave them, and its record."""
+    """A system's branches, one entry each in ``flats``, ``coefficients``, ``amplitudes`` and
+    ``groups``, over its group ``rows`` and the ``spectrum`` that gave them, and its record;
+    ``flats`` ascend over ``layout``, the product basis of the memory they were built on."""
 
     system: str
     memory: InternalMemory
-    labels: list[IndexLabel]
+    layout: tuple  # ``memory.layout(memory)`` at rest; in a crossing, the pre-meet memory's
+    flats: np.ndarray
     coefficients: np.ndarray
     amplitudes: np.ndarray
     groups: np.ndarray
@@ -78,7 +83,8 @@ class WaveField:
 
     @property
     def packets(self) -> list[Packet]:
-        return _views(self.labels, (self.coefficients, self.amplitudes, self.groups), self.rows)
+        labels = index_labels(self.layout, self.system, self.flats)
+        return _views(labels, (self.coefficients, self.amplitudes, self.groups), self.rows)
 
     def write(self, i: int, psi) -> None:
         """Give branch ``i`` the field ``psi`` in the group of its shape, else a new row."""
@@ -169,9 +175,9 @@ def add_system(state: ScenarioState, system: str, amplitudes, shape) -> WaveFiel
         memory_mod.check_index_basis(system, basis, amps.size)
     coeffs = amps if basis is None else basis.matrix.conj().T @ amps
     lit = np.flatnonzero(np.abs(coeffs) > COEFFICIENT_THRESHOLD)
-    labels = [IndexLabel(i, ()) for i in lit.tolist()]
-    wf = WaveField(system, memory_mod.fresh_memory(system, amps), labels, coeffs[lit],
-                   coeffs[lit], np.zeros(lit.size, np.intp), shape)
+    mem = memory_mod.fresh_memory(system, amps)
+    wf = WaveField(system, mem, memory_mod.layout(mem), lit, coeffs[lit], coeffs[lit],
+                   np.zeros(lit.size, np.intp), shape)
     state.wavefields[system] = wf
     return wf
 
@@ -201,18 +207,18 @@ def total_mass(state: ScenarioState, system: str) -> float:
 def _expand(wf: WaveField, transfer: boundary_mod.TransferMatrix, state: ScenarioState):
     """The in-branches' coefficients, amplitudes and groups, the out-branches', and the rows.
 
-    A meet builds the transfer on ``wf.labels`` as they stand, so they are its
-    in-labels in its column order: ``add_system`` lists them in ascending index
-    order, and every expansion keeps its out-labels in the ascending flat order
-    of the merged layout, the layout the next meet builds on.  The out-vectors
+    A meet builds the transfer on ``wf.flats`` over ``wf.layout``, so they are
+    its in-flats and in-layout: both ascend, as ``add_system`` lists a fresh
+    system's indices in order and every expansion keeps the transfer's out-flats,
+    ascending over the merged layout the next meet builds on.  The out-vectors
     are the transfer times the in-vectors.  An out-branch takes the group its
     nonzero entries draw on; one that draws on several gets their combination,
     the row ``transfer.matrix @ fields`` gives it.
     """
-    if transfer.in_labels != wf.labels:
-        stray = sorted(label.text() for label in set(wf.labels) - set(transfer.in_labels))
+    if transfer.in_layout != wf.layout or transfer.ins.tolist() != wf.flats.tolist():
+        stray = np.setdiff1d(wf.flats, transfer.ins).tolist()
         raise RuntimeError(f"branches {stray} of {wf.system!r} missing from the transfer matrix, "
-                           f"or out of its column order, {_when(state)}")
+                           f"or out of its layout or column order, {_when(state)}")
     matrix, rows = transfer.matrix, wf.rows
     ins = coeffs, amps, group = wf.coefficients, wf.amplitudes, wf.groups
     out = matrix @ amps
@@ -230,11 +236,11 @@ def _expand_instant(wf: WaveField, transfer: boundary_mod.TransferMatrix, state:
     # a field's mass is read only where its coefficient is at or under the threshold
     lit = [i for i, c in enumerate(coeffs.tolist()) if not abs(c) <= COEFFICIENT_THRESHOLD
            or not norm_squared(amps[i] * rows[groups[i]], state.grid) <= DARK_MASS_THRESHOLD]
-    labels = transfer.out_labels
-    if len(lit) < len(labels):
-        labels = [labels[i] for i in lit]
-        coeffs, amps, groups = coeffs[lit], amps[lit], groups[lit]
-    wf.labels, wf.coefficients, wf.amplitudes, wf.groups = list(labels), coeffs, amps, groups
+    flats = transfer.outs
+    if len(lit) < len(flats):
+        flats, coeffs, amps, groups = flats[lit], coeffs[lit], amps[lit], groups[lit]
+    wf.layout, wf.flats = transfer.out_layout, flats
+    wf.coefficients, wf.amplitudes, wf.groups = coeffs, amps, groups
     if rows is not wf.rows or len(rows) > 1:  # one group, the same row: nothing to drop
         wf.keep(rows)
 
@@ -319,7 +325,7 @@ def meet(
             mems,
             unitary,
             index_bases=state.index_bases,
-            occupied=[wf.labels for wf in fields],
+            occupied=[wf.flats for wf in fields],
             merged=merged,
         )
     except ValueError as err:
@@ -458,20 +464,17 @@ def index_distribution(state: ScenarioState, system: str) -> dict[int, float]:
 def correlation_table(state: ScenarioState, a: str, b: str) -> dict[tuple[int, int], float]:
     """Joint index probabilities of two systems that have met.
 
-    Read from system ``a``'s branches: its own index against the
-    partner label it carries for ``b``.  Requires both systems at rest
+    Read from system ``a``'s branches: its own index against ``b``'s,
+    both digits of the branch's flat index.  Requires both systems at rest
     and sharing the interaction record.
     """
     _require_at_rest(state, a, b)
     wf = state.wavefields[a]
-    if b not in memory_mod.systems(wf.memory):
+    order, dims = wf.layout
+    if b not in order:
         raise ValueError(f"systems {a!r} and {b!r} have not met")
-    keys = []
-    for label in wf.labels:
-        partners = label.partner_map()
-        if b not in partners:
-            raise ValueError(f"branch {label.text()!r} of {a!r} carries no label for {b!r}")
-        keys.append((label.own, partners[b]))
+    digits = np.unravel_index(wf.flats, dims)
+    keys = zip(digits[order.index(a)].tolist(), digits[order.index(b)].tolist())
     return _shares((key, p.mass(state.grid)) for key, p in zip(keys, wf.packets))
 
 

@@ -59,7 +59,7 @@ def largest_remainder(weights: np.ndarray, n: int) -> np.ndarray:
 
 
 def _branch_rows(wf: WaveField):
-    if not wf.labels:
+    if not len(wf.flats):
         raise ValueError(f"system {wf.system!r} has no branches")
     return sorted(wf.packets, key=lambda p: p.index.text())
 

@@ -150,20 +150,6 @@ class IndexLabel:
     own: int
     partners: tuple[tuple[SystemId, int], ...]  # sorted by system
 
-    def __post_init__(self):
-        # labels key dicts and caches everywhere: hash the fields once, as the dataclass would
-        object.__setattr__(self, "_hash", hash((self.own, self.partners)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # string hashes differ between processes, so the cached hash is not pickled
-        return IndexLabel, (self.own, self.partners)
-
-    def partner_map(self) -> dict[SystemId, int]:
-        return dict(self.partners)
-
     def text(self) -> str:
         inner = ",".join(f"{s}={i}" for s, i in self.partners)
         return f"{self.own}|{inner}"
@@ -190,8 +176,14 @@ def layout(mem: InternalMemory) -> tuple[tuple[SystemId, ...], tuple[int, ...]]:
     return mem._layout
 
 
-def systems(mem: InternalMemory) -> list[SystemId]:
-    return list(layout(mem)[0])
+def index_labels(layout: tuple, viewpoint: SystemId, flats: np.ndarray) -> list[IndexLabel]:
+    """The labels of the basis states at ``flats`` of the product basis ``layout``, as
+    ``viewpoint`` sees them: its own digit, and the partners' digits in system order."""
+    order, dims = layout
+    k = order.index(viewpoint)
+    partners = order[:k] + order[k + 1 :]
+    rows = np.array(np.unravel_index(flats, dims)).T.tolist()  # each flat's digits
+    return [IndexLabel(r.pop(k), tuple(zip(partners, r))) for r in rows]  # own's digit out first
 
 
 def linearize(mem: InternalMemory) -> list[str]:

@@ -338,11 +338,6 @@ def _crossing(run: _Run, spin1, spin2, unitary: Operator, op_id: str, frozen=())
     ``frozen`` holds the spin frozen forms the spin-side and then the
     pointer-side boundary matrix must take, checked before the first step.
     """
-
-    def flat(label, system):  # the label's bits over all its systems, as one flat index
-        bits = dict(label.partners, **{system: label.own})
-        return int(np.ravel_multi_index([bits[s] for s in sorted(bits)], [2] * len(bits)))
-
     systems = [("1", spin1, -8.0, _CROSSING_K0), ("2", spin2, 8.0, -_CROSSING_K0)]
     state = _world(run, (-64.0, 64.0, 2048, 0.0125), systems, sigma=1.0)
     _frame(state, run.frames)
@@ -354,10 +349,9 @@ def _crossing(run: _Run, spin1, spin2, unitary: Operator, op_id: str, frozen=())
         run.finish(state)  # raises CheckFailure, as a check failed
     for side, t, form in zip(("spin", "pointer"), (link.t_left, link.t_right), frozen):
         # the largest gap to the form, which must vanish on the rows the transfer drops
-        rows = [flat(label, t.system) for label in t.out_labels]
-        cols = form[:, [flat(label, t.system) for label in t.in_labels]]
-        held = np.abs(t.matrix - cols[rows]).max()
-        gap = float(max(held, np.abs(np.delete(cols, rows, axis=0)).max(initial=0.0)))
+        cols = form[:, t.ins]  # the form runs over the bases of the out- and in-flats
+        held = np.abs(t.matrix - cols[t.outs]).max()
+        gap = float(max(held, np.abs(np.delete(cols, t.outs, axis=0)).max(initial=0.0)))
         run.check(f"{side}-side boundary matrix is the frozen form", gap <= 1e-12, f"{gap:.3e}")
     cap = int(math.ceil(20.0 / state.grid.dt))
     run.evolve(state, cap, until=lambda: not link.active)

@@ -21,7 +21,7 @@ from wavefields.engine import (
     validate_against_memory,
 )
 from wavefields.hilbert import Operator
-from wavefields.memory import IndexLabel, fresh_memory, record_interaction, synchronize
+from wavefields.memory import fresh_memory, record_interaction, synchronize
 from wavefields.scenarios import ScenarioConfig, run_scenario
 from wavefields.serialize import dumps
 from wavefields.spatial import Grid, Propagator, cumulative_mass, gaussian_packet, norm_squared
@@ -59,9 +59,9 @@ def _random_unitary(rng, d):
 
 
 def _fresh_transfers(unitary, left, right):
-    """Both transfers of a meet of two fresh systems (name, amplitudes), every in-label occupied."""
+    """Both transfers of a meet of two fresh systems (name, amplitudes), every in-branch occupied."""
     mems = tuple(fresh_memory(name, amps) for name, amps in (left, right))
-    occupied = tuple([IndexLabel(k, ()) for k in range(len(amps))] for _, amps in (left, right))
+    occupied = tuple(np.arange(len(amps)) for _, amps in (left, right))
     return transfer_matrices_synced(
         mems, unitary, occupied=occupied, merged=synchronize(*mems)
     )
@@ -69,10 +69,9 @@ def _fresh_transfers(unitary, left, right):
 
 def _joint(t):
     """A transfer between qubits "1" and "2" over their whole joint basis, "1" major."""
+    assert t.out_layout == (("1", "2"), (2, 2))
     out = np.zeros((4, t.matrix.shape[1]), dtype=complex)  # rows the transfer drops are zero
-    for label, row in zip(t.out_labels, t.matrix):
-        index = {t.system: label.own, **dict(label.partners)}
-        out[2 * index["1"] + index["2"]] = row
+    out[t.outs] = t.matrix
     return out
 
 
@@ -211,10 +210,7 @@ def test_criterion_06_transfer_isometries():
             t1, t3 = transfer_matrices_synced(
                 (mem12, mem3),
                 v13,
-                occupied=(
-                    [IndexLabel(i, (("2", j),)) for i in (0, 1) for j in (0, 1)],
-                    [IndexLabel(0, ()), IndexLabel(1, ())],
-                ),
+                occupied=([0, 1, 2, 3], [0, 1]),  # every branch: 1 beside 2, and 3 alone
                 merged=synchronize(mem12, mem3),
             )
             assert t1.matrix.shape == (8, 4) and t3.matrix.shape == (8, 2)

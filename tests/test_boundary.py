@@ -1,14 +1,14 @@
 """Tests for boundary location, motion, and transfer matrices."""
 
 import functools
-import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavefields import boundary, engine, hilbert
+from wavefields import boundary, engine, hilbert, memory
 from wavefields.boundary import (
     BALANCE_TOL,
     Balance,
@@ -21,7 +21,7 @@ from wavefields.boundary import (
     transfer_matrices_synced,
 )
 from wavefields.hilbert import Ket, Operator
-from wavefields.memory import IndexLabel, fresh_memory, record_interaction, synchronize, systems
+from wavefields.memory import IndexLabel, fresh_memory, record_interaction, synchronize
 from wavefields.spatial import Grid, Propagator, cumulative_mass, current, gaussian_packet
 
 CNOT = np.array(
@@ -69,21 +69,14 @@ def transfer_matrices(
     return t_left, t_right
 
 
-def every_label(mem, system):
-    """Every in-label of ``system`` over ``mem``'s product basis, in basis order."""
-    order = systems(mem)
-    dims = [mem.initial_states[s].dims[0] for s in order]
-    labels = []
-    for idx in itertools.product(*map(range, dims)):
-        bits = dict(zip(order, idx))  # ``systems`` is sorted, so the partners are too
-        own = bits.pop(system)
-        labels.append(IndexLabel(own, tuple(bits.items())))
-    return labels
+def every_flat(mem):
+    """Every flat index of ``mem``'s product basis, in basis order."""
+    return np.arange(math.prod(memory.layout(mem)[1]))
 
 
 def synced(mem_pair, unitary, index_bases=None, occupied=None):
-    """``transfer_matrices_synced`` with every in-label occupied unless given."""
-    occupied = occupied or tuple(every_label(m, s) for m, s in zip(mem_pair, unitary.labels))
+    """``transfer_matrices_synced`` with every in-branch occupied unless given."""
+    occupied = occupied or tuple(every_flat(m) for m in mem_pair)
     merged = functools.reduce(synchronize, mem_pair)
     return transfer_matrices_synced(
         mem_pair, unitary, index_bases, occupied=occupied, merged=merged
@@ -254,13 +247,14 @@ def test_a_basis_on_a_system_the_meet_does_not_touch_changes_nothing():
     mem12 = record_interaction(fresh_memory("1", s1), fresh_memory("2", s2), u12, "u12")
     mem3 = fresh_memory("3", s3)
     bystander = {"2": Operator(random_unitary(rng, 2), (2,), ("2",))}
-    for occupied in (None, ([IndexLabel(1, (("2", 0),))], [IndexLabel(0, ())])):
+    for occupied in (None, ([2], [0])):  # system 1 at own index 1 with partner 2 at 0
         plain = synced((mem12, mem3), v13, occupied=occupied)
         rotated = synced((mem12, mem3), v13, index_bases=bystander, occupied=occupied)
         # system 1 already knows 2; for system 3, 2 is newly met and its rows are relabeled
         a, b = plain[0], rotated[0]
         assert a.matrix.tobytes() == b.matrix.tobytes()
-        assert (a.in_labels, a.out_labels) == (b.in_labels, b.out_labels)
+        assert (a.in_layout, a.out_layout) == (b.in_layout, b.out_layout)
+        assert np.array_equal(a.ins, b.ins) and np.array_equal(a.outs, b.outs)
     assert a.matrix.shape == (4, 1)  # system 2 stays at index 0: rows over systems 1 and 3
 
 
@@ -297,37 +291,38 @@ def test_synced_occupied_rejects_labels_outside_the_index_space():
     m1 = fresh_memory("1", random_amps(rng))
     m2 = fresh_memory("2", random_amps(rng))
     u = Operator(CNOT, (2, 2), ("1", "2"))
-    both = every_label(m2, "2")
-    (t1, t2) = synced((m1, m2), u, occupied=([IndexLabel(1, ())], both))
+    both = every_flat(m2)
+    (t1, t2) = synced((m1, m2), u, occupied=([1], both))
     assert t1.in_labels == [IndexLabel(1, ())] and t1.matrix.shape == (2, 1)
     assert t2.matrix.shape == (4, 2)  # every row is nonzero on both columns
-    for stray in (IndexLabel(2, ()), IndexLabel(0, (("3", 0),))):
-        with pytest.raises(ValueError, match="of '1' lies outside"):
-            synced((m1, m2), u, occupied=([stray], both))
+    # own index 2 of a qubit, own index 1 beside a partner 3 at 1 that system 1 has not met
+    for stray in (2, 3, -1):
+        with pytest.raises(ValueError, match=rf"\[{stray}\] of '1' lie outside .* of 2 states"):
+            synced((m1, m2), u, occupied=([0, stray], both))
+
+
+# the product bases of a qubit "1" alone, and beside a qubit "2"
+ALONE, BESIDE = (("1",), (2,)), (("1", "2"), (2, 2))
 
 
 def test_transfer_matrix_validates_labels_and_isometry():
-    labels2 = [IndexLabel(0, ()), IndexLabel(1, ())]
-    labels4 = [IndexLabel(i % 2, (("2", i // 2),)) for i in range(4)]
     good = np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex)
-    TransferMatrix("1", good, labels2, labels4)
+    TransferMatrix("1", good, np.arange(2), np.arange(4), ALONE, BESIDE)
     with pytest.raises(ValueError):
-        TransferMatrix("1", good, labels4, labels4)
+        TransferMatrix("1", good, np.arange(4), np.arange(4), BESIDE, BESIDE)
     with pytest.raises(ValueError):
-        TransferMatrix("1", 0.5 * good, labels2, labels4)
+        TransferMatrix("1", 0.5 * good, np.arange(2), np.arange(4), ALONE, BESIDE)
 
 
 def test_isometry_check_has_no_relative_slack():
     # a column of squared norm 1 + 4e-6 is off by 4e-6, far above 1e-12
-    labels2 = [IndexLabel(0, ()), IndexLabel(1, ())]
-    labels4 = [IndexLabel(i % 2, (("2", i // 2),)) for i in range(4)]
     t = np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex)
     assert is_isometry(t)
     t[0, 0] = np.sqrt(1.0 + 4e-6)
     assert not is_isometry(t)
     assert is_isometry(t, tol=1e-5)
     with pytest.raises(ValueError, match="not an isometry"):
-        TransferMatrix("1", t, labels2, labels4)
+        TransferMatrix("1", t, np.arange(2), np.arange(4), ALONE, BESIDE)
 
 
 # ---------------------------------------------------------------------------
@@ -619,14 +614,13 @@ def test_boundary_transfer_reverses_in_range_amplitude():
 
 
 def test_boundary_link_rejects_broken_isometry():
-    labels2 = [IndexLabel(0, ()), IndexLabel(1, ())]
-    labels4 = [IndexLabel(i % 2, (("2", i // 2),)) for i in range(4)]
+    ins, outs = np.arange(2), np.arange(4)
     t = TransferMatrix(
-        "1", np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex), labels2, labels4
+        "1", np.array([[1, 0], [0, 0], [0, 0], [0, 1]], dtype=complex), ins, outs, ALONE, BESIDE
     )
     BoundaryLink("1", "2", t, t, "op", [])
     with pytest.raises(ValueError):
-        TransferMatrix("1", np.ones((4, 2), dtype=complex), labels2, labels4)
+        TransferMatrix("1", np.ones((4, 2), dtype=complex), ins, outs, ALONE, BESIDE)
 
 
 @settings(max_examples=120, deadline=None)
@@ -652,21 +646,37 @@ def test_unit_rows_take_the_per_row_norm_bit_for_bit(shape, spread, off, layout,
     assert boundary._unit_rows(batch).tobytes() == want.tobytes()
 
 
-def test_memoized_labels_are_the_fresh_ones_and_stay_sparse():
-    order, dims = ["a", "b", "c"], [2, 3, 2]
+def test_every_flat_labels_as_the_product_terms_do():
+    # each flat index of a (2, 3, 2) basis is the term expand_product_terms gives there
+    order, dims = ("a", "b", "c"), (2, 3, 2)
+    amps = random_amps(np.random.default_rng(53), math.prod(dims))
+    terms = hilbert.expand_product_terms(Ket(amps, dims, order))
+    assert len(terms) == math.prod(dims)  # one per basis state, in flat order
     for view in order:
-        for flat in range(12):
-            fresh = boundary._label.__wrapped__(view, tuple(order), tuple(dims), flat)
-            label = boundary._label(view, tuple(order), tuple(dims), flat)
-            assert label == fresh
-            assert boundary._label(view, tuple(order), tuple(dims), flat) is label
-            assert boundary._flat(label, view, tuple(order), tuple(dims)) == flat
-    outside = IndexLabel(2, (("b", 0), ("c", 0)))  # own index 2 of a qubit
-    for _ in range(2):  # a refusal is never memoized
-        with pytest.raises(ValueError, match=r"lies outside its index space \['a', 'b', 'c'\]"):
-            boundary._flat(outside, "a", tuple(order), tuple(dims))
-    # a GHZ chain of 8 spins builds a few labels per meet, never the 2^8 label space
-    boundary._label.cache_clear()
+        labels = memory.index_labels((order, dims), view, np.arange(len(terms)))
+        for label, term in zip(labels, terms, strict=True):
+            bits = term.label_map()
+            assert label == IndexLabel(bits.pop(view), tuple(sorted(bits.items())))
+    # a flat past either end of the basis is refused by name, not labeled
+    mems = [fresh_memory(s, random_amps(np.random.default_rng(i), d))
+            for i, (s, d) in enumerate(zip(order, dims))]
+    mem = functools.reduce(synchronize, mems)
+    gate = Operator(np.eye(2), (2,), ("a",))
+    for outside in (12, -1):
+        with pytest.raises(ValueError, match=r"lie outside its index space \['a', 'b', 'c'\]"):
+            transfer_matrices_synced((mem,), gate, occupied=([outside],), merged=mem)
+
+
+def test_a_ghz_chain_of_meets_builds_no_index_label(monkeypatch):
+    # branches are flat indices: a meet, however many systems its memory
+    # holds, labels nothing; the packet views label their branches when read
+    built, init = [], IndexLabel.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IndexLabel, "__init__", counted)
     grid = Grid(-32.0, 32.0, 256, dt=0.01)
     state = engine.new_state(grid)
     names = [f"s{i}" for i in range(8)]
@@ -674,4 +684,10 @@ def test_memoized_labels_are_the_fresh_ones_and_stay_sparse():
         engine.add_system(state, s, [0.6, 0.8] if i == 0 else [1.0, 0.0], gaussian_packet(grid, 4.0 * i - 14.0, 1.0))
     for a, b in zip(names, names[1:]):
         engine.meet(state, a, b, Operator(CNOT, (2, 2), (a, b)), f"{a}{b}")
-    assert boundary._label.cache_info().currsize <= 6 * (len(names) - 1)
+    assert built == []
+    last = state.wavefields[names[-1]]
+    assert last.flats.tolist() == [0, 255]  # all spins down, or all up
+    assert [p.index.text() for p in last.packets] == [
+        "0|s0=0,s1=0,s2=0,s3=0,s4=0,s5=0,s6=0", "1|s0=1,s1=1,s2=1,s3=1,s4=1,s5=1,s6=1"
+    ]
+    assert len(built) == 2

@@ -772,7 +772,7 @@ def test_an_instant_meet_on_coefficients_gives_the_transfer_of_the_fields(case):
     for i, p in enumerate(wf.packets):
         wf.write(i, p.field * np.exp(1j * kicks[p.index.own] * grid.x))
     wf.keep(wf.rows)  # as the meet does: the group the kicked branches left goes
-    assert len(wf.rows) == len({kicks[label.own] for label in wf.labels})
+    assert len(wf.rows) == len({kicks[own] for own in wf.flats.tolist()})
     raw = np.array([p.field for p in wf.packets])
     coeffs = np.array([p.coefficient for p in wf.packets])
     rows_before = wf.rows
@@ -909,7 +909,7 @@ def test_a_wave_field_with_no_packets_fails_the_norm_audit_by_name(beside):
     if beside:
         add_system(state, "2", [1.0, 0.0], gaussian_packet(grid, 6.0, 1.5))
     wf, none = state.wavefields["1"], np.zeros(0, np.intp)
-    wf.labels, wf.groups = [], none
+    wf.flats, wf.groups = none, none
     wf.coefficients, wf.amplitudes = wf.coefficients[none], wf.amplitudes[none]
     with pytest.raises(RuntimeError, match=r"norm audit failed for '1' at step 1, t=0\.01: total mass 0\.0$"):
         advance(state, 3)
@@ -949,17 +949,17 @@ def test_norm_audit_names_system_step_and_time():
 def test_unknown_branch_errors_name_system_step_and_time():
     state, grid = crossing_state()
     advance(state, 2)
-    labels = state.wavefields["2"].labels
-    labels[0] = IndexLabel(0, (("9", 1),))
-    with pytest.raises(ValueError, match=r"'0\|9=1' of '2' lies outside .* at step 2, t=0\.025"):
+    flats = state.wavefields["2"].flats
+    flats[0] = 3  # own index 1 beside a partner "9" at 1, a system "2" has not met
+    with pytest.raises(ValueError, match=r"\[3\] of '2' lie outside .* at step 2, t=0\.025"):
         meet(state, "1", "2", CZ, "cz")
     assert "cz" not in state.wavefields["1"].memory.ops
-    # mid-crossing the stored labels must stay the transfer's in-labels
-    labels[0] = IndexLabel(0, ())
+    # mid-crossing the stored flats must stay the transfer's in-flats
+    flats[0] = 0
     meet(state, "1", "2", CZ, "cz", mode="crossing")
     advance(state, 3)
-    labels[0] = IndexLabel(0, (("9", 1),))
-    with pytest.raises(RuntimeError, match=r"\['0\|9=1'\] of '2' missing .* at step 5, t=0\.0625"):
+    flats[0] = 3
+    with pytest.raises(RuntimeError, match=r"\[3\] of '2' missing .* at step 5, t=0\.0625"):
         branches(state, "2")
 
 

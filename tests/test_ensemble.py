@@ -14,7 +14,7 @@ from wavefields.ensemble import (
     sample_particles,
     statistics_report,
 )
-from wavefields.memory import ExternalMemory, IndexLabel, fresh_memory
+from wavefields.memory import ExternalMemory, IndexLabel, fresh_memory, layout
 from wavefields.spatial import Grid, gaussian_packet
 
 
@@ -25,11 +25,12 @@ def make_grid():
 def make_field(amps, centers=None, grid=None):
     grid = grid or make_grid()
     centers = centers or [0.0] * len(amps)
-    lit = [i for i, a in enumerate(amps) if abs(a) > 0]
+    lit = np.flatnonzero(np.abs(amps))
     n = len(lit)
     coeffs = np.array([amps[i] for i in lit], complex)
-    wf = WaveField("1", fresh_memory("1", (1.0, 0.0)), [IndexLabel(i, ()) for i in lit], coeffs,
-                   np.zeros(n, complex), np.zeros(n, np.intp), np.zeros((0, grid.n)))
+    mem = fresh_memory("1", (1.0, 0.0))
+    wf = WaveField("1", mem, layout(mem), lit, coeffs, np.zeros(n, complex),
+                   np.zeros(n, np.intp), np.zeros((0, grid.n)))
     for k, i in enumerate(lit):  # each branch's field written into the groups: one per center
         wf.write(k, amps[i] * gaussian_packet(grid, centers[i], 2.0, 0.0))
     return wf, grid

@@ -116,23 +116,16 @@ def reference_transfer(own, merged, unitary, system, index_bases=None, occupied=
     initial states of newly met systems, takes every record ``own``
     lacks and then ``unitary`` by ``hilbert.apply``, and its amplitudes
     are permuted to the merged system order.  Index bases rotate the dense matrix on
-    both sides.  Returns (matrix, in_labels, out_labels).
+    both sides.  ``occupied`` holds flat indices of own's basis (every one, if None).
+    Returns (matrix, in_labels, out_labels), the labels built here from the indices.
     """
-    pre_order = memory.systems(own)
-    post_order = memory.systems(merged)
+    pre_order = sorted(own.initial_states)
+    post_order = sorted(merged.initial_states)
     pre_dims = [own.initial_states[s].dims[0] for s in pre_order]
     post_dims = [merged.initial_states[s].dims[0] for s in post_order]
     missing = [op_id for op_id in merged.ops if op_id not in own.ops]
     n_in, n_out = math.prod(pre_dims), math.prod(post_dims)
-    if occupied is None:
-        cols = list(range(n_in))
-    else:
-        cols = sorted({
-            int(np.ravel_multi_index(
-                [lb.own if s == system else dict(lb.partners)[s] for s in pre_order], pre_dims
-            ))
-            for lb in occupied
-        })
+    cols = list(range(n_in)) if occupied is None else sorted(set(occupied))
     needed = cols
     if index_bases:
         r_in = kron_rotation(pre_order, pre_dims, index_bases)
@@ -185,13 +178,11 @@ def test_batched_transfer_is_the_column_by_column_one(ledger, data):
         bases = {s: random_op(rng, dims, (s,)) for s in rotated}
     mem_pair = tuple(mems[s] for s in acting)
     merged = functools.reduce(synchronize, mem_pair)
-    every = [
-        reference_transfer(own, merged, unitary, s, bases)[1] for own, s in zip(mem_pair, acting)
-    ]
+    every = [list(range(math.prod(memory.layout(own)[1]))) for own in mem_pair]
     occupied = tuple(every)
     if data.draw(st.booleans()):
         occupied = tuple(
-            data.draw(st.lists(st.sampled_from(labels), min_size=1, unique=True)) for labels in every
+            data.draw(st.lists(st.sampled_from(flats), min_size=1, unique=True)) for flats in every
         )
     got = transfer_matrices_synced(
         mem_pair, unitary, index_bases=bases, occupied=occupied, merged=merged
@@ -383,8 +374,7 @@ def cleared_rebuild(mem_pair, unitary, index_bases, occupied):
     and keeps its records in its own insertion order, so the rebuilt memories
     share no object, cached layout or link with the ones the meet used.
     """
-    for cached in (boundary._plan, boundary._reorder, boundary._labels, boundary._label,
-                   boundary._flat, hilbert._apply_plan):
+    for cached in (boundary._plan, boundary._reorder, hilbert._apply_plan):
         cached.cache_clear()
     fresh = []
     for mem in mem_pair:
@@ -417,7 +407,8 @@ def test_cached_layouts_and_plans_never_go_stale(data):
         got = original(mem_pair, unitary, index_bases, occupied=occupied, merged=merged)
         again = cleared_rebuild(mem_pair, unitary, index_bases, occupied)
         for t, u in zip(got, again, strict=True):
-            assert (t.system, t.in_labels, t.out_labels) == (u.system, u.in_labels, u.out_labels)
+            assert (t.system, t.in_layout, t.out_layout) == (u.system, u.in_layout, u.out_layout)
+            assert np.array_equal(t.ins, u.ins) and np.array_equal(t.outs, u.outs)
             assert t.matrix.shape == u.matrix.shape
             assert t.matrix.tobytes() == u.matrix.tobytes()
         compared.append(len(got))

@@ -27,10 +27,11 @@ RECORDS = 200
 
 # Python-level calls into ``wavefields`` of one meet, by kind (CPython 3.11,
 # where each comprehension and each resumed generator counts): the budget,
-# measured once a wave-field held its branches as vectors (36 and 62 when it
-# held packets, 38 and 66 when a meet multiplied field rows), and beside it the
-# count before memories cached their layouts and contractions their plans
-CALLS = {"phase": 32, "cz": 54}
+# measured once branch labels were flat indices (32 and 54 when they were
+# IndexLabels, 36 and 62 when a wave-field held packets, 38 and 66 when a meet
+# multiplied field rows), and beside it the count before memories cached their
+# layouts and contractions their plans
+CALLS = {"phase": 28, "cz": 46}
 CALLS_BEFORE = {"phase": 75, "cz": 135}
 
 # Python-level calls of memory_to_json on that ledger into the package: the

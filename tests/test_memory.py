@@ -19,12 +19,12 @@ from wavefields.memory import (
     derive_state,
     external_memories,
     fresh_memory,
+    layout,
     linearize,
     memory_from_json,
     memory_to_json,
     record_interaction,
     synchronize,
-    systems,
 )
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -290,7 +290,7 @@ def test_external_memories_normalized_and_oracle_consistent():
     for _ in range(20):
         final, _, _ = chain_memory(rng)
         state = derive_state(final)
-        for sys_id in systems(final):
+        for sys_id in layout(final)[0]:
             entries = external_memories(final, sys_id)
             total = sum(abs(e.coefficient) ** 2 for e in entries)
             assert abs(total - 1.0) < 1e-10

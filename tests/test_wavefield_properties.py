@@ -1,6 +1,6 @@
 """Property test of the wave-field representation.
 
-A wave-field holds its branches as four vectors (labels, coefficients,
+A wave-field holds its branches as four vectors (flat indices, coefficients,
 amplitudes and groups) over its group rows, and hands out packets as
 read-only views.  Random instant meets on one or two systems, field writes
 and steps must keep the vectors aligned and in range, leave no group that
@@ -10,19 +10,20 @@ amplitude times the group row, bit for bit, and refuse any write.
 The same random meets, and every scenario, must keep the branch order the
 expansion relies on: each transfer a meet builds, and each one an
 expansion applies (a crossing's at completion among them), has the
-wave-field's labels as its in-labels, ascending in the flat order of the
-product basis of the systems they label.
+wave-field's flats and layout as its in-flats and in-layout, the flats
+strictly ascending within that product basis.
 """
 
 import contextlib
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavefields import boundary, engine
+from wavefields import boundary, engine, memory
 from wavefields.engine import add_system, advance, meet, new_state
 from wavefields.hilbert import Operator
 from wavefields.scenarios import SCENARIOS, ScenarioConfig, run_scenario
@@ -57,13 +58,15 @@ def operations():
 
 
 def check(wf, grid) -> None:
-    n = len(wf.labels)
+    n = len(wf.flats)
     assert len(wf.coefficients) == len(wf.amplitudes) == len(wf.groups) == n
-    assert wf.groups.dtype == np.intp
+    assert wf.flats.dtype == wf.groups.dtype == np.intp
+    assert wf.layout == memory.layout(wf.memory)  # at rest: the branches' basis is the memory's
     assert all(0 <= g < len(wf.rows) for g in wf.groups.tolist())
     assert sorted(set(wf.groups.tolist())) == list(range(len(wf.rows)))
     views = wf.packets
-    vectors = zip(wf.labels, wf.coefficients.tolist(), wf.amplitudes.tolist(), wf.groups.tolist())
+    labels = memory.index_labels(wf.layout, wf.system, wf.flats)
+    vectors = zip(labels, wf.coefficients.tolist(), wf.amplitudes.tolist(), wf.groups.tolist())
     for p, (label, c, a, g) in zip(views, vectors, strict=True):
         assert (p.index, p.coefficient, p.region) == (label, c, None)
         assert p.field.tobytes() == (a * wf.rows[g]).tobytes()
@@ -97,7 +100,7 @@ def play(seed: int, ops) -> None:
         elif op[0] == "write":
             _, name, i, kick, factor = op
             wf = state.wavefields[name]
-            i %= len(wf.labels)
+            i %= len(wf.flats)
             wf.write(i, factor * wf.packets[i].field * np.exp(1j * kick * grid.x))
         else:
             advance(state, op[1])
@@ -111,17 +114,17 @@ def test_the_vectors_stay_aligned_and_the_views_read_them(seed, ops):
     play(seed, ops)
 
 
-def ascending(labels, system: str, mem) -> bool:
-    """Whether ``labels`` of ``system`` label one set of systems and ascend in the flat
-    order of its product basis (systems sorted, dims from ``mem``)."""
-    flats, sets = [], set()
-    for label in labels:
-        bits = dict(label.partners, **{system: label.own})
-        order = sorted(bits)
-        sets.add(tuple(order))
-        dims = [mem.initial_states[s].dims[0] for s in order]
-        flats.append(int(np.ravel_multi_index([bits[s] for s in order], dims)))
-    return len(sets) <= 1 and flats == sorted(set(flats))
+def ascending(flats, layout, mem) -> bool:
+    """Whether ``flats`` strictly ascend within the product basis ``layout``, whose
+    systems are sorted and have the dims ``mem`` gives them."""
+    order, dims = layout
+    flats = np.asarray(flats).tolist()
+    return (
+        list(order) == sorted(order)
+        and dims == tuple(mem.initial_states[s].dims[0] for s in order)
+        and flats == sorted(set(flats))
+        and all(0 <= f < math.prod(dims) for f in flats)
+    )
 
 
 @contextlib.contextmanager
@@ -131,12 +134,15 @@ def branch_order():
 
     def built(mems, unitary, index_bases=None, *, occupied, merged):
         transfers = build(mems, unitary, index_bases, occupied=occupied, merged=merged)
-        for t, mem, labels in zip(transfers, mems, occupied, strict=True):
-            assert t.in_labels == labels and ascending(labels, t.system, mem)
+        for t, mem, flats in zip(transfers, mems, occupied, strict=True):
+            assert np.array_equal(t.ins, flats) and ascending(flats, t.in_layout, mem)
+            assert set(t.in_layout[0]) == set(mem.initial_states)  # the basis of the whole memory
         return transfers
 
     def expanding(wf, transfer, state):
-        assert transfer.in_labels == wf.labels and ascending(wf.labels, wf.system, wf.memory)
+        # wf.memory is already the merged one, which holds the in-layout's systems
+        assert transfer.in_layout == wf.layout and np.array_equal(transfer.ins, wf.flats)
+        assert ascending(wf.flats, wf.layout, wf.memory)
         expanded.append(transfer)
         return expand(wf, transfer, state)
 
